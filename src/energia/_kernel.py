@@ -1,0 +1,226 @@
+"""Exact convolution over the (value, multiplicity) semiring.
+
+One binary-powering driver, :func:`power`, computes r_s / q_s (and so
+every energy) and, without multiplicities, iterated sumsets and product
+sets.  Its step, :func:`pair`, also serves mixed energies and sumset
+differences.  Each step picks a backend from what it can see in its two
+operands:
+
+* Python: small operands (at most ``_PY_PAIRS`` value pairs), or values
+  or counts that could leave int64.  Dict (or set) convolution over
+  Python ints.
+* dense (sums only): translated by the minimum and divided by the gcd of
+  the differences, the two indicators are at most ``_DENSE_RATIO`` times
+  longer than a grid of the supports.  Exact int64 ``np.convolve``, kept
+  where the result is > 0.
+* sort-and-count: otherwise.  The outer sum or product grid is sorted in
+  blocks of ``_CHUNK`` cells and equal values are merged, summing their
+  weights.
+
+Nothing is rounded.  A numpy backend runs only when every value of its
+result is below 2**62 in absolute value and the product of the operands'
+total multiplicities, which bounds every count and every partial sum of
+a count, is below 2**63.
+"""
+
+import math
+
+import numpy as np
+
+_VALUE_LIMIT = 2**62
+_COUNT_LIMIT = 2**63
+_PY_PAIRS = 256
+_DENSE_RATIO = 32
+_CHUNK = 1 << 19
+
+
+class Weighted:
+    """Finite set of ints, each with a positive multiplicity, or a plain
+    set (``total`` is None).
+
+    Held as sorted int64 arrays or as a Python dict (a set when plain);
+    the other form is built on first use.  ``lo``/``hi`` are the least
+    and greatest value and ``total`` is the sum of the multiplicities.
+    """
+
+    __slots__ = ("_arrays", "_py", "_step", "size", "lo", "hi", "total")
+
+    def __init__(self, size, lo, hi, total, arrays=None, py=None):
+        self.size, self.lo, self.hi, self.total = size, lo, hi, total
+        self._arrays, self._py, self._step = arrays, py, None
+
+    @classmethod
+    def indicator(cls, elements, counted):
+        """Each of the sorted, distinct ``elements`` once."""
+        size, lo, hi = len(elements), elements[0], elements[-1]
+        total = size if counted else None
+        if -_COUNT_LIMIT <= lo and hi < _COUNT_LIMIT:  # every element fits int64
+            ones = np.ones(size, dtype=np.int64) if counted else None
+            return cls(size, lo, hi, total, arrays=(np.array(elements, dtype=np.int64), ones))
+        return cls(size, lo, hi, total, py=dict.fromkeys(elements, 1) if counted else set(elements))
+
+    @classmethod
+    def _from_arrays(cls, vals, cnts, total):
+        return cls(len(vals), int(vals[0]), int(vals[-1]), total, arrays=(vals, cnts))
+
+    @property
+    def counted(self):
+        return self.total is not None
+
+    def arrays(self):
+        """(sorted int64 values, int64 counts or None)."""
+        if self._arrays is None:
+            keys = sorted(self._py)
+            vals = np.array(keys, dtype=np.int64)
+            cnts = np.array([self._py[k] for k in keys], dtype=np.int64) if self.counted else None
+            self._arrays = (vals, cnts)
+        return self._arrays
+
+    def py(self):
+        """value -> count dict, or the set of values when plain."""
+        if self._py is None:
+            vals, cnts = self._arrays
+            self._py = dict(zip(vals.tolist(), cnts.tolist())) if self.counted else set(vals.tolist())
+        return self._py
+
+    def sorted_values(self) -> list:
+        if self._arrays is not None:
+            return self._arrays[0].tolist()
+        return sorted(self._py)
+
+    def step(self) -> int:
+        """gcd of the differences between values (0 for a singleton)."""
+        if self._step is None:
+            vals = self.arrays()[0]
+            self._step = int(np.gcd.reduce(np.diff(vals))) if len(vals) > 1 else 0
+        return self._step
+
+    def magnitude(self) -> int:
+        return max(-self.lo, self.hi)
+
+    def negated(self) -> "Weighted":
+        """{-x : x in self}, same multiplicities (plain sets only)."""
+        if self._arrays is not None:
+            return Weighted(self.size, -self.hi, -self.lo, None, arrays=(-self._arrays[0][::-1], None))
+        return Weighted(self.size, -self.hi, -self.lo, None, py={-v for v in self._py})
+
+    def max_count(self) -> int:
+        if self._arrays is not None:
+            return int(self._arrays[1].max())
+        return max(self.py().values())
+
+    def sum_squares(self) -> int:
+        """sum of squared multiplicities, exact."""
+        if self._arrays is None:
+            return sum(c * c for c in self.py().values())
+        cnts = self._arrays[1]
+        # every partial sum is at most max * total, so the int64 dot cannot wrap
+        if int(cnts.max()) * self.total < _COUNT_LIMIT:
+            return int(np.dot(cnts, cnts))
+        return sum(c * c for c in cnts.tolist())
+
+
+def inner(f: Weighted, g: Weighted) -> int:
+    """sum over n of f(n) g(n), in Python ints."""
+    gd = g.py()
+    return sum(c * gd.get(n, 0) for n, c in f.py().items())
+
+
+def power(base: Weighted, s: int, additive: bool) -> Weighted:
+    """The s-fold convolution power of ``base``, by binary powering."""
+    acc, sq = None, base
+    while True:
+        if s & 1:
+            acc = sq if acc is None else pair(acc, sq, additive)
+        s >>= 1
+        if not s:
+            return acc
+        sq = pair(sq, sq, additive)
+
+
+def pair(f: Weighted, g: Weighted, additive: bool) -> Weighted:
+    """{x + y} (or {x * y}) over x in f, y in g, weights multiplied."""
+    return choose(f, g, additive)(f, g, additive)
+
+
+def choose(f, g, additive):
+    """The backend for one pair product, from its operands alone."""
+    if f.size * g.size <= _PY_PAIRS:
+        return _python
+    bound = f.magnitude() + g.magnitude() if additive else f.magnitude() * g.magnitude()
+    if bound >= _VALUE_LIMIT or (f.counted and f.total * g.total >= _COUNT_LIMIT):
+        return _python
+    if additive:
+        step = math.gcd(f.step(), g.step()) or 1
+        span = ((f.hi - f.lo) // step + 1) * ((g.hi - g.lo) // step + 1)
+        if span <= _DENSE_RATIO * f.size * g.size:
+            return _dense
+    return _sort_count
+
+
+def _python(f, g, additive):
+    total = f.total * g.total if f.counted else None
+    fp, gp = f.py(), g.py()
+    if total is None:
+        out = {x + y for x in fp for y in gp} if additive else {x * y for x in fp for y in gp}
+    else:
+        out = {}
+        get = out.get
+        gitems = list(gp.items())
+        for a, ca in fp.items():
+            for b, cb in gitems:
+                k = a + b if additive else a * b
+                out[k] = get(k, 0) + ca * cb
+    if additive:
+        lo, hi = f.lo + g.lo, f.hi + g.hi
+    else:
+        corners = (f.lo * g.lo, f.lo * g.hi, f.hi * g.lo, f.hi * g.hi)
+        lo, hi = min(corners), max(corners)
+    return Weighted(len(out), lo, hi, total, py=out)
+
+
+def _dense(f, g, additive):
+    total = f.total * g.total if f.counted else None
+    step = math.gcd(f.step(), g.step()) or 1
+    lines = []
+    for w in (f, g):
+        vals, cnts = w.arrays()
+        line = np.zeros((w.hi - w.lo) // step + 1, dtype=np.int64)
+        line[(vals - w.lo) // step] = 1 if cnts is None else cnts
+        lines.append(line)
+    conv = np.convolve(lines[0], lines[1])
+    idx = np.flatnonzero(conv)
+    vals = (f.lo + g.lo) + step * idx
+    return Weighted._from_arrays(vals, conv[idx] if total is not None else None, total)
+
+
+def _sort_count(f, g, additive):
+    total = f.total * g.total if f.counted else None
+    (fv, fc), (gv, gc) = f.arrays(), g.arrays()
+    outer = np.add.outer if additive else np.multiply.outer
+    unit = total is not None and f.total == f.size and g.total == g.size
+    rows = max(1, _CHUNK // len(gv))
+    acc = None
+    for i in range(0, len(fv), rows):
+        grid = outer(fv[i : i + rows], gv).ravel()
+        weights = np.multiply.outer(fc[i : i + rows], gc).ravel() if total is not None and not unit else None
+        part = _merge_equal(grid, weights, total is not None)
+        if acc is not None:
+            weights = None if acc[1] is None else np.concatenate((acc[1], part[1]))
+            part = _merge_equal(np.concatenate((acc[0], part[0])), weights, total is not None, kind="stable")
+        acc = part
+    return Weighted._from_arrays(acc[0], acc[1], total)
+
+
+def _merge_equal(values, weights, counted, kind=None):
+    """Sort ``values`` and merge equal ones; with ``counted``, sum their
+    ``weights`` (each value once when ``weights`` is None)."""
+    if not counted or weights is None:
+        values = np.sort(values, kind=kind)
+        starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+        cnts = np.diff(np.append(starts, len(values))) if counted else None
+        return values[starts], cnts
+    order = np.argsort(values, kind=kind)
+    values, weights = values[order], weights[order]
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    return values[starts], np.add.reduceat(weights, starts)

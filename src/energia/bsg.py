@@ -24,7 +24,7 @@ import mpmath
 
 from . import precision
 from .checks import CheckReport, digest
-from .energy import ADDITIVE, MULTIPLICATIVE, RepFunction, rep_function
+from .energy import _OPS, ADDITIVE, MULTIPLICATIVE, RepFunction, rep_function
 from .errors import (
     BadParamsError,
     EmptyGraphError,
@@ -40,8 +40,6 @@ CALIBRATED = "calibrated"
 
 ENERGY_BRANCH = "EnergyBranch"
 SUBSET_BRANCH = "SubsetBranch"
-
-_OPS = {ADDITIVE: lambda a, b: a + b, MULTIPLICATIVE: lambda a, b: a * b}
 
 
 @dataclass(frozen=True)
@@ -236,9 +234,9 @@ def kp_pipeline(
         raise BadParamsError(f"unknown mode {mode!r}")
 
     nA = len(A)
-    r_s = rep_function(A, s, energy_mode)
-    E_s = r_s.energy_count()
     half = rep_function(A, s // 2, energy_mode)
+    r_s = half.self_convolution()  # s is even, so r_s = r_{s/2} * r_{s/2}
+    E_s = r_s.energy_count()
     E_half = half.energy_count()
     log_n = precision.log2(nA)
     nu = 2 * s - precision.log2(E_s) / log_n

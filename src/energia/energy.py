@@ -1,19 +1,20 @@
 """Representation functions and energy functionals.
 
-The fast path computes r_s by iterated sparse self-convolution of the
-indicator (squaring where the arity allows), entirely in exact
-arithmetic.  An independent brute-force oracle enumerates all 2s-tuples
-literally and must agree with the fast path on every input.
+The fast path computes r_s as the s-fold convolution power of the
+indicator through the exact kernel in ``_kernel`` (binary powering;
+dense, sort-and-count or Python backends per step).  An independent
+brute-force oracle enumerates all 2s-tuples literally, shares no code
+with the kernel, and must agree with the fast path on every input.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Optional
 
 import numpy as np
 
-from . import precision
+from . import _kernel, precision
 from .errors import BadArityError, EmptySetError, BadParamsError, OverflowGuardError, TooLargeError
 from .sets import IntSet
 
@@ -26,34 +27,41 @@ _COUNTER_LIMIT = 2**63
 _OPS = {ADDITIVE: lambda a, b: a + b, MULTIPLICATIVE: lambda a, b: a * b}
 
 
-@dataclass(frozen=True)
 class RepFunction:
-    """Sparse value -> multiplicity map for r_s (sums) or q_s (products)."""
+    """Sparse value -> multiplicity map for r_s (sums) or q_s (products).
 
-    support: dict
-    s: int
-    mode: str
+    Holds the kernel's result; ``support``, the value -> multiplicity
+    dict, is built on first access.
+    """
 
-    def __post_init__(self):
-        if self.s < 1:
+    def __init__(self, counts: _kernel.Weighted, s: int, mode: str):
+        if s < 1:
             raise BadParamsError("arity s must be >= 1")
-        if self.mode not in (ADDITIVE, MULTIPLICATIVE):
-            raise BadParamsError(f"unknown mode {self.mode!r}")
+        if mode not in (ADDITIVE, MULTIPLICATIVE):
+            raise BadParamsError(f"unknown mode {mode!r}")
+        self.counts, self.s, self.mode = counts, s, mode
+
+    @cached_property
+    def support(self) -> dict:
+        return self.counts.py()
 
     def total(self) -> int:
-        return sum(self.support.values())
+        return self.counts.total
 
     def energy_count(self) -> int:
-        return sum(v * v for v in self.support.values())
+        return self.counts.sum_squares()
 
     def sup(self) -> int:
-        return max(self.support.values())
-
-    def values_sorted(self):
-        return sorted(self.support)
+        return self.counts.max_count()
 
     def __getitem__(self, n) -> int:
         return self.support.get(n, 0)
+
+    def self_convolution(self) -> "RepFunction":
+        """r_2s (or q_2s) as r_s * r_s, under the same multiplicity guard."""
+        if self.total() ** 2 >= _COUNTER_LIMIT:
+            raise OverflowGuardError(f"r_{2 * self.s} has {self.total()}^2 tuples, beyond the 64-bit multiplicity guard")
+        return RepFunction(_kernel.pair(self.counts, self.counts, self.mode == ADDITIVE), 2 * self.s, self.mode)
 
 
 @dataclass(frozen=True)
@@ -67,29 +75,6 @@ class EnergyValue:
 
     def __int__(self):
         return self.count
-
-
-def _convolve(f: dict, g: dict, op) -> dict:
-    out = {}
-    for a, ca in f.items():
-        for b, cb in g.items():
-            k = op(a, b)
-            out[k] = out.get(k, 0) + ca * cb
-    return out
-
-
-def _self_convolution(indicator: dict, s: int, op) -> dict:
-    # binary powering over the convolution semiring; deterministic order
-    acc = None
-    power = indicator
-    k = s
-    while k:
-        if k & 1:
-            acc = dict(power) if acc is None else _convolve(acc, power, op)
-        k >>= 1
-        if k:
-            power = _convolve(power, power, op)
-    return acc
 
 
 def _guard_counts(size: int, s: int):
@@ -106,8 +91,8 @@ def rep_function(A: IntSet, s: int, mode: str = ADDITIVE) -> RepFunction:
     if mode not in _OPS:
         raise BadParamsError(f"unknown mode {mode!r}")
     _guard_counts(len(A), s)
-    indicator = {a: 1 for a in A}
-    return RepFunction(_self_convolution(indicator, s, _OPS[mode]), s, mode)
+    indicator = _kernel.Weighted.indicator(A.elements, counted=True)
+    return RepFunction(_kernel.power(indicator, s, mode == ADDITIVE), s, mode)
 
 
 def _exponent(count: int, size: int):
@@ -142,17 +127,14 @@ def mixed_energy(sets, mode: str = ADDITIVE) -> EnergyValue:
         if len(X) == 0:
             raise EmptySetError("mixed_energy over an empty factor")
     s = len(sets) // 2
-    op = _OPS[mode]
 
     def half(group):
-        f = {a: 1 for a in group[0]}
+        f = _kernel.Weighted.indicator(group[0].elements, counted=True)
         for X in group[1:]:
-            f = _convolve(f, {a: 1 for a in X}, op)
+            f = _kernel.pair(f, _kernel.Weighted.indicator(X.elements, counted=True), mode == ADDITIVE)
         return f
 
-    left = half(sets[:s])
-    right = half(sets[s:])
-    count = sum(c * right.get(n, 0) for n, c in left.items())
+    count = _kernel.inner(half(sets[:s]), half(sets[s:]))
     size = min(len(X) for X in sets)
     return EnergyValue(count, s, mode, _exponent(count, size))
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import PrecisionError
+from .errors import BadParamsError, PrecisionError
 
 PRECISION_ENV = "ENERGIA_PRECISION_BITS"
 DEFAULT_PRECISION_BITS = 256
@@ -24,7 +24,7 @@ def precision_bits() -> int:
     try:
         bits = int(raw)
     except ValueError:
-        return DEFAULT_PRECISION_BITS
+        raise BadParamsError(f"{PRECISION_ENV}={raw!r} is not an integer") from None
     return max(64, bits)
 
 

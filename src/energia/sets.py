@@ -8,6 +8,7 @@ spurious.  Every object is immutable and every operation is pure.
 
 from fractions import Fraction
 
+from . import _kernel
 from .errors import (
     BadParamsError,
     DivisionByZeroElementError,
@@ -23,6 +24,13 @@ class _SortedSet:
 
     def __init__(self, values):
         self.elements = tuple(sorted(set(values)))
+
+    @classmethod
+    def _trusted(cls, elements):
+        """Wrap values already sorted, distinct and of this set's type."""
+        obj = cls.__new__(cls)
+        obj.elements = tuple(elements)
+        return obj
 
     def __len__(self):
         return len(self.elements)
@@ -76,28 +84,6 @@ def make_set(values) -> IntSet:
     return IntSet(values)
 
 
-def _pair_sumset(xs, ys):
-    return {x + y for x in xs for y in ys}
-
-
-def _fold_sumset(base, s):
-    # binary addition chain: sumsets satisfy (aX) + (bX) = (a+b)X
-    acc = None
-    power = set(base)
-    k = s
-    times = 1
-    acc_times = 0
-    while k:
-        if k & 1:
-            acc = set(power) if acc is None else _pair_sumset(acc, power)
-            acc_times += times
-        k >>= 1
-        if k:
-            power = _pair_sumset(power, power)
-            times *= 2
-    return acc
-
-
 def iterated_sumset(A: IntSet, m: int, n: int) -> IntSet:
     """mA - nA, the m-fold sumset minus the n-fold sumset of A."""
     if m < 0 or n < 0:
@@ -106,30 +92,12 @@ def iterated_sumset(A: IntSet, m: int, n: int) -> IntSet:
         raise ZeroArityError("m = n = 0")
     if len(A) == 0:
         raise EmptySetError("iterated_sumset of empty set")
-    if m == 0:
-        return IntSet(-x for x in _fold_sumset(A.elements, n))
-    plus = _fold_sumset(A.elements, m)
-    if n == 0:
-        return IntSet(plus)
-    minus = _fold_sumset(A.elements, n)
-    return IntSet(p - q for p in plus for q in minus)
-
-
-def _pair_prodset(xs, ys):
-    return {x * y for x in xs for y in ys}
-
-
-def _fold_prodset(base, s):
-    acc = None
-    power = set(base)
-    k = s
-    while k:
-        if k & 1:
-            acc = set(power) if acc is None else _pair_prodset(acc, power)
-        k >>= 1
-        if k:
-            power = _pair_prodset(power, power)
-    return acc
+    base = _kernel.Weighted.indicator(A.elements, counted=False)
+    out = _kernel.power(base, m, additive=True) if m else None
+    if n:
+        minus = _kernel.power(base, n, additive=True).negated()
+        out = minus if out is None else _kernel.pair(out, minus, additive=True)
+    return IntSet._trusted(out.sorted_values())
 
 
 def iterated_product_set(A: IntSet, m: int, n: int) -> RatSet:
@@ -142,12 +110,13 @@ def iterated_product_set(A: IntSet, m: int, n: int) -> RatSet:
         raise EmptySetError("iterated_product_set of empty set")
     if n >= 1 and 0 in A.elements:
         raise DivisionByZeroElementError("0 in A with n >= 1")
-    if m == 0:
-        return RatSet(Fraction(1, q) for q in _fold_prodset(A.elements, n))
-    num = _fold_prodset(A.elements, m)
-    if n == 0:
-        return RatSet(num)
-    den = _fold_prodset(A.elements, n)
+    base = _kernel.Weighted.indicator(A.elements, counted=False)
+    num = _kernel.power(base, m, additive=False).sorted_values() if m else None
+    den = _kernel.power(base, n, additive=False).sorted_values() if n else None
+    if num is None:
+        return RatSet(Fraction(1, q) for q in den)
+    if den is None:
+        return RatSet._trusted([Fraction(p) for p in num])
     return RatSet(Fraction(p, q) for p in num for q in den)
 
 

@@ -1,0 +1,123 @@
+"""Golden CLI reports: full stdout bytes and exit codes of a fixed corpus.
+
+Every case feeds its input on stdin, so the echoed command line carries
+no file path.  The expected outputs in ``golden_cli.json`` were captured
+from the engine before the convolution kernel was rewritten; a change
+that alters any report byte, any exit code or the chosen ``A'`` fails
+here.  To capture them again after an intended change of output:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import contextlib
+import io
+import json
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from energia.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+SMALL_ADD = [-7, -3, 0, 1, 2, 5, 8, 13]
+SMALL_MULT = [1, 2, 3, 4, 6, 9, 12]
+SIGNED_MULT = [-6, -2, 0, 1, 3, 5]
+AP_DENSE = [-1000 + 7 * i for i in range(600)]
+AP_E4 = [31 + 3 * i for i in range(120)]
+SPARSE = sorted(random.Random(5).sample(range(10**9), 400))
+SPARSE_SMALL = sorted(random.Random(6).sample(range(10**6), 60))
+SPARSE_TINY = SPARSE_SMALL[::4]
+BIG_GRID = sorted(3 * 2 ** (64 + i) * 3**j for i in range(8) for j in range(8))
+KP_RANDOM = sorted(random.Random(7).sample(range(5 * 10**5), 18))
+KP_AP_UNION = sorted(set(random.Random(8).sample(range(5 * 10**5), 10)) | {1000 + 37 * i for i in range(10)})
+DECOMPOSE_SET = sorted({7 * 2**i * 3**j for i in range(5) for j in range(5)} | {7 * v for v in range(1, 17)})
+
+
+def _energy(values, s, mode="add", oracle=False):
+    argv = ["energy", "--s", str(s), "--mode", mode] + (["--oracle"] if oracle else [])
+    return argv, values
+
+
+def _sumset(values, m, n, mode="add"):
+    return ["sumset", "--m", str(m), "--n", str(n), "--mode", mode], values
+
+
+CASES = {
+    "energy-add-s2-oracle": _energy(SMALL_ADD, 2, oracle=True),
+    "energy-add-s3-oracle": _energy(SMALL_ADD, 3, oracle=True),
+    "energy-add-s4-oracle": _energy([-2, 0, 1, 4, 9], 4, oracle=True),
+    "energy-mult-s2-oracle": _energy(SMALL_MULT, 2, "mult", oracle=True),
+    "energy-mult-s3-oracle": _energy(SIGNED_MULT, 3, "mult", oracle=True),
+    "energy-mult-s4-oracle": _energy([1, 2, 3, 5, 6], 4, "mult", oracle=True),
+    "energy-dense-ap-s2": _energy(AP_DENSE, 2),
+    "energy-dense-ap-s4": _energy(AP_E4, 4),
+    "energy-dense-interval-mult-s2": _energy(list(range(1, 301)), 2, "mult"),
+    "energy-sparse-s2": _energy(SPARSE, 2),
+    "energy-sparse-s3": _energy(SPARSE_SMALL, 3),
+    "energy-sparse-mult-s2": _energy(SPARSE, 2, "mult"),
+    "energy-grid-above-2^63-mult": _energy(BIG_GRID, 2, "mult"),
+    "energy-grid-above-2^63-add": _energy(BIG_GRID, 2),
+    "energy-overflow-guard": _energy([1, 2, 3], 64),
+    "sumset-3A": _sumset(SMALL_ADD, 3, 0),
+    "sumset-3A-ap": _sumset(AP_DENSE[:100], 3, 0),
+    "sumset-2A-2A": _sumset(SMALL_ADD, 2, 2),
+    "sumset-2A-A": _sumset(SPARSE_TINY, 2, 1),
+    "sumset-0A-2A": _sumset(SMALL_ADD, 0, 2),
+    "sumset-A/A": _sumset(SMALL_MULT, 1, 1, "mult"),
+    "sumset-AA-signed": _sumset(SIGNED_MULT, 2, 0, "mult"),
+    "sumset-AA-grid": _sumset(BIG_GRID[:20], 2, 0, "mult"),
+    "kp-verify-random": (["kp", "--s", "4", "--delta", "0.05", "--verify"], KP_RANDOM),
+    "kp-verify-ap-union": (["kp", "--s", "4", "--delta", "0.05", "--verify"], KP_AP_UNION),
+    "decompose": (["decompose", "--k", "1.5", "--s", "2", "--q", "4"], DECOMPOSE_SET),
+    "check-all": (["check", "--suite", "all", "--cases", "2"], None),
+    "experiment-warren-squares": (["experiment", "warren-squares"], None),
+    "experiment-ap-gp-mix": (["experiment", "ap-gp-mix"], None),
+    "experiment-zero-obstruction": (["experiment", "zero-obstruction"], None),
+}
+
+
+def run_case(argv, values):
+    """Exit code and stdout of one CLI call, its input (if any) on stdin."""
+    if values is not None:
+        argv = argv + ["-"]
+    stdin = io.StringIO("" if values is None else " ".join(str(v) for v in values) + "\n")
+    out = io.StringIO()
+    saved = sys.stdin
+    sys.stdin = stdin
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_corpus_is_complete(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report(name, golden):
+    code, out = run_case(*CASES[name])
+    assert code == golden[name]["code"]
+    assert out == golden[name]["stdout"]
+
+
+def capture():
+    result = {}
+    for name, (argv, values) in CASES.items():
+        code, out = run_case(argv, values)
+        result[name] = {"code": code, "stdout": out}
+    GOLDEN.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    capture()

@@ -1,0 +1,239 @@
+"""Every backend of the exact convolution kernel against the Python path.
+
+Each backend is forced through the whole driver by replacing
+``_kernel.choose``; the Python backend (dict / set convolution over
+Python ints) is the reference.  Pairs whose values could leave int64 stay on Python
+even when a numpy backend is forced; a separate group checks that the
+natural choice falls back to Python exactly at the value and count
+bounds.
+"""
+
+import inspect
+import math
+from collections import Counter
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from energia import _kernel
+from energia.energy import (
+    ADDITIVE,
+    MULTIPLICATIVE,
+    _numpy_oracle,
+    energy,
+    energy_oracle,
+    mixed_energy,
+    rep_function,
+)
+from energia.sets import IntSet, iterated_product_set, iterated_sumset
+
+BACKENDS = {"python": _kernel._python, "dense": _kernel._dense, "sort-count": _kernel._sort_count}
+MODES = (ADDITIVE, MULTIPLICATIVE)
+
+small_sets = st.lists(st.integers(-60, 60), min_size=1, max_size=9, unique=True)
+wide_sets = st.lists(st.integers(-(10**9), 10**9), min_size=1, max_size=9, unique=True)
+any_small = st.one_of(small_sets, wide_sets, st.lists(st.integers(-3, 3), min_size=1, max_size=1))
+
+
+def prop(examples):
+    # monkeypatch is undone per test, not per example; each example sets what it needs
+    return settings(max_examples=examples, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _short_lines(f, g):
+    step = math.gcd(f.step(), g.step()) or 1
+    return max(f.hi - f.lo, g.hi - g.lo) // step < 10**4
+
+
+def force(monkeypatch, name):
+    """Route every pair product to one backend, size regardless.  Pairs
+    whose values could leave int64 still go to Python, as in the real
+    choice; dense serves only sums, and only where its indicator lines
+    stay short (wide sets would need lines of ~10^9 cells), so other pairs
+    go to sort-and-count."""
+    backend = BACKENDS[name]
+
+    def choose(f, g, additive):
+        bound = f.magnitude() + g.magnitude() if additive else f.magnitude() * g.magnitude()
+        if bound >= _kernel._VALUE_LIMIT:
+            return _kernel._python
+        if backend is _kernel._dense and not (additive and _short_lines(f, g)):
+            return _kernel._sort_count
+        return backend
+
+    monkeypatch.setattr(_kernel, "choose", choose)
+
+
+def reference(monkeypatch, fn):
+    with monkeypatch.context() as m:
+        force(m, "python")
+        return fn()
+
+
+def chunked(monkeypatch):
+    # tiny blocks, so the sort-and-count merge runs on every input
+    monkeypatch.setattr(_kernel, "_CHUNK", 5)
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+@pytest.mark.parametrize("mode", MODES)
+@prop(60)
+@given(vals=any_small, s=st.integers(1, 4))
+def test_rep_function_and_energy(monkeypatch, name, mode, vals, s):
+    A = IntSet(vals)
+    chunked(monkeypatch)
+    want = reference(monkeypatch, lambda: rep_function(A, s, mode))
+    force(monkeypatch, name)
+    got = rep_function(A, s, mode)
+    assert got.support == want.support
+    assert got.total() == want.total() == len(A) ** s
+    assert got.sup() == want.sup()
+    assert energy(A, s, mode).count == want.energy_count() == got.energy_count()
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+@pytest.mark.parametrize("mode", MODES)
+@prop(40)
+@given(sets=st.integers(1, 2).flatmap(lambda s: st.lists(any_small, min_size=2 * s, max_size=2 * s)))
+def test_mixed_energy(monkeypatch, name, mode, sets):
+    sets = [IntSet(v) for v in sets]
+    chunked(monkeypatch)
+    want = reference(monkeypatch, lambda: mixed_energy(sets, mode).count)
+    force(monkeypatch, name)
+    assert mixed_energy(sets, mode).count == want
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+@prop(60)
+@given(vals=any_small, m=st.integers(0, 3), n=st.integers(0, 2))
+def test_iterated_sumset(monkeypatch, name, vals, m, n):
+    if m == n == 0:
+        return
+    A = IntSet(vals)
+    chunked(monkeypatch)
+    want = reference(monkeypatch, lambda: iterated_sumset(A, m, n))
+    force(monkeypatch, name)
+    got = iterated_sumset(A, m, n)
+    assert got == want
+    assert list(got.elements) == sorted(set(got.elements))
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+@prop(60)
+@given(vals=any_small, m=st.integers(0, 3), n=st.integers(0, 2))
+def test_iterated_product_set(monkeypatch, name, vals, m, n):
+    if m == n == 0 or (n and 0 in vals):
+        return
+    A = IntSet(vals)
+    chunked(monkeypatch)
+    want = reference(monkeypatch, lambda: iterated_product_set(A, m, n))
+    force(monkeypatch, name)
+    assert iterated_product_set(A, m, n) == want
+
+
+# -- the natural choice -------------------------------------------------------
+
+
+def _indicator(vals, counted=True):
+    return _kernel.Weighted.indicator(tuple(sorted(vals)), counted)
+
+
+def test_small_operands_stay_on_python():
+    f = _indicator(range(16))
+    assert _kernel.choose(f, f, True) is _kernel._python
+
+
+def test_dense_and_sparse_choices():
+    ap = _indicator(range(-500, 500, 3))
+    sparse = _indicator([7**i for i in range(1, 22)])
+    assert _kernel.choose(ap, ap, True) is _kernel._dense
+    assert _kernel.choose(_indicator(range(-500, 500, 3), counted=False), ap, True) is _kernel._dense
+    assert _kernel.choose(ap, ap, False) is _kernel._sort_count
+    assert _kernel.choose(sparse, sparse, True) is _kernel._sort_count
+
+
+@pytest.mark.parametrize(
+    "top, additive, backend",
+    [
+        (2**61 - 1, True, "numpy"),
+        (2**61, True, "python"),
+        (2**31 - 1, False, "numpy"),
+        (2**31, False, "python"),
+    ],
+)
+def test_value_bound(top, additive, backend):
+    # 2 * top (sums) or top * top (products) against 2**62
+    vals = [-top] + [3**i for i in range(20)] + [top]
+    f = _indicator(vals)
+    chosen = _kernel.choose(f, f, additive)
+    assert (chosen is _kernel._python) == (backend == "python")
+    mode = ADDITIVE if additive else MULTIPLICATIVE
+    op = (lambda a, b: a + b) if additive else (lambda a, b: a * b)
+    assert rep_function(IntSet(vals), 2, mode).support == Counter(op(a, b) for a in vals for b in vals)
+
+
+def test_count_bound():
+    f = _indicator(range(0, 120, 3))
+    f.total = 2**32
+    assert _kernel.choose(f, f, True) is _kernel._python
+    assert _kernel.choose(f, _indicator(range(40)), True) is not _kernel._python
+
+
+@prop(40)
+@given(
+    vals=st.one_of(
+        st.lists(st.integers(0, 120), min_size=20, max_size=40, unique=True),
+        st.lists(st.integers(-(10**12), 10**12), min_size=20, max_size=40, unique=True),
+    ),
+    s=st.integers(2, 3),
+)
+def test_natural_choice_agrees_with_python(monkeypatch, vals, s):
+    A = IntSet(vals)
+    for mode in MODES:
+        want = reference(monkeypatch, lambda: rep_function(A, s, mode))
+        assert rep_function(A, s, mode).support == want.support
+    want = reference(monkeypatch, lambda: iterated_sumset(A, 2, 1))
+    assert iterated_sumset(A, 2, 1) == want
+
+
+def test_sum_squares_beyond_int64():
+    cnts = np.array([2**40, 3, 2**35], dtype=np.int64)
+    w = _kernel.Weighted(3, 0, 2, int(cnts.sum()), arrays=(np.arange(3, dtype=np.int64), cnts))
+    assert w.sum_squares() == 2**80 + 9 + 2**70
+    assert w.max_count() == 2**40
+
+
+def test_support_is_built_lazily_and_equal():
+    r = rep_function(IntSet(range(0, 600, 3)), 2)
+    assert "support" not in vars(r)
+    assert r.energy_count() == sum(c * c for c in r.support.values())
+    assert r.support == Counter(a + b for a in range(0, 600, 3) for b in range(0, 600, 3))
+
+
+def test_self_convolution_is_r_2s():
+    A = IntSet([-4, 0, 1, 5, 9, 30])
+    for mode in MODES:
+        assert rep_function(A, 2, mode).self_convolution().support == rep_function(A, 4, mode).support
+
+
+# -- the oracle stays independent ---------------------------------------------
+
+
+def test_oracle_does_not_use_the_kernel(monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("the kernel was called")
+
+    for name in ("power", "pair", "choose", "inner"):
+        monkeypatch.setattr(_kernel, name, broken)
+    with pytest.raises(AssertionError):
+        energy(IntSet([1, 2, 3]), 2)
+    assert energy_oracle(IntSet([1, 2, 3]), 2).count == 19
+    assert energy_oracle(IntSet([1, 2, 4]), 2, MULTIPLICATIVE).count == 19
+    # |A|^6 > 200000: the numpy batch path
+    A = list(range(1, 9))
+    hand = sum(1 for t in product(A, repeat=6) if sum(t[:3]) == sum(t[3:]))
+    assert energy_oracle(IntSet(A), 3).count == hand
+    for fn in (energy_oracle, _numpy_oracle):
+        assert "_kernel" not in inspect.getsource(fn)
