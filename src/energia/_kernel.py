@@ -68,10 +68,12 @@ class Weighted:
         return self.total is not None
 
     def arrays(self):
-        """(sorted int64 values, int64 counts or None)."""
+        """(sorted values, int64 counts or None); the values are int64, or
+        an object array of Python ints when one leaves int64."""
         if self._arrays is None:
             keys = sorted(self._py)
-            vals = np.array(keys, dtype=np.int64)
+            fits = -_COUNT_LIMIT <= self.lo and self.hi < _COUNT_LIMIT
+            vals = np.array(keys, dtype=np.int64 if fits else object)
             cnts = np.array([self._py[k] for k in keys], dtype=np.int64) if self.counted else None
             self._arrays = (vals, cnts)
         return self._arrays

@@ -16,15 +16,17 @@ extraction collapses AND the energy condition literally holds, so that a
 successfully extracted subset is always reported.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import mpmath
+import numpy as np
 
-from . import precision
+from . import _kernel, precision
 from .checks import CheckReport, digest
-from .energy import _OPS, ADDITIVE, MULTIPLICATIVE, RepFunction, rep_function
+from .energy import ADDITIVE, RepFunction, rep_function
 from .errors import (
     BadParamsError,
     EmptyGraphError,
@@ -41,6 +43,13 @@ CALIBRATED = "calibrated"
 ENERGY_BRANCH = "EnergyBranch"
 SUBSET_BRANCH = "SubsetBranch"
 
+# Cells per row block of the stage grids.  A block's temporaries (grid,
+# search positions, gathered values, sorted copies) cost 25-50 bytes a
+# cell with int64 values, more with Python ints.  With blocks of 2^14 to
+# 2^19 cells a run of decompose jobs ended 1-3 MB higher in peak RSS, for
+# a few percent of speed; 2^12 cells keep each block near 100 KB.
+_BLOCK = 1 << 12
+
 
 @dataclass(frozen=True)
 class PopularSumGraph:
@@ -51,16 +60,6 @@ class PopularSumGraph:
     sum_filter: frozenset
     alpha: Fraction
     mode: str = ADDITIVE
-
-    def neighbours(self, u):
-        op = _OPS[self.mode]
-        return [v for v in self.right if op(u, v) in self.sum_filter]
-
-    def edge_count(self) -> int:
-        op = _OPS[self.mode]
-        return sum(
-            1 for u in self.left for v in self.right if op(u, v) in self.sum_filter
-        )
 
     def bound_n(self) -> int:
         return max(len(self.left), len(self.right), len(self.sum_filter))
@@ -107,9 +106,6 @@ class KpResult:
     checks: list = field(default_factory=list)
     trace: list = field(default_factory=list)  # (stage, cardinality, threshold)
 
-    def stage_trace(self):
-        return list(self.trace)
-
 
 def popular_sums(r: RepFunction, threshold) -> IntSet:
     """S = {n : r(n) >= threshold}."""
@@ -121,16 +117,87 @@ def popular_sums(r: RepFunction, threshold) -> IntSet:
     return IntSet(hits)
 
 
-def _top_mass(items, mass_of, tiebreak_value):
-    """Deterministic top-half quantile: of the values carrying positive
-    mass, keep the upper half ranked by mass (ties: increasing value)."""
-    ranked = sorted(
-        (x for x in items if mass_of(x) > 0),
-        key=lambda x: (-mass_of(x), tiebreak_value(x)),
-    )
-    if not ranked:
-        return []
-    return ranked[: (len(ranked) + 1) // 2]
+def _top_mass(mass):
+    """Deterministic top-half quantile over value-sorted int64 ``mass``: of
+    the positions carrying positive mass, the upper half ranked by mass
+    (ties: increasing value, by the stable sort).  Returns their indices,
+    sorted."""
+    pos = np.flatnonzero(mass > 0)
+    ranked = pos[np.argsort(-mass[pos], kind="stable")]
+    return np.sort(ranked[: (len(ranked) + 1) // 2])
+
+
+def _exact_arrays(reach, *seqs):
+    """``seqs`` as int64 arrays when ``reach``, a bound on the magnitude of
+    their values and of the sums or products formed from them, is below
+    2**62, else as object arrays of Python ints."""
+    dtype = np.int64 if reach < _kernel._VALUE_LIMIT else object
+    return [np.array(v, dtype=dtype) for v in seqs]
+
+
+def _membership(X, Y, S, additive):
+    """Bool matrix [X_i + Y_j in S] (products when not ``additive``).
+
+    X, Y and S are sorted sequences of ints.  The grid is int64 when
+    every cell and every value of S stays below 2**62 in absolute value,
+    else an object array of Python ints; it is built and tested in row
+    blocks of about ``_BLOCK`` cells, so only the bool matrix is
+    |X|*|Y| sized.
+    """
+    mx, my = max(-X[0], X[-1]), max(-Y[0], Y[-1])
+    bound = mx + my if additive else mx * my
+    if S:
+        bound = max(bound, -S[0], S[-1])
+    X, Y, S = _exact_arrays(bound, X, Y, S)
+    out = np.zeros((len(X), len(Y)), dtype=bool)
+    if len(S):
+        outer = np.add.outer if additive else np.multiply.outer
+        rows = max(1, _BLOCK // len(Y))
+        for i in range(0, len(X), rows):
+            grid = outer(X[i : i + rows], Y)
+            pos = np.searchsorted(S, grid)
+            np.minimum(pos, len(S) - 1, out=pos)
+            out[i : i + rows] = S[pos] == grid
+    return out
+
+
+def _matvec(M, v):
+    """M @ v for a bool matrix M and an int64 vector v, in row blocks so
+    that no int64 copy of the whole of M is made.  Exact while sum(v)
+    stays below 2**63."""
+    rows = max(1, _BLOCK // M.shape[1])
+    return np.concatenate([M[i : i + rows] @ v for i in range(0, len(M), rows)])
+
+
+def _nested_spans(P, level, additive):
+    """|C_j + C_j| (or |C_j * C_j|) for every j, where C_j = {P_i : level_i <= j}.
+
+    ``level`` holds each element's first level, 0..k-1, every level
+    taken.  Each pair of elements enters at the larger of its two levels,
+    and each distinct sum at the least level of the pairs forming it; the
+    spans are the running counts of sums by entry level.  With the
+    elements ordered by level, the pairs (a, b), b <= a, visited row by
+    row enter in nondecreasing level, so a sum's first occurrence carries
+    its entry level; ``np.unique`` returns first occurrences.
+    """
+    order = np.argsort(level, kind="stable")
+    P = [P[i] for i in order.tolist()]
+    level = level[order]
+    mag = max(-min(P), max(P))
+    (P,) = _exact_arrays(2 * mag if additive else mag * mag, P)
+    outer = np.add.outer if additive else np.multiply.outer
+    sums, levels = [], []  # each row block's distinct sums, with their levels there
+    rows = max(1, _BLOCK // len(P))
+    for r0 in range(0, len(P), rows):
+        r1 = min(len(P), r0 + rows)
+        below = np.arange(r1)[None, :] <= np.arange(r0, r1)[:, None]
+        vals, first = np.unique(outer(P[r0:r1], P[:r1])[below], return_index=True)
+        row = np.repeat(np.arange(r0, r1), np.arange(r0, r1) + 1)
+        sums.append(vals)
+        levels.append(level[row[first]])
+    _, first = np.unique(np.concatenate(sums), return_index=True)
+    entered = np.bincount(np.concatenate(levels)[first], minlength=int(level[-1]) + 1)
+    return np.cumsum(entered).tolist()
 
 
 def bsg_extract(U: IntSet, V: IntSet, G: PopularSumGraph):
@@ -140,45 +207,59 @@ def bsg_extract(U: IntSet, V: IntSet, G: PopularSumGraph):
     popular seed vertices, scored by the additive-richness proxy
     |A'|^2 / |A'+A'|; the winner is verified against the explicit
     graph-BSG constants (retrying further candidates on failure, with an
-    exhaustive subset search fallback for small U).
+    exhaustive subset search fallback for small U).  A seed's candidates
+    are nested, so all their doubling spans come from one pass over the
+    largest (see ``_nested_spans``).
     """
-    op = _OPS[G.mode]
-    adj = {u: frozenset(v for v in V if op(u, v) in G.sum_filter) for u in U}
-    edges = sum(len(n) for n in adj.values())
-    if edges == 0:
+    additive = G.mode == ADDITIVE
+    elems = list(U)
+    adj = _membership(elems, V.elements, sorted(G.sum_filter), additive)
+    deg = adj.sum(axis=1)
+    if not deg.any():
         raise EmptyGraphError("popular-sum graph has no edges")
 
-    seeds = sorted((u for u in U if adj[u]), key=lambda u: (-len(adj[u]), u))[:4]
-    candidates = []
+    by_degree = np.argsort(-deg, kind="stable")
+    seeds = by_degree[deg[by_degree] > 0][:4]
+    candidates = []  # (members mask, span)
     seen = set()
-    for seed in seeds:
-        codeg = {u: len(adj[u] & adj[seed]) for u in U}
-        for tau in sorted({c for c in codeg.values() if c > 0}, reverse=True):
-            cand = tuple(u for u in U if codeg[u] >= tau)
-            if cand not in seen:
-                seen.add(cand)
-                candidates.append(cand)
+    for seed in seeds.tolist():
+        codeg = adj[:, adj[seed]].sum(axis=1)
+        inside = np.flatnonzero(codeg)
+        taus = np.unique(codeg[inside])
+        level = len(taus) - 1 - np.searchsorted(taus, codeg[inside])
+        spans = _nested_spans([elems[i] for i in inside.tolist()], level, additive)
+        for tau, span in zip(taus[::-1].tolist(), spans):
+            mask = codeg >= tau
+            key = mask.tobytes()
+            if key not in seen:
+                seen.add(key)
+                candidates.append((mask, span))
 
     def doubling_span(members) -> int:
-        sub = IntSet(members)
-        if G.mode == ADDITIVE:
+        sub = IntSet._trusted(members)
+        if additive:
             return len(iterated_sumset(sub, 2, 0))
         return len(iterated_product_set(sub, 2, 0))
 
+    # Rank by size^2 / span exactly, in integers: two unequal ratios whose
+    # spans are below 2**b differ by more than 2**-2b, so scaled by
+    # 2**(2b + 1) and floored they keep their order, and equal ones tie.
+    shift = 2 * max(span for _, span in candidates).bit_length() + 1
     scored = []
-    for i, cand in enumerate(candidates):
-        span = doubling_span(cand)
-        scored.append((Fraction(len(cand) ** 2, span), len(cand), -i, cand, span))
+    for i, (mask, span) in enumerate(candidates):
+        size = int(np.count_nonzero(mask))
+        scored.append(((size * size << shift) // span, size, -i))
     scored.sort(reverse=True)
 
-    for _, _, _, cand, span in scored:
+    for _, _, neg_i in scored:
+        mask, span = candidates[-neg_i]
+        cand = tuple(elems[k] for k in np.flatnonzero(mask).tolist())
         report = _balbsg_report(cand, span, G)
         if report.holds:
-            return IntSet(cand), report
+            return IntSet._trusted(cand), report
 
     if len(U) <= 16:
         best = None
-        elems = list(U)
         for mask in range(1, 1 << len(elems)):
             cand = tuple(elems[i] for i in range(len(elems)) if mask >> i & 1)
             span = doubling_span(cand)
@@ -186,7 +267,7 @@ def bsg_extract(U: IntSet, V: IntSet, G: PopularSumGraph):
             if report.holds:
                 key = (Fraction(len(cand) ** 2, span), len(cand), cand)
                 if best is None or key > best[0]:
-                    best = (key, IntSet(cand), report)
+                    best = (key, IntSet._trusted(cand), report)
         if best is not None:
             return best[1], best[2]
     raise EnergiaError("no candidate subset passed the BSG verification")
@@ -270,8 +351,50 @@ def kp_pipeline(
         raise
 
 
+def _fiber_stages(H, h, S, additive, mode, nA, s, d):
+    """anchor, R_G(anchor), Y, z and Y1 over the half-arity support.
+
+    H is the sorted support of r_{s/2}, h its fiber weights (int64) and S
+    the sorted popular sums.  Every stage reads one bool membership matrix
+    M[i, j] = [H_i op H_j in S], symmetric since op commutes:
+    deg = M h, anchor score = M (h deg), overlap = M[:, R_x] h[R_x] and the
+    z sizes h[Y] M[Y, R_x].  argmax keeps the first maximum, so ties go to
+    the least value.  Returns (anchor, R_x, Y, thr_Y, z, Y1) with R_x, Y
+    and Y1 as sorted index arrays into H.
+    """
+    M = _membership(H, H, S, additive)
+    deg = _matvec(M, h)
+    score = _matvec(M, h * deg)
+    a = int(np.argmax(score))
+    if score[a] <= 0:
+        raise StageCollapseError("anchor")
+    R_x = np.flatnonzero(M[a])
+
+    overlap = _matvec(M[:, R_x], h[R_x])
+    if mode == PAPER:
+        thr_Y = mpmath.mpf(2) ** -3 * mpmath.mpf(nA) ** (s / 2 - 2 * d)
+        keep = [i for i, o in enumerate(overlap.tolist()) if o and precision.mpf(o) >= thr_Y]
+        Y = np.array(keep, dtype=np.intp)
+    else:
+        thr_Y = "top-half overlap mass"
+        Y = _top_mass(h * overlap)
+    if not len(Y):
+        raise StageCollapseError("Y")
+
+    size = _matvec(M[np.ix_(R_x, Y)], h[Y])
+    zi = int(np.argmax(size))
+    if size[zi] <= 0:
+        raise StageCollapseError("Y1")
+    if mode == PAPER:
+        thr_Y1 = mpmath.mpf(2) ** -3 * mpmath.mpf(nA) ** (s / 2 - 2 * d)
+        if precision.mpf(int(size[zi])) < thr_Y1:
+            raise StageCollapseError("Y1", "paper lower bound missed")
+    z = int(R_x[zi])
+    return H[a], R_x, Y, thr_Y, H[z], Y[M[Y, z]]
+
+
 def _run_stages(A, s, delta, mode, energy_mode, r_s, half, nu, energy_check):
-    op = _OPS[energy_mode]
+    additive = energy_mode == ADDITIVE
     nA = len(A)
     E_s = r_s.energy_count()
     d = precision.mpf(delta)
@@ -279,161 +402,116 @@ def _run_stages(A, s, delta, mode, energy_mode, r_s, half, nu, energy_check):
     trace = []
     checks = [energy_check]
 
+    # Every count below is at most |A|^s, which the r_s guard keeps below
+    # 2**63, so int64 sums and products of counts are exact.
+
     # --- stage S: popular sums ------------------------------------------
+    s_vals, s_cnts = r_s.counts.arrays()
     if mode == PAPER:
         thr_S = Fraction(E_s, 2 * nA**s)  # = |A|^(s-nu) / 2, exactly
-        S = sorted(n for n, c in r_s.support.items() if c >= thr_S)
+        S_idx = np.flatnonzero(s_cnts >= math.ceil(thr_S))
     else:
         thr_S = "top-half energy mass"
-        S = sorted(
-            _top_mass(list(r_s.support), lambda n: r_s.support[n] ** 2, lambda n: n)
-        )
-    if not S:
+        S_idx = _top_mass(s_cnts)  # ranking by r_s(n) ranks r_s(n)^2 the same
+    if not len(S_idx):
         raise StageCollapseError("S")
-    S_set = frozenset(S)
-    G_size = sum(r_s.support[n] for n in S)
-    trace.append(("S", len(S), str(thr_S)))
+    G_size = int(s_cnts[S_idx].sum())
+    trace.append(("S", len(S_idx), str(thr_S)))
     trace.append(("G", G_size, str(thr_S)))
 
     # Lemma 7lem1 assertions: 2|G| > |A|^(s-delta) and |S| E_s <= 4 |A|^(2s)
     mass_ok = precision.guarded_cmp(
         precision.log2(2 * G_size), (s - d) * log_n
     ) > 0
-    count_ok = len(S) * E_s <= 4 * nA ** (2 * s)
+    count_ok = len(S_idx) * E_s <= 4 * nA ** (2 * s)
     checks.append(
         CheckReport("7lem1-mass", 2 * G_size, f"|A|^(s-delta)", mass_ok, None, digest(A, s, "mass"))
     )
     checks.append(
-        CheckReport("7lem1-count", len(S) * E_s, 4 * nA ** (2 * s), count_ok, None, digest(A, s, "count"))
+        CheckReport("7lem1-count", len(S_idx) * E_s, 4 * nA ** (2 * s), count_ok, None, digest(A, s, "count"))
     )
     if mode == PAPER and not (mass_ok and count_ok):
         raise StageCollapseError("S", "7lem1 assertions failed in paper mode")
 
-    # --- anchor ----------------------------------------------------------
-    h = half.support
-    H = sorted(h)
-    deg = {}
-    for tau in H:
-        deg[tau] = sum(h[sig] for sig in H if op(sig, tau) in S_set)
-    best_score, anchor = -1, None
-    for sig_x in H:
-        score = sum(h[tau] * deg[tau] for tau in H if op(sig_x, tau) in S_set)
-        if score > best_score:
-            best_score, anchor = score, sig_x
-    if best_score <= 0:
-        raise StageCollapseError("anchor")
-    R_x = [tau for tau in H if op(anchor, tau) in S_set]
-    R_x_card = sum(h[tau] for tau in R_x)
-    trace.append(("anchor", R_x_card, str(anchor)))
-
-    # --- Y: fibers with large overlap against the anchor -----------------
-    overlap = {}
-    for sig_y in H:
-        overlap[sig_y] = sum(h[tau] for tau in R_x if op(sig_y, tau) in S_set)
-    if mode == PAPER:
-        thr_Y = mpmath.mpf(2) ** -3 * mpmath.mpf(nA) ** (s / 2 - 2 * d)
-        Y_vals = [sig for sig in H if overlap[sig] and precision.mpf(overlap[sig]) >= thr_Y]
-    else:
-        thr_Y = "top-half overlap mass"
-        Y_vals = _top_mass(
-            [sig for sig in H if overlap[sig] > 0],
-            lambda sig: h[sig] * overlap[sig],
-            lambda sig: sig,
-        )
-    if not Y_vals:
-        raise StageCollapseError("Y")
-    Y = FiberSet(s // 2, {sig: h[sig] for sig in Y_vals}, energy_mode)
-    trace.append(("Y", Y.cardinality(), str(thr_Y)))
-
-    # --- z selection and Y1 ----------------------------------------------
-    Y_supp = set(Y_vals)
-    best_size, z_val = -1, None
-    for sig_z in R_x:
-        size = sum(h[sig] for sig in Y_vals if op(sig, sig_z) in S_set)
-        if size > best_size:
-            best_size, z_val = size, sig_z
-    if best_size <= 0:
-        raise StageCollapseError("Y1")
-    if mode == PAPER:
-        thr_Y1 = mpmath.mpf(2) ** -3 * mpmath.mpf(nA) ** (s / 2 - 2 * d)
-        if precision.mpf(best_size) < thr_Y1:
-            raise StageCollapseError("Y1", "paper lower bound missed")
-    Y1 = FiberSet(
-        s // 2,
-        {sig: h[sig] for sig in Y_vals if op(sig, z_val) in S_set},
-        energy_mode,
+    # --- anchor, Y (large overlap against the anchor), z and Y1 ------------
+    H, h = half.counts.arrays()
+    H, weights = H.tolist(), h.tolist()
+    anchor, R_x, Y_idx, thr_Y, z_val, Y1_idx = _fiber_stages(
+        H, h, s_vals[S_idx].tolist(), additive, mode, nA, s, d
     )
+
+    def fibers(idx):
+        return FiberSet(s // 2, {H[i]: weights[i] for i in idx.tolist()}, energy_mode)
+
+    trace.append(("anchor", int(h[R_x].sum()), str(anchor)))
+    Y = fibers(Y_idx)
+    trace.append(("Y", Y.cardinality(), str(thr_Y)))
+    Y1 = fibers(Y1_idx)
     trace.append(("Y1", Y1.cardinality(), str(z_val)))
 
     # --- S1 / Y2: relative popularity pruning ----------------------------
     size_Y1 = Y1.cardinality()
     supp_Y1 = Y1.support()
-    S1 = [n for n in supp_Y1 if 2 * len(supp_Y1) * h[n] > size_Y1]
+    S1 = [n for n in supp_Y1 if 2 * len(supp_Y1) * Y1.weights[n] > size_Y1]
     if not S1:
         raise StageCollapseError("Y2")
     Y2 = Y1.restrict(set(S1))
     trace.append(("Y2", Y2.cardinality(), "r(Y1;n) > |Y1| / 2|sums(Y1)|"))
-    assert Y2.cardinality() <= Y1.cardinality() <= Y.cardinality()
+    if not Y2.cardinality() <= Y1.cardinality() <= Y.cardinality():
+        raise EnergiaError("pruning grew a stage: |Y2| <= |Y1| <= |Y| fails")
 
     # --- popular-sum graph on U = sums(Y2), V = sums(R_G(x)) --------------
-    U = IntSet(Y2.support())
-    V = IntSet(R_x)
-    r_uv = {}
-    for u in U:
-        for v in V:
-            n = op(u, v)
-            r_uv[n] = r_uv.get(n, 0) + 1
+    U = IntSet._trusted(Y2.support())
+    V = IntSet._trusted([H[i] for i in R_x.tolist()])
+    r_uv = _kernel.pair(
+        _kernel.Weighted.indicator(U.elements, counted=True),
+        _kernel.Weighted.indicator(V.elements, counted=True),
+        additive,
+    )
+    uv_vals, uv_cnts = r_uv.arrays()
     M = Fraction(4 * nA ** (2 * s), E_s)  # 4 |A|^nu, exactly
     if mode == PAPER:
         alpha_paper = mpmath.mpf(2) ** -37 * mpmath.mpf(nA) ** (-20 * d)
         thr_graph = alpha_paper * precision.mpf(M)
-        Sp = [n for n, c in r_uv.items() if precision.mpf(c) >= thr_graph]
-        Sp.sort(key=lambda n: (-r_uv[n], n))
-        cap = int(M)
-        if len(Sp) > cap:
-            Sp = Sp[:cap]
+        passing = [c for c in np.unique(uv_cnts).tolist() if precision.mpf(c) >= thr_graph]
+        Sp_idx = np.flatnonzero(np.isin(uv_cnts, passing))
+        # keep at most M sums, the most represented first (ties: least value)
+        Sp_idx = np.sort(Sp_idx[np.argsort(-uv_cnts[Sp_idx], kind="stable")][: int(M)])
         thr_repr = str(thr_graph)
     else:
-        Sp = _top_mass(list(r_uv), lambda n: r_uv[n] ** 2, lambda n: n)
+        Sp_idx = _top_mass(uv_cnts)
         thr_repr = "top-half pair mass"
-    if not Sp:
+    if not len(Sp_idx):
         raise StageCollapseError("Sprime")
-    Sp_set = frozenset(Sp)
-    edge_total = sum(r_uv[n] for n in Sp)
-    bound_n = max(len(U), len(V), len(Sp))
+    edge_total = int(uv_cnts[Sp_idx].sum())
+    bound_n = max(len(U), len(V), len(Sp_idx))
     graph = PopularSumGraph(
-        U, V, Sp_set, Fraction(edge_total, bound_n**2), energy_mode
+        U, V, frozenset(uv_vals[Sp_idx].tolist()), Fraction(edge_total, bound_n**2), energy_mode
     )
     trace.append(("U", len(U), ""))
     trace.append(("V", len(V), ""))
-    trace.append(("Sprime", len(Sp), thr_repr))
+    trace.append(("Sprime", len(Sp_idx), thr_repr))
 
     # --- BSG extraction on sum values -------------------------------------
     U_prime, balbsg_report = bsg_extract(U, V, graph)
     checks.append(balbsg_report)
     trace.append(("Uprime", len(U_prime), "balbsg"))
 
-    U_prime_set = set(U_prime)
-    Y3 = Y1.restrict(U_prime_set)
+    Y3 = Y1.restrict(set(U_prime))
     if Y3.cardinality() == 0:
         raise StageCollapseError("Y3")
     trace.append(("Y3", Y3.cardinality(), ""))
 
     # --- best shift: pull A' out of the Y3 fibers --------------------------
-    supp_Y3 = set(Y3.support())
-    if s // 2 - 1 >= 1:
-        shifts = sorted(rep_function(A, s // 2 - 1, energy_mode).support)
-    else:
-        shifts = [0] if energy_mode == ADDITIVE else [1]
-    best_count, best_shift, best_members = -1, None, ()
-    for sig_w in shifts:
-        members = tuple(a for a in A if op(sig_w, a) in supp_Y3)
-        if len(members) > best_count:
-            best_count, best_shift, best_members = len(members), sig_w, members
-    if best_count <= 0:
+    # s >= 4, so the shifts sigma_w range over (s/2 - 1)A
+    shifts = rep_function(A, s // 2 - 1, energy_mode).counts.sorted_values()
+    hits = _membership(shifts, A.elements, Y3.support(), additive)
+    w = int(np.argmax(hits.sum(axis=1)))
+    members = np.flatnonzero(hits[w]).tolist()
+    if not members:
         raise StageCollapseError("Aprime")
-    A_prime = IntSet(best_members)
-    trace.append(("Aprime", len(A_prime), str(best_shift)))
+    A_prime = IntSet._trusted([A.elements[j] for j in members])
+    trace.append(("Aprime", len(A_prime), str(shifts[w])))
 
     # paper-constant final lower bound, informational at desk scale
     with mpmath.workprec(precision.precision_bits()):

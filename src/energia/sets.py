@@ -6,6 +6,7 @@ quotient sets live in exact rationals so that no collision is ever
 spurious.  Every object is immutable and every operation is pure.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from . import _kernel
@@ -39,17 +40,8 @@ class _SortedSet:
         return iter(self.elements)
 
     def __contains__(self, x):
-        return self._bsearch(x)
-
-    def _bsearch(self, x):
-        lo, hi = 0, len(self.elements)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.elements[mid] < x:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(self.elements) and self.elements[lo] == x
+        i = bisect_left(self.elements, x)
+        return i < len(self.elements) and self.elements[i] == x
 
     def __eq__(self, other):
         return type(self) is type(other) and self.elements == other.elements

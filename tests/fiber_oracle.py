@@ -1,17 +1,72 @@
 """Tuple-level re-derivation of the calibrated pipeline stages.
 
-Enumerates literal tuples of A^(s/2); shares no code with the library
-beyond bsg_extract, which operates on plain integer sets.  Used to
-certify that the sum-value fiber representation computes identical
-stage cardinalities.
+Enumerates literal tuples of A^(s/2) and extracts with its own
+per-candidate BSG search (``reference_bsg_extract``), whose doublings are
+counted with plain Python sets; it shares no code with the library
+beyond the graph and report types and the BSG verification constants.
+Used to certify that the sum-value fiber representation computes
+identical stage cardinalities, and as the reference for ``bsg_extract``.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 
-from energia.bsg import PopularSumGraph, bsg_extract
+from energia import bsg
+from energia.bsg import PopularSumGraph
+from energia.energy import ADDITIVE
+from energia.errors import EmptyGraphError, EnergiaError
 from energia.sets import IntSet
+
+
+def reference_bsg_extract(U, V, G):
+    """bsg_extract one candidate at a time: each common-neighbourhood
+    superlevel set of the four most popular seeds is rebuilt and its
+    doubling counted from scratch.  The verification goes through
+    ``bsg._balbsg_report``, looked up at call time."""
+    op = (lambda a, b: a + b) if G.mode == ADDITIVE else (lambda a, b: a * b)
+    adj = {u: frozenset(v for v in V if op(u, v) in G.sum_filter) for u in U}
+    if not any(adj.values()):
+        raise EmptyGraphError("popular-sum graph has no edges")
+
+    seeds = sorted((u for u in U if adj[u]), key=lambda u: (-len(adj[u]), u))[:4]
+    candidates = []
+    seen = set()
+    for seed in seeds:
+        codeg = {u: len(adj[u] & adj[seed]) for u in U}
+        for tau in sorted({c for c in codeg.values() if c > 0}, reverse=True):
+            cand = tuple(u for u in U if codeg[u] >= tau)
+            if cand not in seen:
+                seen.add(cand)
+                candidates.append(cand)
+
+    def doubling_span(members):
+        return len({op(a, b) for a in members for b in members})
+
+    scored = []
+    for i, cand in enumerate(candidates):
+        span = doubling_span(cand)
+        scored.append((Fraction(len(cand) ** 2, span), len(cand), -i, cand, span))
+    scored.sort(reverse=True)
+    for _, _, _, cand, span in scored:
+        report = bsg._balbsg_report(cand, span, G)
+        if report.holds:
+            return IntSet(cand), report
+
+    if len(U) <= 16:
+        best = None
+        elems = list(U)
+        for mask in range(1, 1 << len(elems)):
+            cand = tuple(elems[i] for i in range(len(elems)) if mask >> i & 1)
+            span = doubling_span(cand)
+            report = bsg._balbsg_report(cand, span, G)
+            if report.holds:
+                key = (Fraction(len(cand) ** 2, span), len(cand), cand)
+                if best is None or key > best[0]:
+                    best = (key, IntSet(cand), report)
+        if best is not None:
+            return best[1], best[2]
+    raise EnergiaError("no candidate subset passed the BSG verification")
 
 
 def _top_half_values(scores):
@@ -98,7 +153,7 @@ def tuple_oracle(A, s=4):
     edges = sum(r_uv[n] for n in Sp)
     n_bound = max(len(U), len(V), len(Sp))
     graph = PopularSumGraph(U, V, Sp_set, Fraction(edges, n_bound**2))
-    U_prime, _ = bsg_extract(U, V, graph)
+    U_prime, _ = reference_bsg_extract(U, V, graph)
     trace["Uprime"] = len(U_prime)
 
     Y3 = [y for y in Y1 if sum(y) in set(U_prime)]

@@ -4,7 +4,9 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from energia import bsg
 from energia.bsg import (
     CALIBRATED,
     ENERGY_BRANCH,
@@ -17,11 +19,13 @@ from energia.bsg import (
     kp_verify,
     popular_sums,
 )
-from energia.energy import MULTIPLICATIVE, rep_function
-from fiber_oracle import tuple_oracle
+from energia.checks import CheckReport
+from energia.energy import ADDITIVE, MULTIPLICATIVE, rep_function
+from fiber_oracle import reference_bsg_extract, tuple_oracle
 from energia.errors import (
     BadParamsError,
     EmptyResultError,
+    EnergiaError,
     StageCollapseError,
     WrongBranchError,
 )
@@ -100,6 +104,77 @@ class TestBsgExtract:
         assert len(iterated_sumset(Ap, 2, 0)) <= 4 * len(Ap)
         assert len(Ap) >= len(U) // 8
         assert rep.holds
+
+
+def _outcome(extract, U, V, G):
+    try:
+        return extract(U, V, G)
+    except EnergiaError as exc:
+        return type(exc)
+
+
+def _picky_report(members, span, G):
+    """A verification that passes about one candidate in three, fixed by
+    the candidate, so that both extractors must retry in the same order."""
+    return CheckReport("balbsg", span, None, hash((members, span)) % 3 == 0, None, "")
+
+
+def _never_report(members, span, G):
+    return CheckReport("balbsg", span, None, False, None, "")
+
+
+# small value ranges make many codegrees tie; U of 11-16 elements is left
+# out so that a failing verification enumerates at most 2^10 subsets
+vertex_sets = st.one_of(
+    st.lists(st.integers(-12, 25), min_size=1, max_size=10, unique=True),
+    st.lists(st.integers(-12, 25), min_size=17, max_size=20, unique=True),
+)
+
+
+class TestBsgExtractAgainstReference:
+    """bsg_extract scores every candidate of a seed in one pass; the
+    oracle's extractor rebuilds each candidate's doubling with Python sets."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        U=vertex_sets,
+        V=st.lists(st.integers(-12, 25), min_size=1, max_size=12, unique=True),
+        data=st.data(),
+        scale=st.sampled_from((1, 7, 2**31 + 11, 2**61 + 3)),
+        mode=st.sampled_from((ADDITIVE, MULTIPLICATIVE)),
+        verify=st.sampled_from((None, _picky_report, _never_report)),
+        chunk=st.sampled_from((None, 7)),
+    )
+    def test_matches_reference(self, U, V, data, scale, mode, verify, chunk):
+        # scale 2^61 + 3 takes sums past 2^62, 2^31 + 11 products
+        U, V = IntSet(scale * u for u in U), IntSet(scale * v for v in V)
+        op = (lambda a, b: a + b) if mode == ADDITIVE else (lambda a, b: a * b)
+        reach = sorted({op(u, v) for u in U for v in V})
+        filt = frozenset(data.draw(st.lists(st.sampled_from(reach), max_size=len(reach))))
+        edges = sum(1 for u in U for v in V if op(u, v) in filt)
+        n = max(len(U), len(V), len(filt))
+        G = PopularSumGraph(U, V, filt, Fraction(max(edges, 1), n * n), mode)
+        with pytest.MonkeyPatch.context() as mp:
+            if verify is not None:
+                mp.setattr(bsg, "_balbsg_report", verify)
+            if chunk is not None:  # adjacency and spans in blocks of a few rows
+                mp.setattr(bsg, "_BLOCK", chunk)
+            assert _outcome(bsg_extract, U, V, G) == _outcome(reference_bsg_extract, U, V, G)
+
+    def test_exhaustive_fallback(self):
+        # every chain candidate fails, so both search all subsets of U
+        U = IntSet(range(1, 9))
+        G = PopularSumGraph(U, U, frozenset(range(2, 17)), Fraction(1), ADDITIVE)
+
+        def only_odd_size(members, span, G):
+            return CheckReport("balbsg", span, None, len(members) % 2 == 1 and len(members) < 8, None, "")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bsg, "_balbsg_report", only_odd_size)
+            got = bsg_extract(U, U, G)
+            assert got == reference_bsg_extract(U, U, G)
+        # the two 7-term runs tie at 49/13; the larger tuple wins
+        assert list(got[0]) == [2, 3, 4, 5, 6, 7, 8]
 
 
 class TestKpPipeline:

@@ -2,9 +2,12 @@
 
 Every case feeds its input on stdin, so the echoed command line carries
 no file path.  The expected outputs in ``golden_cli.json`` were captured
-from the engine before the convolution kernel was rewritten; a change
-that alters any report byte, any exit code or the chosen ``A'`` fails
-here.  To capture them again after an intended change of output:
+from the engine before a rewrite of the code they cover: the ``kp-mult-*``,
+``kp-paper-*``, ``kp-s6*`` and ``decompose-mult-*`` cases before the
+popular-sum stages were vectorised, the others before the convolution
+kernel was rewritten.  A change that alters any report byte, any exit
+code or the chosen ``A'`` fails here.  To capture them again after an
+intended change of output:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -34,6 +37,11 @@ BIG_GRID = sorted(3 * 2 ** (64 + i) * 3**j for i in range(8) for j in range(8))
 KP_RANDOM = sorted(random.Random(7).sample(range(5 * 10**5), 18))
 KP_AP_UNION = sorted(set(random.Random(8).sample(range(5 * 10**5), 10)) | {1000 + 37 * i for i in range(10)})
 DECOMPOSE_SET = sorted({7 * 2**i * 3**j for i in range(5) for j in range(5)} | {7 * v for v in range(1, 17)})
+KP_MULT_GRID = sorted(2**i * 3**j for i in range(5) for j in range(4))
+KP_MULT_SIGNED = [-12, -6, -4, -3, -2, -1, 0, 1, 2, 3, 4, 6, 8, 12]
+# 5^20 > 2^46, so every q_2 value of these sets is above 2^92
+KP_MULT_BIG_GRID = [5**20 * v for v in KP_MULT_GRID]
+DECOMPOSE_BIG_GRID = [5**20 * v for v in DECOMPOSE_SET]
 
 
 def _energy(values, s, mode="add", oracle=False):
@@ -71,7 +79,15 @@ CASES = {
     "sumset-AA-grid": _sumset(BIG_GRID[:20], 2, 0, "mult"),
     "kp-verify-random": (["kp", "--s", "4", "--delta", "0.05", "--verify"], KP_RANDOM),
     "kp-verify-ap-union": (["kp", "--s", "4", "--delta", "0.05", "--verify"], KP_AP_UNION),
+    "kp-mult-grid": (["kp", "--s", "4", "--energy-mode", "mult", "--verify"], KP_MULT_GRID),
+    "kp-mult-signed": (["kp", "--s", "4", "--energy-mode", "mult"], KP_MULT_SIGNED),
+    "kp-mult-grid-above-2^63": (["kp", "--s", "4", "--energy-mode", "mult", "--verify"], KP_MULT_BIG_GRID),
+    "kp-paper-energy-branch": (["kp", "--s", "4", "--mode", "paper"], KP_RANDOM),
+    "kp-paper-stages": (["kp", "--s", "4", "--mode", "paper", "--delta", "3.0", "--verify"], KP_RANDOM),
+    "kp-s6": (["kp", "--s", "6", "--verify"], KP_RANDOM[:10]),
+    "kp-s6-mult": (["kp", "--s", "6", "--energy-mode", "mult"], KP_MULT_GRID[:12]),
     "decompose": (["decompose", "--k", "1.5", "--s", "2", "--q", "4"], DECOMPOSE_SET),
+    "decompose-mult-grid-above-2^63": (["decompose", "--k", "1.5", "--s", "2", "--q", "4"], DECOMPOSE_BIG_GRID),
     "check-all": (["check", "--suite", "all", "--cases", "2"], None),
     "experiment-warren-squares": (["experiment", "warren-squares"], None),
     "experiment-ap-gp-mix": (["experiment", "ap-gp-mix"], None),
