@@ -17,6 +17,12 @@ operands:
   blocks of ``_CHUNK`` cells and equal values are merged, summing their
   weights.
 
+A self-pair (``f is g``: every squaring step of :func:`power`) visits
+each unordered pair once, since x + y = y + x and x * y = y * x: the
+Python and sort-and-count backends take the upper triangle of the grid,
+an off-diagonal cell with twice its weight, and merge the diagonal in
+once.  The dense backend convolves whole lines either way.
+
 Nothing is rounded.  A numpy backend runs only when every value of its
 result is below 2**62 in absolute value and the product of the operands'
 total multiplicities, which bounds every count and every partial sum of
@@ -24,6 +30,8 @@ a count, is below 2**63.
 """
 
 import math
+from functools import reduce
+from itertools import chain
 
 import numpy as np
 
@@ -141,7 +149,8 @@ def power(base: Weighted, s: int, additive: bool) -> Weighted:
 
 
 def pair(f: Weighted, g: Weighted, additive: bool) -> Weighted:
-    """{x + y} (or {x * y}) over x in f, y in g, weights multiplied."""
+    """{x + y} (or {x * y}) over x in f, y in g, weights multiplied.  Pass
+    the same object twice for f * f, so the symmetric half is skipped."""
     return choose(f, g, additive)(f, g, additive)
 
 
@@ -163,7 +172,9 @@ def choose(f, g, additive):
 def _python(f, g, additive):
     total = f.total * g.total if f.counted else None
     fp, gp = f.py(), g.py()
-    if total is None:
+    if f is g:
+        out = _python_self(fp, total is not None, additive)
+    elif total is None:
         out = {x + y for x in fp for y in gp} if additive else {x * y for x in fp for y in gp}
     else:
         out = {}
@@ -179,6 +190,27 @@ def _python(f, g, additive):
         corners = (f.lo * g.lo, f.lo * g.hi, f.hi * g.lo, f.hi * g.hi)
         lo, hi = min(corners), max(corners)
     return Weighted(len(out), lo, hi, total, py=out)
+
+
+def _python_self(fp, counted, additive):
+    """f * f over the upper triangle of f's items: the diagonal cell of a
+    with weight c², an off-diagonal cell of a < b with weight 2·c·c'."""
+    if not counted:
+        v = list(fp)
+        if additive:
+            return {x + y for i, x in enumerate(v) for y in v[i:]}
+        return {x * y for i, x in enumerate(v) for y in v[i:]}
+    out = {}
+    get = out.get
+    items = list(fp.items())
+    for i, (a, ca) in enumerate(items):
+        k = a + a if additive else a * a
+        out[k] = get(k, 0) + ca * ca
+        ca2 = 2 * ca
+        for b, cb in items[i + 1 :]:
+            k = a + b if additive else a * b
+            out[k] = get(k, 0) + ca2 * cb
+    return out
 
 
 def _dense(f, g, additive):
@@ -198,31 +230,101 @@ def _dense(f, g, additive):
 
 def _sort_count(f, g, additive):
     total = f.total * g.total if f.counted else None
+    if f is g:
+        parts = chain(_triangle_parts(f, additive), [_diagonal(f, additive)])
+    else:
+        parts = _outer_parts(f, g, additive)
+    vals, cnts = reduce(_merge_sorted, parts, None)
+    return Weighted._from_arrays(vals, cnts, total)
+
+
+def _outer_parts(f, g, additive):
+    """The f x g grid in row blocks of about ``_CHUNK`` cells, each sorted
+    with equal values merged."""
     (fv, fc), (gv, gc) = f.arrays(), g.arrays()
     outer = np.add.outer if additive else np.multiply.outer
-    unit = total is not None and f.total == f.size and g.total == g.size
+    counted = f.counted
+    unit = counted and f.total == f.size and g.total == g.size
     rows = max(1, _CHUNK // len(gv))
-    acc = None
     for i in range(0, len(fv), rows):
         grid = outer(fv[i : i + rows], gv).ravel()
-        weights = np.multiply.outer(fc[i : i + rows], gc).ravel() if total is not None and not unit else None
-        part = _merge_equal(grid, weights, total is not None)
-        if acc is not None:
-            weights = None if acc[1] is None else np.concatenate((acc[1], part[1]))
-            part = _merge_equal(np.concatenate((acc[0], part[0])), weights, total is not None, kind="stable")
-        acc = part
-    return Weighted._from_arrays(acc[0], acc[1], total)
+        weights = np.multiply.outer(fc[i : i + rows], gc).ravel() if counted and not unit else None
+        yield _merge_equal(grid, weights, counted)
 
 
-def _merge_equal(values, weights, counted, kind=None):
+def _triangle_parts(f, additive):
+    """The strict upper triangle of f x f (cells i < j, weight 2·c_i·c_j),
+    in row blocks of at most ``_CHUNK`` cells (one row when a row is
+    longer), each sorted with equal values merged.  Row i is the slice
+    v[i+1:] combined with v[i], written straight into the block."""
+    v, c = f.arrays()
+    n = len(v)
+    op = np.add if additive else np.multiply
+    counted = f.counted
+    unit = counted and f.total == f.size
+    ends = np.cumsum(np.arange(n - 1, -1, -1))  # cells in rows 0..i
+    i = 0
+    while i < n - 1:  # the last row is empty
+        start = int(ends[i]) - (n - 1 - i)
+        stop = max(i + 1, int(np.searchsorted(ends, start + _CHUNK, side="right")))
+        grid = np.empty(int(ends[stop - 1]) - start, dtype=v.dtype)
+        weights = np.empty(len(grid), dtype=np.int64) if counted and not unit else None
+        pos = 0
+        for r in range(i, stop):
+            nxt = pos + n - 1 - r
+            op(v[r], v[r + 1 :], out=grid[pos:nxt])
+            if weights is not None:
+                np.multiply(2 * c[r], c[r + 1 :], out=weights[pos:nxt])
+            pos = nxt
+        vals, cnts = _merge_equal(grid, weights, counted)
+        yield vals, (2 * cnts if unit else cnts)
+        i = stop
+
+
+def _diagonal(f, additive):
+    """The n diagonal cells of f x f, weight c², sorted and merged."""
+    v, c = f.arrays()
+    unit = c is None or f.total == f.size
+    return _merge_equal(2 * v if additive else v * v, None if unit else c * c, f.counted)
+
+
+def _merge_sorted(acc, part):
+    """Merge two sorted, distinct (values, counts) pairs, summing the
+    counts of shared values; ``acc`` may be None.  ``acc``'s counts are
+    updated in place."""
+    if acc is None:
+        return part
+    (av, ac), (pv, pc) = acc, part
+    pos = np.searchsorted(av, pv)
+    hit = pos < len(av)
+    hit[hit] = av[pos[hit]] == pv[hit]
+    miss = ~hit
+    vals = np.insert(av, pos[miss], pv[miss])
+    if ac is None:
+        return vals, None
+    ac[pos[hit]] += pc[hit]
+    return vals, np.insert(ac, pos[miss], pc[miss])
+
+
+def _merge_equal(values, weights, counted):
     """Sort ``values`` and merge equal ones; with ``counted``, sum their
     ``weights`` (each value once when ``weights`` is None)."""
     if not counted or weights is None:
-        values = np.sort(values, kind=kind)
+        values = np.sort(values)
         starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
         cnts = np.diff(np.append(starts, len(values))) if counted else None
         return values[starts], cnts
-    order = np.argsort(values, kind=kind)
-    values, weights = values[order], weights[order]
+    lo, bits = int(values.min()), int(weights.max()).bit_length()
+    if (int(values.max()) - lo) >> (63 - bits) == 0:
+        # one int64 key per cell, value - lo above the weight's bits:
+        # sorting the keys sorts the values and carries the weights along
+        key = values - lo
+        key <<= bits
+        key |= weights
+        key.sort()
+        values, weights = (key >> bits) + lo, key & ((1 << bits) - 1)
+    else:
+        order = np.argsort(values)
+        values, weights = values[order], weights[order]
     starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
     return values[starts], np.add.reduceat(weights, starts)

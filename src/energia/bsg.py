@@ -32,6 +32,7 @@ from .errors import (
     EmptyGraphError,
     EmptyResultError,
     EnergiaError,
+    InvariantError,
     StageCollapseError,
     WrongBranchError,
 )
@@ -458,7 +459,7 @@ def _run_stages(A, s, delta, mode, energy_mode, r_s, half, nu, energy_check):
     Y2 = Y1.restrict(set(S1))
     trace.append(("Y2", Y2.cardinality(), "r(Y1;n) > |Y1| / 2|sums(Y1)|"))
     if not Y2.cardinality() <= Y1.cardinality() <= Y.cardinality():
-        raise EnergiaError("pruning grew a stage: |Y2| <= |Y1| <= |Y| fails")
+        raise InvariantError("pruning grew a stage: |Y2| <= |Y1| <= |Y| fails")
 
     # --- popular-sum graph on U = sums(Y2), V = sums(R_G(x)) --------------
     U = IntSet._trusted(Y2.support())

@@ -477,10 +477,15 @@ def build_parser():
     return p
 
 
+_PARSER = None
+
+
 def main(argv=None):
+    global _PARSER
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if _PARSER is None:  # built on the first call, not at import
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     args._command_echo = " ".join(["energia"] + argv)
     args._t0 = time.monotonic()
     try:

@@ -10,7 +10,7 @@ from typing import Optional
 import mpmath
 
 from . import precision
-from .errors import BadParamsError, PrecisionError
+from .errors import BadParamsError, InvariantError, PrecisionError
 
 _EXACT_POW2_CAP = 1 << 12  # largest exponent materialized exactly
 _EXACT_WIDTH = 512
@@ -232,7 +232,8 @@ def rtp_constants(k: int) -> dict:
     if k < 2:
         raise BadParamsError("need k >= 2")
     T = _growth_budget(k)
-    assert T == _growth_budget_redundant(k), "T_k re-derivation mismatch"
+    if T != _growth_budget_redundant(k):
+        raise InvariantError(f"T_{k} re-derivation mismatch")
     with mpmath.workprec(max(precision.precision_bits(), 64)):
         eta = mpmath.log(1 + mpmath.mpf(1) / T, 2)
     return {"T_k": T, "eta_k": eta}

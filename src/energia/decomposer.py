@@ -24,6 +24,7 @@ from .errors import (
     BadAdversaryError,
     BadParamsError,
     ExtractorFailedError,
+    InvariantError,
     ParameterTooLargeError,
     PrecisionError,
     StageCollapseError,
@@ -294,7 +295,8 @@ def _loop(A_pos, cfg, stop_mode, stop_arity, stop_exp, cert_mode, cert_arity_hal
             break
         trace.append((D, report, cert_exp))
         B_parts.extend(D)
-        residual = IntSet(a for a in residual if a not in set(D))
+        taken = set(D)
+        residual = IntSet(a for a in residual if a not in taken)
         iterations += 1
         if iterations > budget:
             raise ExtractorFailedError(iterations, "iteration budget exceeded")
@@ -342,9 +344,9 @@ def decompose(A: IntSet, cfg: DecomposeConfig) -> Decomposition:
         failed = failed or fl
         if sr is not None and (stop_report is None or not sr.holds):
             stop_report = sr
-    assert iterations <= budget
+    _check_budget(iterations, budget)
     B, C = IntSet(B_all), IntSet(C_all)
-    assert set(B) | set(C) == set(A) and not (set(B) & set(C))
+    _check_partition(A, B, C)
     return Decomposition(B, C, trace_all, budget, iterations, stop_report, failed)
 
 
@@ -362,10 +364,20 @@ def decompose_eric(A: IntSet, cfg: DecomposeConfig) -> Decomposition:
     Bp, Cp, tr, budget, it, sr, fl = _loop(
         pos, cfg_dual, ADDITIVE, cfg.s1, stop_exp, MULTIPLICATIVE, cfg.s2 // 2, cert_exp, "eric", cfg.small_set_bound
     )
-    assert it <= budget
+    _check_budget(it, budget)
     B, C = IntSet(Bp), Cp
-    assert set(B) | set(C) == set(A) and not (set(B) & set(C))
+    _check_partition(A, B, C)
     return Decomposition(B, C, tr, budget, it, sr, fl)
+
+
+def _check_budget(iterations, budget):
+    if iterations > budget:
+        raise ExtractorFailedError(iterations, f"{iterations} iterations exceed the budget {budget}")
+
+
+def _check_partition(A, B, C):
+    if set(B) | set(C) != set(A) or set(B) & set(C):
+        raise InvariantError("B and C do not partition A")
 
 
 def _with_extractor(cfg: DecomposeConfig, name: str) -> DecomposeConfig:

@@ -77,5 +77,9 @@ class ParameterTooLargeError(EnergiaError):
     """Configured exponent is representable but not executable."""
 
 
+class InvariantError(EnergiaError):
+    """An internal consistency check failed: a defect, not a bad input."""
+
+
 class PrecisionError(EnergiaError):
     """Comparison margin below the certified precision bound."""

@@ -103,13 +103,29 @@ def iterated_product_set(A: IntSet, m: int, n: int) -> RatSet:
     if n >= 1 and 0 in A.elements:
         raise DivisionByZeroElementError("0 in A with n >= 1")
     base = _kernel.Weighted.indicator(A.elements, counted=False)
-    num = _kernel.power(base, m, additive=False).sorted_values() if m else None
-    den = _kernel.power(base, n, additive=False).sorted_values() if n else None
-    if num is None:
-        return RatSet(Fraction(1, q) for q in den)
-    if den is None:
+    num = _kernel.power(base, m, additive=False).sorted_values() if m else [1]
+    if not n:
         return RatSet._trusted([Fraction(p) for p in num])
-    return RatSet(Fraction(p, q) for p in num for q in den)
+    den = _kernel.power(base, n, additive=False).sorted_values()
+    return RatSet._trusted(_quotients(num, den))
+
+
+def _quotients(num, den):
+    """The distinct p / q over p in num, q in den (no zero), sorted.
+
+    Each pair is keyed by the integer floor(p 2^(2b) / q), b the bit
+    length of the largest |q|.  Two distinct quotients with denominators
+    below 2^b differ by more than 2^(-2b), so their scaled values differ
+    by more than 1 and their floors differ; equal quotients give equal
+    keys, and the keys keep the order.  So deduplicating and sorting the
+    keys deduplicates and sorts the quotients exactly, and one Fraction
+    is built per distinct value.  Floor division floors the exact
+    quotient for either sign of q.
+    """
+    shift = 2 * max(-den[0], den[-1]).bit_length()
+    shifted = [(p << shift, p) for p in num]
+    table = {ps // q: (p, q) for q in den for ps, p in shifted}
+    return [Fraction(*table[k]) for k in sorted(table)]
 
 
 # -- canonical generators ---------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from energia import precision
+from energia import decomposer, precision
 from energia.decomposer import (
     DecomposeConfig,
     SmallEnergy,
@@ -18,7 +18,13 @@ from energia.decomposer import (
     sign_split,
 )
 from energia.energy import ADDITIVE, MULTIPLICATIVE, energy
-from energia.errors import BadAdversaryError, BadParamsError, ParameterTooLargeError
+from energia.errors import (
+    BadAdversaryError,
+    BadParamsError,
+    ExtractorFailedError,
+    InvariantError,
+    ParameterTooLargeError,
+)
 from energia.sets import IntSet, gp, interval
 
 
@@ -203,6 +209,39 @@ class TestDecomposeEric:
             if D is not None and rep.holds:
                 m = energy(D, 1, MULTIPLICATIVE).count
                 assert precision.cmp_count_power(m, len(D), exp) <= 0
+
+
+class TestInvariantErrors:
+    """The budget and partition checks raise typed errors, which
+    ``python -O`` does not strip.  A stand-in for ``_loop`` forces each
+    violation: it puts the first element in B and the rest (or, with
+    ``overlap``, all of it) in C."""
+
+    @staticmethod
+    def fake_loop(iterations, overlap=False):
+        def loop(A_pos, cfg, *args):
+            first = A_pos.elements[:1]
+            C = A_pos if overlap else IntSet(A_pos.elements[1:])
+            return list(first), C, [], 1, iterations, None, False
+
+        return loop
+
+    @pytest.mark.parametrize("run", [lambda: decompose(MIX, CFG), lambda: decompose_eric(MIX, DecomposeConfig())])
+    def test_budget_exceeded(self, monkeypatch, run):
+        monkeypatch.setattr(decomposer, "_loop", self.fake_loop(10**6))
+        with pytest.raises(ExtractorFailedError, match="exceed the budget"):
+            run()
+
+    @pytest.mark.parametrize("run", [lambda: decompose(MIX, CFG), lambda: decompose_eric(MIX, DecomposeConfig())])
+    def test_parts_overlap(self, monkeypatch, run):
+        monkeypatch.setattr(decomposer, "_loop", self.fake_loop(0, overlap=True))
+        with pytest.raises(InvariantError, match="partition"):
+            run()
+
+    def test_fake_loop_partitions(self, monkeypatch):
+        monkeypatch.setattr(decomposer, "_loop", self.fake_loop(0))
+        d = decompose(MIX, CFG)
+        assert set(d.B) | set(d.C) == set(MIX) and not set(d.B) & set(d.C)
 
 
 def test_random_partition_property():

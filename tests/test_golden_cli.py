@@ -2,7 +2,10 @@
 
 Every case feeds its input on stdin, so the echoed command line carries
 no file path.  The expected outputs in ``golden_cli.json`` were captured
-from the engine before a rewrite of the code they cover: the ``kp-mult-*``,
+from the engine before a rewrite of the code they cover: the
+``sumset-0A/2A-mult``, ``sumset-AA/A-signed``, ``sumset-A/A-above-2^62``
+and ``energy-random-s4`` cases before self-pairs skipped their symmetric
+half and quotient sets were keyed by integers, the ``kp-mult-*``,
 ``kp-paper-*``, ``kp-s6*`` and ``decompose-mult-*`` cases before the
 popular-sum stages were vectorised, the others before the convolution
 kernel was rewritten.  A change that alters any report byte, any exit
@@ -42,6 +45,11 @@ KP_MULT_SIGNED = [-12, -6, -4, -3, -2, -1, 0, 1, 2, 3, 4, 6, 8, 12]
 # 5^20 > 2^46, so every q_2 value of these sets is above 2^92
 KP_MULT_BIG_GRID = [5**20 * v for v in KP_MULT_GRID]
 DECOMPOSE_BIG_GRID = [5**20 * v for v in DECOMPOSE_SET]
+SIGNED_NONZERO = [-9, -6, -2, 1, 3, 5, 10]
+# one side below 2^62, one above, and negatives: the quotient keys span both
+QUOTIENT_WIDE = sorted([-(2**63) - 5, -7, 3, 2**61 + 1, 2**62 + 3] + BIG_GRID[:6])
+# r_2 has counts 1 and 2, so E_4 = sum r_4^2 squares a weighted operand
+E4_RANDOM = sorted(random.Random(9).sample(range(10**6), 40))
 
 
 def _energy(values, s, mode="add", oracle=False):
@@ -77,6 +85,10 @@ CASES = {
     "sumset-A/A": _sumset(SMALL_MULT, 1, 1, "mult"),
     "sumset-AA-signed": _sumset(SIGNED_MULT, 2, 0, "mult"),
     "sumset-AA-grid": _sumset(BIG_GRID[:20], 2, 0, "mult"),
+    "sumset-0A/2A-mult": _sumset(SIGNED_NONZERO, 0, 2, "mult"),
+    "sumset-AA/A-signed": _sumset(SIGNED_NONZERO, 2, 1, "mult"),
+    "sumset-A/A-above-2^62": _sumset(QUOTIENT_WIDE, 1, 1, "mult"),
+    "energy-random-s4": _energy(E4_RANDOM, 4),
     "kp-verify-random": (["kp", "--s", "4", "--delta", "0.05", "--verify"], KP_RANDOM),
     "kp-verify-ap-union": (["kp", "--s", "4", "--delta", "0.05", "--verify"], KP_AP_UNION),
     "kp-mult-grid": (["kp", "--s", "4", "--energy-mode", "mult", "--verify"], KP_MULT_GRID),

@@ -11,6 +11,7 @@ bounds.
 import inspect
 import math
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -27,7 +28,7 @@ from energia.energy import (
     mixed_energy,
     rep_function,
 )
-from energia.sets import IntSet, iterated_product_set, iterated_sumset
+from energia.sets import IntSet, _quotients, iterated_product_set, iterated_sumset
 
 BACKENDS = {"python": _kernel._python, "dense": _kernel._dense, "sort-count": _kernel._sort_count}
 MODES = (ADDITIVE, MULTIPLICATIVE)
@@ -131,6 +132,121 @@ def test_iterated_product_set(monkeypatch, name, vals, m, n):
     want = reference(monkeypatch, lambda: iterated_product_set(A, m, n))
     force(monkeypatch, name)
     assert iterated_product_set(A, m, n) == want
+
+
+# -- self-pairs ---------------------------------------------------------------
+
+
+def _operand(vals, kind, counts):
+    """A fresh Weighted over ``vals``: plain, unit or weighted by ``counts``."""
+    vals = sorted(vals)
+    if kind != "weighted":
+        return _kernel.Weighted.indicator(tuple(vals), kind == "unit")
+    cnts = np.array(counts[: len(vals)], dtype=np.int64)
+    return _kernel.Weighted._from_arrays(np.array(vals, dtype=np.int64), cnts, int(cnts.sum()))
+
+
+def _content(w):
+    return w.size, w.lo, w.hi, w.total, w.sorted_values(), w.py()
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+@pytest.mark.parametrize("additive", (True, False))
+@pytest.mark.parametrize("kind", ("plain", "unit", "weighted"))
+@prop(60)
+@given(
+    vals=st.one_of(any_small, st.lists(st.integers(-4, 4), min_size=1, max_size=9, unique=True)),
+    counts=st.lists(st.integers(1, 5), min_size=9, max_size=9),
+    chunk=st.sampled_from([5, 1 << 19]),
+)
+def test_self_pair_equals_pair_with_a_copy(monkeypatch, name, additive, kind, vals, counts, chunk):
+    # f * f skips the symmetric half; f * (a copy of f) sorts the whole grid
+    monkeypatch.setattr(_kernel, "_CHUNK", chunk)
+    f, g = _operand(vals, kind, counts), _operand(vals, kind, counts)
+    if name == "dense" and not (additive and _short_lines(f, g)):
+        return
+    backend = BACKENDS[name]
+    want = _content(_kernel._python(f, g, additive))
+    assert _content(backend(f, g, additive)) == want
+    assert _content(backend(f, f, additive)) == want
+    assert _content(_kernel.pair(f, f, additive)) == want
+
+
+def test_triangle_blocks_stay_within_chunk(monkeypatch):
+    # rows of 13, 12, ..., 1 cells; a block takes whole rows up to 20 cells
+    monkeypatch.setattr(_kernel, "_CHUNK", 20)
+    seen = []
+    merge = _kernel._merge_equal
+
+    def spy(values, *args, **kwargs):
+        seen.append(len(values))
+        return merge(values, *args, **kwargs)
+
+    monkeypatch.setattr(_kernel, "_merge_equal", spy)
+    f = _operand(range(0, 40, 3), "unit", None)
+    parts = list(_kernel._triangle_parts(f, True))
+    assert seen == [13, 12, 11, 10 + 9, 8 + 7, 6 + 5 + 4 + 3 + 2, 1] and len(parts) == len(seen)
+
+
+@prop(200)
+@given(
+    cells=st.lists(
+        st.tuples(
+            st.one_of(st.integers(-50, 50), st.integers(-(2**62), 2**62 - 1)),
+            st.one_of(st.integers(1, 8), st.integers(1, 2**40)),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+)
+def test_merge_equal_sums_weights(cells):
+    # narrow spans with small weights sort packed keys; the rest argsort
+    want = Counter()
+    for v, w in cells:
+        want[v] += w
+    values, weights = (np.array(col, dtype=np.int64) for col in zip(*cells))
+    vals, cnts = _kernel._merge_equal(values, weights, True)
+    assert vals.tolist() == sorted(want)
+    assert cnts.tolist() == [want[v] for v in sorted(want)]
+
+
+# -- the keyed quotient set ---------------------------------------------------
+
+near_2_62 = st.integers(2**62 - 40, 2**62 + 40)
+quotient_values = st.one_of(
+    st.integers(-50, 50), near_2_62, near_2_62.map(lambda v: -v), st.integers(-(2**70), 2**70)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    num=st.lists(quotient_values, min_size=1, max_size=12, unique=True),
+    den=st.lists(quotient_values.filter(bool), min_size=1, max_size=12, unique=True),
+)
+def test_quotients_match_fraction_reference(num, den):
+    num, den = sorted(num), sorted(den)
+    want = sorted({Fraction(p, q) for p in num for q in den})
+    got = _quotients(num, den)
+    assert got == want
+    assert all(type(x) is Fraction for x in got)
+
+
+def test_quotients_separate_farey_neighbours():
+    # (q-1)/q and q/(q+1) differ by 1/(q(q+1)), just above 2^(-2b) for b = 63
+    q = 2**63 - 2
+    A = IntSet([q - 1, q, q + 1])
+    got = list(iterated_product_set(A, 1, 1).elements)
+    want = sorted({Fraction(p, r) for p in A for r in A})
+    assert got == want and Fraction(q - 1, q) in got and Fraction(q, q + 1) in got
+
+
+@pytest.mark.parametrize("m, n", [(0, 1), (0, 2), (1, 1), (2, 1), (1, 2)])
+def test_product_set_quotients_against_fractions(m, n):
+    A = IntSet([-(2**63) - 5, -9, -2, 3, 7, 2**61 + 1, 2**62 + 3])
+    num = [1] if m == 0 else [math.prod(t) for t in product(A, repeat=m)]
+    den = [math.prod(t) for t in product(A, repeat=n)]
+    want = sorted({Fraction(p, q) for p in num for q in den})
+    assert list(iterated_product_set(A, m, n).elements) == want
 
 
 # -- the natural choice -------------------------------------------------------
