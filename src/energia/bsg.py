@@ -84,14 +84,6 @@ class FiberSet:
         keep = {v: w for v, w in self.weights.items() if v in values}
         return FiberSet(self.arity, keep, self.mode)
 
-    @staticmethod
-    def from_rep(rep: RepFunction, values=None) -> "FiberSet":
-        if values is None:
-            return FiberSet(rep.s, dict(rep.support), rep.mode)
-        return FiberSet(
-            rep.s, {v: rep.support[v] for v in values if v in rep.support}, rep.mode
-        )
-
 
 @dataclass
 class KpResult:

@@ -10,10 +10,9 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional
 
 from . import precision
-from .energy import ADDITIVE, MULTIPLICATIVE, energy, mixed_energy, rep_function, sup_rep
+from .energy import ADDITIVE, MULTIPLICATIVE, energy, mixed_energy, sup_rep
 from .errors import (
     BadArityError,
     BadParamsError,
@@ -21,7 +20,7 @@ from .errors import (
     TooLargeError,
     ZeroElementError,
 )
-from .sets import IntSet, interval, iterated_sumset, powers
+from .sets import IntSet, iterated_product_set, iterated_sumset, powers
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,6 @@ def _report(name, lhs, rhs, holds, inputs) -> CheckReport:
 
 def check_csref(A: IntSet, s: int, mode: str = ADDITIVE) -> CheckReport:
     """Cauchy-Schwarz: E_s(A) * |sA| >= |A|^(2s) (and the product analogue)."""
-    from .sets import iterated_product_set
-
     e = energy(A, s, mode).count
     if mode == ADDITIVE:
         span = len(iterated_sumset(A, s, 0))
@@ -176,7 +173,7 @@ def check_convex_growth(
         raise BadParamsError("k must be 2 or 3 at desk scale")
     if len(A) < 4:
         raise BadParamsError("need |A| >= 4")
-    K = Fraction(K)
+    K = precision.rational(K, "K")
     m = 2 ** (k - 1)
     n = m - 1
     work = comb(len(A) + m - 1, m) * comb(len(A) + n - 1, n)

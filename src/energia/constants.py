@@ -3,6 +3,7 @@ recursions, in a log2-space representation that survives tower-sized
 values (m = 2^37200 is stored as its exponent, never materialized).
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -10,21 +11,9 @@ from typing import Optional
 import mpmath
 
 from . import precision
-from .errors import BadParamsError, InvariantError, PrecisionError
+from .errors import BadParamsError, InvariantError
 
 _EXACT_POW2_CAP = 1 << 12  # largest exponent materialized exactly
-_EXACT_WIDTH = 512
-
-
-def _as_fraction(x) -> Fraction:
-    """Numeric parameter -> exact Fraction; floats via their decimal repr."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(str(x))
-    raise BadParamsError(f"expected a rational number, got {type(x).__name__}")
 
 
 def _pow2_exact(q: Fraction) -> Optional[int]:
@@ -43,8 +32,8 @@ def _pow2_exact(q: Fraction) -> Optional[int]:
 @dataclass(frozen=True)
 class ExponentExpr:
     """A number held as an expression tree over {int literal, +, *, ceil,
-    log2, 2^x}, with a cached high-precision value and, when it exists and
-    fits the configured width, an exact rational value."""
+    log2, 2^x}, with a high-precision value and, when it exists below the
+    materialization cap, an exact rational value."""
 
     kind: str
     args: tuple = ()
@@ -54,7 +43,7 @@ class ExponentExpr:
 
     @staticmethod
     def lit(x) -> "ExponentExpr":
-        return ExponentExpr("lit", (), _as_fraction(x))
+        return ExponentExpr("lit", (), precision.rational(x, "literal"))
 
     @staticmethod
     def wrap(x) -> "ExponentExpr":
@@ -95,7 +84,7 @@ class ExponentExpr:
         if self.kind == "mul":
             return vals[0] * vals[1]
         if self.kind == "ceil":
-            return Fraction(-((-vals[0].numerator) // vals[0].denominator))
+            return Fraction(math.ceil(vals[0]))
         if self.kind == "log2":
             e = _pow2_exact(vals[0])
             return None if e is None else Fraction(e)
@@ -106,12 +95,6 @@ class ExponentExpr:
             n = v.numerator
             return Fraction(2**n) if n >= 0 else Fraction(1, 2**-n)
         raise AssertionError(self.kind)
-
-    def exact_int(self, width: int = _EXACT_WIDTH) -> Optional[int]:
-        v = self.exact()
-        if v is None or v.denominator != 1 or v.numerator.bit_length() > width:
-            return None
-        return v.numerator
 
     def value(self):
         """High-precision mpf value (arbitrary binary exponent)."""
@@ -124,7 +107,7 @@ class ExponentExpr:
             if self.kind == "mul":
                 return self.args[0].value() * self.args[1].value()
             if self.kind == "ceil":
-                return _guarded_ceil(self.args[0].value())
+                return -precision.guarded_floor(-self.args[0].value())
             if self.kind == "log2":
                 return mpmath.log(self.args[0].value(), 2)
             if self.kind == "pow2":
@@ -147,21 +130,6 @@ class ExponentExpr:
         return f"{self.kind}({self.args[0]!r})"
 
 
-def _guarded_ceil(v, guard_bits=None):
-    bits = precision.precision_bits()
-    if guard_bits is None:
-        guard_bits = bits // 2
-    with mpmath.workprec(bits):
-        f = mpmath.floor(v)
-        if v == f:
-            return f
-        if v - f < mpmath.mpf(2) ** (-guard_bits) or (f + 1) - v < mpmath.mpf(2) ** (
-            -guard_bits
-        ):
-            raise PrecisionError("ceil argument too close to an integer to certify")
-        return f + 1
-
-
 # -- parameter blocks -------------------------------------------------------
 
 
@@ -181,7 +149,7 @@ def gemn_params(k, q: int) -> dict:
     Lambda = 6 + 25 log2 q; l = ceil(600 q k Lambda); m = 2^l; U = 120 m;
     s = 2^(5 + (1+U)(ceil(log2 k)+1)).  m, U, s are returned in log2 space.
     """
-    k = _as_fraction(k)
+    k = precision.rational(k, "k")
     if k < 1:
         raise BadParamsError("need k >= 1")
     if q < 2 or q % 2 != 0:
@@ -198,7 +166,7 @@ def gemn_params(k, q: int) -> dict:
 
 def eric_params(b, m: int) -> dict:
     """Good-tuple parameter block: k = b/30, s2, U1, s1 (log2 space)."""
-    b = _as_fraction(b)
+    b = precision.rational(b, "b")
     if b < 30:
         raise BadParamsError("need b >= 30")
     if m < 1:
@@ -206,7 +174,7 @@ def eric_params(b, m: int) -> dict:
     k = b / 30
     ck = ExponentExpr.lit(_ceil_log2(k) + 1)
     log2_s2 = ExponentExpr.lit(5) + ExponentExpr.lit(1 + 120 * m) * ck
-    kc = -((-k.numerator) // k.denominator)  # ceil(k)
+    kc = math.ceil(k)
     log2_U1 = ExponentExpr.lit(500 * kc).log2() + log2_s2
     U1 = ExponentExpr.lit(500 * kc) * ExponentExpr.pow2(log2_s2)
     log2_s1 = ExponentExpr.lit(5) + (ExponentExpr.lit(1) + U1) * ck
@@ -261,7 +229,7 @@ def thrt_trace(k: int, Lambda0, s: int) -> ThrtTrace:
         raise BadParamsError("need k >= 2")
     if s < 8 or s & (s - 1) != 0:
         raise BadParamsError("s must be a power of two >= 8")
-    Lambda0 = _as_fraction(Lambda0)
+    Lambda0 = precision.rational(Lambda0, "Lambda0")
     if Lambda0 <= 0:
         raise BadParamsError("need Lambda0 > 0")
     r = s.bit_length() - 2  # s = 2^(r+1)
@@ -283,8 +251,7 @@ def bta_eta(log2_s) -> dict:
         target = precision.mpf(log2_s)
 
     def fits(k: Fraction) -> bool:
-        q = 10 * (-((-k.numerator) // k.denominator))
-        return gemn_params(k, q)["log2_s"].value() <= target
+        return gemn_params(k, 10 * math.ceil(k))["log2_s"].value() <= target
 
     lo = Fraction(4)
     if not fits(lo):
@@ -299,7 +266,7 @@ def bta_eta(log2_s) -> dict:
         else:
             hi = mid
     k = lo
-    q = 10 * (-((-k.numerator) // k.denominator))
+    q = 10 * math.ceil(k)
     chain = gemn_params(k, q)
     certificate = {
         "k": k,

@@ -10,7 +10,7 @@ Stopping and extraction certificates are exact: rational threshold
 exponents are decided by clearing denominators, never by floats.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -26,7 +26,6 @@ from .errors import (
     ExtractorFailedError,
     InvariantError,
     ParameterTooLargeError,
-    PrecisionError,
     StageCollapseError,
     TooLargeError,
 )
@@ -34,16 +33,9 @@ from .sets import IntSet, iterated_product_set
 
 _MAX_EXECUTABLE_ARITY = 64
 _EXHAUSTIVE_CAP = 16
-
-
-def _frac(x, name) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(str(x))
-    raise BadParamsError(f"{name} must be a rational number")
+_FRAC_C = Fraction(1, 2)  # declared extraction fraction c of the budget
+_FRAC_CC = Fraction(1, 4)  # deletion constant C_c of the budget
+_SMALL_SET_BOUND = 4  # residual size below which the dual loop stops
 
 
 @dataclass(frozen=True)
@@ -55,16 +47,9 @@ class DecomposeConfig:
     s2: int = 2  # multiplicative certificate arity (dual loop)
     mode: str = CALIBRATED
     extractor: str = "kp-multiplicative"
-    thresholds: dict = field(default_factory=dict)  # exponent overrides
-    frac_c: Fraction = Fraction(1, 2)  # declared extraction fraction
-    frac_Cc: Fraction = Fraction(1, 4)
-    small_set_bound: int = 4  # residual size below which the dual loop stops
-    m: int = 2  # product-set arity reported by the dichotomy
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _frac(self.k, "k"))
-        object.__setattr__(self, "frac_c", _frac(self.frac_c, "c"))
-        object.__setattr__(self, "frac_Cc", _frac(self.frac_Cc, "Cc"))
+        object.__setattr__(self, "k", precision.rational(self.k, "k"))
         if self.k < 1:
             raise BadParamsError("need k >= 1")
         for name in ("s", "q", "s1", "s2"):
@@ -73,16 +58,9 @@ class DecomposeConfig:
                 raise BadParamsError(f"{name} must be even and >= 2")
         if self.mode not in (PAPER, CALIBRATED):
             raise BadParamsError(f"unknown mode {self.mode!r}")
-        for name, exp in self.thresholds.items():
-            e = _frac(exp, name)
-            if not 0 < e < 2 * max(self.s, self.q, self.s1, self.s2):
-                raise BadParamsError(f"threshold {name} outside (0, 2s)")
         for name in ("s", "q", "s1", "s2"):
             if getattr(self, name) > _MAX_EXECUTABLE_ARITY:
                 raise ParameterTooLargeError(f"{name} = {getattr(self, name)} not executable")
-
-    def exponent(self, name, default) -> Fraction:
-        return _frac(self.thresholds.get(name, default), name)
 
 
 @dataclass
@@ -109,8 +87,8 @@ def sign_split(A: IntSet):
 
 def com2_budget(n: int, c, Cc) -> int:
     """floor(2(log2 n + 2) + Cc^-1 n^c / (2^c - 1))."""
-    c = _frac(c, "c")
-    Cc = _frac(Cc, "Cc")
+    c = precision.rational(c, "c")
+    Cc = precision.rational(Cc, "Cc")
     if n < 1:
         raise BadParamsError("need n >= 1")
     if not 0 < c < 1 or Cc <= 0:
@@ -120,16 +98,13 @@ def com2_budget(n: int, c, Cc) -> int:
         val = 2 * (mpmath.log(n, 2) + 2) + precision.mpf(1 / Cc) * mpmath.mpf(n) ** cv / (
             mpmath.mpf(2) ** cv - 1
         )
-        f = mpmath.floor(val)
-        if val != f and val - f < mpmath.mpf(2) ** -(precision.precision_bits() // 2):
-            raise PrecisionError("budget value too close to an integer to certify")
-        return int(f)
+    return int(precision.guarded_floor(val))
 
 
 def min_deletion(size: int, c, Cc) -> int:
     """ceil(Cc size^(1-c)), exactly, for rational c and Cc."""
-    c = _frac(c, "c")
-    Cc = _frac(Cc, "Cc")
+    c = precision.rational(c, "c")
+    Cc = precision.rational(Cc, "Cc")
     if size < 1:
         return 0
     e = 1 - c
@@ -187,7 +162,7 @@ class StructuredSubset:
 def mult_dichotomy(A: IntSet, k, s: int, m: int = 2, mode: str = CALIBRATED):
     """Either M_s(A) < |A|^(2s-k) (certified exactly) or a subset B with
     small m-fold product set, found by the multiplicative pipeline."""
-    k = _frac(k, "k")
+    k = precision.rational(k, "k")
     if len(A) == 0 or min(A) <= 0:
         raise BadParamsError("need a non-empty set of positive integers")
     if s < 2 or s % 2 != 0 or m < 1:
@@ -229,7 +204,7 @@ def _extract_kp(A_i: IntSet, cfg: DecomposeConfig, cert_mode: str):
     """Pipeline-based extraction: the multiplicative dichotomy feeds the
     first loop (additively-certified D), the additive pipeline the dual."""
     if cert_mode == ADDITIVE:
-        out = mult_dichotomy(A_i, cfg.k, cfg.s, cfg.m, cfg.mode)
+        out = mult_dichotomy(A_i, cfg.k, cfg.s, mode=cfg.mode)
         if isinstance(out, SmallEnergy):
             raise StageCollapseError("extract", "residual already small")
         return out.B
@@ -243,7 +218,7 @@ def _extract_exhaustive(A_i: IntSet, cfg: DecomposeConfig, cert_mode: str):
     if len(A_i) > _EXHAUSTIVE_CAP:
         raise TooLargeError(f"exhaustive extractor limited to |A| <= {_EXHAUSTIVE_CAP}")
     # guaranteed fraction by construction: only subsets of size >= |A|^(1-c)
-    min_size = max(1, min_deletion(len(A_i), cfg.frac_c, Fraction(1)))
+    min_size = max(1, min_deletion(len(A_i), _FRAC_C, Fraction(1)))
     arity_half = (cfg.q if cert_mode == ADDITIVE else cfg.s2) // 2
     elems = list(A_i)
     best = None
@@ -265,55 +240,49 @@ _EXTRACTORS = {"kp-multiplicative": _extract_kp, "kp-additive": _extract_kp, "ex
 
 
 def _loop(A_pos, cfg, stop_mode, stop_arity, stop_exp, cert_mode, cert_arity_half, cert_exp, cert_name, small_stop):
+    """Extract until the residual's stop certificate holds.
+
+    Returns (B parts, residual, trace, budget, iterations, stop report,
+    failed); the stop report is None when an extraction failed.
+    """
+    extract = _EXTRACTORS.get(cfg.extractor)
+    if extract is None:
+        raise BadParamsError(f"unknown extractor {cfg.extractor!r}")
+    budget = com2_budget(max(1, len(A_pos)), _FRAC_C, _FRAC_CC)
+    small = max(small_stop, 1)
+
+    def stop(X) -> CheckReport:
+        if len(X) <= small:
+            return CheckReport(f"{cert_name}-stop", len(X), f"|C| <= {small}", True, None, digest(X))
+        M = energy(X, stop_arity, stop_mode).count
+        holds = precision.cmp_count_power(M, len(X), stop_exp) < 0
+        return CheckReport(f"{cert_name}-stop", M, f"|C|^{stop_exp}", holds, None, digest(X, stop_exp))
+
     residual = A_pos
     B_parts = []
     trace = []
     iterations = 0
-    failed = False
-    extract = _EXTRACTORS.get(cfg.extractor)
-    if extract is None:
-        raise BadParamsError(f"unknown extractor {cfg.extractor!r}")
-    budget = com2_budget(max(1, len(A_pos)), cfg.frac_c, cfg.frac_Cc)
-
-    def stopped(X):
-        if len(X) <= max(small_stop, 1):
-            return True
-        M = energy(X, stop_arity, stop_mode).count
-        return precision.cmp_count_power(M, len(X), stop_exp) < 0
-
-    while not stopped(residual):
+    report = stop(residual)
+    while not report.holds:
         try:
             D = extract(residual, cfg, cert_mode)
         except (StageCollapseError, TooLargeError) as exc:
-            failed = True
             trace.append((None, CheckReport("extract-failed", str(exc), None, False, None, digest(residual)), cert_exp))
+            report = None
             break
-        report = _energy_cert(D, cert_arity_half, cert_exp, cert_mode, cert_name)
-        if not report.holds or len(D) == 0:
-            failed = True
-            trace.append((D, report, cert_exp))
+        cert = _energy_cert(D, cert_arity_half, cert_exp, cert_mode, cert_name)
+        trace.append((D, cert, cert_exp))
+        if not cert.holds or len(D) == 0:
+            report = None
             break
-        trace.append((D, report, cert_exp))
         B_parts.extend(D)
         taken = set(D)
         residual = IntSet(a for a in residual if a not in taken)
         iterations += 1
         if iterations > budget:
             raise ExtractorFailedError(iterations, "iteration budget exceeded")
-
-    stop_report = None
-    if not failed:
-        if len(residual) <= small_stop or len(residual) <= 1:
-            stop_report = CheckReport(
-                f"{cert_name}-stop", len(residual), f"|C| <= {max(small_stop, 1)}", True, None, digest(residual)
-            )
-        else:
-            M = energy(residual, stop_arity, stop_mode).count
-            holds = precision.cmp_count_power(M, len(residual), stop_exp) < 0
-            stop_report = CheckReport(
-                f"{cert_name}-stop", M, f"|C|^{stop_exp}", holds, None, digest(residual, stop_exp)
-            )
-    return B_parts, residual, trace, budget, iterations, stop_report, failed
+        report = stop(residual)
+    return B_parts, residual, trace, budget, iterations, report, report is None
 
 
 def decompose(A: IntSet, cfg: DecomposeConfig) -> Decomposition:
@@ -322,11 +291,11 @@ def decompose(A: IntSet, cfg: DecomposeConfig) -> Decomposition:
     if len(A) == 0:
         raise BadParamsError("need a non-empty set")
     pos, neg, zero = sign_split(A)
-    stop_exp = cfg.exponent("stop", 2 * cfg.s - cfg.k)
-    cert_exp = cfg.exponent("extract", cfg.q - Fraction(cfg.q, 4))
+    stop_exp = 2 * cfg.s - cfg.k
+    cert_exp = cfg.q - Fraction(cfg.q, 4)
 
     B_all, C_all, trace_all = [], list(zero), []
-    budget = com2_budget(len(A), cfg.frac_c, cfg.frac_Cc)
+    budget = com2_budget(len(A), _FRAC_C, _FRAC_CC)
     iterations = 0
     failed = False
     stop_report = None
@@ -358,11 +327,11 @@ def decompose_eric(A: IntSet, cfg: DecomposeConfig) -> Decomposition:
     pos, neg, zero = sign_split(A)
     if len(neg) > 0 or len(zero) > 0:
         raise BadParamsError("dual loop needs positive elements")
-    stop_exp = cfg.exponent("stop", 2 * cfg.s1 - cfg.k)
-    cert_exp = cfg.exponent("extract", 2 * cfg.s2 - cfg.k)
-    cfg_dual = cfg if cfg.extractor != "kp-multiplicative" else _with_extractor(cfg, "kp-additive")
+    stop_exp = 2 * cfg.s1 - cfg.k
+    cert_exp = 2 * cfg.s2 - cfg.k
+    cfg_dual = cfg if cfg.extractor != "kp-multiplicative" else replace(cfg, extractor="kp-additive")
     Bp, Cp, tr, budget, it, sr, fl = _loop(
-        pos, cfg_dual, ADDITIVE, cfg.s1, stop_exp, MULTIPLICATIVE, cfg.s2 // 2, cert_exp, "eric", cfg.small_set_bound
+        pos, cfg_dual, ADDITIVE, cfg.s1, stop_exp, MULTIPLICATIVE, cfg.s2 // 2, cert_exp, "eric", _SMALL_SET_BOUND
     )
     _check_budget(it, budget)
     B, C = IntSet(Bp), Cp
@@ -378,10 +347,3 @@ def _check_budget(iterations, budget):
 def _check_partition(A, B, C):
     if set(B) | set(C) != set(A) or set(B) & set(C):
         raise InvariantError("B and C do not partition A")
-
-
-def _with_extractor(cfg: DecomposeConfig, name: str) -> DecomposeConfig:
-    return DecomposeConfig(
-        cfg.k, cfg.s, cfg.q, cfg.s1, cfg.s2, cfg.mode, name, dict(cfg.thresholds),
-        cfg.frac_c, cfg.frac_Cc, cfg.small_set_bound, cfg.m,
-    )

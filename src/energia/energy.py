@@ -7,20 +7,18 @@ brute-force oracle enumerates all 2s-tuples literally, shares no code
 with the kernel, and must agree with the fast path on every input.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Optional
 
 import numpy as np
 
-from . import _kernel, precision
+from . import _kernel
 from .errors import BadArityError, EmptySetError, BadParamsError, OverflowGuardError, TooLargeError
 from .sets import IntSet
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
-MIXED = "mixed"
 
 _COUNTER_LIMIT = 2**63
 
@@ -54,9 +52,6 @@ class RepFunction:
     def sup(self) -> int:
         return self.counts.max_count()
 
-    def __getitem__(self, n) -> int:
-        return self.support.get(n, 0)
-
     def self_convolution(self) -> "RepFunction":
         """r_2s (or q_2s) as r_s * r_s, under the same multiplicity guard."""
         if self.total() ** 2 >= _COUNTER_LIMIT:
@@ -66,12 +61,11 @@ class RepFunction:
 
 @dataclass(frozen=True)
 class EnergyValue:
-    """An exact energy count together with its log_|A| exponent."""
+    """An exact energy count, with the arity and mode it was taken at."""
 
     count: int
     s: int
     mode: str
-    exponent: Optional[object] = field(default=None, compare=False)
 
     def __int__(self):
         return self.count
@@ -95,17 +89,10 @@ def rep_function(A: IntSet, s: int, mode: str = ADDITIVE) -> RepFunction:
     return RepFunction(_kernel.power(indicator, s, mode == ADDITIVE), s, mode)
 
 
-def _exponent(count: int, size: int):
-    if size < 2 or count <= 0:
-        return None
-    return precision.log2(count) / precision.log2(size)
-
-
 def energy(A: IntSet, s: int, mode: str = ADDITIVE) -> EnergyValue:
     """E_s(A) or M_s(A), exactly, as sum of squared multiplicities."""
     r = rep_function(A, s, mode)
-    count = r.energy_count()
-    return EnergyValue(count, s, mode, _exponent(count, len(A)))
+    return EnergyValue(r.energy_count(), s, mode)
 
 
 def sup_rep(A: IntSet, s: int, mode: str = ADDITIVE) -> int:
@@ -134,9 +121,7 @@ def mixed_energy(sets, mode: str = ADDITIVE) -> EnergyValue:
             f = _kernel.pair(f, _kernel.Weighted.indicator(X.elements, counted=True), mode == ADDITIVE)
         return f
 
-    count = _kernel.inner(half(sets[:s]), half(sets[s:]))
-    size = min(len(X) for X in sets)
-    return EnergyValue(count, s, mode, _exponent(count, size))
+    return EnergyValue(_kernel.inner(half(sets[:s]), half(sets[s:])), s, mode)
 
 
 # -- independent brute-force oracle ----------------------------------------
@@ -175,7 +160,7 @@ def energy_oracle(A: IntSet, s: int, mode: str = ADDITIVE, guard: int = ORACLE_G
                 count += 1
     else:
         count = _numpy_oracle(A, s, mode)
-    return EnergyValue(count, s, mode, _exponent(count, len(A)))
+    return EnergyValue(count, s, mode)
 
 
 def _fits_int64(A: IntSet, s: int, mode: str) -> bool:

@@ -28,6 +28,16 @@ def precision_bits() -> int:
     return max(64, bits)
 
 
+def rational(x, name) -> Fraction:
+    """An int, Fraction or float parameter as an exact Fraction; floats go
+    through their decimal repr, so 0.1 is 1/10, not its binary value."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    if isinstance(x, float):
+        return Fraction(str(x))
+    raise BadParamsError(f"{name} must be a rational number, got {type(x).__name__}")
+
+
 def mpf(x):
     """Convert int/Fraction/float to an mpf at the configured precision."""
     with mpmath.workprec(precision_bits()):
@@ -44,6 +54,20 @@ def log2(x):
                 mpmath.mpf(x.denominator), 2
             )
         return mpmath.log(mpmath.mpf(x), 2)
+
+
+def guarded_floor(v):
+    """floor(v) of an mpf computed at the configured precision.
+
+    A non-integer v within 2**-(bits/2) of an integer, on either side,
+    raises PrecisionError: its true value may lie across that integer.
+    """
+    bits = precision_bits()
+    with mpmath.workprec(bits):
+        f = mpmath.floor(v)
+        if v != f and min(v - f, f + 1 - v) < mpmath.mpf(2) ** -(bits // 2):
+            raise PrecisionError(f"value too close to an integer to round; raise {PRECISION_ENV} to certify")
+        return f
 
 
 def guarded_cmp(lhs, rhs, guard_bits=None) -> int:

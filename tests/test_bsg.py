@@ -63,12 +63,6 @@ class TestFiberSet:
         g = f.restrict({4, 6})
         assert g.weights == {4: 3, 6: 1}
 
-    def test_from_rep_full_fibers(self):
-        A = IntSet([1, 2, 3])
-        r = rep_function(A, 2)
-        f = FiberSet.from_rep(r)
-        assert f.cardinality() == len(A) ** 2
-
 
 class TestBsgExtract:
     def _graph(self, U, V, filt):

@@ -137,6 +137,11 @@ class TestConvexGrowth:
         r = check_convex_growth(A, 2, Fraction(2))
         assert r.holds
 
+    def test_float_K_is_its_decimal_value(self):
+        # 0.1 is 1/10, as every other float parameter, not its binary value
+        A = powers(2, 12)
+        assert check_convex_growth(A, 2, 0.1) == check_convex_growth(A, 2, Fraction(1, 10))
+
     def test_cap(self):
         with pytest.raises(TooLargeError):
             check_convex_growth(powers(2, 40), 3, Fraction(2), size_cap=10**4)

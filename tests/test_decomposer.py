@@ -61,10 +61,6 @@ class TestConfig:
         with pytest.raises(BadParamsError):
             DecomposeConfig(s=3)
 
-    def test_threshold_range(self):
-        with pytest.raises(BadParamsError):
-            DecomposeConfig(thresholds={"stop": 99})
-
     def test_astronomical_arity(self):
         with pytest.raises(ParameterTooLargeError):
             DecomposeConfig(s=2**10)
@@ -179,6 +175,21 @@ class TestDecompose:
     def test_empty_rejected(self):
         with pytest.raises(BadParamsError):
             decompose(IntSet([]), CFG)
+
+    def test_immediate_stop_takes_one_energy(self, monkeypatch):
+        # the stop certificate of a residual is decided once, and reported
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return energy(*args)
+
+        monkeypatch.setattr(decomposer, "energy", counted)
+        A = IntSet(random.Random(3).sample(range(1, 10**6 + 1), 20))
+        d = decompose(A, DecomposeConfig(k=Fraction(6, 5), s=2, q=4))
+        assert d.iterations_used == 0 and d.C == A
+        assert d.stop_report.holds and d.stop_report.rhs == "|C|^14/5"
+        assert len(calls) == 1
 
 
 class TestDecomposeEric:

@@ -5,7 +5,11 @@ no file path.  The expected outputs in ``golden_cli.json`` were captured
 from the engine before a rewrite of the code they cover: the
 ``sumset-0A/2A-mult``, ``sumset-AA/A-signed``, ``sumset-A/A-above-2^62``
 and ``energy-random-s4`` cases before self-pairs skipped their symmetric
-half and quotient sets were keyed by integers, the ``kp-mult-*``,
+half and quotient sets were keyed by integers, the ``constants-*``,
+``decompose-signed-*``, ``decompose-exhaustive``,
+``decompose-extract-failed``, ``energy-singleton``,
+``check-hld3`` and ``check-war2`` cases before the deletion pass over
+the decomposer, the constants and the CLI, the ``kp-mult-*``,
 ``kp-paper-*``, ``kp-s6*`` and ``decompose-mult-*`` cases before the
 popular-sum stages were vectorised, the others before the convolution
 kernel was rewritten.  A change that alters any report byte, any exit
@@ -50,6 +54,13 @@ SIGNED_NONZERO = [-9, -6, -2, 1, 3, 5, 10]
 QUOTIENT_WIDE = sorted([-(2**63) - 5, -7, 3, 2**61 + 1, 2**62 + 3] + BIG_GRID[:6])
 # r_2 has counts 1 and 2, so E_4 = sum r_4^2 squares a weighted operand
 E4_RANDOM = sorted(random.Random(9).sample(range(10**6), 40))
+# both sign parts run and 0 goes to C; the negative part ends on a
+# small-set stop, the positive part on an energy stop
+DECOMPOSE_SIGNED = [-48, -24, -16, -12, -8, -6, -4, -3, -2, -1, 0, 5, 10, 15, 20, 25, 30, 35, 40]
+# both sign parts are extracted down to an empty residual
+DECOMPOSE_SIGNED_GRID = sorted(
+    {s * 2**i * 3**j for s in (1, -1) for i in range(4) for j in range(3)} | {0} | set(range(1, 9))
+)
 
 
 def _energy(values, s, mode="add", oracle=False):
@@ -100,7 +111,34 @@ CASES = {
     "kp-s6-mult": (["kp", "--s", "6", "--energy-mode", "mult"], KP_MULT_GRID[:12]),
     "decompose": (["decompose", "--k", "1.5", "--s", "2", "--q", "4"], DECOMPOSE_SET),
     "decompose-mult-grid-above-2^63": (["decompose", "--k", "1.5", "--s", "2", "--q", "4"], DECOMPOSE_BIG_GRID),
+    "decompose-signed-zero": (["decompose", "--k", "1.5", "--s", "2", "--q", "4"], DECOMPOSE_SIGNED),
+    "decompose-signed-grid": (["decompose", "--k", "1.5", "--s", "2", "--q", "4"], DECOMPOSE_SIGNED_GRID),
+    "decompose-exhaustive": (
+        ["decompose", "--k", "1.5", "--s", "2", "--q", "4", "--extractor", "exhaustive"],
+        [1, 2, 3, 4, 5, 8, 16, 32, 64, 128],
+    ),
+    # 20 elements are past the exhaustive cap: the extraction fails, exit 1
+    "decompose-extract-failed": (
+        ["decompose", "--k", "1.5", "--s", "2", "--q", "4", "--extractor", "exhaustive"],
+        [2**i for i in range(20)],
+    ),
+    "energy-singleton": _energy([42], 2),
     "check-all": (["check", "--suite", "all", "--cases", "2"], None),
+    "check-hld3": (["check", "--suite", "hld3", "--cases", "3"], None),
+    "check-war2": (["check", "--suite", "war2", "--cases", "3"], None),
+    "constants-rtp-k2": (["constants", "rtp", "--k-int", "2"], None),
+    "constants-rtp-k3": (["constants", "rtp", "--k-int", "3"], None),
+    "constants-gemn": (["constants", "gemn"], None),
+    "constants-gemn-k1.5-q4": (["constants", "gemn", "--k", "1.5", "--q", "4"], None),
+    "constants-eric": (["constants", "eric"], None),
+    "constants-eric-b45-m2": (["constants", "eric", "--b", "45", "--m", "2"], None),
+    "constants-thrt": (["constants", "thrt"], None),
+    "constants-thrt-crossing": (["constants", "thrt", "--lambda0", "0.9999"], None),
+    "constants-thrt-k3-s16": (["constants", "thrt", "--k-int", "3", "--s", "16", "--lambda0", "1.5"], None),
+    # no float --log2-s reaches the chain at k = 4, so the CLI reports exit 1
+    "constants-bta": (["constants", "bta"], None),
+    "constants-com2": (["constants", "com2"], None),
+    "constants-com2-n256": (["constants", "com2", "--n-int", "256", "--c", "0.25", "--Cc", "2"], None),
     "experiment-warren-squares": (["experiment", "warren-squares"], None),
     "experiment-ap-gp-mix": (["experiment", "ap-gp-mix"], None),
     "experiment-zero-obstruction": (["experiment", "zero-obstruction"], None),
