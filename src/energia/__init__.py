@@ -25,7 +25,6 @@ from .energy import (  # noqa: F401
 )
 from .checks import CheckReport  # noqa: F401
 from .bsg import (  # noqa: F401
-    FiberSet,
     KpResult,
     PopularSumGraph,
     bsg_extract,

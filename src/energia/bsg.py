@@ -3,17 +3,18 @@ popular-sum pipeline, executed exactly on a sum-value fiber
 representation.
 
 Every pipeline stage set (G, R_G(x), Y, Y1, Y2, Y3) depends on tuples
-only through their coordinate sums, so subsets of A^(s/2) are stored as
-weighted sum-value mappings (FiberSet): an |A|^(s/2)-sized object
-becomes an |(s/2)A|-sized one.  A tuple-level brute-force oracle in the
-test suite certifies the equivalence at small scale.
+only through their coordinate sums, so a subset of A^(s/2) is a union of
+complete constant-sum fibers: it is stored as a sorted index array into
+the support H of r_{s/2}, each fiber weighing r_{s/2}(H_i).  An
+|A|^(s/2)-sized object becomes an |(s/2)A|-sized one.  A tuple-level
+brute-force oracle in the test suite certifies the equivalence at small
+scale.
 
 Two threshold regimes share one control flow: "paper" uses the explicit
-absolute constants (which empty every stage at desk scale), "calibrated"
-replaces each absolute threshold by a top-half-of-the-relevant-mass
-quantile.  In calibrated mode the energy branch is taken only when
-extraction collapses AND the energy condition literally holds, so that a
-successfully extracted subset is always reported.
+absolute constants (which empty every stage at desk scale) and takes the
+energy branch whenever the energy condition holds; "calibrated" replaces
+each absolute threshold by a top-half-of-the-relevant-mass quantile and
+always extracts a subset, since on a real input no stage can empty.
 """
 
 import math
@@ -66,25 +67,6 @@ class PopularSumGraph:
         return max(len(self.left), len(self.right), len(self.sum_filter))
 
 
-@dataclass(frozen=True)
-class FiberSet:
-    """Union of complete constant-sum fibers of A^t, stored by sum value."""
-
-    arity: int
-    weights: dict  # sum value -> full fiber multiplicity r_t(value)
-    mode: str = ADDITIVE
-
-    def cardinality(self) -> int:
-        return sum(self.weights.values())
-
-    def support(self):
-        return sorted(self.weights)
-
-    def restrict(self, values) -> "FiberSet":
-        keep = {v: w for v, w in self.weights.items() if v in values}
-        return FiberSet(self.arity, keep, self.mode)
-
-
 @dataclass
 class KpResult:
     branch: str
@@ -132,13 +114,14 @@ def _membership(X, Y, S, additive):
     """Bool matrix [X_i + Y_j in S] (products when not ``additive``).
 
     X, Y and S are sorted sequences of ints.  The grid is int64 when
-    every cell and every value of S stays below 2**62 in absolute value,
+    every value of X, Y and S and every cell stays below 2**62 in
+    absolute value (a product with a factor 0 does not bound the other),
     else an object array of Python ints; it is built and tested in row
     blocks of about ``_BLOCK`` cells, so only the bool matrix is
     |X|*|Y| sized.
     """
     mx, my = max(-X[0], X[-1]), max(-Y[0], Y[-1])
-    bound = mx + my if additive else mx * my
+    bound = mx + my if additive else max(mx, my, mx * my)
     if S:
         bound = max(bound, -S[0], S[-1])
     X, Y, S = _exact_arrays(bound, X, Y, S)
@@ -293,10 +276,14 @@ def kp_pipeline(
 ) -> KpResult:
     """Run the popular-sum extraction pipeline on A at arity s.
 
-    Returns an EnergyBranch result when the half-arity energy literally
-    exceeds |A|^(s - nu + delta) (paper mode checks this up front;
-    calibrated mode only falls back to it when extraction collapses), or
-    a SubsetBranch result carrying the extracted subset A'.
+    In paper mode, returns an EnergyBranch result when the half-arity
+    energy literally exceeds |A|^(s - nu + delta); otherwise, and always
+    in calibrated mode, a SubsetBranch result carrying the extracted
+    subset A'.  Calibrated mode never takes the energy branch: S and
+    Sprime are top halves of positive counts, a sum in S is some
+    H_i op H_j so the anchor scores > 0, the symmetry of M and the
+    heaviest fiber keep Y, Y1 and Y2 non-empty, and U' is a non-empty
+    subset of sums(Y1), inside (s/2 - 1)A op A, so Y3 and A' are too.
     """
     if s < 4 or s % 2 != 0:
         raise BadParamsError("need even s >= 4")
@@ -327,21 +314,10 @@ def kp_pipeline(
         digest(A, s, delta),
     )
 
-    def energy_result():
-        res = KpResult(ENERGY_BRANCH, nu, delta, s, mode, energy_mode)
-        res.checks.append(energy_check)
-        res.stage_stats = {"E_s": E_s, "E_half": E_half}
-        return res
-
     if mode == PAPER and energy_cond:
-        return energy_result()
-
-    try:
-        return _run_stages(A, s, delta, mode, energy_mode, r_s, half, nu, energy_check)
-    except StageCollapseError:
-        if mode == CALIBRATED and energy_cond:
-            return energy_result()
-        raise
+        stats = {"E_s": E_s, "E_half": E_half}
+        return KpResult(ENERGY_BRANCH, nu, delta, s, mode, energy_mode, stage_stats=stats, checks=[energy_check])
+    return _run_stages(A, s, delta, mode, energy_mode, r_s, half, nu, energy_check)
 
 
 def _fiber_stages(H, h, S, additive, mode, nA, s, d):
@@ -427,34 +403,27 @@ def _run_stages(A, s, delta, mode, energy_mode, r_s, half, nu, energy_check):
         raise StageCollapseError("S", "7lem1 assertions failed in paper mode")
 
     # --- anchor, Y (large overlap against the anchor), z and Y1 ------------
-    H, h = half.counts.arrays()
-    H, weights = H.tolist(), h.tolist()
-    anchor, R_x, Y_idx, thr_Y, z_val, Y1_idx = _fiber_stages(
+    # stage sets are sorted index arrays into H, fiber i weighing h[i]
+    H_vals, h = half.counts.arrays()
+    H = H_vals.tolist()
+    anchor, R_x, Y, thr_Y, z_val, Y1 = _fiber_stages(
         H, h, s_vals[S_idx].tolist(), additive, mode, nA, s, d
     )
-
-    def fibers(idx):
-        return FiberSet(s // 2, {H[i]: weights[i] for i in idx.tolist()}, energy_mode)
-
+    size_Y, size_Y1 = int(h[Y].sum()), int(h[Y1].sum())
     trace.append(("anchor", int(h[R_x].sum()), str(anchor)))
-    Y = fibers(Y_idx)
-    trace.append(("Y", Y.cardinality(), str(thr_Y)))
-    Y1 = fibers(Y1_idx)
-    trace.append(("Y1", Y1.cardinality(), str(z_val)))
+    trace.append(("Y", size_Y, str(thr_Y)))
+    trace.append(("Y1", size_Y1, str(z_val)))
 
-    # --- S1 / Y2: relative popularity pruning ----------------------------
-    size_Y1 = Y1.cardinality()
-    supp_Y1 = Y1.support()
-    S1 = [n for n in supp_Y1 if 2 * len(supp_Y1) * Y1.weights[n] > size_Y1]
-    if not S1:
-        raise StageCollapseError("Y2")
-    Y2 = Y1.restrict(set(S1))
-    trace.append(("Y2", Y2.cardinality(), "r(Y1;n) > |Y1| / 2|sums(Y1)|"))
-    if not Y2.cardinality() <= Y1.cardinality() <= Y.cardinality():
+    # --- S1 / Y2: relative popularity pruning (the heaviest fiber passes) --
+    # exact in int64: n fibers of total weight T have n * max h <= T^2 / 4
+    Y2 = Y1[2 * len(Y1) * h[Y1] > size_Y1]
+    size_Y2 = int(h[Y2].sum())
+    trace.append(("Y2", size_Y2, "r(Y1;n) > |Y1| / 2|sums(Y1)|"))
+    if not size_Y2 <= size_Y1 <= size_Y:
         raise InvariantError("pruning grew a stage: |Y2| <= |Y1| <= |Y| fails")
 
     # --- popular-sum graph on U = sums(Y2), V = sums(R_G(x)) --------------
-    U = IntSet._trusted(Y2.support())
+    U = IntSet._trusted([H[i] for i in Y2.tolist()])
     V = IntSet._trusted([H[i] for i in R_x.tolist()])
     r_uv = _kernel.pair(
         _kernel.Weighted.indicator(U.elements, counted=True),
@@ -490,15 +459,14 @@ def _run_stages(A, s, delta, mode, energy_mode, r_s, half, nu, energy_check):
     checks.append(balbsg_report)
     trace.append(("Uprime", len(U_prime), "balbsg"))
 
-    Y3 = Y1.restrict(set(U_prime))
-    if Y3.cardinality() == 0:
-        raise StageCollapseError("Y3")
-    trace.append(("Y3", Y3.cardinality(), ""))
+    # Y3: the fibers of U', a non-empty subset of sums(Y2)
+    Y3 = np.searchsorted(H_vals, U_prime.elements)
+    trace.append(("Y3", int(h[Y3].sum()), ""))
 
     # --- best shift: pull A' out of the Y3 fibers --------------------------
     # s >= 4, so the shifts sigma_w range over (s/2 - 1)A
     shifts = rep_function(A, s // 2 - 1, energy_mode).counts.sorted_values()
-    hits = _membership(shifts, A.elements, Y3.support(), additive)
+    hits = _membership(shifts, A.elements, U_prime.elements, additive)
     w = int(np.argmax(hits.sum(axis=1)))
     members = np.flatnonzero(hits[w]).tolist()
     if not members:
@@ -534,9 +502,9 @@ def _run_stages(A, s, delta, mode, energy_mode, r_s, half, nu, energy_check):
     return res
 
 
-def kp_verify(res: KpResult, A: IntSet, pairs, practical=None):
-    """Check |mA' - nA'| against the explicit paper bound (and an optional
-    caller-supplied practical threshold) for each (m, n) pair."""
+def kp_verify(res: KpResult, A: IntSet, pairs):
+    """Check |mA' - nA'| against the explicit paper bound for each (m, n)
+    pair."""
     if res.branch != SUBSET_BRANCH:
         raise WrongBranchError("kp_verify needs a SubsetBranch result")
     reports = []
@@ -559,16 +527,4 @@ def kp_verify(res: KpResult, A: IntSet, pairs, practical=None):
                 f"kp-bound-{m}-{n}", span, str(bound), bool(holds), slack, digest(A, m, n)
             )
         )
-        if practical is not None:
-            cap = practical(m, n, res.A_prime) if callable(practical) else practical[(m, n)]
-            reports.append(
-                CheckReport(
-                    f"kp-practical-{m}-{n}",
-                    span,
-                    cap,
-                    span <= cap,
-                    Fraction(cap, span) if span else None,
-                    digest(A, m, n, "practical"),
-                )
-            )
     return reports

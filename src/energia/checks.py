@@ -45,12 +45,8 @@ def digest(*parts) -> str:
 
 
 def _report(name, lhs, rhs, holds, inputs) -> CheckReport:
-    if isinstance(lhs, int) and isinstance(rhs, int) and lhs > 0:
-        slack = Fraction(rhs, lhs)
-    elif lhs and not isinstance(lhs, int):
-        slack = rhs / lhs
-    else:
-        slack = None
+    """A report on the exact ints lhs and rhs, with slack rhs / lhs."""
+    slack = Fraction(rhs, lhs) if lhs > 0 else None
     return CheckReport(name, lhs, rhs, holds, slack, digest(*inputs))
 
 

@@ -29,7 +29,7 @@ from .checks import (
     check_war2,
     check_young,
 )
-from .constants import bta_eta, eric_params, gemn_params, rtp_constants, thrt_trace
+from .constants import eric_params, gemn_params, rtp_constants, thrt_trace
 from .decomposer import (
     DecomposeConfig,
     com2_budget,
@@ -302,9 +302,6 @@ def cmd_constants(args):
             "crossing_index": t.crossing_index,
             "values": [str(v) for v in t.values],
         }
-    elif name == "bta":
-        b = bta_eta(precision.mpf(args.log2_s))
-        out = {"k": str(b["k"]), "certificate": {k: str(v) for k, v in b["certificate"].items()}}
     elif name == "com2":
         budget = com2_budget(args.n_int, args.c, args.Cc)
         steps = com2_simulate(args.n_int, args.c, args.Cc, minimal_adversary(args.c, args.Cc))
@@ -427,7 +424,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_decompose)
 
     sp = sub.add_parser("constants")
-    sp.add_argument("formula", choices=("rtp", "gemn", "eric", "thrt", "bta", "com2"))
+    sp.add_argument("formula", choices=("rtp", "gemn", "eric", "thrt", "com2"))
     sp.add_argument("--k", type=float, default=1.0)
     sp.add_argument("--k-int", type=int, default=2, dest="k_int")
     sp.add_argument("--q", type=int, default=2)
@@ -435,7 +432,6 @@ def build_parser():
     sp.add_argument("--m", type=int, default=1)
     sp.add_argument("--s", type=int, default=8)
     sp.add_argument("--lambda0", type=float, default=0.5)
-    sp.add_argument("--log2-s", type=float, default=64.0, dest="log2_s")
     sp.add_argument("--n-int", type=int, default=16, dest="n_int")
     sp.add_argument("--c", type=float, default=0.5)
     sp.add_argument("--Cc", type=float, default=1.0)

@@ -94,7 +94,7 @@ class ExponentExpr:
                 return None
             n = v.numerator
             return Fraction(2**n) if n >= 0 else Fraction(1, 2**-n)
-        raise AssertionError(self.kind)
+        raise InvariantError(f"unknown expression kind {self.kind!r}")
 
     def value(self):
         """High-precision mpf value (arbitrary binary exponent)."""
@@ -112,7 +112,7 @@ class ExponentExpr:
                 return mpmath.log(self.args[0].value(), 2)
             if self.kind == "pow2":
                 return mpmath.mpf(2) ** self.args[0].value()
-            raise AssertionError(self.kind)
+            raise InvariantError(f"unknown expression kind {self.kind!r}")
 
     def log2_value(self):
         """log2 of the value; for pow2 nodes this avoids materialization."""

@@ -10,7 +10,7 @@ Stopping and extraction certificates are exact: rational threshold
 exponents are decided by clearing denominators, never by floats.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -46,7 +46,7 @@ class DecomposeConfig:
     s1: int = 2  # additive stopping arity (dual loop)
     s2: int = 2  # multiplicative certificate arity (dual loop)
     mode: str = CALIBRATED
-    extractor: str = "kp-multiplicative"
+    extractor: str = "kp-multiplicative"  # the pipeline, in either loop; or "exhaustive"
 
     def __post_init__(self):
         object.__setattr__(self, "k", precision.rational(self.k, "k"))
@@ -58,6 +58,8 @@ class DecomposeConfig:
                 raise BadParamsError(f"{name} must be even and >= 2")
         if self.mode not in (PAPER, CALIBRATED):
             raise BadParamsError(f"unknown mode {self.mode!r}")
+        if self.extractor not in ("kp-multiplicative", "exhaustive"):
+            raise BadParamsError(f"unknown extractor {self.extractor!r}")
         for name in ("s", "q", "s1", "s2"):
             if getattr(self, name) > _MAX_EXECUTABLE_ARITY:
                 raise ParameterTooLargeError(f"{name} = {getattr(self, name)} not executable")
@@ -136,7 +138,7 @@ def com2_simulate(n: int, c, Cc, adversary) -> int:
         size = max(0, size - d)
         steps += 1
         if steps > budget + n:
-            raise AssertionError("simulation runaway")  # pragma: no cover
+            raise InvariantError("simulation runaway")  # pragma: no cover
     return steps
 
 
@@ -200,26 +202,20 @@ def _energy_cert(D: IntSet, arity_half: int, exponent: Fraction, mode: str, name
     return CheckReport(name, e, f"|D|^{exponent}", holds, None, digest(D, arity_half, exponent, mode))
 
 
-def _extract_kp(A_i: IntSet, cfg: DecomposeConfig, cert_mode: str):
-    """Pipeline-based extraction: the multiplicative dichotomy feeds the
-    first loop (additively-certified D), the additive pipeline the dual."""
-    if cert_mode == ADDITIVE:
-        out = mult_dichotomy(A_i, cfg.k, cfg.s, mode=cfg.mode)
-        if isinstance(out, SmallEnergy):
-            raise StageCollapseError("extract", "residual already small")
-        return out.B
-    res = kp_pipeline(A_i, max(4, cfg.s1), 0.05, mode=cfg.mode, energy_mode=ADDITIVE)
+def _extract_kp(A_i: IntSet, mode: str, energy_mode: str, arity: int):
+    """Pipeline-based extraction: the popular-sum pipeline at arity
+    max(4, arity)."""
+    res = kp_pipeline(A_i, max(4, arity), 0.05, mode=mode, energy_mode=energy_mode)
     if res.branch != SUBSET_BRANCH:
         raise StageCollapseError("extract", "pipeline yielded no subset")
     return res.A_prime
 
 
-def _extract_exhaustive(A_i: IntSet, cfg: DecomposeConfig, cert_mode: str):
+def _extract_exhaustive(A_i: IntSet, cert_mode: str, arity_half: int):
     if len(A_i) > _EXHAUSTIVE_CAP:
         raise TooLargeError(f"exhaustive extractor limited to |A| <= {_EXHAUSTIVE_CAP}")
     # guaranteed fraction by construction: only subsets of size >= |A|^(1-c)
     min_size = max(1, min_deletion(len(A_i), _FRAC_C, Fraction(1)))
-    arity_half = (cfg.q if cert_mode == ADDITIVE else cfg.s2) // 2
     elems = list(A_i)
     best = None
     for mask in range(1, 1 << len(elems)):
@@ -233,9 +229,6 @@ def _extract_exhaustive(A_i: IntSet, cfg: DecomposeConfig, cert_mode: str):
     return IntSet(best[2])
 
 
-_EXTRACTORS = {"kp-multiplicative": _extract_kp, "kp-additive": _extract_kp, "exhaustive": _extract_exhaustive}
-
-
 # -- the two loops -----------------------------------------------------------
 
 
@@ -245,9 +238,6 @@ def _loop(A_pos, cfg, stop_mode, stop_arity, stop_exp, cert_mode, cert_arity_hal
     Returns (B parts, residual, trace, budget, iterations, stop report,
     failed); the stop report is None when an extraction failed.
     """
-    extract = _EXTRACTORS.get(cfg.extractor)
-    if extract is None:
-        raise BadParamsError(f"unknown extractor {cfg.extractor!r}")
     budget = com2_budget(max(1, len(A_pos)), _FRAC_C, _FRAC_CC)
     small = max(small_stop, 1)
 
@@ -265,7 +255,10 @@ def _loop(A_pos, cfg, stop_mode, stop_arity, stop_exp, cert_mode, cert_arity_hal
     report = stop(residual)
     while not report.holds:
         try:
-            D = extract(residual, cfg, cert_mode)
+            if cfg.extractor == "exhaustive":
+                D = _extract_exhaustive(residual, cert_mode, cert_arity_half)
+            else:  # the pipeline runs in the stop energy's mode, at its arity
+                D = _extract_kp(residual, cfg.mode, stop_mode, stop_arity)
         except (StageCollapseError, TooLargeError) as exc:
             trace.append((None, CheckReport("extract-failed", str(exc), None, False, None, digest(residual)), cert_exp))
             report = None
@@ -329,9 +322,8 @@ def decompose_eric(A: IntSet, cfg: DecomposeConfig) -> Decomposition:
         raise BadParamsError("dual loop needs positive elements")
     stop_exp = 2 * cfg.s1 - cfg.k
     cert_exp = 2 * cfg.s2 - cfg.k
-    cfg_dual = cfg if cfg.extractor != "kp-multiplicative" else replace(cfg, extractor="kp-additive")
     Bp, Cp, tr, budget, it, sr, fl = _loop(
-        pos, cfg_dual, ADDITIVE, cfg.s1, stop_exp, MULTIPLICATIVE, cfg.s2 // 2, cert_exp, "eric", _SMALL_SET_BOUND
+        pos, cfg, ADDITIVE, cfg.s1, stop_exp, MULTIPLICATIVE, cfg.s2 // 2, cert_exp, "eric", _SMALL_SET_BOUND
     )
     _check_budget(it, budget)
     B, C = IntSet(Bp), Cp

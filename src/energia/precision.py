@@ -98,9 +98,10 @@ def guarded_cmp(lhs, rhs, guard_bits=None) -> int:
 def cmp_count_power(count: int, base: int, exponent) -> int:
     """Three-way compare of an exact count against base**exponent.
 
-    Rational exponents are decided by exact integer arithmetic (clearing
-    the denominator); irrational/float exponents go through the guarded
-    log-space comparison.
+    Rational exponents with a denominator up to 64 are decided by exact
+    integer arithmetic (clearing the denominator); other exponents go
+    through the guarded log-space comparison, both sides formed at the
+    configured precision.
     """
     if count < 0 or base < 0:
         raise ValueError("count and base must be non-negative")
@@ -117,4 +118,5 @@ def cmp_count_power(count: int, base: int, exponent) -> int:
         return 1
     if base == 1:
         return (count > 1) - (count < 1)
-    return guarded_cmp(log2(count), mpf(exponent) * log2(base))
+    with mpmath.workprec(precision_bits()):
+        return guarded_cmp(log2(count), mpf(exponent) * log2(base))

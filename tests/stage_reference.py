@@ -8,17 +8,37 @@ against it.  It reads the library's r_s / r_{s/2} and its threshold
 constants and extracts with ``fiber_oracle.reference_bsg_extract``.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
 from energia import precision
-from energia.bsg import PAPER, FiberSet, PopularSumGraph
+from energia.bsg import PAPER, PopularSumGraph
 from energia.checks import CheckReport, digest
 from energia.energy import ADDITIVE, rep_function
 from energia.errors import StageCollapseError
 from energia.sets import IntSet
 from fiber_oracle import reference_bsg_extract
+
+
+@dataclass(frozen=True)
+class FiberSet:
+    """Union of complete constant-sum fibers of A^t, stored by sum value."""
+
+    arity: int
+    weights: dict  # sum value -> full fiber multiplicity r_t(value)
+    mode: str = ADDITIVE
+
+    def cardinality(self) -> int:
+        return sum(self.weights.values())
+
+    def support(self):
+        return sorted(self.weights)
+
+    def restrict(self, values) -> "FiberSet":
+        keep = {v: w for v, w in self.weights.items() if v in values}
+        return FiberSet(self.arity, keep, self.mode)
 
 
 def _op(additive):

@@ -13,7 +13,6 @@ import pytest
 from energia import precision
 from energia.bsg import (
     CALIBRATED,
-    ENERGY_BRANCH,
     PopularSumGraph,
     SUBSET_BRANCH,
     bsg_extract,
@@ -45,7 +44,7 @@ from energia.energy import (
     mixed_energy,
     rep_function,
 )
-from energia.errors import StageCollapseError, ZeroElementError
+from energia.errors import ZeroElementError
 from energia.sets import IntSet, gp, interval, iterated_sumset, mixed
 from fiber_oracle import tuple_oracle
 
@@ -145,26 +144,15 @@ def test_criterion_04_counterexample_reproductions():
 
 def test_criterion_05_fiber_oracle_equivalence():
     rng = random.Random(505)
-    done = 0
-    while done < 50:
+    for _ in range(50):
         A = IntSet(rng.sample(range(1, 50), rng.randint(3, 6)))
         expected, A_prime, collapse = tuple_oracle(A, 4)
-        try:
-            res = kp_pipeline(A, 4, 0.05, mode=CALIBRATED)
-        except StageCollapseError as exc:
-            assert exc.stage == collapse
-            done += 1
-            continue
-        if res.branch == ENERGY_BRANCH:
-            assert collapse is not None
-            done += 1
-            continue
-        assert collapse is None
+        res = kp_pipeline(A, 4, 0.05, mode=CALIBRATED)
+        assert collapse is None and res.branch == SUBSET_BRANCH
         assert res.anchor_sum == expected.pop("anchor_sum")
         for stage, card in expected.items():
             assert res.stage_stats[stage] == card, (A, stage)
         assert res.A_prime == A_prime
-        done += 1
 
 
 def test_criterion_06_constructive_bsg():

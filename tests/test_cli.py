@@ -116,6 +116,14 @@ class TestDecomposeCmd:
         assert res["certificates"]["B"]["holds"] and res["certificates"]["C"]["holds"]
         assert sorted(int(v) for v in res["B"] + res["C"]) == sorted(set(vals))
 
+    def test_unknown_extractor(self, capsys, tmp_path):
+        # rejected even where no extraction would run: {0} has nothing to extract
+        p = tmp_path / "zero.txt"
+        p.write_text("0\n")
+        code, out, err = run(capsys, "decompose", "--extractor", "bogus", str(p))
+        assert code == 1 and out == ""
+        assert "unknown extractor 'bogus'" in err
+
 
 class TestConstantsCmd:
     def test_rtp(self, capsys):

@@ -25,7 +25,7 @@ from energia.errors import (
     InvariantError,
     ParameterTooLargeError,
 )
-from energia.sets import IntSet, gp, interval
+from energia.sets import IntSet, ap, gp, interval
 
 
 MIX = IntSet(list(range(1, 33)) + [3**i for i in range(16)])
@@ -64,6 +64,11 @@ class TestConfig:
     def test_astronomical_arity(self):
         with pytest.raises(ParameterTooLargeError):
             DecomposeConfig(s=2**10)
+
+    @pytest.mark.parametrize("name", ["bogus", "kp-additive", ""])
+    def test_unknown_extractor(self, name):
+        with pytest.raises(BadParamsError, match="unknown extractor"):
+            DecomposeConfig(extractor=name)
 
 
 class TestCom2:
@@ -210,6 +215,39 @@ class TestDecomposeEric:
     def test_singleton_small_set_guard(self):
         d = decompose_eric(IntSet([5]), self.ECFG)
         assert d.iterations_used == 0 and list(d.C) == [5]
+
+    # (A, s1) -> (B, C, |D_i| of each extraction, stop report lhs), with
+    # k = 3/2, s2 = 2 and the pipeline extractor
+    KP_CASES = {
+        "ap-union": (
+            list(ap(1, 3, 16)) + list(ap(1000, 7, 16)),
+            2,
+            list(ap(1, 3, 16)) + list(ap(1000, 7, 16)),
+            [],
+            [16, 16],
+            0,
+        ),
+        "ap-gp": (
+            list(range(1, 25)) + [3**i for i in range(1, 10)],
+            2,
+            list(range(1, 25)) + [27],
+            [3**i for i in range(4, 10)],
+            [25],
+            66,
+        ),
+        "interval-s1-4": (list(range(1, 21)), 4, list(range(1, 21)), [], [20], 0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(KP_CASES))
+    def test_kp_extractor(self, name):
+        A, s1, B, C, sizes, stop_lhs = self.KP_CASES[name]
+        d = decompose_eric(IntSet(A), DecomposeConfig(k=Fraction(3, 2), s1=s1, s2=2))
+        assert list(d.B) == B and list(d.C) == C
+        assert d.iterations_used == len(sizes) and not d.failed
+        assert [(len(D), rep.name, rep.rhs, rep.holds) for D, rep, _ in d.trace] == [
+            (n, "eric", "|D|^5/2", True) for n in sizes
+        ]
+        assert d.stop_report.holds and d.stop_report.lhs == stop_lhs
 
     def test_certified_extractions_multiplicative(self):
         cfg = DecomposeConfig(k=1, s1=2, s2=2, extractor="exhaustive")

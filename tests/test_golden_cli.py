@@ -135,8 +135,6 @@ CASES = {
     "constants-thrt": (["constants", "thrt"], None),
     "constants-thrt-crossing": (["constants", "thrt", "--lambda0", "0.9999"], None),
     "constants-thrt-k3-s16": (["constants", "thrt", "--k-int", "3", "--s", "16", "--lambda0", "1.5"], None),
-    # no float --log2-s reaches the chain at k = 4, so the CLI reports exit 1
-    "constants-bta": (["constants", "bta"], None),
     "constants-com2": (["constants", "com2"], None),
     "constants-com2-n256": (["constants", "com2", "--n-int", "256", "--c", "0.25", "--Cc", "2"], None),
     "experiment-warren-squares": (["experiment", "warren-squares"], None),

@@ -62,3 +62,46 @@ def test_guarded_floor_refuses_either_side_of_an_integer(monkeypatch, n):
     assert precision.guarded_floor(_mpf(n, 0)) == n
     assert precision.guarded_floor(_mpf(n, third)) == n
     assert precision.guarded_floor(_mpf(n, -third)) == n - 1
+
+
+def _iroot(n, k):
+    """floor(n^(1/k)) for a non-negative int n, exactly."""
+    lo, hi = 0, 1 << (n.bit_length() // k + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**k <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_cmp_count_power_log_fallback_never_misorders(monkeypatch):
+    # a denominator above 64 takes the log-space path; floor(b^(263/100))
+    # lies below b^(263/100) by a relative 2^-200 or so, which 256 bits
+    # cannot certify and 1024 bits can
+    b, e = 3**50, Fraction(263, 100)
+    below = _iroot(b**263, 100)
+    assert below**100 < b**263 < (below + 1) ** 100
+    monkeypatch.delenv(precision.PRECISION_ENV, raising=False)
+    for count in (below, below + 1):
+        with pytest.raises(PrecisionError):
+            precision.cmp_count_power(count, b, e)
+    assert precision.cmp_count_power(below // 2, b, e) == -1
+    assert precision.cmp_count_power(2 * below, b, e) == 1
+    monkeypatch.setenv(precision.PRECISION_ENV, "1024")
+    assert precision.cmp_count_power(below, b, e) == -1
+    assert precision.cmp_count_power(below + 1, b, e) == 1
+
+
+def test_guarded_cmp_equality_and_margin(monkeypatch):
+    monkeypatch.delenv(precision.PRECISION_ENV, raising=False)
+    one = precision.mpf(1)
+    near = precision.mpf(1 + Fraction(1, 2**200))
+    assert precision.guarded_cmp(one, precision.mpf(Fraction(3, 3))) == 0
+    assert precision.guarded_cmp(7, 7) == 0
+    for lhs, rhs in ((one, near), (near, one)):
+        with pytest.raises(PrecisionError, match="comparison margin"):
+            precision.guarded_cmp(lhs, rhs)
+    assert precision.guarded_cmp(one, near, guard_bits=220) == -1
+    assert precision.guarded_cmp(near, one, guard_bits=220) == 1
