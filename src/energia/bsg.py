@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _kernel, precision
 from .checks import CheckReport, digest
-from .energy import ADDITIVE, RepFunction, rep_function
+from .energy import ADDITIVE, RepFunction, guard_counts, rep_function
 from .errors import (
     BadParamsError,
     EmptyGraphError,
@@ -92,14 +92,35 @@ def popular_sums(r: RepFunction, threshold) -> IntSet:
     return IntSet(hits)
 
 
-def _top_mass(mass):
-    """Deterministic top-half quantile over value-sorted int64 ``mass``: of
-    the positions carrying positive mass, the upper half ranked by mass
-    (ties: increasing value, by the stable sort).  Returns their indices,
-    sorted."""
+def _top(pos, mass, k, values=None):
+    """The ``k`` positions of ``pos`` (sorted) of largest int64 ``mass``,
+    ties going to the least value, as a sorted index array.  Positions
+    are in value order, or ``values(idx)`` gives the values at positions
+    idx; only the ties at the cut are looked up."""
+    if k >= len(pos):
+        return pos
+    m = mass[pos]
+    cut = np.sort(m)[len(m) - k]  # the k-th largest mass
+    above, tied = m > cut, pos[m == cut]
+    if values is not None:
+        tied = tied[np.argsort(values(tied), kind="stable")]
+    return np.sort(np.concatenate((pos[above], tied[: k - np.count_nonzero(above)])))
+
+
+def _top_mass(mass, values=None):
+    """Deterministic top-half quantile: of the positions carrying positive
+    ``mass``, the upper half ranked by mass, ties going to the least value
+    (see ``_top``).  Returns their indices, sorted."""
     pos = np.flatnonzero(mass > 0)
-    ranked = pos[np.argsort(-mass[pos], kind="stable")]
-    return np.sort(ranked[: (len(ranked) + 1) // 2])
+    return _top(pos, mass, (len(pos) + 1) // 2, values)
+
+
+def _reach(seq) -> int:
+    """max |x| over a non-empty sequence or array of ints, as a Python int
+    (a sequence is not made an array: numpy would take ints between 2**63
+    and 2**64 among smaller ones as floats)."""
+    lo, hi = (seq.min(), seq.max()) if isinstance(seq, np.ndarray) else (min(seq), max(seq))
+    return max(-int(lo), int(hi))
 
 
 def _exact_arrays(reach, *seqs):
@@ -113,27 +134,31 @@ def _exact_arrays(reach, *seqs):
 def _membership(X, Y, S, additive):
     """Bool matrix [X_i + Y_j in S] (products when not ``additive``).
 
-    X, Y and S are sorted sequences of ints.  The grid is int64 when
-    every value of X, Y and S and every cell stays below 2**62 in
-    absolute value (a product with a factor 0 does not bound the other),
-    else an object array of Python ints; it is built and tested in row
-    blocks of about ``_BLOCK`` cells, so only the bool matrix is
-    |X|*|Y| sized.
+    X and Y are sequences or arrays of ints, in any order, and S is
+    sorted.  The grid is int64 when every value of X, Y and S and every
+    cell stays below 2**62 in absolute value (a product with a factor 0
+    does not bound the other), else an object array of Python ints; it
+    is built and tested in row blocks of about ``_BLOCK`` cells, so only
+    the bool matrix is |X|*|Y| sized.  The columns are taken in sorted
+    order of Y, so that a row of sums is sorted, which ``searchsorted``
+    runs through fastest, and put back in place.
     """
-    mx, my = max(-X[0], X[-1]), max(-Y[0], Y[-1])
+    mx, my = _reach(X), _reach(Y)
     bound = mx + my if additive else max(mx, my, mx * my)
-    if S:
-        bound = max(bound, -S[0], S[-1])
+    if len(S):
+        bound = max(bound, _reach(S))
     X, Y, S = _exact_arrays(bound, X, Y, S)
     out = np.zeros((len(X), len(Y)), dtype=bool)
     if len(S):
         outer = np.add.outer if additive else np.multiply.outer
+        cols = np.argsort(Y, kind="stable")
+        Y = Y[cols]
         rows = max(1, _BLOCK // len(Y))
         for i in range(0, len(X), rows):
             grid = outer(X[i : i + rows], Y)
             pos = np.searchsorted(S, grid)
             np.minimum(pos, len(S) - 1, out=pos)
-            out[i : i + rows] = S[pos] == grid
+            out[i : i + rows, cols] = S[pos] == grid
     return out
 
 
@@ -157,10 +182,10 @@ def _nested_spans(P, level, additive):
     its entry level; ``np.unique`` returns first occurrences.
     """
     order = np.argsort(level, kind="stable")
-    P = [P[i] for i in order.tolist()]
     level = level[order]
-    mag = max(-min(P), max(P))
+    mag = _reach(P)
     (P,) = _exact_arrays(2 * mag if additive else mag * mag, P)
+    P = P[order]
     outer = np.add.outer if additive else np.multiply.outer
     sums, levels = [], []  # each row block's distinct sums, with their levels there
     rows = max(1, _BLOCK // len(P))
@@ -176,7 +201,7 @@ def _nested_spans(P, level, additive):
     return np.cumsum(entered).tolist()
 
 
-def bsg_extract(U: IntSet, V: IntSet, G: PopularSumGraph):
+def bsg_extract(U: IntSet, V: IntSet, G: PopularSumGraph, keys=None):
     """Constructive BSG: popular seed + common-neighbourhood filtering.
 
     Candidates are common-neighbourhood superlevel sets of the most
@@ -186,10 +211,19 @@ def bsg_extract(U: IntSet, V: IntSet, G: PopularSumGraph):
     exhaustive subset search fallback for small U).  A seed's candidates
     are nested, so all their doubling spans come from one pass over the
     largest (see ``_nested_spans``).
+
+    ``keys``, for a multiplicative graph, holds int64 exponent keys (see
+    ``_keys``) of U and of V, aligned with their elements, and of
+    ``G.sum_filter``, sorted: the adjacency and the spans then add keys
+    in place of multiplying values.
     """
     additive = G.mode == ADDITIVE
     elems = list(U)
-    adj = _membership(elems, V.elements, sorted(G.sum_filter), additive)
+    if keys is None:
+        X, Y, S, add = np.array(elems, dtype=object), V.elements, sorted(G.sum_filter), additive
+    else:
+        (X, Y, S), add = keys, True
+    adj = _membership(X, Y, S, add)
     deg = adj.sum(axis=1)
     if not deg.any():
         raise EmptyGraphError("popular-sum graph has no edges")
@@ -203,7 +237,7 @@ def bsg_extract(U: IntSet, V: IntSet, G: PopularSumGraph):
         inside = np.flatnonzero(codeg)
         taus = np.unique(codeg[inside])
         level = len(taus) - 1 - np.searchsorted(taus, codeg[inside])
-        spans = _nested_spans([elems[i] for i in inside.tolist()], level, additive)
+        spans = _nested_spans(X[inside], level, add)
         for tau, span in zip(taus[::-1].tolist(), spans):
             mask = codeg >= tau
             key = mask.tobytes()
@@ -295,8 +329,7 @@ def kp_pipeline(
         raise BadParamsError(f"unknown mode {mode!r}")
 
     nA = len(A)
-    half = rep_function(A, s // 2, energy_mode)
-    r_s = half.self_convolution()  # s is even, so r_s = r_{s/2} * r_{s/2}
+    shifts, half, r_s = _chain(A, s, energy_mode)
     E_s = r_s.energy_count()
     E_half = half.energy_count()
     log_n = precision.log2(nA)
@@ -317,19 +350,34 @@ def kp_pipeline(
     if mode == PAPER and energy_cond:
         stats = {"E_s": E_s, "E_half": E_half}
         return KpResult(ENERGY_BRANCH, nu, delta, s, mode, energy_mode, stage_stats=stats, checks=[energy_check])
-    return _run_stages(A, s, delta, mode, energy_mode, r_s, half, nu, energy_check)
+    return _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_check)
+
+
+def _chain(A, s, energy_mode):
+    """(r_{s/2-1}, r_{s/2}, r_s) of A for even s >= 4, from r_1 alone:
+    r_{s/2} = r_{s/2-1} * r_1 and r_s = r_{s/2} * r_{s/2}.  The first, the
+    shift stage's shifts, is the kernel's set; the others are
+    RepFunctions.  r_1 is asked for products of up to s elements, so in
+    key form all three share its codec."""
+    additive = energy_mode == ADDITIVE
+    guard_counts(len(A), s // 2)
+    base = rep_function(A, 1, energy_mode, products=s).counts
+    shifts = _kernel.power(base, s // 2 - 1, additive)
+    half = RepFunction(_kernel.pair(shifts, base, additive), s // 2, energy_mode)
+    return shifts, half, half.self_convolution()
 
 
 def _fiber_stages(H, h, S, additive, mode, nA, s, d):
     """anchor, R_G(anchor), Y, z and Y1 over the half-arity support.
 
-    H is the sorted support of r_{s/2}, h its fiber weights (int64) and S
-    the sorted popular sums.  Every stage reads one bool membership matrix
+    H is the value-sorted support of r_{s/2} (or the keys of its values,
+    in that order), h its fiber weights (int64) and S the sorted popular
+    sums (or their keys).  Every stage reads one bool membership matrix
     M[i, j] = [H_i op H_j in S], symmetric since op commutes:
     deg = M h, anchor score = M (h deg), overlap = M[:, R_x] h[R_x] and the
     z sizes h[Y] M[Y, R_x].  argmax keeps the first maximum, so ties go to
-    the least value.  Returns (anchor, R_x, Y, thr_Y, z, Y1) with R_x, Y
-    and Y1 as sorted index arrays into H.
+    the least value.  Returns (anchor, R_x, Y, thr_Y, z, Y1), all but
+    thr_Y as indices into H: R_x, Y and Y1 sorted index arrays.
     """
     M = _membership(H, H, S, additive)
     deg = _matvec(M, h)
@@ -359,11 +407,25 @@ def _fiber_stages(H, h, S, additive, mode, nA, s, d):
         if precision.mpf(int(size[zi])) < thr_Y1:
             raise StageCollapseError("Y1", "paper lower bound missed")
     z = int(R_x[zi])
-    return H[a], R_x, Y, thr_Y, H[z], Y[M[Y, z]]
+    return a, R_x, Y, thr_Y, z, Y[M[Y, z]]
 
 
-def _run_stages(A, s, delta, mode, energy_mode, r_s, half, nu, energy_check):
+def _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_check):
     additive = energy_mode == ADDITIVE
+    # The shifts, r_{s/2} and r_s come from one r_1 (see _chain), so they
+    # are all in key form with its codec, or all in value forms.  In key
+    # form every grid below adds the exponent keys of the values in place
+    # of multiplying them.  H and the shifts are read in value order with
+    # their keys alongside, so each first maximum still goes to the least
+    # value; r_s and r_uv are read in key order, and their values are
+    # decoded only for the ties at a cut and for the graph's sums.
+    H_w, R_w = half.counts, r_s.counts
+    codec = H_w.codec
+    add = additive or codec is not None
+
+    def in_value_order(w):
+        return w.arrays()[0] if codec is None else w.keys()
+
     nA = len(A)
     E_s = r_s.energy_count()
     d = precision.mpf(delta)
@@ -375,13 +437,13 @@ def _run_stages(A, s, delta, mode, energy_mode, r_s, half, nu, energy_check):
     # 2**63, so int64 sums and products of counts are exact.
 
     # --- stage S: popular sums ------------------------------------------
-    s_vals, s_cnts = r_s.counts.arrays()
+    s_coords, s_cnts = R_w.coords()
     if mode == PAPER:
         thr_S = Fraction(E_s, 2 * nA**s)  # = |A|^(s-nu) / 2, exactly
         S_idx = np.flatnonzero(s_cnts >= math.ceil(thr_S))
     else:
         thr_S = "top-half energy mass"
-        S_idx = _top_mass(s_cnts)  # ranking by r_s(n) ranks r_s(n)^2 the same
+        S_idx = _top_mass(s_cnts, R_w.values_at if codec else None)  # ranking by r_s(n) ranks r_s(n)^2 the same
     if not len(S_idx):
         raise StageCollapseError("S")
     G_size = int(s_cnts[S_idx].sum())
@@ -404,11 +466,12 @@ def _run_stages(A, s, delta, mode, energy_mode, r_s, half, nu, energy_check):
 
     # --- anchor, Y (large overlap against the anchor), z and Y1 ------------
     # stage sets are sorted index arrays into H, fiber i weighing h[i]
-    H_vals, h = half.counts.arrays()
+    H_vals, h = H_w.arrays()
     H = H_vals.tolist()
-    anchor, R_x, Y, thr_Y, z_val, Y1 = _fiber_stages(
-        H, h, s_vals[S_idx].tolist(), additive, mode, nA, s, d
+    a, R_x, Y, thr_Y, z, Y1 = _fiber_stages(
+        in_value_order(H_w), h, s_coords[S_idx], add, mode, nA, s, d
     )
+    anchor, z_val = H[a], H[z]
     size_Y, size_Y1 = int(h[Y].sum()), int(h[Y1].sum())
     trace.append(("anchor", int(h[R_x].sum()), str(anchor)))
     trace.append(("Y", size_Y, str(thr_Y)))
@@ -425,37 +488,36 @@ def _run_stages(A, s, delta, mode, energy_mode, r_s, half, nu, energy_check):
     # --- popular-sum graph on U = sums(Y2), V = sums(R_G(x)) --------------
     U = IntSet._trusted([H[i] for i in Y2.tolist()])
     V = IntSet._trusted([H[i] for i in R_x.tolist()])
-    r_uv = _kernel.pair(
-        _kernel.Weighted.indicator(U.elements, counted=True),
-        _kernel.Weighted.indicator(V.elements, counted=True),
-        additive,
-    )
-    uv_vals, uv_cnts = r_uv.arrays()
+    r_uv = _kernel.pair(H_w.subset(Y2, True), H_w.subset(R_x, True), additive)
+    uv_coords, uv_cnts = r_uv.coords()
+    uv_ties = r_uv.values_at if codec else None  # key order: look up tied values
     M = Fraction(4 * nA ** (2 * s), E_s)  # 4 |A|^nu, exactly
     if mode == PAPER:
         alpha_paper = mpmath.mpf(2) ** -37 * mpmath.mpf(nA) ** (-20 * d)
         thr_graph = alpha_paper * precision.mpf(M)
         passing = [c for c in np.unique(uv_cnts).tolist() if precision.mpf(c) >= thr_graph]
-        Sp_idx = np.flatnonzero(np.isin(uv_cnts, passing))
         # keep at most M sums, the most represented first (ties: least value)
-        Sp_idx = np.sort(Sp_idx[np.argsort(-uv_cnts[Sp_idx], kind="stable")][: int(M)])
+        Sp_idx = _top(np.flatnonzero(np.isin(uv_cnts, passing)), uv_cnts, int(M), uv_ties)
         thr_repr = str(thr_graph)
     else:
-        Sp_idx = _top_mass(uv_cnts)
+        Sp_idx = _top_mass(uv_cnts, uv_ties)
         thr_repr = "top-half pair mass"
     if not len(Sp_idx):
         raise StageCollapseError("Sprime")
     edge_total = int(uv_cnts[Sp_idx].sum())
     bound_n = max(len(U), len(V), len(Sp_idx))
     graph = PopularSumGraph(
-        U, V, frozenset(uv_vals[Sp_idx].tolist()), Fraction(edge_total, bound_n**2), energy_mode
+        U, V, frozenset(r_uv.values_at(Sp_idx).tolist()), Fraction(edge_total, bound_n**2), energy_mode
     )
     trace.append(("U", len(U), ""))
     trace.append(("V", len(V), ""))
     trace.append(("Sprime", len(Sp_idx), thr_repr))
 
     # --- BSG extraction on sum values -------------------------------------
-    U_prime, balbsg_report = bsg_extract(U, V, graph)
+    keys = None
+    if codec is not None:
+        keys = (H_w.keys()[Y2], H_w.keys()[R_x], uv_coords[Sp_idx])
+    U_prime, balbsg_report = bsg_extract(U, V, graph, keys)
     checks.append(balbsg_report)
     trace.append(("Uprime", len(U_prime), "balbsg"))
 
@@ -465,14 +527,14 @@ def _run_stages(A, s, delta, mode, energy_mode, r_s, half, nu, energy_check):
 
     # --- best shift: pull A' out of the Y3 fibers --------------------------
     # s >= 4, so the shifts sigma_w range over (s/2 - 1)A
-    shifts = rep_function(A, s // 2 - 1, energy_mode).counts.sorted_values()
-    hits = _membership(shifts, A.elements, U_prime.elements, additive)
+    A_coords = A.elements if codec is None else codec.keys
+    hits = _membership(in_value_order(shifts), A_coords, np.sort(in_value_order(H_w)[Y3]), add)
     w = int(np.argmax(hits.sum(axis=1)))
     members = np.flatnonzero(hits[w]).tolist()
     if not members:
         raise StageCollapseError("Aprime")
     A_prime = IntSet._trusted([A.elements[j] for j in members])
-    trace.append(("Aprime", len(A_prime), str(shifts[w])))
+    trace.append(("Aprime", len(A_prime), str(shifts.sorted_values()[w])))
 
     # paper-constant final lower bound, informational at desk scale
     with mpmath.workprec(precision.precision_bits()):

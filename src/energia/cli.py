@@ -237,12 +237,15 @@ def cmd_decompose(args):
     cfg = DecomposeConfig(k=args.k, s=args.s, q=args.q, mode=args.mode, extractor=args.extractor)
     d = decompose(A, cfg)
     exp = 2 * cfg.s - cfg.k
+    # one sign and no 0: C is the residual of the one loop, whose stop report
+    # (unless an extraction failed, or |C| <= 1) already holds M_s(C) = M_s(-C)
+    stop_count = len(d.C) > 1 and d.stop_report is not None and (A.elements[0] > 0 or A.elements[-1] < 0)
     certs = {}
     for label, part, mode in (("B", d.B, ADDITIVE), ("C", d.C, MULTIPLICATIVE)):
         if len(part) == 0:
             certs[label] = {"count": "0", "holds": True, "size": 0}
             continue
-        e = energy(part, cfg.s, mode).count
+        e = d.stop_report.lhs if label == "C" and stop_count else energy(part, cfg.s, mode).count
         certs[label] = {
             "count": str(e),
             "size": len(part),

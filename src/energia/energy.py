@@ -71,22 +71,28 @@ class EnergyValue:
         return self.count
 
 
-def _guard_counts(size: int, s: int):
+def guard_counts(size: int, s: int):
     if size >= 2 and size**s >= _COUNTER_LIMIT:
         raise OverflowGuardError(f"|A|^s = {size}^{s} exceeds the 64-bit multiplicity guard")
 
 
-def rep_function(A: IntSet, s: int, mode: str = ADDITIVE) -> RepFunction:
-    """Exact r_s (additive) or q_s (multiplicative) of A."""
+def rep_function(A: IntSet, s: int, mode: str = ADDITIVE, products: int = 0) -> RepFunction:
+    """Exact r_s (additive) or q_s (multiplicative) of A.
+
+    ``products``, when above s, is the most elements of A whose products
+    will be formed from the result (as ``self_convolution`` does), so that
+    a key form (see ``_kernel``) is sized for them.
+    """
     if len(A) == 0:
         raise EmptySetError("rep_function of empty set")
     if s < 1:
         raise BadParamsError("s must be >= 1")
     if mode not in _OPS:
         raise BadParamsError(f"unknown mode {mode!r}")
-    _guard_counts(len(A), s)
-    indicator = _kernel.Weighted.indicator(A.elements, counted=True)
-    return RepFunction(_kernel.power(indicator, s, mode == ADDITIVE), s, mode)
+    guard_counts(len(A), s)
+    additive = mode == ADDITIVE
+    indicator = _kernel.Weighted.indicator(A.elements, counted=True, products=0 if additive else max(s, products))
+    return RepFunction(_kernel.power(indicator, s, additive), s, mode)
 
 
 def energy(A: IntSet, s: int, mode: str = ADDITIVE) -> EnergyValue:

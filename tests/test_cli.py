@@ -3,6 +3,8 @@ import json
 import pytest
 
 from energia.cli import main
+from energia.energy import MULTIPLICATIVE, energy
+from energia.sets import IntSet
 
 
 def run(capsys, *argv):
@@ -66,6 +68,18 @@ class TestSumsetCmd:
         assert code == 0 and "1" in doc["results"]["values"]
 
 
+    @pytest.mark.parametrize("m, n", [(0, 1), (1, 1)])
+    def test_least_int64(self, capsys, tmp_path, m, n):
+        # -(-2^63) is not an int64: the sets must come out exact and sorted
+        A = [-(2**63), 0, 5]
+        path = tmp_path / "edge.txt"
+        path.write_text(" ".join(map(str, A)))
+        code, doc, _ = run_json(capsys, "sumset", "--m", str(m), "--n", str(n), str(path))
+        plus = set(A) if m else {0}
+        want = sorted({p - q for p in plus for q in A})
+        assert code == 0 and doc["results"]["values"] == [str(v) for v in want]
+
+
 class TestCheckCmd:
     def test_suite_passes(self, capsys):
         code, doc, _ = run_json(capsys, "check", "--suite", "csref", "--cases", "20", "--seed", "7")
@@ -115,6 +129,24 @@ class TestDecomposeCmd:
         res = doc["results"]
         assert res["certificates"]["B"]["holds"] and res["certificates"]["C"]["holds"]
         assert sorted(int(v) for v in res["B"] + res["C"]) == sorted(set(vals))
+
+    @pytest.mark.parametrize("sign, zero, recounted", [(1, False, False), (-1, False, False), (1, True, True)])
+    def test_C_count_comes_from_the_stop_report(self, capsys, tmp_path, monkeypatch, sign, zero, recounted):
+        # one sign and no 0: C is the loop's residual, whose M_s the stop
+        # report holds (M_s(-C) = M_s(C)), so only B's energy is computed
+        from energia import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "energy", lambda A, s, mode: calls.append(mode) or energy(A, s, mode))
+        vals = [sign * v for v in [1, 2, 3, 4, 5, 8, 16, 32, 64, 128]] + ([0] if zero else [])
+        p = tmp_path / "set.txt"
+        p.write_text(" ".join(str(v) for v in vals))
+        code, doc, _ = run_json(capsys, "decompose", "--k", "1.5", "--extractor", "exhaustive", str(p))
+        res = doc["results"]
+        C = IntSet(int(v) for v in res["C"])
+        assert code == 0 and len(C) > 1
+        assert res["certificates"]["C"]["count"] == str(energy(C, 2, MULTIPLICATIVE).count)
+        assert calls.count(MULTIPLICATIVE) == int(recounted)
 
     def test_unknown_extractor(self, capsys, tmp_path):
         # rejected even where no extraction would run: {0} has nothing to extract

@@ -9,12 +9,19 @@ half and quotient sets were keyed by integers, the ``constants-*``,
 ``decompose-signed-*``, ``decompose-exhaustive``,
 ``decompose-extract-failed``, ``energy-singleton``,
 ``check-hld3`` and ``check-war2`` cases before the deletion pass over
-the decomposer, the constants and the CLI, the ``kp-mult-*``,
+the decomposer, the constants and the CLI, the
+``energy-mult-s3/s4-dilated``, ``energy-mult-wide-base``,
+``kp-mult-split-c``, ``kp-mult-wide-base``,
+``kp-s6-mult-grid-above-2^62`` and ``decompose-35-grid`` cases before
+multiplicative work moved to exponent keys, the ``kp-mult-*``,
 ``kp-paper-*``, ``kp-s6*`` and ``decompose-mult-*`` cases before the
 popular-sum stages were vectorised, the others before the convolution
-kernel was rewritten.  A change that alters any report byte, any exit
-code or the chosen ``A'`` fails here.  To capture them again after an
-intended change of output:
+kernel was rewritten.  Two cases record a fix rather than old output:
+``sumset-0A-A-int64-min`` and ``sumset-A-A-int64-min`` were captured
+after the int64 indicator stopped taking -2^63, whose negation wrapped,
+and a test checks them against plain Python sets.  A change that alters
+any report byte, any exit code or the chosen ``A'`` fails here.  To
+capture them again after an intended change of output:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -24,6 +31,7 @@ import io
 import json
 import random
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -61,6 +69,19 @@ DECOMPOSE_SIGNED = [-48, -24, -16, -12, -8, -6, -4, -3, -2, -1, 0, 5, 10, 15, 20
 DECOMPOSE_SIGNED_GRID = sorted(
     {s * 2**i * 3**j for s in (1, -1) for i in range(4) for j in range(3)} | {0} | set(range(1, 9))
 )
+# 7^25 > 2^70: every q_s value is past 2^62, over the base {2, 3, 5, 7^25}
+DILATED_235 = sorted(7**25 * 2**i * 3**j * 5**k for i in range(3) for j in range(3) for k in range(3))
+# the dilation 6 shares its primes with the grid and 6*[16] brings in 5, 7,
+# 11 and 13, so a coprime base must split 6 into 2 and 3
+KP_SPLIT_C = sorted({6 * 2**i * 3**j for i in range(5) for j in range(5)} | {6 * v for v in range(1, 17)})
+# q_3 values reach 2^88
+KP_S6_GRID = sorted(5**10 * 2**i * 3**j for i in range(4) for j in range(3))
+# 35 = 5 * 7 shares 5 with the grid; q_4 of the pipeline passes 2^62
+DECOMPOSE_35 = sorted({35 * 3**i * 5**j for i in range(5) for j in range(5)} | {35 * v for v in range(1, 17)})
+# 30 random values near 2^40: a wide coprime base, so the value path runs
+WIDE_BASE = sorted(random.Random(11).sample(range(2**40, 2**40 + 2**36), 30))
+# -2^63 is the least int64, and its negation is not one
+INT64_MIN = [-(2**63), 0, 5]
 
 
 def _energy(values, s, mode="add", oracle=False):
@@ -99,6 +120,8 @@ CASES = {
     "sumset-0A/2A-mult": _sumset(SIGNED_NONZERO, 0, 2, "mult"),
     "sumset-AA/A-signed": _sumset(SIGNED_NONZERO, 2, 1, "mult"),
     "sumset-A/A-above-2^62": _sumset(QUOTIENT_WIDE, 1, 1, "mult"),
+    "sumset-0A-A-int64-min": _sumset(INT64_MIN, 0, 1),
+    "sumset-A-A-int64-min": _sumset(INT64_MIN, 1, 1),
     "energy-random-s4": _energy(E4_RANDOM, 4),
     "kp-verify-random": (["kp", "--s", "4", "--delta", "0.05", "--verify"], KP_RANDOM),
     "kp-verify-ap-union": (["kp", "--s", "4", "--delta", "0.05", "--verify"], KP_AP_UNION),
@@ -123,6 +146,13 @@ CASES = {
         [2**i for i in range(20)],
     ),
     "energy-singleton": _energy([42], 2),
+    "energy-mult-s3-dilated": _energy(DILATED_235, 3, "mult"),
+    "energy-mult-s4-dilated": _energy(DILATED_235, 4, "mult"),
+    "kp-mult-split-c": (["kp", "--s", "4", "--energy-mode", "mult", "--verify"], KP_SPLIT_C),
+    "kp-s6-mult-grid-above-2^62": (["kp", "--s", "6", "--energy-mode", "mult"], KP_S6_GRID),
+    "decompose-35-grid": (["decompose", "--k", "1.5", "--s", "2", "--q", "4"], DECOMPOSE_35),
+    "energy-mult-wide-base": _energy(WIDE_BASE, 2, "mult"),
+    "kp-mult-wide-base": (["kp", "--s", "4", "--energy-mode", "mult"], WIDE_BASE),
     "check-all": (["check", "--suite", "all", "--cases", "2"], None),
     "check-hld3": (["check", "--suite", "hld3", "--cases", "3"], None),
     "check-war2": (["check", "--suite", "war2", "--cases", "3"], None),
@@ -173,6 +203,16 @@ def test_golden_report(name, golden):
     code, out = run_case(*CASES[name])
     assert code == golden[name]["code"]
     assert out == golden[name]["stdout"]
+
+
+@pytest.mark.parametrize("name, m, n", [("sumset-0A-A-int64-min", 0, 1), ("sumset-A-A-int64-min", 1, 1)])
+def test_int64_min_reports_match_python_sets(name, m, n, golden):
+    plus = {sum(t) for t in product(INT64_MIN, repeat=m)} if m else {0}
+    minus = {sum(t) for t in product(INT64_MIN, repeat=n)}
+    want = sorted({p - q for p in plus for q in minus})
+    results = json.loads(golden[name]["stdout"])["results"]
+    assert results["values"] == [str(v) for v in want]
+    assert results["size"] == len(want)
 
 
 def capture():

@@ -5,7 +5,9 @@ Each backend is forced through the whole driver by replacing
 Python ints) is the reference.  Pairs whose values could leave int64 stay on Python
 even when a numpy backend is forced; a separate group checks that the
 natural choice falls back to Python exactly at the value and count
-bounds.
+bounds.  Positive sets whose products could pass 2^62 run on exponent
+keys on both sides, so there the backends are compared on keys;
+``test_keys.py`` compares keys with values.
 """
 
 import inspect
@@ -312,6 +314,28 @@ def test_natural_choice_agrees_with_python(monkeypatch, vals, s):
         assert rep_function(A, s, mode).support == want.support
     want = reference(monkeypatch, lambda: iterated_sumset(A, 2, 1))
     assert iterated_sumset(A, 2, 1) == want
+
+
+# the least int64 has no int64 negation; its neighbours and 2^63 itself
+EDGES = (-(2**63) - 1, -(2**63), -(2**63) + 1, 2**63 - 1, 2**63)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    edges=st.lists(st.sampled_from(EDGES), min_size=1, max_size=3, unique=True),
+    small=st.lists(st.integers(-9, 9), max_size=3, unique=True),
+    m=st.integers(0, 2),
+    n=st.integers(0, 2),
+)
+def test_sumsets_at_the_int64_edges(edges, small, m, n):
+    if m == n == 0:
+        return
+    A = sorted(set(edges) | set(small))
+    plus = {sum(t) for t in product(A, repeat=m)}
+    minus = {sum(t) for t in product(A, repeat=n)}
+    assert list(iterated_sumset(IntSet(A), m, n).elements) == sorted({p - q for p in plus for q in minus})
+    w = _kernel.Weighted.indicator(A, counted=False)
+    assert w.negated().sorted_values() == sorted(-a for a in A)
 
 
 def test_sum_squares_beyond_int64():

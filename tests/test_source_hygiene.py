@@ -3,7 +3,10 @@
 ``python -O`` strips ``assert`` statements, so an invariant written as
 one silently stops being checked, and a bare ``AssertionError`` escapes
 the CLI's ``EnergiaError`` handling.  The library raises typed
-``EnergiaError``s instead; these tests keep it that way.
+``EnergiaError``s instead; these tests keep it that way.  They also
+keep the independent oracles independent: ``energy_oracle``,
+``_numpy_oracle`` and ``tests/fiber_oracle.py`` may not name the
+convolution kernel or the exponent-key module they cross-check.
 """
 
 import ast
@@ -38,3 +41,32 @@ def test_no_raise_assertion_error(path):
         node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc and _raises_assertion_error(node)
     ]
     assert not lines, f"{path.name} raises AssertionError at lines {lines}; raise an EnergiaError"
+
+
+# The independent oracles must not reach the fast paths they check: the
+# convolution kernel and the exponent keys.
+FAST_PATHS = {"_kernel", "_keys"}
+ORACLE_FUNCTIONS = ("energy_oracle", "_numpy_oracle")
+FIBER_ORACLE = Path(__file__).resolve().parent / "fiber_oracle.py"
+
+
+def _names(tree):
+    """Every identifier a tree mentions: names, attributes and imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield from node.module.split(".")
+
+
+def test_oracles_name_no_fast_path():
+    tree = ast.parse((SRC / "energy.py").read_text())
+    found = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    scopes = {name: found[name] for name in ORACLE_FUNCTIONS}
+    scopes[FIBER_ORACLE.name] = ast.parse(FIBER_ORACLE.read_text())
+    for name, scope in scopes.items():
+        assert not FAST_PATHS & set(_names(scope)), f"{name} names {sorted(FAST_PATHS & set(_names(scope)))}"

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import stage_reference as ref
-from energia import bsg, precision
+from energia import _keys, bsg, precision
 from energia.bsg import CALIBRATED, PAPER
 from energia.energy import ADDITIVE, MULTIPLICATIVE, rep_function
 from energia.errors import StageCollapseError
@@ -42,35 +42,49 @@ def _outcome(fn):
         return ("collapse", exc.stage)
 
 
-def _new(A, s, delta, mode, energy_mode, r_s, half):
+def _new(A, s, delta, mode, energy_mode, shifts, r_s, half):
     """Run bsg._run_stages, recording what its stages chose."""
     seen = {}
     fiber_stages, bsg_extract = bsg._fiber_stages, bsg.bsg_extract
+    # in key form the stages see exponent keys; the indices they return
+    # are into the value-sorted support of r_{s/2}
+    codec = half.counts.codec
+    H = half.counts.arrays()[0].tolist()
 
-    def spy_fiber(H, h, S, *rest):
-        anchor, R_x, Y, thr_Y, z, Y1 = fiber_stages(H, h, S, *rest)
+    def spy_fiber(coords, h, S, *rest):
+        a, R_x, Y, thr_Y, z, Y1 = fiber_stages(coords, h, S, *rest)
         vals = lambda idx: [H[i] for i in idx.tolist()]
-        seen.update(S=list(S), anchor=anchor, R_x=vals(R_x), Y=vals(Y), z=z, Y1=vals(Y1))
-        return anchor, R_x, Y, thr_Y, z, Y1
+        S = S if codec is None else sorted(codec.decode(S, object))
+        seen.update(S=list(S), anchor=H[a], R_x=vals(R_x), Y=vals(Y), z=H[z], Y1=vals(Y1))
+        return a, R_x, Y, thr_Y, z, Y1
 
-    def spy_extract(U, V, G):
+    def spy_extract(U, V, G, keys=None):
         seen["Sprime"] = sorted(G.sum_filter)
-        return bsg_extract(U, V, G)
+        return bsg_extract(U, V, G, keys)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bsg, "_fiber_stages", spy_fiber)
         mp.setattr(bsg, "bsg_extract", spy_extract)
-        res = bsg._run_stages(A, s, delta, mode, energy_mode, r_s, half, None, None)
+        res = bsg._run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, None, None)
     # checks[0] is the energy check kp_pipeline passes in, checks[-1] the
     # final-size report, both outside the stages compared here
     return res.trace, res.checks[1:-1], res.A_prime, res.anchor_sum, seen
 
 
-def _compare(A, s, delta, mode, energy_mode, r_s=None, half=None):
-    if half is None:
-        half = rep_function(A, s // 2, energy_mode)
-        r_s = half.self_convolution()
-    got = _outcome(lambda: _new(A, s, delta, mode, energy_mode, r_s, half))
+def _compare(A, s, delta, mode, energy_mode, foreign=None):
+    """The stages on A's own r_{s/2} and r_s, or with ``foreign`` = (X, Y)
+    on r_{s/2} of X and r_s of Y.  A key form's codec belongs to the set
+    it was built for, so foreign inputs and A's shifts are all built in
+    value forms, as the pipeline never mixes forms."""
+    if foreign is None:
+        shifts, half, r_s = bsg._chain(A, s, energy_mode)
+    else:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_keys, "encode", lambda elements, arity: None)
+            shifts = bsg._chain(A, s, energy_mode)[0]
+            half = rep_function(foreign[0], s // 2, energy_mode)
+            r_s = rep_function(foreign[1], s, energy_mode)
+    got = _outcome(lambda: _new(A, s, delta, mode, energy_mode, shifts, r_s, half))
     want = _outcome(lambda: ref.run_stages(A, s, delta, mode, energy_mode, r_s, half))
     assert got == want
     return got
@@ -106,10 +120,8 @@ def test_pipeline_stages_match_reference(values, scale, energy_mode, mode, delta
     delta=st.sampled_from((0.05, 0.5, 3.0)),
 )
 def test_foreign_rep_functions_match_reference(values, half_values, s_values, scale, energy_mode, mode, delta):
-    A = _scaled(values, scale)
-    half = rep_function(_scaled(half_values, scale), 2, energy_mode)
-    r_s = rep_function(_scaled(s_values, scale), 4, energy_mode)
-    _compare(A, 4, delta, mode, energy_mode, r_s, half)
+    foreign = (_scaled(half_values, scale), _scaled(s_values, scale))
+    _compare(_scaled(values, scale), 4, delta, mode, energy_mode, foreign)
 
 
 def test_arity_six_matches_reference():
@@ -131,9 +143,8 @@ COLLAPSES = {
 @pytest.mark.parametrize("stage", sorted(COLLAPSES))
 def test_collapse_at_each_stage(stage):
     values, half_values, s_values, energy_mode, mode, delta = COLLAPSES[stage]
-    half = rep_function(IntSet(half_values), 2, energy_mode)
-    r_s = rep_function(IntSet(s_values), 4, energy_mode)
-    assert _compare(IntSet(values), 4, delta, mode, energy_mode, r_s, half) == ("collapse", stage)
+    foreign = (IntSet(half_values), IntSet(s_values))
+    assert _compare(IntSet(values), 4, delta, mode, energy_mode, foreign) == ("collapse", stage)
 
 
 @settings(max_examples=80, deadline=None)
@@ -158,9 +169,9 @@ def test_fiber_stages_match_reference(H, data, scale, additive, mode, nA):
     d = precision.mpf(0.05)
 
     def new():
-        anchor, R_x, Y, thr_Y, z, Y1 = bsg._fiber_stages(H, np.array(h, dtype=np.int64), S, additive, mode, nA, 4, d)
+        a, R_x, Y, thr_Y, z, Y1 = bsg._fiber_stages(H, np.array(h, dtype=np.int64), S, additive, mode, nA, 4, d)
         vals = lambda idx: [H[i] for i in idx.tolist()]
-        return anchor, vals(R_x), vals(Y), thr_Y, z, vals(Y1)
+        return H[a], vals(R_x), vals(Y), thr_Y, H[z], vals(Y1)
 
     want = _outcome(lambda: ref.fiber_stages(H, dict(zip(H, h)), S, additive, mode, nA, 4, d))
     assert _outcome(new) == want
