@@ -204,23 +204,26 @@ def _nested_spans(P, level, additive):
 def bsg_extract(U: IntSet, V: IntSet, G: PopularSumGraph, keys=None):
     """Constructive BSG: popular seed + common-neighbourhood filtering.
 
-    Candidates are common-neighbourhood superlevel sets of the most
-    popular seed vertices, scored by the additive-richness proxy
-    |A'|^2 / |A'+A'|; the winner is verified against the explicit
-    graph-BSG constants (retrying further candidates on failure, with an
-    exhaustive subset search fallback for small U).  A seed's candidates
-    are nested, so all their doubling spans come from one pass over the
-    largest (see ``_nested_spans``).
+    Candidates are common-neighbourhood superlevel sets of the four most
+    popular seed vertices, ranked by the additive-richness proxy
+    |A'|^2 / |A'+A'|; the best-ranked one is verified once against the
+    explicit graph-BSG constants, and EnergiaError is raised if it fails.
+    That needs a graph whose alpha disagrees with its edges: when alpha
+    is the edge count E over n^2, as ``kp_pipeline`` builds it, then
+    alpha <= 1, the size bound 3 alpha^3 n / (2^16 log2(32/alpha)) reaches
+    1 only from E >= 109227^2, and the span bound, at least 5 (2^38/3) n,
+    exceeds any span n(n+1)/2.  A seed's candidates are nested, so all
+    their doubling spans come from one pass over the largest (see
+    ``_nested_spans``).
 
     ``keys``, for a multiplicative graph, holds int64 exponent keys (see
     ``_keys``) of U and of V, aligned with their elements, and of
     ``G.sum_filter``, sorted: the adjacency and the spans then add keys
     in place of multiplying values.
     """
-    additive = G.mode == ADDITIVE
     elems = list(U)
     if keys is None:
-        X, Y, S, add = np.array(elems, dtype=object), V.elements, sorted(G.sum_filter), additive
+        X, Y, S, add = np.array(elems, dtype=object), V.elements, sorted(G.sum_filter), G.mode == ADDITIVE
     else:
         (X, Y, S), add = keys, True
     adj = _membership(X, Y, S, add)
@@ -231,56 +234,31 @@ def bsg_extract(U: IntSet, V: IntSet, G: PopularSumGraph, keys=None):
     by_degree = np.argsort(-deg, kind="stable")
     seeds = by_degree[deg[by_degree] > 0][:4]
     candidates = []  # (members mask, span)
-    seen = set()
     for seed in seeds.tolist():
         codeg = adj[:, adj[seed]].sum(axis=1)
         inside = np.flatnonzero(codeg)
         taus = np.unique(codeg[inside])
         level = len(taus) - 1 - np.searchsorted(taus, codeg[inside])
         spans = _nested_spans(X[inside], level, add)
-        for tau, span in zip(taus[::-1].tolist(), spans):
-            mask = codeg >= tau
-            key = mask.tobytes()
-            if key not in seen:
-                seen.add(key)
-                candidates.append((mask, span))
-
-    def doubling_span(members) -> int:
-        sub = IntSet._trusted(members)
-        if additive:
-            return len(iterated_sumset(sub, 2, 0))
-        return len(iterated_product_set(sub, 2, 0))
+        candidates.extend((codeg >= tau, span) for tau, span in zip(taus[::-1].tolist(), spans))
 
     # Rank by size^2 / span exactly, in integers: two unequal ratios whose
     # spans are below 2**b differ by more than 2**-2b, so scaled by
     # 2**(2b + 1) and floored they keep their order, and equal ones tie.
+    # Equal ranks go to the larger candidate, then to the first.
     shift = 2 * max(span for _, span in candidates).bit_length() + 1
-    scored = []
-    for i, (mask, span) in enumerate(candidates):
+
+    def rank(candidate):
+        mask, span = candidate
         size = int(np.count_nonzero(mask))
-        scored.append(((size * size << shift) // span, size, -i))
-    scored.sort(reverse=True)
+        return (size * size << shift) // span, size
 
-    for _, _, neg_i in scored:
-        mask, span = candidates[-neg_i]
-        cand = tuple(elems[k] for k in np.flatnonzero(mask).tolist())
-        report = _balbsg_report(cand, span, G)
-        if report.holds:
-            return IntSet._trusted(cand), report
-
-    if len(U) <= 16:
-        best = None
-        for mask in range(1, 1 << len(elems)):
-            cand = tuple(elems[i] for i in range(len(elems)) if mask >> i & 1)
-            span = doubling_span(cand)
-            report = _balbsg_report(cand, span, G)
-            if report.holds:
-                key = (Fraction(len(cand) ** 2, span), len(cand), cand)
-                if best is None or key > best[0]:
-                    best = (key, IntSet._trusted(cand), report)
-        if best is not None:
-            return best[1], best[2]
-    raise EnergiaError("no candidate subset passed the BSG verification")
+    mask, span = max(candidates, key=rank)
+    cand = tuple(elems[k] for k in np.flatnonzero(mask).tolist())
+    report = _balbsg_report(cand, span, G)
+    if not report.holds:
+        raise EnergiaError("the BSG candidate failed its verification")
+    return IntSet._trusted(cand), report
 
 
 def _balbsg_report(members, span, G: PopularSumGraph) -> CheckReport:
@@ -429,7 +407,6 @@ def _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_ch
     nA = len(A)
     E_s = r_s.energy_count()
     d = precision.mpf(delta)
-    log_n = precision.log2(nA)
     trace = []
     checks = [energy_check]
 
@@ -451,9 +428,7 @@ def _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_ch
     trace.append(("G", G_size, str(thr_S)))
 
     # Lemma 7lem1 assertions: 2|G| > |A|^(s-delta) and |S| E_s <= 4 |A|^(2s)
-    mass_ok = precision.guarded_cmp(
-        precision.log2(2 * G_size), (s - d) * log_n
-    ) > 0
+    mass_ok = precision.cmp_count_power(2 * G_size, nA, s - precision.rational(delta, "delta")) > 0
     count_ok = len(S_idx) * E_s <= 4 * nA ** (2 * s)
     checks.append(
         CheckReport("7lem1-mass", 2 * G_size, f"|A|^(s-delta)", mass_ok, None, digest(A, s, "mass"))

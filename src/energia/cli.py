@@ -232,10 +232,9 @@ def cmd_kp(args):
     return 0
 
 
-def cmd_decompose(args):
-    A = _read_input(args.input)
-    cfg = DecomposeConfig(k=args.k, s=args.s, q=args.q, mode=args.mode, extractor=args.extractor)
-    d = decompose(A, cfg)
+def _certificates(A, d, cfg):
+    """E_s(B) and M_s(C) of the decomposition d of A, each tested against
+    |part|^(2s - k); an empty part holds with count 0."""
     exp = 2 * cfg.s - cfg.k
     # one sign and no 0: C is the residual of the one loop, whose stop report
     # (unless an extraction failed, or |C| <= 1) already holds M_s(C) = M_s(-C)
@@ -252,6 +251,14 @@ def cmd_decompose(args):
             "exponent": str(exp),
             "holds": precision.cmp_count_power(e, len(part), exp) <= 0,
         }
+    return certs
+
+
+def cmd_decompose(args):
+    A = _read_input(args.input)
+    cfg = DecomposeConfig(k=args.k, s=args.s, q=args.q, mode=args.mode, extractor=args.extractor)
+    d = decompose(A, cfg)
+    certs = _certificates(A, d, cfg)
     results = {
         "input_digest": _digest(A),
         "B": [str(v) for v in d.B],
@@ -336,23 +343,17 @@ def cmd_experiment(args):
     elif name == "ap-gp-mix":
         A = IntSet(list(range(1, 33)) + [3**i for i in range(16)])
         cfg = DecomposeConfig(k=Fraction(6, 5), s=2, q=4, mode=CALIBRATED)
-        d = decompose(A, cfg)
-        exp = Fraction(14, 5)
-        eb = energy(d.B, 2, ADDITIVE).count if len(d.B) else 0
-        mc = energy(d.C, 2, MULTIPLICATIVE).count if len(d.C) else 0
-        ok = (
-            d.iterations_used <= d.budget
-            and (eb == 0 or precision.cmp_count_power(eb, len(d.B), exp) <= 0)
-            and (mc == 0 or precision.cmp_count_power(mc, len(d.C), exp) <= 0)
-        )
+        d = decompose(A, cfg)  # raises past the iteration budget
+        certs = _certificates(A, d, cfg)
+        ok = certs["B"]["holds"] and certs["C"]["holds"]
         results = {
             "experiment": name,
             "B_size": len(d.B),
             "C_size": len(d.C),
             "iterations_used": d.iterations_used,
             "budget": d.budget,
-            "E2_B": str(eb),
-            "M2_C": str(mc),
+            "E2_B": certs["B"]["count"],
+            "M2_C": certs["C"]["count"],
             "holds": ok,
         }
     elif name == "zero-obstruction":

@@ -98,20 +98,22 @@ def guarded_cmp(lhs, rhs, guard_bits=None) -> int:
 def cmp_count_power(count: int, base: int, exponent) -> int:
     """Three-way compare of an exact count against base**exponent.
 
-    Rational exponents with a denominator up to 64 are decided by exact
-    integer arithmetic (clearing the denominator); other exponents go
-    through the guarded log-space comparison, both sides formed at the
+    A rational exponent p/q is decided by exact integer arithmetic,
+    count**q against base**p, whenever both powers stay below 2**16 bits
+    (a few milliseconds); larger powers and other exponents go through
+    the guarded log-space comparison, both sides formed at the
     configured precision.
     """
     if count < 0 or base < 0:
         raise ValueError("count and base must be non-negative")
     if isinstance(exponent, int):
         exponent = Fraction(exponent)
-    if isinstance(exponent, Fraction) and exponent.denominator <= 64:
+    if isinstance(exponent, Fraction):
         p, q = exponent.numerator, exponent.denominator
-        lhs = count**q
-        rhs = base**p if p >= 0 else Fraction(1, base**-p)
-        return (lhs > rhs) - (lhs < rhs)
+        if q * count.bit_length() <= 1 << 16 and abs(p) * base.bit_length() <= 1 << 16:
+            lhs = count**q
+            rhs = base**p if p >= 0 else Fraction(1, base**-p)
+            return (lhs > rhs) - (lhs < rhs)
     if count == 0:
         return -1 if base > 0 else 0
     if base == 0:

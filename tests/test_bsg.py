@@ -93,22 +93,17 @@ def _outcome(extract, U, V, G):
         return type(exc)
 
 
-def _picky_report(members, span, G):
-    """A verification that passes about one candidate in three, fixed by
-    the candidate, so that both extractors must retry in the same order."""
-    return CheckReport("balbsg", span, None, hash((members, span)) % 3 == 0, None, "")
+# small value ranges make many codegrees tie
+vertex_sets = st.lists(st.integers(-12, 25), min_size=1, max_size=20, unique=True)
 
 
-def _never_report(members, span, G):
-    return CheckReport("balbsg", span, None, False, None, "")
-
-
-# small value ranges make many codegrees tie; U of 11-16 elements is left
-# out so that a failing verification enumerates at most 2^10 subsets
-vertex_sets = st.one_of(
-    st.lists(st.integers(-12, 25), min_size=1, max_size=10, unique=True),
-    st.lists(st.integers(-12, 25), min_size=17, max_size=20, unique=True),
-)
+def _natural_graph(U, V, filt, mode):
+    """The graph on U, V and filt whose alpha is its edge count over n^2,
+    as kp_pipeline builds it (1 / n^2 when it has no edge)."""
+    op = (lambda a, b: a + b) if mode == ADDITIVE else (lambda a, b: a * b)
+    edges = sum(1 for u in U for v in V if op(u, v) in filt)
+    n = max(len(U), len(V), len(filt))
+    return PopularSumGraph(U, V, frozenset(filt), Fraction(max(edges, 1), n * n), mode)
 
 
 class TestBsgExtractAgainstReference:
@@ -122,39 +117,44 @@ class TestBsgExtractAgainstReference:
         data=st.data(),
         scale=st.sampled_from((1, 7, 2**31 + 11, 2**61 + 3)),
         mode=st.sampled_from((ADDITIVE, MULTIPLICATIVE)),
-        verify=st.sampled_from((None, _picky_report, _never_report)),
         chunk=st.sampled_from((None, 7)),
     )
-    def test_matches_reference(self, U, V, data, scale, mode, verify, chunk):
+    def test_matches_reference(self, U, V, data, scale, mode, chunk):
         # scale 2^61 + 3 takes sums past 2^62, 2^31 + 11 products
         U, V = IntSet(scale * u for u in U), IntSet(scale * v for v in V)
         op = (lambda a, b: a + b) if mode == ADDITIVE else (lambda a, b: a * b)
         reach = sorted({op(u, v) for u in U for v in V})
-        filt = frozenset(data.draw(st.lists(st.sampled_from(reach), max_size=len(reach))))
-        edges = sum(1 for u in U for v in V if op(u, v) in filt)
-        n = max(len(U), len(V), len(filt))
-        G = PopularSumGraph(U, V, filt, Fraction(max(edges, 1), n * n), mode)
+        filt = data.draw(st.lists(st.sampled_from(reach), max_size=len(reach)))
+        G = _natural_graph(U, V, filt, mode)
         with pytest.MonkeyPatch.context() as mp:
-            if verify is not None:
-                mp.setattr(bsg, "_balbsg_report", verify)
             if chunk is not None:  # adjacency and spans in blocks of a few rows
                 mp.setattr(bsg, "_BLOCK", chunk)
             assert _outcome(bsg_extract, U, V, G) == _outcome(reference_bsg_extract, U, V, G)
 
-    def test_exhaustive_fallback(self):
-        # every chain candidate fails, so both search all subsets of U
+    def test_failed_verification_raises(self, monkeypatch):
         U = IntSet(range(1, 9))
-        G = PopularSumGraph(U, U, frozenset(range(2, 17)), Fraction(1), ADDITIVE)
+        G = _natural_graph(U, U, range(2, 17), ADDITIVE)
+        calls = []
 
-        def only_odd_size(members, span, G):
-            return CheckReport("balbsg", span, None, len(members) % 2 == 1 and len(members) < 8, None, "")
+        def never(members, span, G):
+            calls.append(members)
+            return CheckReport("balbsg", span, None, False, None, "")
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bsg, "_balbsg_report", only_odd_size)
-            got = bsg_extract(U, U, G)
-            assert got == reference_bsg_extract(U, U, G)
-        # the two 7-term runs tie at 49/13; the larger tuple wins
-        assert list(got[0]) == [2, 3, 4, 5, 6, 7, 8]
+        monkeypatch.setattr(bsg, "_balbsg_report", never)
+        with pytest.raises(EnergiaError, match="failed its verification"):
+            bsg_extract(U, U, G)
+        assert len(calls) == 1  # no other candidate, no subset is tried
+
+
+@pytest.mark.parametrize("n, holds", [(109226, True), (109227, False)])
+def test_verification_bound_at_full_density(n, holds):
+    # alpha <= 1 on every graph whose alpha counts its edges; at alpha = 1
+    # the size bound 3 n / (5 2^16) of a one-element candidate first
+    # passes 1 at n = 109227, so a pipeline graph below 109227^2 edges
+    # cannot fail the verification
+    G = PopularSumGraph(IntSet(range(n)), IntSet([0]), frozenset([0]), Fraction(1))
+    report = bsg._balbsg_report((0,), 1, G)
+    assert report.holds == holds
 
 
 class TestKpPipeline:
@@ -233,6 +233,37 @@ def test_calibrated_pipeline_always_extracts(values, with_zero, s, energy_mode):
     res = kp_pipeline(A, s, 0.05, mode=CALIBRATED, energy_mode=energy_mode)
     assert res.branch == SUBSET_BRANCH
     assert len(res.A_prime) >= 1 and set(res.A_prime) <= set(A)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    values=st.lists(st.integers(-40, 40) | st.integers(-(10**18), 10**18), min_size=2, max_size=8, unique=True),
+    with_zero=st.booleans(),
+    s=st.sampled_from((4, 6)),
+    mode=st.sampled_from((CALIBRATED, PAPER)),
+    energy_mode=st.sampled_from((ADDITIVE, MULTIPLICATIVE)),
+)
+def test_pipeline_verifies_each_extraction_once(values, with_zero, s, mode, energy_mode):
+    # every graph kp_pipeline builds has alpha <= 1, so its one
+    # verification holds; paper mode at delta 3 clears its stages
+    A = IntSet(values + [0] if with_zero else values)
+    extractions, reports = [], []
+    balbsg_report = bsg._balbsg_report
+
+    def extract(*args):
+        extractions.append(args)
+        return bsg_extract(*args)
+
+    def verify(*args):
+        reports.append(balbsg_report(*args))
+        return reports[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bsg, "bsg_extract", extract)
+        mp.setattr(bsg, "_balbsg_report", verify)
+        res = kp_pipeline(A, s, 3.0 if mode == PAPER else 0.05, mode=mode, energy_mode=energy_mode)
+    assert len(extractions) == len(reports) == (res.branch == SUBSET_BRANCH)
+    assert all(r.holds for r in reports)
 
 
 class TestFiberOracle:

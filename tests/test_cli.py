@@ -195,6 +195,25 @@ class TestExperiments:
         code, doc, _ = run_json(capsys, "experiment", "ap-gp-mix")
         assert code == 0 and doc["results"]["holds"]
 
+    def test_ap_gp_mix_counts_C_once(self, capsys, monkeypatch):
+        # the input is positive, so M_2(C) comes from the decomposition's
+        # stop report; every residual has its own size, so C is the one
+        # multiplicative energy argument of |C| elements
+        from energia import cli, decomposer
+
+        calls = []
+
+        def spy(A, s, mode):
+            calls.append((len(A), mode))
+            return energy(A, s, mode)
+
+        monkeypatch.setattr(cli, "energy", spy)
+        monkeypatch.setattr(decomposer, "energy", spy)
+        code, doc, _ = run_json(capsys, "experiment", "ap-gp-mix")
+        res = doc["results"]
+        assert code == 0 and res["M2_C"] == "8760"
+        assert calls.count((res["C_size"], MULTIPLICATIVE)) == 1
+
     def test_zero_obstruction(self, capsys):
         code, doc, _ = run_json(capsys, "experiment", "zero-obstruction")
         assert code == 0

@@ -205,6 +205,40 @@ def test_golden_report(name, golden):
     assert out == golden[name]["stdout"]
 
 
+VERDICT_KEYS = ("holds", "branch", "A_prime", "B", "C", "failed", "failures")
+
+
+def _verdicts(doc, path=""):
+    """(path, value) of every verdict key anywhere in a JSON report."""
+    if isinstance(doc, dict):
+        items = sorted(doc.items())
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return []
+    found = []
+    for key, value in items:
+        if key in VERDICT_KEYS:
+            found.append((f"{path}/{key}", value))
+        found.extend(_verdicts(value, f"{path}/{key}"))
+    return found
+
+
+@pytest.mark.parametrize("bits", ["64", "1024"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_verdicts_do_not_depend_on_the_precision(name, bits, golden, monkeypatch, capsys):
+    # the golden reports are taken at the default 256 bits; at any other
+    # precision a case gives the same exit code and verdicts, or refuses
+    monkeypatch.setenv("ENERGIA_PRECISION_BITS", bits)
+    code, out = run_case(*CASES[name])
+    if code == 3 and golden[name]["code"] != 3:
+        assert "ENERGIA_PRECISION_BITS" in capsys.readouterr().err  # a PrecisionError
+        return
+    assert code == golden[name]["code"]
+    want = golden[name]["stdout"]
+    assert _verdicts(json.loads(out) if out else None) == _verdicts(json.loads(want) if want else None)
+
+
 @pytest.mark.parametrize("name, m, n", [("sumset-0A-A-int64-min", 0, 1), ("sumset-A-A-int64-min", 1, 1)])
 def test_int64_min_reports_match_python_sets(name, m, n, golden):
     plus = {sum(t) for t in product(INT64_MIN, repeat=m)} if m else {0}

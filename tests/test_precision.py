@@ -76,13 +76,26 @@ def _iroot(n, k):
     return lo
 
 
-def test_cmp_count_power_log_fallback_never_misorders(monkeypatch):
-    # a denominator above 64 takes the log-space path; floor(b^(263/100))
-    # lies below b^(263/100) by a relative 2^-200 or so, which 256 bits
-    # cannot certify and 1024 bits can
+def test_cmp_count_power_clears_denominators_while_cheap(monkeypatch):
+    # count**100 and b**263 have about 21,000 bits, below 2**16: decided
+    # exactly at 256 bits, where the log-space comparison would refuse
     b, e = 3**50, Fraction(263, 100)
     below = _iroot(b**263, 100)
     assert below**100 < b**263 < (below + 1) ** 100
+    monkeypatch.delenv(precision.PRECISION_ENV, raising=False)
+    assert precision.cmp_count_power(below, b, e) == -1
+    assert precision.cmp_count_power(below + 1, b, e) == 1
+
+
+def test_cmp_count_power_log_fallback_never_misorders(monkeypatch):
+    # a denominator of 10^6 clears to powers of some 2*10^8 bits, so the
+    # log-space path decides; floor(b^e) lies below b^e by a relative
+    # 2^-200 or so, which 256 bits cannot certify and 1024 bits can
+    b, e = 3**50, Fraction(2630001, 10**6)
+    with mpmath.workprec(2000):
+        power = mpmath.mpf(b) ** (mpmath.mpf(e.numerator) / e.denominator)
+        below = int(mpmath.floor(power))
+        assert 2**-100 < power - below < 1 - 2**-100
     monkeypatch.delenv(precision.PRECISION_ENV, raising=False)
     for count in (below, below + 1):
         with pytest.raises(PrecisionError):
