@@ -23,13 +23,8 @@ Python and sort-and-count backends take the upper triangle of the grid,
 an off-diagonal cell with twice its weight, and merge the diagonal in
 once.  The dense backend convolves whole lines either way.
 
-Products of positive integers can take a key form instead (see
-``_keys``): a multiplicative indicator asked for products of up to
-``products`` elements, on a positive set whose products could reach
-2**62 and whose coprime base keeps the key span below 2**62, holds the
-int64 exponent keys of its elements.  A pair of two key forms of one
-codec is the additive pair of their keys, since key(x·y) = key(x) +
-key(y); any other pair with a key form first decodes it to values.
+The kernel sees values only.  Products taken on exponent keys (see
+``energy.RepFunction``) reach it as sums of plain ints.
 
 Nothing is rounded.  A numpy backend runs only when every value of its
 result is below 2**62 in absolute value and the product of the operands'
@@ -43,8 +38,6 @@ from itertools import chain
 
 import numpy as np
 
-from . import _keys
-
 _VALUE_LIMIT = 2**62
 _COUNT_LIMIT = 2**63
 _PY_PAIRS = 256
@@ -56,41 +49,23 @@ class Weighted:
     """Finite set of ints, each with a positive multiplicity, or a plain
     set (``total`` is None).
 
-    Held as sorted int64 arrays, as a Python dict (a set when plain), or
-    in key form: a Weighted over the exponent keys of positive values
-    with the codec that decodes them and the number of elements
-    multiplied into each value.  The value forms are built on first use,
-    a key form's by decoding each distinct key once.  ``lo``/``hi`` are
-    the least and greatest value and ``total`` is the sum of the
-    multiplicities.
+    Held as sorted int64 arrays or as a Python dict (a set when plain);
+    the other form is built on first use.  ``lo``/``hi`` are the least
+    and greatest value and ``total`` is the sum of the multiplicities.
     """
 
-    __slots__ = ("_arrays", "_py", "_keyset", "codec", "_factors", "_vkeys", "_step", "size", "lo", "hi", "total")
+    __slots__ = ("_arrays", "_py", "_step", "size", "lo", "hi", "total")
 
-    def __init__(self, size, lo, hi, total, arrays=None, py=None, keyed=(None, None, 0)):
+    def __init__(self, size, lo, hi, total, arrays=None, py=None):
         self.size, self.lo, self.hi, self.total = size, lo, hi, total
-        self._arrays, self._py, self._step, self._vkeys = arrays, py, None, None
-        # key form: the set of keys, the codec (None otherwise), factors per value
-        self._keyset, self.codec, self._factors = keyed
+        self._arrays, self._py, self._step = arrays, py, None
 
     @classmethod
-    def indicator(cls, elements, counted, products=0):
-        """Each of the sorted, distinct ``elements`` once.  With
-        ``products`` > 1, the products of up to that many elements are
-        what will be formed from it, and the key form is taken when it
-        applies."""
+    def indicator(cls, elements, counted):
+        """Each of the sorted, distinct ``elements`` once."""
         size, lo, hi = len(elements), elements[0], elements[-1]
         total = size if counted else None
         ones = np.ones(size, dtype=np.int64) if counted else None
-        codec = None
-        if products > 1 and lo > 0 and hi**products >= _VALUE_LIMIT:
-            codec = _keys.encode(elements, products)
-        if codec is not None:
-            keyset = cls._from_arrays(np.sort(codec.keys), ones, total)
-            vals = np.array(elements, dtype=np.int64 if hi < _COUNT_LIMIT else object)
-            w = cls(size, lo, hi, total, arrays=(vals, ones), keyed=(keyset, codec, 1))
-            w._vkeys = codec.keys
-            return w
         if -_COUNT_LIMIT < lo and hi < _COUNT_LIMIT:  # every element fits int64
             return cls(size, lo, hi, total, arrays=(np.array(elements, dtype=np.int64), ones))
         return cls(size, lo, hi, total, py=dict.fromkeys(elements, 1) if counted else set(elements))
@@ -107,63 +82,12 @@ class Weighted:
         """(sorted values, int64 counts or None); the values are int64, or
         an object array of Python ints when one leaves int64."""
         if self._arrays is None:
+            keys = sorted(self._py)
             fits = -_COUNT_LIMIT < self.lo and self.hi < _COUNT_LIMIT
-            if self.codec is not None:
-                self._decode(fits)
-            else:
-                keys = sorted(self._py)
-                vals = np.array(keys, dtype=np.int64 if fits else object)
-                cnts = np.array([self._py[k] for k in keys], dtype=np.int64) if self.counted else None
-                self._arrays = (vals, cnts)
+            vals = np.array(keys, dtype=np.int64 if fits else object)
+            cnts = np.array([self._py[k] for k in keys], dtype=np.int64) if self.counted else None
+            self._arrays = (vals, cnts)
         return self._arrays
-
-    def _decode(self, fits):
-        keys, cnts = self._keyset.arrays()
-        vals = self.codec.decode(keys, np.int64 if fits else object)
-        if fits:
-            order = np.argsort(vals)
-        else:  # Python ints: sorting a list beats numpy's object comparisons
-            seq = vals.tolist()
-            order = np.array(sorted(range(len(seq)), key=seq.__getitem__), dtype=np.intp)
-        self._arrays = (vals[order], None if cnts is None else cnts[order])
-        self._vkeys = keys[order]
-
-    def keys(self):
-        """The int64 exponent key of each value of ``arrays()``, in its
-        order, or None when not in key form."""
-        if self.codec is None:
-            return None
-        self.arrays()
-        return self._vkeys
-
-    def coords(self):
-        """(sorted coordinates, counts or None): the values, or in key form
-        the keys of the values, so read without decoding."""
-        return self.arrays() if self.codec is None else self._keyset.arrays()
-
-    def values_at(self, idx):
-        """The values at the positions ``idx`` of ``coords()``."""
-        if self.codec is None:
-            return self.arrays()[0][idx]
-        return self.codec.decode(self._keyset.arrays()[0][idx], np.int64 if self.hi < _COUNT_LIMIT else object)
-
-    def subset(self, idx, counted):
-        """The indicator of the values at the sorted positions ``idx`` of
-        ``arrays()``, in this form (key form: the same codec)."""
-        vals = self.arrays()[0][idx]
-        if self.codec is None:
-            return Weighted.indicator(vals.tolist(), counted)
-        size = len(vals)
-        total = size if counted else None
-        ones = np.ones(size, dtype=np.int64) if counted else None
-        keyset = Weighted._from_arrays(np.sort(self._vkeys[idx]), ones, total)
-        return Weighted(size, int(vals[0]), int(vals[-1]), total, keyed=(keyset, self.codec, self._factors))
-
-    def plain(self):
-        """This set in a value form."""
-        if self.codec is None:
-            return self
-        return Weighted(self.size, self.lo, self.hi, self.total, arrays=self.arrays())
 
     def py(self):
         """value -> count dict, or the set of values when plain."""
@@ -173,7 +97,7 @@ class Weighted:
         return self._py
 
     def sorted_values(self) -> list:
-        if self._arrays is None and self.codec is None:
+        if self._arrays is None:
             return sorted(self._py)
         return self.arrays()[0].tolist()
 
@@ -194,16 +118,12 @@ class Weighted:
         return Weighted(self.size, -self.hi, -self.lo, None, py={-v for v in self._py})
 
     def max_count(self) -> int:
-        if self.codec is not None:
-            return self._keyset.max_count()
         if self._arrays is not None:
             return int(self._arrays[1].max())
         return max(self.py().values())
 
     def sum_squares(self) -> int:
         """sum of squared multiplicities, exact."""
-        if self.codec is not None:
-            return self._keyset.sum_squares()
         if self._arrays is None:
             return sum(c * c for c in self.py().values())
         cnts = self._arrays[1]
@@ -234,22 +154,7 @@ def power(base: Weighted, s: int, additive: bool) -> Weighted:
 def pair(f: Weighted, g: Weighted, additive: bool) -> Weighted:
     """{x + y} (or {x * y}) over x in f, y in g, weights multiplied.  Pass
     the same object twice for f * f, so the symmetric half is skipped."""
-    if f.codec is not None or g.codec is not None:
-        return _keyed_pair(f, g, additive)
     return choose(f, g, additive)(f, g, additive)
-
-
-def _keyed_pair(f, g, additive):
-    """A pair with a key form operand: the pair of the keys when both are
-    products of one codec's elements whose product stays within its
-    arity, else the pair of the decoded values."""
-    factors = f._factors + g._factors
-    if additive or f.codec is not g.codec or factors > f.codec.arity:
-        fp = f.plain()
-        return pair(fp, fp if f is g else g.plain(), additive)
-    keys = pair(f._keyset, g._keyset, True)  # f is g: the same keyset twice
-    # f and g are positive, so the least and greatest products are lo·lo and hi·hi
-    return Weighted(keys.size, f.lo * g.lo, f.hi * g.hi, keys.total, keyed=(keys, f.codec, factors))
 
 
 def choose(f, g, additive):

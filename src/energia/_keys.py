@@ -17,6 +17,9 @@ coprime base).  When the radix span, the product of the radices, is
 below 2**62, every key fits int64 and multiplicative work becomes the
 kernel's additive work on keys.  Values are rebuilt from keys only where
 a caller reads them, once per distinct key.
+
+``codec_for`` decides when keys pay: for products of more than one
+element of a positive set, once they could reach 2**62.
 """
 
 from math import gcd, prod
@@ -27,14 +30,24 @@ _SPAN_LIMIT = 2**62
 _INT64 = 2**63
 
 
+def codec_for(elements, arity):
+    """The codec of the sorted, distinct ``elements`` for products of up
+    to ``arity`` of them, or None when they stay on values: arity 1, a
+    set that is not positive, products below 2**62, or a base too wide
+    (see ``encode``)."""
+    if arity > 1 and elements[0] > 0 and elements[-1] ** arity >= _SPAN_LIMIT:
+        return encode(elements, arity)
+    return None
+
+
 class Codec:
-    """A coprime base with its mixed-radix layout, and the keys of the
-    encoded elements (int64, in their order)."""
+    """A coprime base with its mixed-radix layout, the keys of the
+    encoded elements (int64, in their order) and the largest of them."""
 
-    __slots__ = ("base", "places", "radices", "arity", "keys")
+    __slots__ = ("base", "places", "radices", "arity", "keys", "hi")
 
-    def __init__(self, base, radices, arity, vectors):
-        self.base, self.radices, self.arity = base, radices, arity
+    def __init__(self, base, radices, arity, vectors, hi):
+        self.base, self.radices, self.arity, self.hi = base, radices, arity, hi
         self.places = [prod(radices[:i]) for i in range(len(base))]
         self.keys = np.array(
             [sum(v.get(p, 0) * w for p, w in zip(base, self.places)) for v in vectors], dtype=np.int64
@@ -65,6 +78,11 @@ class Codec:
             reach *= top
         out *= part
         return out
+
+    def values(self, keys, factors):
+        """The values of the keys of products of ``factors`` elements, in
+        int64 when the largest such product is below 2**63."""
+        return self.decode(keys, np.int64 if self.hi**factors < _INT64 else object)
 
 
 def encode(elements, arity):
@@ -101,7 +119,7 @@ def encode(elements, arity):
         vectors.append(vec)
         if prod(arity * e + 1 for e in top.values()) >= _SPAN_LIMIT:
             return None
-    return Codec(base, [arity * top[p] + 1 for p in base], arity, vectors)
+    return Codec(base, [arity * top[p] + 1 for p in base], arity, vectors, max(elements))
 
 
 def _refine(base, x):

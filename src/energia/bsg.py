@@ -333,15 +333,13 @@ def kp_pipeline(
 
 def _chain(A, s, energy_mode):
     """(r_{s/2-1}, r_{s/2}, r_s) of A for even s >= 4, from r_1 alone:
-    r_{s/2} = r_{s/2-1} * r_1 and r_s = r_{s/2} * r_{s/2}.  The first, the
-    shift stage's shifts, is the kernel's set; the others are
-    RepFunctions.  r_1 is asked for products of up to s elements, so in
-    key form all three share its codec."""
-    additive = energy_mode == ADDITIVE
+    r_{s/2} = r_{s/2-1} * r_1 and r_s = r_{s/2} * r_{s/2}.  The first
+    holds the shift stage's shifts.  r_1 is asked for products of up to
+    s elements, so on exponent keys all three share its codec."""
     guard_counts(len(A), s // 2)
-    base = rep_function(A, 1, energy_mode, products=s).counts
-    shifts = _kernel.power(base, s // 2 - 1, additive)
-    half = RepFunction(_kernel.pair(shifts, base, additive), s // 2, energy_mode)
+    r_1 = rep_function(A, 1, energy_mode, products=s)
+    shifts = RepFunction(_kernel.power(r_1.counts, s // 2 - 1, r_1.adds), s // 2 - 1, energy_mode, r_1.codec)
+    half = RepFunction(_kernel.pair(shifts.counts, r_1.counts, r_1.adds), s // 2, energy_mode, r_1.codec)
     return shifts, half, half.self_convolution()
 
 
@@ -389,21 +387,14 @@ def _fiber_stages(H, h, S, additive, mode, nA, s, d):
 
 
 def _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_check):
-    additive = energy_mode == ADDITIVE
     # The shifts, r_{s/2} and r_s come from one r_1 (see _chain), so they
-    # are all in key form with its codec, or all in value forms.  In key
-    # form every grid below adds the exponent keys of the values in place
-    # of multiplying them.  H and the shifts are read in value order with
-    # their keys alongside, so each first maximum still goes to the least
-    # value; r_s and r_uv are read in key order, and their values are
-    # decoded only for the ties at a cut and for the graph's sums.
-    H_w, R_w = half.counts, r_s.counts
-    codec = H_w.codec
-    add = additive or codec is not None
-
-    def in_value_order(w):
-        return w.arrays()[0] if codec is None else w.keys()
-
+    # are all on exponent keys with its codec, or all on values.  Every
+    # grid below combines coordinates: on keys it adds them in place of
+    # multiplying the values.  H and the shifts are read in value order,
+    # so each first maximum still goes to the least value; r_s and r_uv
+    # are read in coordinate order, and their values are decoded only for
+    # the ties at a cut and for the graph's sums.
+    add, codec = half.adds, half.codec
     nA = len(A)
     E_s = r_s.energy_count()
     d = precision.mpf(delta)
@@ -414,13 +405,13 @@ def _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_ch
     # 2**63, so int64 sums and products of counts are exact.
 
     # --- stage S: popular sums ------------------------------------------
-    s_coords, s_cnts = R_w.coords()
+    s_coords, s_cnts = r_s.counts.arrays()
     if mode == PAPER:
         thr_S = Fraction(E_s, 2 * nA**s)  # = |A|^(s-nu) / 2, exactly
         S_idx = np.flatnonzero(s_cnts >= math.ceil(thr_S))
     else:
         thr_S = "top-half energy mass"
-        S_idx = _top_mass(s_cnts, R_w.values_at if codec else None)  # ranking by r_s(n) ranks r_s(n)^2 the same
+        S_idx = _top_mass(s_cnts, r_s.values_at)  # ranking by r_s(n) ranks r_s(n)^2 the same
     if not len(S_idx):
         raise StageCollapseError("S")
     G_size = int(s_cnts[S_idx].sum())
@@ -441,11 +432,9 @@ def _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_ch
 
     # --- anchor, Y (large overlap against the anchor), z and Y1 ------------
     # stage sets are sorted index arrays into H, fiber i weighing h[i]
-    H_vals, h = H_w.arrays()
+    H_vals, h, H_coords = half.by_value
     H = H_vals.tolist()
-    a, R_x, Y, thr_Y, z, Y1 = _fiber_stages(
-        in_value_order(H_w), h, s_coords[S_idx], add, mode, nA, s, d
-    )
+    a, R_x, Y, thr_Y, z, Y1 = _fiber_stages(H_coords, h, s_coords[S_idx], add, mode, nA, s, d)
     anchor, z_val = H[a], H[z]
     size_Y, size_Y1 = int(h[Y].sum()), int(h[Y1].sum())
     trace.append(("anchor", int(h[R_x].sum()), str(anchor)))
@@ -463,19 +452,19 @@ def _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_ch
     # --- popular-sum graph on U = sums(Y2), V = sums(R_G(x)) --------------
     U = IntSet._trusted([H[i] for i in Y2.tolist()])
     V = IntSet._trusted([H[i] for i in R_x.tolist()])
-    r_uv = _kernel.pair(H_w.subset(Y2, True), H_w.subset(R_x, True), additive)
-    uv_coords, uv_cnts = r_uv.coords()
-    uv_ties = r_uv.values_at if codec else None  # key order: look up tied values
+    U_w, V_w = (_kernel.Weighted.indicator(np.sort(H_coords[idx]).tolist(), True) for idx in (Y2, R_x))
+    r_uv = RepFunction(_kernel.pair(U_w, V_w, add), s, energy_mode, codec)
+    uv_coords, uv_cnts = r_uv.counts.arrays()
     M = Fraction(4 * nA ** (2 * s), E_s)  # 4 |A|^nu, exactly
     if mode == PAPER:
         alpha_paper = mpmath.mpf(2) ** -37 * mpmath.mpf(nA) ** (-20 * d)
         thr_graph = alpha_paper * precision.mpf(M)
         passing = [c for c in np.unique(uv_cnts).tolist() if precision.mpf(c) >= thr_graph]
         # keep at most M sums, the most represented first (ties: least value)
-        Sp_idx = _top(np.flatnonzero(np.isin(uv_cnts, passing)), uv_cnts, int(M), uv_ties)
+        Sp_idx = _top(np.flatnonzero(np.isin(uv_cnts, passing)), uv_cnts, int(M), r_uv.values_at)
         thr_repr = str(thr_graph)
     else:
-        Sp_idx = _top_mass(uv_cnts, uv_ties)
+        Sp_idx = _top_mass(uv_cnts, r_uv.values_at)
         thr_repr = "top-half pair mass"
     if not len(Sp_idx):
         raise StageCollapseError("Sprime")
@@ -489,9 +478,7 @@ def _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_ch
     trace.append(("Sprime", len(Sp_idx), thr_repr))
 
     # --- BSG extraction on sum values -------------------------------------
-    keys = None
-    if codec is not None:
-        keys = (H_w.keys()[Y2], H_w.keys()[R_x], uv_coords[Sp_idx])
+    keys = None if codec is None else (H_coords[Y2], H_coords[R_x], uv_coords[Sp_idx])
     U_prime, balbsg_report = bsg_extract(U, V, graph, keys)
     checks.append(balbsg_report)
     trace.append(("Uprime", len(U_prime), "balbsg"))
@@ -502,14 +489,15 @@ def _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_ch
 
     # --- best shift: pull A' out of the Y3 fibers --------------------------
     # s >= 4, so the shifts sigma_w range over (s/2 - 1)A
+    shift_vals, _, shift_coords = shifts.by_value
     A_coords = A.elements if codec is None else codec.keys
-    hits = _membership(in_value_order(shifts), A_coords, np.sort(in_value_order(H_w)[Y3]), add)
+    hits = _membership(shift_coords, A_coords, np.sort(H_coords[Y3]), add)
     w = int(np.argmax(hits.sum(axis=1)))
     members = np.flatnonzero(hits[w]).tolist()
     if not members:
         raise StageCollapseError("Aprime")
     A_prime = IntSet._trusted([A.elements[j] for j in members])
-    trace.append(("Aprime", len(A_prime), str(shifts.sorted_values()[w])))
+    trace.append(("Aprime", len(A_prime), str(shift_vals[w])))
 
     # paper-constant final lower bound, informational at desk scale
     with mpmath.workprec(precision.precision_bits()):

@@ -306,7 +306,8 @@ def decompose(A: IntSet, cfg: DecomposeConfig) -> Decomposition:
         failed = failed or fl
         if sr is not None and (stop_report is None or not sr.holds):
             stop_report = sr
-    _check_budget(iterations, budget)
+    if iterations > budget:
+        raise ExtractorFailedError(iterations, f"{iterations} iterations exceed the budget {budget}")
     B, C = IntSet(B_all), IntSet(C_all)
     _check_partition(A, B, C)
     return Decomposition(B, C, trace_all, budget, iterations, stop_report, failed)
@@ -325,15 +326,9 @@ def decompose_eric(A: IntSet, cfg: DecomposeConfig) -> Decomposition:
     Bp, Cp, tr, budget, it, sr, fl = _loop(
         pos, cfg, ADDITIVE, cfg.s1, stop_exp, MULTIPLICATIVE, cfg.s2 // 2, cert_exp, "eric", _SMALL_SET_BOUND
     )
-    _check_budget(it, budget)
     B, C = IntSet(Bp), Cp
     _check_partition(A, B, C)
     return Decomposition(B, C, tr, budget, it, sr, fl)
-
-
-def _check_budget(iterations, budget):
-    if iterations > budget:
-        raise ExtractorFailedError(iterations, f"{iterations} iterations exceed the budget {budget}")
 
 
 def _check_partition(A, B, C):

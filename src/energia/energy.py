@@ -2,7 +2,9 @@
 
 The fast path computes r_s as the s-fold convolution power of the
 indicator through the exact kernel in ``_kernel`` (binary powering;
-dense, sort-and-count or Python backends per step).  An independent
+dense, sort-and-count or Python backends per step).  A multiplicative
+q_s of a positive set whose products could reach 2**62 is the additive
+power of the exponent keys of its elements (``_keys``).  An independent
 brute-force oracle enumerates all 2s-tuples literally, shares no code
 with the kernel, and must agree with the fast path on every input.
 """
@@ -13,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from . import _kernel
+from . import _kernel, _keys
 from .errors import BadArityError, EmptySetError, BadParamsError, OverflowGuardError, TooLargeError
 from .sets import IntSet
 
@@ -28,20 +30,52 @@ _OPS = {ADDITIVE: lambda a, b: a + b, MULTIPLICATIVE: lambda a, b: a * b}
 class RepFunction:
     """Sparse value -> multiplicity map for r_s (sums) or q_s (products).
 
-    Holds the kernel's result; ``support``, the value -> multiplicity
-    dict, is built on first access.
+    Holds the kernel's result over coordinates: the values themselves,
+    or, with a ``codec`` (see ``_keys``), the int64 exponent keys of the
+    products, on which products of elements are sums of keys.  The
+    value-ordered arrays (``by_value``) and ``support``, the value ->
+    multiplicity dict, are built on first access, each key decoded once.
     """
 
-    def __init__(self, counts: _kernel.Weighted, s: int, mode: str):
+    def __init__(self, counts: _kernel.Weighted, s: int, mode: str, codec=None):
         if s < 1:
             raise BadParamsError("arity s must be >= 1")
         if mode not in (ADDITIVE, MULTIPLICATIVE):
             raise BadParamsError(f"unknown mode {mode!r}")
-        self.counts, self.s, self.mode = counts, s, mode
+        self.counts, self.s, self.mode, self.codec = counts, s, mode, codec
+
+    @property
+    def adds(self) -> bool:
+        """Whether coordinates combine by addition: sums, or products on keys."""
+        return self.mode == ADDITIVE or self.codec is not None
+
+    @cached_property
+    def by_value(self):
+        """(values, counts, coordinates), sorted by value: the values are
+        int64, or an object array of Python ints when one leaves int64."""
+        coords, cnts = self.counts.arrays()
+        if self.codec is None:
+            return coords, cnts, coords
+        vals = self.codec.values(coords, self.s)
+        if vals.dtype == object:  # Python ints: sorting a list beats numpy's object comparisons
+            seq = vals.tolist()
+            order = np.array(sorted(range(len(seq)), key=seq.__getitem__), dtype=np.intp)
+        else:
+            order = np.argsort(vals)
+        return vals[order], cnts[order], coords[order]
+
+    def values_at(self, idx):
+        """The values at the positions ``idx`` of the sorted coordinates,
+        ``counts.arrays()``."""
+        coords = self.counts.arrays()[0][idx]
+        return coords if self.codec is None else self.codec.values(coords, self.s)
 
     @cached_property
     def support(self) -> dict:
-        return self.counts.py()
+        if self.codec is None:
+            return self.counts.py()
+        vals, cnts, _ = self.by_value
+        return dict(zip(vals.tolist(), cnts.tolist()))
 
     def total(self) -> int:
         return self.counts.total
@@ -53,10 +87,15 @@ class RepFunction:
         return self.counts.max_count()
 
     def self_convolution(self) -> "RepFunction":
-        """r_2s (or q_2s) as r_s * r_s, under the same multiplicity guard."""
+        """r_2s (or q_2s) as r_s * r_s, under the same multiplicity guard;
+        on values once 2s passes the codec's arity."""
         if self.total() ** 2 >= _COUNTER_LIMIT:
             raise OverflowGuardError(f"r_{2 * self.s} has {self.total()}^2 tuples, beyond the 64-bit multiplicity guard")
-        return RepFunction(_kernel.pair(self.counts, self.counts, self.mode == ADDITIVE), 2 * self.s, self.mode)
+        r = self
+        if self.codec is not None and 2 * self.s > self.codec.arity:
+            vals, cnts, _ = self.by_value
+            r = RepFunction(_kernel.Weighted._from_arrays(vals, cnts, self.total()), self.s, self.mode)
+        return RepFunction(_kernel.pair(r.counts, r.counts, r.adds), 2 * self.s, self.mode, r.codec)
 
 
 @dataclass(frozen=True)
@@ -79,9 +118,10 @@ def guard_counts(size: int, s: int):
 def rep_function(A: IntSet, s: int, mode: str = ADDITIVE, products: int = 0) -> RepFunction:
     """Exact r_s (additive) or q_s (multiplicative) of A.
 
+    q_s runs on exponent keys when ``_keys.codec_for`` gives a codec;
     ``products``, when above s, is the most elements of A whose products
-    will be formed from the result (as ``self_convolution`` does), so that
-    a key form (see ``_kernel``) is sized for them.
+    will be formed from the result (as ``self_convolution`` does), so
+    that the keys are sized for them.
     """
     if len(A) == 0:
         raise EmptySetError("rep_function of empty set")
@@ -90,9 +130,10 @@ def rep_function(A: IntSet, s: int, mode: str = ADDITIVE, products: int = 0) -> 
     if mode not in _OPS:
         raise BadParamsError(f"unknown mode {mode!r}")
     guard_counts(len(A), s)
-    additive = mode == ADDITIVE
-    indicator = _kernel.Weighted.indicator(A.elements, counted=True, products=0 if additive else max(s, products))
-    return RepFunction(_kernel.power(indicator, s, additive), s, mode)
+    codec = None if mode == ADDITIVE else _keys.codec_for(A.elements, max(s, products))
+    coords = A.elements if codec is None else np.sort(codec.keys).tolist()
+    indicator = _kernel.Weighted.indicator(coords, counted=True)
+    return RepFunction(_kernel.power(indicator, s, mode == ADDITIVE or codec is not None), s, mode, codec)
 
 
 def energy(A: IntSet, s: int, mode: str = ADDITIVE) -> EnergyValue:

@@ -275,11 +275,24 @@ class TestInvariantErrors:
 
         return loop
 
-    @pytest.mark.parametrize("run", [lambda: decompose(MIX, CFG), lambda: decompose_eric(MIX, DecomposeConfig())])
+    # each run extracts at least once, and its loop stops at the budget
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: decompose(gp(1, 3, 16), CFG),
+            lambda: decompose_eric(IntSet(list(range(1, 25)) + [3**i for i in range(1, 10)]), DecomposeConfig(k=Fraction(3, 2))),
+        ],
+    )
     def test_budget_exceeded(self, monkeypatch, run):
+        monkeypatch.setattr(decomposer, "com2_budget", lambda n, c, Cc: 0)
+        with pytest.raises(ExtractorFailedError, match="iteration budget exceeded"):
+            run()
+
+    def test_summed_budget_exceeded(self, monkeypatch):
+        # decompose also checks the iterations of its sign parts together
         monkeypatch.setattr(decomposer, "_loop", self.fake_loop(10**6))
         with pytest.raises(ExtractorFailedError, match="exceed the budget"):
-            run()
+            decompose(MIX, CFG)
 
     @pytest.mark.parametrize("run", [lambda: decompose(MIX, CFG), lambda: decompose_eric(MIX, DecomposeConfig())])
     def test_parts_overlap(self, monkeypatch, run):

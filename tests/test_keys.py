@@ -1,10 +1,12 @@
 """Exponent keys (``energia._keys``) against the value path.
 
 Multiplicative work on a positive set whose products could reach 2^62
-runs on int64 exponent keys over a coprime base.  Each test here runs
-the same computation a second time with ``_keys.encode`` replaced by a
-function that always declines, which sends it down the value path, and
-asks for identical results.  The sets are small random bases times
+(``_keys.codec_for``) runs on int64 exponent keys over a coprime base:
+a ``RepFunction`` with a codec holds its counts over keys, and the
+pipeline grids add keys.  Each test here runs the same computation a
+second time with ``_keys.encode`` replaced by a function that always
+declines, which sends it down the value path, and asks for identical
+results.  The sets are small random bases times
 cofactors: 1, generators that share prime factors, and dilations that
 push every product past 2^62.
 """
@@ -17,7 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from energia import _kernel, _keys, bsg
+from energia import _keys, bsg
+from energia.decomposer import DecomposeConfig, decompose
 from energia.energy import MULTIPLICATIVE, energy, energy_oracle, rep_function
 from energia.sets import IntSet
 
@@ -97,10 +100,10 @@ def test_wide_base_falls_back_within_linear_gcds(monkeypatch):
     # the span 5^(k+1) passes 2^62 at the 26th element, whatever the length
     # of the set, and each element costs about one gcd per base element
     assert counts[0] == counts[1] == counts[2] <= 26 * 27
-    assert rep_function(IntSet(2**40 * p for p in primes[:30]), 4, MULTIPLICATIVE).counts.codec is None
+    assert rep_function(IntSet(2**40 * p for p in primes[:30]), 4, MULTIPLICATIVE).codec is None
 
 
-# -- the kernel ---------------------------------------------------------------
+# -- q_s and M_s ---------------------------------------------------------------
 
 
 @prop(120)
@@ -109,13 +112,13 @@ def test_q_s_and_M_s_match_the_value_path(monkeypatch, vals, s):
     A = IntSet(vals)
     got = rep_function(A, s, MULTIPLICATIVE)
     want = by_value(monkeypatch, lambda: rep_function(A, s, MULTIPLICATIVE))
-    assert want.counts.codec is None
+    assert want.codec is None
     if s > 1 and vals[-1] ** s >= 2**62 and _keys.encode(vals, s) is not None:
-        assert got.counts.codec is not None
+        assert got.codec is not None
     assert got.energy_count() == want.energy_count() == energy(A, s, MULTIPLICATIVE).count
     assert got.sup() == want.sup()
     assert got.support == want.support
-    assert got.counts.arrays()[0].tolist() == sorted(want.support)
+    assert got.by_value[0].tolist() == sorted(want.support)
 
 
 @prop(60)
@@ -130,7 +133,7 @@ def test_M_s_matches_the_oracle_past_2_62(vals, s):
 def test_self_convolution_past_the_codec_arity_decodes():
     A = IntSet(7**25 * 2**i * 3**j for i in range(3) for j in range(3))
     q2 = rep_function(A, 2, MULTIPLICATIVE)  # keys for products of two elements
-    assert q2.counts.codec is not None
+    assert q2.codec is not None
     assert q2.self_convolution().support == rep_function(A, 4, MULTIPLICATIVE).support
 
 
@@ -138,22 +141,21 @@ def test_self_convolution_past_the_codec_arity_decodes():
 
 
 def _pieces(vals, data):
-    """The q_2 support of vals and r_4 of it, in key form, with a random
+    """The q_2 support of vals and q_4 = q_2 * q_2, on keys, with a random
     subset of each: (values, keys) pairs."""
-    base = _kernel.Weighted.indicator(vals, counted=True, products=4)
-    half = _kernel.pair(base, base, False)
-    full = _kernel.pair(half, half, False)
+    half = rep_function(IntSet(vals), 2, MULTIPLICATIVE, products=4)
+    full = half.self_convolution()
     pick = lambda n: sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
-    X, Y = pick(half.size), pick(half.size)
-    S = np.array(pick(full.size))
-    hv, hk = half.arrays()[0], half.keys()
-    return (hv[X], hk[X]), (hv[Y], hk[Y]), (full.values_at(S), full.coords()[0][S])
+    X, Y = pick(half.counts.size), pick(half.counts.size)
+    S = np.array(pick(full.counts.size))
+    hv, _, hk = half.by_value
+    return (hv[X], hk[X]), (hv[Y], hk[Y]), (full.values_at(S), full.counts.arrays()[0][S])
 
 
 @prop(100)
 @given(vals=keyed_sets(), data=st.data())
 def test_membership_on_keys_matches_values(vals, data):
-    if _kernel.Weighted.indicator(vals, True, products=4).codec is None:
+    if _keys.codec_for(vals, 4) is None:
         return
     (xv, xk), (yv, yk), (sv, sk) = _pieces(vals, data)
     want = bsg._membership(xv.tolist(), yv.tolist(), sorted(sv.tolist()), False)
@@ -163,7 +165,7 @@ def test_membership_on_keys_matches_values(vals, data):
 @prop(100)
 @given(vals=keyed_sets(), data=st.data())
 def test_nested_spans_on_keys_match_values(vals, data):
-    if _kernel.Weighted.indicator(vals, True, products=4).codec is None:
+    if _keys.codec_for(vals, 4) is None:
         return
     (pv, pk), _, _ = _pieces(vals, data)
     k = data.draw(st.integers(1, len(pv)))  # levels 0..k-1, each taken
@@ -194,6 +196,26 @@ def test_kp_pipeline_takes_the_key_path(monkeypatch, s):
     monkeypatch.setattr(bsg, "_chain", lambda *args: seen.append(chain(*args)) or seen[-1])
     got = _run(A, s, bsg.CALIBRATED)
     shifts, half, r_s = seen[0]
-    assert half.counts.codec is not None
-    assert shifts.codec is half.counts.codec is r_s.counts.codec
+    assert half.codec is not None
+    assert shifts.codec is half.codec is r_s.codec
     assert got == by_value(monkeypatch, lambda: _run(A, s, bsg.CALIBRATED))
+
+
+# (p, q, ni, nj, m): the decompose inputs {c p^i q^j} | c [m] of the
+# benchmark's certify-mix workload, whose q_4 values pass 2^63
+@pytest.mark.parametrize("p, q, ni, nj, m", [(2, 3, 5, 5, 16), (2, 7, 5, 5, 16), (3, 5, 5, 4, 16)])
+def test_decompose_pipeline_grids_stay_int64(monkeypatch, p, q, ni, nj, m):
+    c = 7919
+    A = IntSet({c * p**i * q**j for i in range(ni) for j in range(nj)} | {c * v for v in range(1, m + 1)})
+    dtypes = []
+    exact = bsg._exact_arrays
+
+    def spy(reach, *seqs):
+        out = exact(reach, *seqs)
+        dtypes.extend(a.dtype for a in out)
+        return out
+
+    monkeypatch.setattr(bsg, "_exact_arrays", spy)
+    d = decompose(A, DecomposeConfig(k=1.5, s=2, q=4))
+    assert d.iterations_used >= 1
+    assert dtypes and set(dtypes) == {np.dtype(np.int64)}

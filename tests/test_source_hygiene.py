@@ -6,7 +6,9 @@ the CLI's ``EnergiaError`` handling.  The library raises typed
 ``EnergiaError``s instead; these tests keep it that way.  They also
 keep the independent oracles independent: ``energy_oracle``,
 ``_numpy_oracle`` and ``tests/fiber_oracle.py`` may not name the
-convolution kernel or the exponent-key module they cross-check.
+convolution kernel or the exponent-key module they cross-check; and
+they keep the kernel one (value, multiplicity) semiring, with exponent
+keys held by ``energy.RepFunction``.
 """
 
 import ast
@@ -51,10 +53,15 @@ FIBER_ORACLE = Path(__file__).resolve().parent / "fiber_oracle.py"
 
 
 def _names(tree):
-    """Every identifier a tree mentions: names, attributes and imports."""
+    """Every identifier a tree mentions: names, attributes, parameters,
+    definitions and imports."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
         elif isinstance(node, ast.Attribute):
             yield node.attr
         elif isinstance(node, ast.alias):
@@ -70,3 +77,9 @@ def test_oracles_name_no_fast_path():
     scopes[FIBER_ORACLE.name] = ast.parse(FIBER_ORACLE.read_text())
     for name, scope in scopes.items():
         assert not FAST_PATHS & set(_names(scope)), f"{name} names {sorted(FAST_PATHS & set(_names(scope)))}"
+
+
+def test_kernel_names_no_key_form():
+    names = set(_names(ast.parse((SRC / "_kernel.py").read_text())))
+    key_form = {"_keys", "codec", "products", "_factors", "_keyset", "_vkeys", "_keyed_pair"}
+    assert not key_form & names, f"_kernel.py names {sorted(key_form & names)}"

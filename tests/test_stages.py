@@ -48,8 +48,8 @@ def _new(A, s, delta, mode, energy_mode, shifts, r_s, half):
     fiber_stages, bsg_extract = bsg._fiber_stages, bsg.bsg_extract
     # in key form the stages see exponent keys; the indices they return
     # are into the value-sorted support of r_{s/2}
-    codec = half.counts.codec
-    H = half.counts.arrays()[0].tolist()
+    codec = half.codec
+    H = half.by_value[0].tolist()
 
     def spy_fiber(coords, h, S, *rest):
         a, R_x, Y, thr_Y, z, Y1 = fiber_stages(coords, h, S, *rest)
