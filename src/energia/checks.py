@@ -3,13 +3,17 @@
 Every holds-flag is decided by an exact integer comparison; fractional
 powers are cleared by raising both sides to the 2s-th power first.  The
 only informational check is the convex-growth ratio, whose implied
-constants are unknown and whose threshold therefore lives in config.
+constants are unknown: its threshold is a fixed floor damped by a power
+of log |A|, formed at the configured precision and compared with
+:func:`precision.guarded_cmp`.
 """
 
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+
+import mpmath
 
 from . import precision
 from .energy import ADDITIVE, MULTIPLICATIVE, energy, mixed_energy, sup_rep
@@ -148,22 +152,16 @@ def check_pluennecke(A: IntSet, m: int, n: int) -> CheckReport:
     return _report("pr21", lhs, rhs, lhs <= rhs, (A, m, n))
 
 
-DEFAULT_GROWTH_RATIO_FLOOR = Fraction(1, 100)
-DEFAULT_SUMSET_CAP = 10**8
+GROWTH_RATIO_FLOOR = Fraction(1, 100)
+SUMSET_CAP = 10**8
 
 
-def check_convex_growth(
-    A: IntSet,
-    k: int,
-    K: Fraction,
-    ratio_floor: Fraction = DEFAULT_GROWTH_RATIO_FLOOR,
-    size_cap: int = DEFAULT_SUMSET_CAP,
-) -> CheckReport:
+def check_convex_growth(A: IntSet, k: int, K: Fraction) -> CheckReport:
     """Measure |2^(k-1)A - (2^(k-1)-1)A| against |A|^k K^(-2^k+k+1).
 
     Informational: the true bound's implied constant is unknown, so the
-    holds-flag compares the exact ratio against ratio_floor damped by the
-    (log |A|)^(2^(k+1)+k+3) factor.
+    holds-flag compares the exact ratio against GROWTH_RATIO_FLOOR damped
+    by the (log |A|)^(2^(k+1)+k+3) factor.
     """
     if k not in (2, 3):
         raise BadParamsError("k must be 2 or 3 at desk scale")
@@ -173,16 +171,17 @@ def check_convex_growth(
     m = 2 ** (k - 1)
     n = m - 1
     work = comb(len(A) + m - 1, m) * comb(len(A) + n - 1, n)
-    if work > size_cap:
-        raise TooLargeError(f"sumset work bound {work} exceeds cap {size_cap}")
+    if work > SUMSET_CAP:
+        raise TooLargeError(f"sumset work bound {work} exceeds cap {SUMSET_CAP}")
     span = len(iterated_sumset(A, m, n))
     target = len(A) ** k * K ** (-(2**k) + k + 1)
     ratio = Fraction(span) / target
     log_pow = 2 ** (k + 1) + k + 3
-    threshold = precision.mpf(ratio_floor) * precision.log2(len(A)) ** (-log_pow)
-    holds = precision.mpf(ratio) >= threshold
+    with mpmath.workprec(precision.precision_bits()):
+        threshold = precision.mpf(GROWTH_RATIO_FLOOR) * precision.log2(len(A)) ** (-log_pow)
+        holds = precision.guarded_cmp(precision.mpf(ratio), threshold) >= 0
     return CheckReport(
-        f"hrnr-k{k}", span, target, holds, ratio, digest(A, k, K, ratio_floor)
+        f"hrnr-k{k}", span, target, holds, ratio, digest(A, k, K, GROWTH_RATIO_FLOOR)
     )
 
 

@@ -65,6 +65,9 @@ def _read_input(path) -> IntSet:
             vals = json.loads(text)
             if not isinstance(vals, list):
                 raise ParseFailure("JSON input must be an array")
+            bad = next((v for v in vals if isinstance(v, (bool, float))), None)
+            if bad is not None:
+                raise ParseFailure(f"JSON input must hold integers, got {json.dumps(bad)}")
             return IntSet(int(v) for v in vals)
         return IntSet(int(tok) for tok in text.split())
     except (ValueError, TypeError) as exc:
@@ -291,19 +294,19 @@ def cmd_constants(args):
     elif name == "gemn":
         g = gemn_params(args.k, args.q)
         out = {
-            "Lambda": str(g["Lambda"].exact() or g["Lambda"].value()),
-            "l": str(g["l"].exact() or g["l"].value()),
-            "log2_m": str(g["log2_m"].exact() or g["log2_m"].value()),
-            "log2_U": mpmath.nstr(g["log2_U"].value(), 30),
-            "log2_s": mpmath.nstr(g["log2_s"].value(), 30),
+            "Lambda": str(g["Lambda"]),
+            "l": str(g["l"]),
+            "log2_m": str(g["log2_m"]),
+            "log2_U": mpmath.nstr(g["log2_U"], 30),
+            "log2_s": mpmath.nstr(g["log2_s"], 30),
         }
     elif name == "eric":
         e = eric_params(args.b, args.m)
         out = {
             "k": str(e["k"]),
-            "log2_s2": str(e["log2_s2"].exact() or e["log2_s2"].value()),
-            "log2_U1": mpmath.nstr(e["log2_U1"].value(), 30),
-            "log2_s1": mpmath.nstr(e["log2_s1"].value(), 30),
+            "log2_s2": str(e["log2_s2"]),
+            "log2_U1": mpmath.nstr(e["log2_U1"], 30),
+            "log2_s1": mpmath.nstr(e["log2_s1"], 30),
         }
     elif name == "thrt":
         t = thrt_trace(args.k_int, args.lambda0, args.s)

@@ -1,6 +1,9 @@
-"""Exact evaluation of the explicit parameter formulas and exponent
-recursions, in a log2-space representation that survives tower-sized
-values (m = 2^37200 is stored as its exponent, never materialized).
+"""The explicit parameter formulas and exponent recursions.
+
+Values that stay small rationals are returned exactly, as ints or
+Fractions; irrational logs and the tower-sized exponents are mpfs at the
+configured precision.  Tower-sized values are returned as their log2
+(m = 2^37200 is held as 37200, never materialized).
 """
 
 import math
@@ -12,125 +15,6 @@ import mpmath
 
 from . import precision
 from .errors import BadParamsError, InvariantError
-
-_EXACT_POW2_CAP = 1 << 12  # largest exponent materialized exactly
-
-
-def _pow2_exact(q: Fraction) -> Optional[int]:
-    """log2 q when q is an exact power of two, else None."""
-    if q.denominator == 1:
-        n = q.numerator
-        if n > 0 and n & (n - 1) == 0:
-            return n.bit_length() - 1
-    elif q.numerator == 1:
-        d = q.denominator
-        if d & (d - 1) == 0:
-            return -(d.bit_length() - 1)
-    return None
-
-
-@dataclass(frozen=True)
-class ExponentExpr:
-    """A number held as an expression tree over {int literal, +, *, ceil,
-    log2, 2^x}, with a high-precision value and, when it exists below the
-    materialization cap, an exact rational value."""
-
-    kind: str
-    args: tuple = ()
-    literal: Optional[Fraction] = None
-
-    # -- construction -------------------------------------------------------
-
-    @staticmethod
-    def lit(x) -> "ExponentExpr":
-        return ExponentExpr("lit", (), precision.rational(x, "literal"))
-
-    @staticmethod
-    def wrap(x) -> "ExponentExpr":
-        return x if isinstance(x, ExponentExpr) else ExponentExpr.lit(x)
-
-    def __add__(self, other):
-        return ExponentExpr("add", (self, ExponentExpr.wrap(other)))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return ExponentExpr("mul", (self, ExponentExpr.wrap(other)))
-
-    __rmul__ = __mul__
-
-    def ceil(self) -> "ExponentExpr":
-        return ExponentExpr("ceil", (self,))
-
-    def log2(self) -> "ExponentExpr":
-        return ExponentExpr("log2", (self,))
-
-    @staticmethod
-    def pow2(x) -> "ExponentExpr":
-        return ExponentExpr("pow2", (ExponentExpr.wrap(x),))
-
-    # -- evaluation ---------------------------------------------------------
-
-    def exact(self) -> Optional[Fraction]:
-        """Exact rational value, or None when exactness is unavailable
-        (irrational log2, or a power of two past the materialization cap)."""
-        if self.kind == "lit":
-            return self.literal
-        vals = [a.exact() for a in self.args]
-        if any(v is None for v in vals):
-            return None
-        if self.kind == "add":
-            return vals[0] + vals[1]
-        if self.kind == "mul":
-            return vals[0] * vals[1]
-        if self.kind == "ceil":
-            return Fraction(math.ceil(vals[0]))
-        if self.kind == "log2":
-            e = _pow2_exact(vals[0])
-            return None if e is None else Fraction(e)
-        if self.kind == "pow2":
-            v = vals[0]
-            if v.denominator != 1 or abs(v.numerator) > _EXACT_POW2_CAP:
-                return None
-            n = v.numerator
-            return Fraction(2**n) if n >= 0 else Fraction(1, 2**-n)
-        raise InvariantError(f"unknown expression kind {self.kind!r}")
-
-    def value(self):
-        """High-precision mpf value (arbitrary binary exponent)."""
-        ex = self.exact()
-        with mpmath.workprec(precision.precision_bits()):
-            if ex is not None:
-                return mpmath.mpf(ex.numerator) / mpmath.mpf(ex.denominator)
-            if self.kind == "add":
-                return self.args[0].value() + self.args[1].value()
-            if self.kind == "mul":
-                return self.args[0].value() * self.args[1].value()
-            if self.kind == "ceil":
-                return -precision.guarded_floor(-self.args[0].value())
-            if self.kind == "log2":
-                return mpmath.log(self.args[0].value(), 2)
-            if self.kind == "pow2":
-                return mpmath.mpf(2) ** self.args[0].value()
-            raise InvariantError(f"unknown expression kind {self.kind!r}")
-
-    def log2_value(self):
-        """log2 of the value; for pow2 nodes this avoids materialization."""
-        if self.kind == "pow2":
-            return self.args[0].value()
-        with mpmath.workprec(precision.precision_bits()):
-            return mpmath.log(self.value(), 2)
-
-    def __repr__(self):
-        if self.kind == "lit":
-            return str(self.literal)
-        if self.kind in ("add", "mul"):
-            op = "+" if self.kind == "add" else "*"
-            return f"({self.args[0]!r} {op} {self.args[1]!r})"
-        return f"{self.kind}({self.args[0]!r})"
-
-
-# -- parameter blocks -------------------------------------------------------
 
 
 def _ceil_log2(k: Fraction) -> int:
@@ -148,36 +32,46 @@ def gemn_params(k, q: int) -> dict:
 
     Lambda = 6 + 25 log2 q; l = ceil(600 q k Lambda); m = 2^l; U = 120 m;
     s = 2^(5 + (1+U)(ceil(log2 k)+1)).  m, U, s are returned in log2 space.
+    Lambda, l and log2_m are ints when q is a power of two and mpfs
+    otherwise; log2_U and log2_s are mpfs.
     """
     k = precision.rational(k, "k")
     if k < 1:
         raise BadParamsError("need k >= 1")
     if q < 2 or q % 2 != 0:
         raise BadParamsError("need even q >= 2")
-    Lambda = ExponentExpr.lit(6) + ExponentExpr.lit(25) * ExponentExpr.lit(q).log2()
-    l = (ExponentExpr.lit(600 * q) * ExponentExpr.lit(k) * Lambda).ceil()
-    log2_m = l
-    log2_U = ExponentExpr.lit(120).log2() + l
-    U = ExponentExpr.lit(120) * ExponentExpr.pow2(l)
-    ck = ExponentExpr.lit(_ceil_log2(k) + 1)
-    log2_s = ExponentExpr.lit(5) + (ExponentExpr.lit(1) + U) * ck
-    return {"Lambda": Lambda, "l": l, "log2_m": log2_m, "log2_U": log2_U, "log2_s": log2_s}
+    ck = _ceil_log2(k) + 1
+    with mpmath.workprec(precision.precision_bits()):
+        if q & (q - 1) == 0:
+            Lambda = 6 + 25 * (q.bit_length() - 1)
+            l = math.ceil(600 * q * k * Lambda)
+        else:
+            Lambda = 6 + 25 * mpmath.log(q, 2)
+            l = -precision.guarded_floor(-(precision.mpf(600 * q * k) * Lambda))
+        log2_U = mpmath.log(120, 2) + l
+        # 5 + (1 + U) ck with U = 120 * 2^l, rounded once
+        log2_s = 120 * ck * mpmath.mpf(2) ** l + (5 + ck)
+    return {"Lambda": Lambda, "l": l, "log2_m": l, "log2_U": log2_U, "log2_s": log2_s}
 
 
 def eric_params(b, m: int) -> dict:
-    """Good-tuple parameter block: k = b/30, s2, U1, s1 (log2 space)."""
+    """Good-tuple parameter block: k = b/30, s2, U1, s1 (log2 space).
+
+    k is a Fraction and log2_s2 an int; log2_U1 and log2_s1 are mpfs.
+    """
     b = precision.rational(b, "b")
     if b < 30:
         raise BadParamsError("need b >= 30")
     if m < 1:
         raise BadParamsError("need m >= 1")
     k = b / 30
-    ck = ExponentExpr.lit(_ceil_log2(k) + 1)
-    log2_s2 = ExponentExpr.lit(5) + ExponentExpr.lit(1 + 120 * m) * ck
-    kc = math.ceil(k)
-    log2_U1 = ExponentExpr.lit(500 * kc).log2() + log2_s2
-    U1 = ExponentExpr.lit(500 * kc) * ExponentExpr.pow2(log2_s2)
-    log2_s1 = ExponentExpr.lit(5) + (ExponentExpr.lit(1) + U1) * ck
+    ck = _ceil_log2(k) + 1
+    log2_s2 = 5 + (1 + 120 * m) * ck
+    c = 500 * math.ceil(k)
+    with mpmath.workprec(precision.precision_bits()):
+        log2_U1 = mpmath.log(c, 2) + log2_s2
+        # 5 + (1 + U1) ck with U1 = c * 2^s2, rounded once
+        log2_s1 = c * ck * mpmath.mpf(2) ** log2_s2 + (5 + ck)
     return {"k": k, "log2_s2": log2_s2, "log2_U1": log2_U1, "log2_s1": log2_s1}
 
 
@@ -245,13 +139,10 @@ def thrt_trace(k: int, Lambda0, s: int) -> ThrtTrace:
 def bta_eta(log2_s) -> dict:
     """Largest k >= 4 whose parameter chain (q = 10 ceil k) fits below the
     given log2 s, by 64-round bisection over the monotone predicate."""
-    if isinstance(log2_s, ExponentExpr):
-        target = log2_s.value()
-    else:
-        target = precision.mpf(log2_s)
+    target = precision.mpf(log2_s)
 
     def fits(k: Fraction) -> bool:
-        return gemn_params(k, 10 * math.ceil(k))["log2_s"].value() <= target
+        return gemn_params(k, 10 * math.ceil(k))["log2_s"] <= target
 
     lo = Fraction(4)
     if not fits(lo):
@@ -267,13 +158,13 @@ def bta_eta(log2_s) -> dict:
             hi = mid
     k = lo
     q = 10 * math.ceil(k)
-    chain = gemn_params(k, q)
+    chain = gemn_params(k, q)  # q is never a power of two: every value is an mpf
     certificate = {
         "k": k,
         "q": q,
-        "Lambda": str(chain["Lambda"].value()),
-        "l": str(chain["l"].value()),
-        "log2_s": str(chain["log2_s"].value()),
+        "Lambda": str(chain["Lambda"]),
+        "l": str(chain["l"]),
+        "log2_s": str(chain["log2_s"]),
         "target_log2_s": str(target),
     }
     return {"k": k, "certificate": certificate}

@@ -6,6 +6,7 @@ when the margin falls below the certified precision bound instead of
 silently mis-certifying.
 """
 
+import math
 import os
 from fractions import Fraction
 
@@ -29,11 +30,14 @@ def precision_bits() -> int:
 
 
 def rational(x, name) -> Fraction:
-    """An int, Fraction or float parameter as an exact Fraction; floats go
-    through their decimal repr, so 0.1 is 1/10, not its binary value."""
+    """An int, Fraction or finite float parameter as an exact Fraction;
+    floats go through their decimal repr, so 0.1 is 1/10, not its binary
+    value."""
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise BadParamsError(f"{name} must be finite, got {x}")
         return Fraction(str(x))
     raise BadParamsError(f"{name} must be a rational number, got {type(x).__name__}")
 

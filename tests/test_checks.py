@@ -144,7 +144,7 @@ class TestConvexGrowth:
 
     def test_cap(self):
         with pytest.raises(TooLargeError):
-            check_convex_growth(powers(2, 40), 3, Fraction(2), size_cap=10**4)
+            check_convex_growth(powers(2, 40), 3, Fraction(2))
 
     def test_bad_k(self):
         with pytest.raises(BadParamsError):

@@ -55,6 +55,11 @@ class TestEnergyCmd:
         p.write_text("[3, 1, 2]")
         code, doc, _ = run_json(capsys, "energy", "--s", "2", str(p))
         assert code == 0 and doc["results"]["count"] == "19"
+        # floats and booleans are not silently truncated to ints
+        for text in ("[1.5, 2.7, 3]", "[true, 2]"):
+            p.write_text(text)
+            code, out, err = run(capsys, "sumset", "--m", "1", str(p))
+            assert code == 2 and out == "" and err.startswith("parse error:")
 
 
 class TestSumsetCmd:
@@ -171,6 +176,24 @@ class TestConstantsCmd:
         code, doc, _ = run_json(capsys, "constants", "com2", "--n-int", "16", "--c", "0.5", "--Cc", "1")
         assert doc["results"]["values"]["budget"] == 21
         assert doc["results"]["values"]["within_budget"]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["kp", "--delta", "nan"], "delta"),
+        (["decompose", "--k", "inf"], "k"),
+        (["constants", "gemn", "--k", "nan"], "k"),
+        (["constants", "com2", "--c", "nan"], "c"),
+        (["constants", "thrt", "--lambda0", "nan"], "Lambda0"),
+    ],
+)
+def test_non_finite_parameters_are_errors(capsys, abc_file, argv, name):
+    if argv[0] != "constants":
+        argv = argv + [abc_file]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {name} must be finite") and "Traceback" not in err
 
 
 class TestGenCmd:

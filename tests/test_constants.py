@@ -9,7 +9,6 @@ import pytest
 
 from energia import constants
 from energia.constants import (
-    ExponentExpr,
     bta_eta,
     eric_params,
     gemn_params,
@@ -20,48 +19,41 @@ from energia.constants import (
 from energia.errors import BadParamsError, InvariantError
 
 
-class TestExponentExpr:
-    def test_literal_arithmetic(self):
-        e = (ExponentExpr.lit(3) + 4) * 2
-        assert e.exact() == 14
-
-    def test_ceil(self):
-        assert (ExponentExpr.lit(Fraction(7, 2))).ceil().exact() == 4
-        assert (ExponentExpr.lit(-Fraction(7, 2))).ceil().exact() == -3
-
-    def test_log2_power_of_two(self):
-        assert ExponentExpr.lit(64).log2().exact() == 6
-        assert ExponentExpr.lit(Fraction(1, 8)).log2().exact() == -3
-        assert ExponentExpr.lit(3).log2().exact() is None
-
-    def test_pow2_cap(self):
-        big = ExponentExpr.pow2(ExponentExpr.lit(2**21))
-        assert big.exact() is None
-        assert big.log2_value() == 2**21
-
-    def test_value_of_irrational_log(self):
-        v = ExponentExpr.lit(3).log2().value()
-        with mpmath.workprec(300):
-            assert abs(v - mpmath.log(3, 2)) < mpmath.mpf(2) ** -200
+def _is_exact(x):
+    return isinstance(x, (int, Fraction))
 
 
 class TestGemnParams:
     def test_k1_q2(self):
         g = gemn_params(1, 2)
-        assert g["Lambda"].exact() == 31
-        assert g["l"].exact() == 37200
+        assert all(_is_exact(g[key]) for key in ("Lambda", "l", "log2_m"))
+        assert g["Lambda"] == 31
+        assert g["l"] == g["log2_m"] == 37200
 
     def test_k1_q4(self):
         g = gemn_params(1, 4)
-        assert g["Lambda"].exact() == 56
-        assert g["l"].exact() == 600 * 4 * 56
+        assert all(_is_exact(g[key]) for key in ("Lambda", "l", "log2_m"))
+        assert g["Lambda"] == 56
+        assert g["l"] == 600 * 4 * 56
+
+    def test_lambda_q6_is_irrational(self):
+        Lambda = gemn_params(1, 6)["Lambda"]
+        assert isinstance(Lambda, mpmath.mpf)
+        with mpmath.workprec(300):
+            assert abs(Lambda - (6 + 25 * mpmath.log(6, 2))) < mpmath.mpf(2) ** -200
+
+    def test_log2_U_follows_the_precision_bits(self, monkeypatch):
+        monkeypatch.setenv("ENERGIA_PRECISION_BITS", "1024")
+        log2_U = gemn_params(1, 2)["log2_U"]
+        with mpmath.workprec(1100):
+            assert abs(log2_U - (mpmath.log(120, 2) + 37200)) < mpmath.mpf(2) ** -900
 
     def test_tower_representable(self):
         g = gemn_params(1, 2)
         # s = 2^(5 + (1 + 120*2^37200) * 1): only its log2 is materializable
         log2_s = g["log2_s"]
-        assert log2_s.exact() is None
-        assert log2_s.log2_value() > 37200
+        assert isinstance(log2_s, mpmath.mpf)
+        assert mpmath.log(log2_s, 2) > 37200
 
     def test_validation(self):
         with pytest.raises(BadParamsError):
@@ -74,7 +66,7 @@ class TestEricParams:
     def test_b30_m2(self):
         e = eric_params(30, 2)
         assert e["k"] == 1
-        assert e["log2_s2"].exact() == 246
+        assert e["log2_s2"] == 246 and _is_exact(e["log2_s2"])
 
     def test_k_formula(self):
         assert eric_params(60, 1)["k"] == 2

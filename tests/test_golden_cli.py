@@ -15,7 +15,9 @@ the decomposer, the constants and the CLI, the
 ``kp-s6-mult-grid-above-2^62`` and ``decompose-35-grid`` cases before
 multiplicative work moved to exponent keys, the ``kp-mult-*``,
 ``kp-paper-*``, ``kp-s6*`` and ``decompose-mult-*`` cases before the
-popular-sum stages were vectorised, the others before the convolution
+popular-sum stages were vectorised, ``constants-gemn-k1.5-q6`` and
+``constants-eric-b31-m40`` before the parameter formulas became plain
+values instead of expression trees, the others before the convolution
 kernel was rewritten.  Two cases record a fix rather than old output:
 ``sumset-0A-A-int64-min`` and ``sumset-A-A-int64-min`` were captured
 after the int64 indicator stopped taking -2^63, whose negation wrapped,
@@ -23,7 +25,10 @@ and a test checks them against plain Python sets.  A change that alters
 any report byte, any exit code or the chosen ``A'`` fails here.  To
 capture them again after an intended change of output:
 
-    PYTHONPATH=src python tests/test_golden_cli.py
+    PYTHONPATH=src python tests/test_golden_cli.py [NAME ...]
+
+Named cases are captured alone and every other entry keeps its bytes;
+with no name the whole corpus is captured again.
 """
 
 import contextlib
@@ -160,8 +165,12 @@ CASES = {
     "constants-rtp-k3": (["constants", "rtp", "--k-int", "3"], None),
     "constants-gemn": (["constants", "gemn"], None),
     "constants-gemn-k1.5-q4": (["constants", "gemn", "--k", "1.5", "--q", "4"], None),
+    # q = 6: Lambda is irrational and l prints as an mpf
+    "constants-gemn-k1.5-q6": (["constants", "gemn", "--k", "1.5", "--q", "6"], None),
     "constants-eric": (["constants", "eric"], None),
     "constants-eric-b45-m2": (["constants", "eric", "--b", "45", "--m", "2"], None),
+    # log2_s2 = 9607: U1 = 500 * 2^9607 is only ever held as an mpf
+    "constants-eric-b31-m40": (["constants", "eric", "--b", "31", "--m", "40"], None),
     "constants-thrt": (["constants", "thrt"], None),
     "constants-thrt-crossing": (["constants", "thrt", "--lambda0", "0.9999"], None),
     "constants-thrt-k3-s16": (["constants", "thrt", "--k-int", "3", "--s", "16", "--lambda0", "1.5"], None),
@@ -249,13 +258,18 @@ def test_int64_min_reports_match_python_sets(name, m, n, golden):
     assert results["size"] == len(want)
 
 
-def capture():
-    result = {}
-    for name, (argv, values) in CASES.items():
-        code, out = run_case(argv, values)
+def capture(names=()):
+    """Run the named cases (all when none are named) and store their output;
+    every other entry of the corpus keeps its bytes."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown cases: {', '.join(unknown)}")
+    result = json.loads(GOLDEN.read_text()) if names and GOLDEN.exists() else {}
+    for name in names or CASES:
+        code, out = run_case(*CASES[name])
         result[name] = {"code": code, "stdout": out}
     GOLDEN.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
-    capture()
+    capture(sys.argv[1:])

@@ -42,6 +42,9 @@ def test_rational_coercion():
     assert precision.rational(0.1, "x") == Fraction(1, 10)
     with pytest.raises(BadParamsError, match="x must be a rational number"):
         precision.rational("0.1", "x")
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(BadParamsError, match="x must be finite"):
+            precision.rational(bad, "x")
 
 
 def _mpf(n, offset):
