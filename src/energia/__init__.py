@@ -39,7 +39,6 @@ from .decomposer import (  # noqa: F401
     com2_simulate,
     decompose,
     decompose_eric,
-    mult_dichotomy,
     sign_split,
 )
 from .errors import EnergiaError  # noqa: F401

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
 import numpy as np
 
 from . import _kernel, precision
@@ -264,16 +263,13 @@ def bsg_extract(U: IntSet, V: IntSet, G: PopularSumGraph, keys=None):
 def _balbsg_report(members, span, G: PopularSumGraph) -> CheckReport:
     n = G.bound_n()
     alpha = G.alpha
-    with mpmath.workprec(precision.precision_bits()):
-        a = precision.mpf(alpha)
-        log_term = mpmath.log(32 / a, 2)
-        upper = mpmath.mpf(2) ** 38 / 3 * log_term / a**7 * n
-        lower = mpmath.mpf(3) / 2**16 * a**3 / log_term * n
-        holds = precision.mpf(span) <= upper and precision.mpf(len(members)) >= lower
+    with precision.working():
+        log_term = precision.log2(32 / alpha)
+        upper = precision.mpf(Fraction(2**38 * n, 3) / alpha**7) * log_term
+        lower = precision.mpf(Fraction(3 * n, 2**16) * alpha**3) / log_term
+        holds = precision.guarded_cmp(span, upper) <= 0 and precision.guarded_cmp(len(members), lower) >= 0
         slack = upper / span if span else None
-    return CheckReport(
-        "balbsg", span, upper, bool(holds), slack, digest(members, alpha, n)
-    )
+    return CheckReport("balbsg", span, upper, holds, slack, digest(members, alpha, n))
 
 
 # -- the pipeline ------------------------------------------------------------
@@ -310,20 +306,13 @@ def kp_pipeline(
     shifts, half, r_s = _chain(A, s, energy_mode)
     E_s = r_s.energy_count()
     E_half = half.energy_count()
-    log_n = precision.log2(nA)
-    nu = 2 * s - precision.log2(E_s) / log_n
+    with precision.working():
+        nu = 2 * s - precision.log2(E_s) / precision.log2(nA)
 
-    # E_{s/2}(A) > |A|^(s - nu + delta), i.e. log2 E_half > log2 E_s - (s-delta) log2|A|
-    thr_log = precision.log2(E_s) - (s - precision.mpf(delta)) * log_n
-    energy_cond = precision.guarded_cmp(precision.log2(E_half), thr_log) > 0
-    energy_check = CheckReport(
-        "kp-energy-branch",
-        E_half,
-        str(thr_log),
-        energy_cond,
-        None,
-        digest(A, s, delta),
-    )
+    # E_{s/2}(A) > |A|^(s - nu + delta) = E_s |A|^(delta - s), as |A|^nu = |A|^(2s) / E_s
+    d = precision.rational(delta, "delta")
+    energy_cond = precision.cmp_count_power(E_half, nA, d - s, factor=E_s) > 0
+    energy_check = CheckReport("kp-energy-branch", E_half, "E_s |A|^(delta-s)", energy_cond, None, digest(A, s, delta))
 
     if mode == PAPER and energy_cond:
         stats = {"E_s": E_s, "E_half": E_half}
@@ -363,11 +352,12 @@ def _fiber_stages(H, h, S, additive, mode, nA, s, d):
         raise StageCollapseError("anchor")
     R_x = np.flatnonzero(M[a])
 
+    # paper bound on the overlaps and on z: size >= 2^-3 |A|^(s/2 - 2 delta)
+    popular = lambda size: precision.cmp_count_power(8 * size, nA, Fraction(s, 2) - 2 * d) >= 0
     overlap = _matvec(M[:, R_x], h[R_x])
     if mode == PAPER:
-        thr_Y = mpmath.mpf(2) ** -3 * mpmath.mpf(nA) ** (s / 2 - 2 * d)
-        keep = [i for i, o in enumerate(overlap.tolist()) if o and precision.mpf(o) >= thr_Y]
-        Y = np.array(keep, dtype=np.intp)
+        thr_Y = "2^-3 |A|^(s/2-2delta)"
+        Y = np.array([i for i, o in enumerate(overlap.tolist()) if o and popular(o)], dtype=np.intp)
     else:
         thr_Y = "top-half overlap mass"
         Y = _top_mass(h * overlap)
@@ -378,10 +368,8 @@ def _fiber_stages(H, h, S, additive, mode, nA, s, d):
     zi = int(np.argmax(size))
     if size[zi] <= 0:
         raise StageCollapseError("Y1")
-    if mode == PAPER:
-        thr_Y1 = mpmath.mpf(2) ** -3 * mpmath.mpf(nA) ** (s / 2 - 2 * d)
-        if precision.mpf(int(size[zi])) < thr_Y1:
-            raise StageCollapseError("Y1", "paper lower bound missed")
+    if mode == PAPER and not popular(int(size[zi])):
+        raise StageCollapseError("Y1", "paper lower bound missed")
     z = int(R_x[zi])
     return a, R_x, Y, thr_Y, z, Y[M[Y, z]]
 
@@ -397,7 +385,7 @@ def _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_ch
     add, codec = half.adds, half.codec
     nA = len(A)
     E_s = r_s.energy_count()
-    d = precision.mpf(delta)
+    d = precision.rational(delta, "delta")
     trace = []
     checks = [energy_check]
 
@@ -419,7 +407,7 @@ def _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_ch
     trace.append(("G", G_size, str(thr_S)))
 
     # Lemma 7lem1 assertions: 2|G| > |A|^(s-delta) and |S| E_s <= 4 |A|^(2s)
-    mass_ok = precision.cmp_count_power(2 * G_size, nA, s - precision.rational(delta, "delta")) > 0
+    mass_ok = precision.cmp_count_power(2 * G_size, nA, s - d) > 0
     count_ok = len(S_idx) * E_s <= 4 * nA ** (2 * s)
     checks.append(
         CheckReport("7lem1-mass", 2 * G_size, f"|A|^(s-delta)", mass_ok, None, digest(A, s, "mass"))
@@ -457,12 +445,12 @@ def _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_ch
     uv_coords, uv_cnts = r_uv.counts.arrays()
     M = Fraction(4 * nA ** (2 * s), E_s)  # 4 |A|^nu, exactly
     if mode == PAPER:
-        alpha_paper = mpmath.mpf(2) ** -37 * mpmath.mpf(nA) ** (-20 * d)
-        thr_graph = alpha_paper * precision.mpf(M)
-        passing = [c for c in np.unique(uv_cnts).tolist() if precision.mpf(c) >= thr_graph]
+        # c >= 2^-37 |A|^(-20 delta) M = 2^-35 |A|^(2s - 20 delta) / E_s
+        counts = np.unique(uv_cnts).tolist()
+        passing = [c for c in counts if precision.cmp_count_power(c * E_s << 35, nA, 2 * s - 20 * d) >= 0]
         # keep at most M sums, the most represented first (ties: least value)
         Sp_idx = _top(np.flatnonzero(np.isin(uv_cnts, passing)), uv_cnts, int(M), r_uv.values_at)
-        thr_repr = str(thr_graph)
+        thr_repr = "2^-35 |A|^(nu-20delta)"
     else:
         Sp_idx = _top_mass(uv_cnts, r_uv.values_at)
         thr_repr = "top-half pair mass"
@@ -499,14 +487,12 @@ def _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_ch
     A_prime = IntSet._trusted([A.elements[j] for j in members])
     trace.append(("Aprime", len(A_prime), str(shift_vals[w])))
 
-    # paper-constant final lower bound, informational at desk scale
-    with mpmath.workprec(precision.precision_bits()):
-        alpha_p = mpmath.mpf(2) ** -37 * mpmath.mpf(nA) ** (-20 * d)
-        final_lb = mpmath.mpf(2) ** -24 * alpha_p**4 * mpmath.mpf(nA) ** (1 - 2 * d)
-        final_ok = precision.mpf(len(A_prime)) >= final_lb
+    # paper-constant final lower bound, informational at desk scale:
+    # |A'| >= 2^-24 alpha^4 |A|^(1 - 2 delta) with alpha = 2^-37 |A|^(-20 delta)
+    final_ok = precision.cmp_count_power(len(A_prime) << 172, nA, 1 - 82 * d) >= 0
     checks.append(
         CheckReport(
-            "kp-final-size", len(A_prime), str(final_lb), bool(final_ok), None, digest(A, s, delta, "final")
+            "kp-final-size", len(A_prime), "2^-172 |A|^(1-82delta)", final_ok, None, digest(A, s, delta, "final")
         )
     )
 
@@ -528,28 +514,19 @@ def _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_ch
 
 
 def kp_verify(res: KpResult, A: IntSet, pairs):
-    """Check |mA' - nA'| against the explicit paper bound for each (m, n)
-    pair."""
+    """Check |mA' - nA'| against the explicit paper bound
+    2^(506(m+n)+2) |A|^(nu + 240(m+n) delta) for each (m, n) pair, as
+    |mA' - nA'| E_s against 2^(506(m+n)+2) |A|^(2s + 240(m+n) delta)."""
     if res.branch != SUBSET_BRANCH:
         raise WrongBranchError("kp_verify needs a SubsetBranch result")
     reports = []
-    nA = len(A)
+    nA, E_s = len(A), res.stage_stats["E_s"]
+    d = precision.rational(res.delta, "delta")
+    fold = iterated_sumset if res.energy_mode == ADDITIVE else iterated_product_set
     for m, n in pairs:
-        if res.energy_mode == ADDITIVE:
-            span = len(iterated_sumset(res.A_prime, m, n))
-        else:
-            span = len(iterated_product_set(res.A_prime, m, n))
-        with mpmath.workprec(precision.precision_bits()):
-            bound = (
-                mpmath.mpf(2) ** (506 * (m + n) + 2)
-                * mpmath.mpf(nA)
-                ** (precision.mpf(res.nu) + 240 * (m + n) * precision.mpf(res.delta))
-            )
-            holds = precision.mpf(span) <= bound
-            slack = bound / span if span else None
-        reports.append(
-            CheckReport(
-                f"kp-bound-{m}-{n}", span, str(bound), bool(holds), slack, digest(A, m, n)
-            )
-        )
+        span = len(fold(res.A_prime, m, n))
+        k = m + n
+        holds = precision.cmp_count_power(span * E_s, nA, 2 * res.s + 240 * k * d, factor=2 ** (506 * k + 2)) <= 0
+        rhs = f"2^{506 * k + 2} |A|^(nu+{240 * k}delta)"
+        reports.append(CheckReport(f"kp-bound-{m}-{n}", span, rhs, holds, None, digest(A, m, n)))
     return reports

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-import mpmath
-
 from . import precision
 from .energy import ADDITIVE, MULTIPLICATIVE, energy, mixed_energy, sup_rep
 from .errors import (
@@ -177,7 +175,7 @@ def check_convex_growth(A: IntSet, k: int, K: Fraction) -> CheckReport:
     target = len(A) ** k * K ** (-(2**k) + k + 1)
     ratio = Fraction(span) / target
     log_pow = 2 ** (k + 1) + k + 3
-    with mpmath.workprec(precision.precision_bits()):
+    with precision.working():
         threshold = precision.mpf(GROWTH_RATIO_FLOOR) * precision.log2(len(A)) ** (-log_pow)
         holds = precision.guarded_cmp(precision.mpf(ratio), threshold) >= 0
     return CheckReport(

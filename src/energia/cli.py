@@ -16,8 +16,6 @@ import sys
 import time
 from fractions import Fraction
 
-import mpmath
-
 from . import __version__, precision
 from .bsg import CALIBRATED, SUBSET_BRANCH, kp_pipeline, kp_verify
 from .checks import (
@@ -60,18 +58,20 @@ def _read_input(path) -> IntSet:
     text = text.strip()
     if not text:
         raise ParseFailure("empty input")
+    if "_" in text:  # int() would read 1_000 as 1000
+        raise ParseFailure("integers may not contain underscores")
     try:
-        if text.startswith("["):
-            vals = json.loads(text)
-            if not isinstance(vals, list):
-                raise ParseFailure("JSON input must be an array")
-            bad = next((v for v in vals if isinstance(v, (bool, float))), None)
-            if bad is not None:
-                raise ParseFailure(f"JSON input must hold integers, got {json.dumps(bad)}")
-            return IntSet(int(v) for v in vals)
-        return IntSet(int(tok) for tok in text.split())
-    except (ValueError, TypeError) as exc:
+        if not text.startswith("["):
+            return IntSet(int(tok) for tok in text.split())
+        vals = json.loads(text)
+    except ValueError as exc:
         raise ParseFailure(f"cannot parse input: {exc}")
+    if not isinstance(vals, list):
+        raise ParseFailure("JSON input must be an array")
+    bad = [v for v in vals if type(v) is not int]  # strings, floats, booleans, null, ...
+    if bad:
+        raise ParseFailure(f"JSON input must hold integers, got {json.dumps(bad[0])}")
+    return IntSet(vals)
 
 
 def _digest(A: IntSet) -> str:
@@ -124,7 +124,8 @@ def cmd_energy(args):
     e = energy(A, args.s, mode)
     exponent = None  # log_|A| of the count
     if len(A) >= 2 and e.count > 0:
-        exponent = mpmath.nstr(precision.log2(e.count) / precision.log2(len(A)), 20)
+        with precision.working():
+            exponent = precision.show(precision.log2(e.count) / precision.log2(len(A)), 20)
     results = {
         "input_digest": _digest(A),
         "count": str(e.count),
@@ -218,7 +219,7 @@ def cmd_kp(args):
     results = {
         "input_digest": _digest(A),
         "branch": res.branch,
-        "nu": mpmath.nstr(res.nu, 20),
+        "nu": precision.show(res.nu, 20),
         "delta": args.delta,
         "stage_stats": {k: str(v) for k, v in res.stage_stats.items()},
         "checks": [_check_dict(c) for c in res.checks],
@@ -290,24 +291,11 @@ def cmd_constants(args):
     name = args.formula
     if name == "rtp":
         c = rtp_constants(args.k_int)
-        out = {"T_k": str(c["T_k"]), "eta_k": mpmath.nstr(c["eta_k"], 30)}
+        out = {key: precision.show(v) for key, v in c.items()}
     elif name == "gemn":
-        g = gemn_params(args.k, args.q)
-        out = {
-            "Lambda": str(g["Lambda"]),
-            "l": str(g["l"]),
-            "log2_m": str(g["log2_m"]),
-            "log2_U": mpmath.nstr(g["log2_U"], 30),
-            "log2_s": mpmath.nstr(g["log2_s"], 30),
-        }
+        out = {key: precision.show(v) for key, v in gemn_params(args.k, args.q).items()}
     elif name == "eric":
-        e = eric_params(args.b, args.m)
-        out = {
-            "k": str(e["k"]),
-            "log2_s2": str(e["log2_s2"]),
-            "log2_U1": mpmath.nstr(e["log2_U1"], 30),
-            "log2_s1": mpmath.nstr(e["log2_s1"], 30),
-        }
+        out = {key: precision.show(v) for key, v in eric_params(args.b, args.m).items()}
     elif name == "thrt":
         t = thrt_trace(args.k_int, args.lambda0, args.s)
         out = {

@@ -32,8 +32,8 @@ def gemn_params(k, q: int) -> dict:
 
     Lambda = 6 + 25 log2 q; l = ceil(600 q k Lambda); m = 2^l; U = 120 m;
     s = 2^(5 + (1+U)(ceil(log2 k)+1)).  m, U, s are returned in log2 space.
-    Lambda, l and log2_m are ints when q is a power of two and mpfs
-    otherwise; log2_U and log2_s are mpfs.
+    l and log2_m are ints; Lambda is an int when q is a power of two and
+    an mpf otherwise; log2_U and log2_s are mpfs.
     """
     k = precision.rational(k, "k")
     if k < 1:
@@ -41,13 +41,13 @@ def gemn_params(k, q: int) -> dict:
     if q < 2 or q % 2 != 0:
         raise BadParamsError("need even q >= 2")
     ck = _ceil_log2(k) + 1
-    with mpmath.workprec(precision.precision_bits()):
+    with precision.working():
         if q & (q - 1) == 0:
             Lambda = 6 + 25 * (q.bit_length() - 1)
             l = math.ceil(600 * q * k * Lambda)
         else:
             Lambda = 6 + 25 * mpmath.log(q, 2)
-            l = -precision.guarded_floor(-(precision.mpf(600 * q * k) * Lambda))
+            l = -int(precision.guarded_floor(-(precision.mpf(600 * q * k) * Lambda)))
         log2_U = mpmath.log(120, 2) + l
         # 5 + (1 + U) ck with U = 120 * 2^l, rounded once
         log2_s = 120 * ck * mpmath.mpf(2) ** l + (5 + ck)
@@ -68,7 +68,7 @@ def eric_params(b, m: int) -> dict:
     ck = _ceil_log2(k) + 1
     log2_s2 = 5 + (1 + 120 * m) * ck
     c = 500 * math.ceil(k)
-    with mpmath.workprec(precision.precision_bits()):
+    with precision.working():
         log2_U1 = mpmath.log(c, 2) + log2_s2
         # 5 + (1 + U1) ck with U1 = c * 2^s2, rounded once
         log2_s1 = c * ck * mpmath.mpf(2) ** log2_s2 + (5 + ck)
@@ -96,7 +96,7 @@ def rtp_constants(k: int) -> dict:
     T = _growth_budget(k)
     if T != _growth_budget_redundant(k):
         raise InvariantError(f"T_{k} re-derivation mismatch")
-    with mpmath.workprec(max(precision.precision_bits(), 64)):
+    with precision.working():
         eta = mpmath.log(1 + mpmath.mpf(1) / T, 2)
     return {"T_k": T, "eta_k": eta}
 
@@ -106,7 +106,7 @@ def rtp_exponent_bound(k: int, s: int):
     if k < 2 or s < 4:
         raise BadParamsError("need k >= 2 and s >= 4")
     eta = rtp_constants(k)["eta_k"]
-    with mpmath.workprec(precision.precision_bits()):
+    with precision.working():
         return 2 * s - k + (4 * k - 4) * mpmath.mpf(s) ** (-eta)
 
 
@@ -142,7 +142,7 @@ def bta_eta(log2_s) -> dict:
     target = precision.mpf(log2_s)
 
     def fits(k: Fraction) -> bool:
-        return gemn_params(k, 10 * math.ceil(k))["log2_s"] <= target
+        return precision.guarded_cmp(gemn_params(k, 10 * math.ceil(k))["log2_s"], target) <= 0
 
     lo = Fraction(4)
     if not fits(lo):
@@ -158,13 +158,13 @@ def bta_eta(log2_s) -> dict:
             hi = mid
     k = lo
     q = 10 * math.ceil(k)
-    chain = gemn_params(k, q)  # q is never a power of two: every value is an mpf
+    chain = gemn_params(k, q)  # q is never a power of two: Lambda is an mpf
     certificate = {
         "k": k,
         "q": q,
-        "Lambda": str(chain["Lambda"]),
-        "l": str(chain["l"]),
-        "log2_s": str(chain["log2_s"]),
-        "target_log2_s": str(target),
+        "Lambda": precision.show(chain["Lambda"]),
+        "l": precision.show(chain["l"]),
+        "log2_s": precision.show(chain["log2_s"]),
+        "target_log2_s": precision.show(target),
     }
     return {"k": k, "certificate": certificate}

@@ -29,7 +29,7 @@ from .errors import (
     StageCollapseError,
     TooLargeError,
 )
-from .sets import IntSet, iterated_product_set
+from .sets import IntSet
 
 _MAX_EXECUTABLE_ARITY = 64
 _EXHAUSTIVE_CAP = 16
@@ -95,7 +95,7 @@ def com2_budget(n: int, c, Cc) -> int:
         raise BadParamsError("need n >= 1")
     if not 0 < c < 1 or Cc <= 0:
         raise BadParamsError("need 0 < c < 1 and Cc > 0")
-    with mpmath.workprec(precision.precision_bits()):
+    with precision.working():
         cv = precision.mpf(c)
         val = 2 * (mpmath.log(n, 2) + 2) + precision.mpf(1 / Cc) * mpmath.mpf(n) ** cv / (
             mpmath.mpf(2) ** cv - 1
@@ -145,52 +145,6 @@ def com2_simulate(n: int, c, Cc, adversary) -> int:
 def minimal_adversary(c, Cc):
     """The slowest admissible deletion rule."""
     return lambda size: min_deletion(size, c, Cc)
-
-
-# -- multiplicative dichotomy ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SmallEnergy:
-    report: CheckReport
-
-
-@dataclass(frozen=True)
-class StructuredSubset:
-    B: IntSet
-    product_report: CheckReport
-
-
-def mult_dichotomy(A: IntSet, k, s: int, m: int = 2, mode: str = CALIBRATED):
-    """Either M_s(A) < |A|^(2s-k) (certified exactly) or a subset B with
-    small m-fold product set, found by the multiplicative pipeline."""
-    k = precision.rational(k, "k")
-    if len(A) == 0 or min(A) <= 0:
-        raise BadParamsError("need a non-empty set of positive integers")
-    if s < 2 or s % 2 != 0 or m < 1:
-        raise BadParamsError("need even s >= 2 and m >= 1")
-    n = len(A)
-    M_s = energy(A, s, MULTIPLICATIVE).count
-    cmp = precision.cmp_count_power(M_s, n, 2 * s - k)
-    if cmp < 0 and n > 1:
-        return SmallEnergy(
-            CheckReport(
-                "ntm2-small", M_s, f"|A|^{2 * s - k}", True, None, digest(A, k, s)
-            )
-        )
-    if n == 1:
-        B = A
-    else:
-        res = kp_pipeline(A, max(4, s), 0.05, mode=mode, energy_mode=MULTIPLICATIVE)
-        if res.branch != SUBSET_BRANCH:
-            raise StageCollapseError("dichotomy", "pipeline yielded no subset")
-        B = res.A_prime
-    span = len(iterated_product_set(B, m, 0))
-    holds = precision.cmp_count_power(span, n, 3 * k) <= 0
-    report = CheckReport(
-        "ntm2-product", span, f"|A|^{3 * k}", holds, None, digest(A, k, s, m)
-    )
-    return StructuredSubset(B, report)
 
 
 # -- extractors --------------------------------------------------------------

@@ -42,9 +42,20 @@ def rational(x, name) -> Fraction:
     raise BadParamsError(f"{name} must be a rational number, got {type(x).__name__}")
 
 
+def working():
+    """A context that runs mpf arithmetic at the configured precision."""
+    return mpmath.workprec(precision_bits())
+
+
+def show(x, digits=30) -> str:
+    """An exact value as ``str`` prints it; an mpf to ``digits`` significant
+    digits."""
+    return mpmath.nstr(x, digits) if isinstance(x, mpmath.mpf) else str(x)
+
+
 def mpf(x):
     """Convert int/Fraction/float to an mpf at the configured precision."""
-    with mpmath.workprec(precision_bits()):
+    with working():
         if isinstance(x, Fraction):
             return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
         return mpmath.mpf(x)
@@ -52,7 +63,7 @@ def mpf(x):
 
 def log2(x):
     """log base 2 of a positive int/Fraction/float, high precision."""
-    with mpmath.workprec(precision_bits()):
+    with working():
         if isinstance(x, Fraction):
             return mpmath.log(mpmath.mpf(x.numerator), 2) - mpmath.log(
                 mpmath.mpf(x.denominator), 2
@@ -99,30 +110,38 @@ def guarded_cmp(lhs, rhs, guard_bits=None) -> int:
         return 1 if d > 0 else -1
 
 
-def cmp_count_power(count: int, base: int, exponent) -> int:
-    """Three-way compare of an exact count against base**exponent.
+def cmp_count_power(count: int, base: int, exponent, factor=1) -> int:
+    """Three-way compare of an exact count against factor * base**exponent,
+    for a positive rational factor.
 
     A rational exponent p/q is decided by exact integer arithmetic,
-    count**q against base**p, whenever both powers stay below 2**16 bits
-    (a few milliseconds); larger powers and other exponents go through
-    the guarded log-space comparison, both sides formed at the
+    count**q against factor**q * base**p, whenever each power stays below
+    2**16 bits (a few milliseconds); larger powers and other exponents go
+    through the guarded log-space comparison, both sides formed at the
     configured precision.
     """
     if count < 0 or base < 0:
         raise ValueError("count and base must be non-negative")
+    factor = Fraction(factor)
+    if factor <= 0:
+        raise ValueError("factor must be positive")
     if isinstance(exponent, int):
         exponent = Fraction(exponent)
     if isinstance(exponent, Fraction):
         p, q = exponent.numerator, exponent.denominator
-        if q * count.bit_length() <= 1 << 16 and abs(p) * base.bit_length() <= 1 << 16:
-            lhs = count**q
-            rhs = base**p if p >= 0 else Fraction(1, base**-p)
+        lhs, rhs = count * factor.denominator, factor.numerator
+        if q * max(lhs.bit_length(), rhs.bit_length()) <= 1 << 16 and abs(p) * base.bit_length() <= 1 << 16:
+            lhs, rhs = lhs**q, rhs**q
+            if p >= 0:
+                rhs *= base**p
+            else:
+                lhs *= base**-p
             return (lhs > rhs) - (lhs < rhs)
     if count == 0:
         return -1 if base > 0 else 0
     if base == 0:
         return 1
     if base == 1:
-        return (count > 1) - (count < 1)
-    with mpmath.workprec(precision_bits()):
-        return guarded_cmp(log2(count), mpf(exponent) * log2(base))
+        return (count > factor) - (count < factor)
+    with working():
+        return guarded_cmp(log2(count), log2(factor) + mpf(exponent) * log2(base))

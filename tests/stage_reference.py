@@ -6,6 +6,10 @@ half-arity support, every popular set is ranked with Python keys and
 r_uv is counted pair by pair.  The tests compare the vectorised stages
 against it.  It reads the library's r_s / r_{s/2} and its threshold
 constants and extracts with ``fiber_oracle.reference_bsg_extract``.
+Its paper thresholds are still mpmath powers compared with floats, so
+the library's exact decisions are checked against an independent path;
+only the strings it writes into the trace are the library's formula
+literals.
 """
 
 from dataclasses import dataclass
@@ -76,8 +80,9 @@ def fiber_stages(H, h, S, additive, mode, nA, s, d):
     for sig_y in H:
         overlap[sig_y] = sum(h[tau] for tau in R_x if op(sig_y, tau) in S_set)
     if mode == PAPER:
-        thr_Y = mpmath.mpf(2) ** -3 * mpmath.mpf(nA) ** (s / 2 - 2 * d)
-        Y_vals = [sig for sig in H if overlap[sig] and precision.mpf(overlap[sig]) >= thr_Y]
+        thr_Y = "2^-3 |A|^(s/2-2delta)"
+        bound_Y = mpmath.mpf(2) ** -3 * mpmath.mpf(nA) ** (s / 2 - 2 * d)
+        Y_vals = [sig for sig in H if overlap[sig] and precision.mpf(overlap[sig]) >= bound_Y]
     else:
         thr_Y = "top-half overlap mass"
         Y_vals = top_mass(
@@ -96,8 +101,7 @@ def fiber_stages(H, h, S, additive, mode, nA, s, d):
     if best_size <= 0:
         raise StageCollapseError("Y1")
     if mode == PAPER:
-        thr_Y1 = mpmath.mpf(2) ** -3 * mpmath.mpf(nA) ** (s / 2 - 2 * d)
-        if precision.mpf(best_size) < thr_Y1:
+        if precision.mpf(best_size) < bound_Y:
             raise StageCollapseError("Y1", "paper lower bound missed")
     Y1 = [sig for sig in Y_vals if op(sig, z_val) in S_set]
     return anchor, R_x, sorted(Y_vals), thr_Y, z_val, sorted(Y1)
@@ -171,7 +175,7 @@ def run_stages(A, s, delta, mode, energy_mode, r_s, half):
         cap = int(M)
         if len(Sp) > cap:
             Sp = Sp[:cap]
-        thr_repr = str(thr_graph)
+        thr_repr = "2^-35 |A|^(nu-20delta)"
     else:
         Sp = top_mass(list(r_uv), lambda n: r_uv[n] ** 2, lambda n: n)
         thr_repr = "top-half pair mass"

@@ -55,8 +55,9 @@ class TestEnergyCmd:
         p.write_text("[3, 1, 2]")
         code, doc, _ = run_json(capsys, "energy", "--s", "2", str(p))
         assert code == 0 and doc["results"]["count"] == "19"
-        # floats and booleans are not silently truncated to ints
-        for text in ("[1.5, 2.7, 3]", "[true, 2]"):
+        # floats, booleans and strings are not silently read as ints, and
+        # neither are underscores in either form
+        for text in ("[1.5, 2.7, 3]", "[true, 2]", '["5", " 7", "1_000"]', '[5, "7"]', "[null]", "5 1_000"):
             p.write_text(text)
             code, out, err = run(capsys, "sumset", "--m", "1", str(p))
             assert code == 2 and out == "" and err.startswith("parse error:")

@@ -6,15 +6,12 @@ import pytest
 from energia import decomposer, precision
 from energia.decomposer import (
     DecomposeConfig,
-    SmallEnergy,
-    StructuredSubset,
     com2_budget,
     com2_simulate,
     decompose,
     decompose_eric,
     min_deletion,
     minimal_adversary,
-    mult_dichotomy,
     sign_split,
 )
 from energia.energy import ADDITIVE, MULTIPLICATIVE, energy
@@ -104,28 +101,6 @@ class TestCom2:
     def test_budget_params(self):
         with pytest.raises(BadParamsError):
             com2_budget(10, Fraction(3, 2), 1)
-
-
-class TestMultDichotomy:
-    def test_ap_small_energy(self):
-        out = mult_dichotomy(interval(16), 1, 2)
-        assert isinstance(out, SmallEnergy)
-        assert out.report.holds
-
-    def test_gp_structured(self):
-        out = mult_dichotomy(gp(1, 3, 16), Fraction(6, 5), 2)
-        assert isinstance(out, StructuredSubset)
-        assert len(out.B) >= 2
-        assert set(out.B) <= set(gp(1, 3, 16))
-
-    def test_singleton_structured(self):
-        out = mult_dichotomy(IntSet([7]), 1, 2)
-        assert isinstance(out, StructuredSubset)
-        assert list(out.B) == [7]
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(BadParamsError):
-            mult_dichotomy(IntSet([0, 1]), 1, 2)
 
 
 class TestDecompose:

@@ -18,7 +18,16 @@ multiplicative work moved to exponent keys, the ``kp-mult-*``,
 popular-sum stages were vectorised, ``constants-gemn-k1.5-q6`` and
 ``constants-eric-b31-m40`` before the parameter formulas became plain
 values instead of expression trees, the others before the convolution
-kernel was rewritten.  Two cases record a fix rather than old output:
+kernel was rewritten.  The twelve ``kp-*`` cases, the eighteen
+``energy-*`` cases that print an ``exponent`` and
+``constants-gemn-k1.5-q6`` were captured again when every kp threshold
+became an exact comparison: the kp checks print their right-hand sides
+as formulas (``"E_s |A|^(delta-s)"``, ``"2^-172 |A|^(1-82delta)"``,
+``"2^1014 |A|^(nu+480delta)"``) with a null slack, ``nu`` and the
+energy ``exponent`` are divided at the configured precision instead of
+mpmath's 53 bits, so their last printed digits moved, and the q = 6
+``Lambda`` prints 30 digits and ``l`` and ``log2_m`` as integers.  No
+verdict, branch, ``A'`` or exit code changed.  Two cases record a fix rather than old output:
 ``sumset-0A-A-int64-min`` and ``sumset-A-A-int64-min`` were captured
 after the int64 indicator stopped taking -2^63, whose negation wrapped,
 and a test checks them against plain Python sets.  A change that alters
@@ -165,7 +174,7 @@ CASES = {
     "constants-rtp-k3": (["constants", "rtp", "--k-int", "3"], None),
     "constants-gemn": (["constants", "gemn"], None),
     "constants-gemn-k1.5-q4": (["constants", "gemn", "--k", "1.5", "--q", "4"], None),
-    # q = 6: Lambda is irrational and l prints as an mpf
+    # q = 6: Lambda is irrational, l an integer
     "constants-gemn-k1.5-q6": (["constants", "gemn", "--k", "1.5", "--q", "6"], None),
     "constants-eric": (["constants", "eric"], None),
     "constants-eric-b45-m2": (["constants", "eric", "--b", "45", "--m", "2"], None),

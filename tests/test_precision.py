@@ -13,6 +13,8 @@ def test_precision_bits_from_environment(monkeypatch):
     assert precision.precision_bits() == precision.DEFAULT_PRECISION_BITS
     monkeypatch.setenv(precision.PRECISION_ENV, "100")
     assert precision.precision_bits() == 100
+    with precision.working():
+        assert mpmath.mp.prec == 100
     monkeypatch.setenv(precision.PRECISION_ENV, "8")
     assert precision.precision_bits() == 64
 
@@ -88,6 +90,16 @@ def test_cmp_count_power_clears_denominators_while_cheap(monkeypatch):
     monkeypatch.delenv(precision.PRECISION_ENV, raising=False)
     assert precision.cmp_count_power(below, b, e) == -1
     assert precision.cmp_count_power(below + 1, b, e) == 1
+    # a factor 7/3 is cleared too: (3 count)^100 against 7^100 b^263
+    third = _iroot(7**100 * b**263, 100) // 3  # floor(7/3 b^e)
+    assert precision.cmp_count_power(third, b, e, factor=Fraction(7, 3)) == -1
+    assert precision.cmp_count_power(third + 1, b, e, factor=Fraction(7, 3)) == 1
+    # a negative exponent: 80 (2^20)^(-3/20) = 10 exactly
+    for count, want in ((9, -1), (10, 0), (11, 1)):
+        assert precision.cmp_count_power(count, 2**20, Fraction(-3, 20), factor=80) == want
+    assert precision.cmp_count_power(5, 1, e, factor=Fraction(9, 2)) == 1
+    with pytest.raises(ValueError, match="factor"):
+        precision.cmp_count_power(5, b, e, factor=0)
 
 
 def test_cmp_count_power_log_fallback_never_misorders(monkeypatch):
@@ -105,9 +117,18 @@ def test_cmp_count_power_log_fallback_never_misorders(monkeypatch):
             precision.cmp_count_power(count, b, e)
     assert precision.cmp_count_power(below // 2, b, e) == -1
     assert precision.cmp_count_power(2 * below, b, e) == 1
+    # the fallback adds log2 of a factor: floor(b^e / 2) = below // 2
+    half = Fraction(1, 2)
+    for count in (below // 2, below // 2 + 1):
+        with pytest.raises(PrecisionError):
+            precision.cmp_count_power(count, b, e, factor=half)
+    assert precision.cmp_count_power(below // 4, b, e, factor=half) == -1
+    assert precision.cmp_count_power(below, b, e, factor=half) == 1
     monkeypatch.setenv(precision.PRECISION_ENV, "1024")
     assert precision.cmp_count_power(below, b, e) == -1
     assert precision.cmp_count_power(below + 1, b, e) == 1
+    assert precision.cmp_count_power(below // 2, b, e, factor=half) == -1
+    assert precision.cmp_count_power(below // 2 + 1, b, e, factor=half) == 1
 
 
 def test_guarded_cmp_equality_and_margin(monkeypatch):

@@ -8,7 +8,8 @@ keep the independent oracles independent: ``energy_oracle``,
 ``_numpy_oracle`` and ``tests/fiber_oracle.py`` may not name the
 convolution kernel or the exponent-key module they cross-check; and
 they keep the kernel one (value, multiplicity) semiring, with exponent
-keys held by ``energy.RepFunction``.
+keys held by ``energy.RepFunction``; and they keep every comparison of
+mpf values inside ``precision.py``, with ``bsg.py`` free of mpmath.
 """
 
 import ast
@@ -83,3 +84,88 @@ def test_kernel_names_no_key_form():
     names = set(_names(ast.parse((SRC / "_kernel.py").read_text())))
     key_form = {"_keys", "codec", "products", "_factors", "_keyset", "_vkeys", "_keyed_pair"}
     assert not key_form & names, f"_kernel.py names {sorted(key_form & names)}"
+
+
+# Outside precision.py no comparison operator may touch an mpf: a raw
+# ``<`` on two values rounded at some precision decides a verdict that
+# no margin guards.  An operand is an mpf when it calls into mpmath,
+# precision.mpf or precision.log2, or names a variable assigned from such
+# an expression in the same function (nested functions included).  The
+# result of any other call (int(), guarded_cmp, ...) is not an mpf.
+MPF_SOURCES = {("precision", "mpf"), ("precision", "log2")}
+
+
+def _is_mpf_call(node):
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    while isinstance(func, ast.Attribute):
+        if isinstance(func.value, ast.Name) and (func.value.id == "mpmath" or (func.value.id, func.attr) in MPF_SOURCES):
+            return True
+        func = func.value
+    return False
+
+
+def _builds_mpf(expr, tainted):
+    if _is_mpf_call(expr):
+        return True
+    if isinstance(expr, ast.Name):
+        return expr.id in tainted
+    if isinstance(expr, ast.Call):  # an mpf only through a method of one
+        return _builds_mpf(expr.func, tainted)
+    return any(_builds_mpf(child, tainted) for child in ast.iter_child_nodes(expr))
+
+
+def _raw_mpf_comparisons(tree):
+    """Line numbers of the comparisons with an mpf operand, taking each
+    top-level function or class, and the rest of the module, as one
+    scope."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    scopes = [[node] for node in tree.body if isinstance(node, defs)]
+    scopes.append([node for node in tree.body if not isinstance(node, defs)])
+    lines = set()
+    for scope in scopes:
+        nodes = [node for top in scope for node in ast.walk(top)]
+        tainted, grew = set(), True
+        while grew:
+            grew = False
+            for node in nodes:
+                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.NamedExpr)) and node.value is not None:
+                    if _builds_mpf(node.value, tainted):
+                        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                        new = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)} - tainted
+                        tainted |= new
+                        grew = grew or bool(new)
+        lines |= {
+            node.lineno
+            for node in nodes
+            if isinstance(node, ast.Compare) and any(_builds_mpf(op, tainted) for op in [node.left, *node.comparators])
+        }
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "precision.py"], ids=lambda p: p.name)
+def test_no_raw_mpf_comparison(path):
+    lines = _raw_mpf_comparisons(ast.parse(path.read_text()))
+    assert not lines, f"{path.name} compares mpf values raw at lines {lines}; use precision.guarded_cmp"
+
+
+def test_raw_mpf_comparisons_are_found():
+    src = (
+        "def f(x):\n"
+        "    a = precision.mpf(x)\n"
+        "    b = 2 * a\n"
+        "    def g(y):\n"
+        "        return y <= b\n"
+        "    c = precision.guarded_cmp(a, b)\n"
+        "    d = c == 0 or int(a) < 2 or x < 3\n"
+        "    return mpmath.log(x, 2) > 1, a.sqrt() >= d\n"
+        "t = precision.log2(3)\n"
+        "u = 1 < t\n"
+    )
+    assert _raw_mpf_comparisons(ast.parse(src)) == [5, 8, 10]
+
+
+def test_bsg_does_not_import_mpmath():
+    names = set(_names(ast.parse((SRC / "bsg.py").read_text())))
+    assert "mpmath" not in names

@@ -166,7 +166,7 @@ def test_fiber_stages_match_reference(H, data, scale, additive, mode, nA):
         S = sorted(set(S) | {v + 1 for v in reach[:3]} - set(reach)) or S
     if not S:
         S = reach[:1]
-    d = precision.mpf(0.05)
+    d = precision.rational(0.05, "delta")  # as _run_stages passes it
 
     def new():
         a, R_x, Y, thr_Y, z, Y1 = bsg._fiber_stages(H, np.array(h, dtype=np.int64), S, additive, mode, nA, 4, d)
