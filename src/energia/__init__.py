@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .sets import (  # noqa: F401
     IntSet,
     RatSet,
-    make_set,
     iterated_sumset,
     iterated_product_set,
     generate,

@@ -7,8 +7,9 @@ differences.  Each step picks a backend from what it can see in its two
 operands:
 
 * Python: small operands (at most ``_PY_PAIRS`` value pairs), or values
-  or counts that could leave int64.  Dict (or set) convolution over
-  Python ints.
+  or counts that could leave int64.  Dict (or set) convolution over the
+  operands read as lists of Python ints, its result sorted back into
+  arrays.
 * dense (sums only): translated by the minimum and divided by the gcd of
   the differences, the two indicators are at most ``_DENSE_RATIO`` times
   longer than a grid of the supports.  Exact int64 ``np.convolve``, kept
@@ -29,7 +30,9 @@ The kernel sees values only.  Products taken on exponent keys (see
 Nothing is rounded.  A numpy backend runs only when every value of its
 result is below 2**62 in absolute value and the product of the operands'
 total multiplicities, which bounds every count and every partial sum of
-a count, is below 2**63.
+a count, is below 2**63.  Every result is held as sorted arrays (see
+:class:`Weighted`); ``exact_dtype`` is the one rule that makes an array
+int64 or object.
 """
 
 import math
@@ -45,98 +48,68 @@ _DENSE_RATIO = 32
 _CHUNK = 1 << 19
 
 
+def exact_dtype(bound):
+    """int64 when ``bound``, a bound on the magnitude of every value an
+    array will hold, is below 2**63; else object, for Python ints."""
+    return np.int64 if bound < _COUNT_LIMIT else object
+
+
 class Weighted:
     """Finite set of ints, each with a positive multiplicity, or a plain
-    set (``total`` is None).
+    set (``cnts`` and ``total`` are None).
 
-    Held as sorted int64 arrays or as a Python dict (a set when plain);
-    the other form is built on first use.  ``lo``/``hi`` are the least
-    and greatest value and ``total`` is the sum of the multiplicities.
+    ``vals`` holds the sorted, distinct values, as int64 or, once one
+    leaves int64, as an object array of Python ints; ``cnts`` their
+    multiplicities, as int64 or, once ``total`` (their sum) reaches 2**63,
+    as object.  ``lo``/``hi`` are the least and greatest value.
     """
 
-    __slots__ = ("_arrays", "_py", "_step", "size", "lo", "hi", "total")
+    __slots__ = ("vals", "cnts", "total", "size", "lo", "hi", "_step")
 
-    def __init__(self, size, lo, hi, total, arrays=None, py=None):
-        self.size, self.lo, self.hi, self.total = size, lo, hi, total
-        self._arrays, self._py, self._step = arrays, py, None
+    def __init__(self, vals, cnts, total):
+        self.vals, self.cnts, self.total = vals, cnts, total
+        self.size, self.lo, self.hi, self._step = len(vals), int(vals[0]), int(vals[-1]), None
+
+    @classmethod
+    def from_sorted(cls, values, counts, total):
+        """From sorted, distinct ints and their counts (None when plain)."""
+        vals = np.array(values, dtype=exact_dtype(max(-values[0], values[-1])))
+        return cls(vals, None if counts is None else np.asarray(counts, dtype=exact_dtype(total)), total)
 
     @classmethod
     def indicator(cls, elements, counted):
         """Each of the sorted, distinct ``elements`` once."""
-        size, lo, hi = len(elements), elements[0], elements[-1]
-        total = size if counted else None
-        ones = np.ones(size, dtype=np.int64) if counted else None
-        if -_COUNT_LIMIT < lo and hi < _COUNT_LIMIT:  # every element fits int64
-            return cls(size, lo, hi, total, arrays=(np.array(elements, dtype=np.int64), ones))
-        return cls(size, lo, hi, total, py=dict.fromkeys(elements, 1) if counted else set(elements))
-
-    @classmethod
-    def _from_arrays(cls, vals, cnts, total):
-        return cls(len(vals), int(vals[0]), int(vals[-1]), total, arrays=(vals, cnts))
+        n = len(elements)
+        return cls.from_sorted(elements, np.ones(n, dtype=np.int64) if counted else None, n if counted else None)
 
     @property
     def counted(self):
         return self.total is not None
 
-    def arrays(self):
-        """(sorted values, int64 counts or None); the values are int64, or
-        an object array of Python ints when one leaves int64."""
-        if self._arrays is None:
-            keys = sorted(self._py)
-            fits = -_COUNT_LIMIT < self.lo and self.hi < _COUNT_LIMIT
-            vals = np.array(keys, dtype=np.int64 if fits else object)
-            cnts = np.array([self._py[k] for k in keys], dtype=np.int64) if self.counted else None
-            self._arrays = (vals, cnts)
-        return self._arrays
-
-    def py(self):
-        """value -> count dict, or the set of values when plain."""
-        if self._py is None:
-            vals, cnts = self.arrays()
-            self._py = dict(zip(vals.tolist(), cnts.tolist())) if self.counted else set(vals.tolist())
-        return self._py
-
-    def sorted_values(self) -> list:
-        if self._arrays is None:
-            return sorted(self._py)
-        return self.arrays()[0].tolist()
-
     def step(self) -> int:
         """gcd of the differences between values (0 for a singleton)."""
         if self._step is None:
-            vals = self.arrays()[0]
-            self._step = int(np.gcd.reduce(np.diff(vals))) if len(vals) > 1 else 0
+            self._step = int(np.gcd.reduce(np.diff(self.vals))) if self.size > 1 else 0
         return self._step
 
     def magnitude(self) -> int:
         return max(-self.lo, self.hi)
 
-    def negated(self) -> "Weighted":
-        """{-x : x in self}, same multiplicities (plain sets only)."""
-        if self._arrays is not None:
-            return Weighted(self.size, -self.hi, -self.lo, None, arrays=(-self._arrays[0][::-1], None))
-        return Weighted(self.size, -self.hi, -self.lo, None, py={-v for v in self._py})
-
     def max_count(self) -> int:
-        if self._arrays is not None:
-            return int(self._arrays[1].max())
-        return max(self.py().values())
+        return int(self.cnts.max())
 
     def sum_squares(self) -> int:
         """sum of squared multiplicities, exact."""
-        if self._arrays is None:
-            return sum(c * c for c in self.py().values())
-        cnts = self._arrays[1]
-        # every partial sum is at most max * total, so the int64 dot cannot wrap
-        if int(cnts.max()) * self.total < _COUNT_LIMIT:
-            return int(np.dot(cnts, cnts))
-        return sum(c * c for c in cnts.tolist())
+        # every partial sum is at most max * total <= total**2, so the int64 dot cannot wrap
+        if self.total**2 < _COUNT_LIMIT or self.max_count() * self.total < _COUNT_LIMIT:
+            return int(np.dot(self.cnts, self.cnts))
+        return sum(c * c for c in self.cnts.tolist())
 
 
 def inner(f: Weighted, g: Weighted) -> int:
     """sum over n of f(n) g(n), in Python ints."""
-    gd = g.py()
-    return sum(c * gd.get(n, 0) for n, c in f.py().items())
+    gd = dict(zip(g.vals.tolist(), g.cnts.tolist()))
+    return sum(c * gd.get(n, 0) for n, c in zip(f.vals.tolist(), f.cnts.tolist()))
 
 
 def power(base: Weighted, s: int, additive: bool) -> Weighted:
@@ -174,38 +147,35 @@ def choose(f, g, additive):
 
 def _python(f, g, additive):
     total = f.total * g.total if f.counted else None
-    fp, gp = f.py(), g.py()
+    fv = f.vals.tolist()
     if f is g:
-        out = _python_self(fp, total is not None, additive)
+        out = _python_self(fv, None if total is None else f.cnts.tolist(), additive)
     elif total is None:
-        out = {x + y for x in fp for y in gp} if additive else {x * y for x in fp for y in gp}
+        gv = g.vals.tolist()
+        out = {x + y for x in fv for y in gv} if additive else {x * y for x in fv for y in gv}
     else:
         out = {}
         get = out.get
-        gitems = list(gp.items())
-        for a, ca in fp.items():
+        gitems = list(zip(g.vals.tolist(), g.cnts.tolist()))
+        for a, ca in zip(fv, f.cnts.tolist()):
             for b, cb in gitems:
                 k = a + b if additive else a * b
                 out[k] = get(k, 0) + ca * cb
-    if additive:
-        lo, hi = f.lo + g.lo, f.hi + g.hi
-    else:
-        corners = (f.lo * g.lo, f.lo * g.hi, f.hi * g.lo, f.hi * g.hi)
-        lo, hi = min(corners), max(corners)
-    return Weighted(len(out), lo, hi, total, py=out)
+    keys = sorted(out)
+    return Weighted.from_sorted(keys, None if total is None else [out[k] for k in keys], total)
 
 
-def _python_self(fp, counted, additive):
-    """f * f over the upper triangle of f's items: the diagonal cell of a
-    with weight c², an off-diagonal cell of a < b with weight 2·c·c'."""
-    if not counted:
-        v = list(fp)
+def _python_self(v, c, additive):
+    """f * f over the upper triangle of f's values ``v`` (with counts
+    ``c``, or None when plain): the diagonal cell of a with weight c²,
+    an off-diagonal cell of a < b with weight 2·c·c'."""
+    if c is None:
         if additive:
             return {x + y for i, x in enumerate(v) for y in v[i:]}
         return {x * y for i, x in enumerate(v) for y in v[i:]}
     out = {}
     get = out.get
-    items = list(fp.items())
+    items = list(zip(v, c))
     for i, (a, ca) in enumerate(items):
         k = a + a if additive else a * a
         out[k] = get(k, 0) + ca * ca
@@ -221,14 +191,12 @@ def _dense(f, g, additive):
     step = math.gcd(f.step(), g.step()) or 1
     lines = []
     for w in (f, g):
-        vals, cnts = w.arrays()
         line = np.zeros((w.hi - w.lo) // step + 1, dtype=np.int64)
-        line[(vals - w.lo) // step] = 1 if cnts is None else cnts
+        line[(w.vals - w.lo) // step] = 1 if w.cnts is None else w.cnts
         lines.append(line)
     conv = np.convolve(lines[0], lines[1])
     idx = np.flatnonzero(conv)
-    vals = (f.lo + g.lo) + step * idx
-    return Weighted._from_arrays(vals, conv[idx] if total is not None else None, total)
+    return Weighted((f.lo + g.lo) + step * idx, conv[idx] if total is not None else None, total)
 
 
 def _sort_count(f, g, additive):
@@ -237,14 +205,13 @@ def _sort_count(f, g, additive):
         parts = chain(_triangle_parts(f, additive), [_diagonal(f, additive)])
     else:
         parts = _outer_parts(f, g, additive)
-    vals, cnts = reduce(_merge_sorted, parts, None)
-    return Weighted._from_arrays(vals, cnts, total)
+    return Weighted(*reduce(_merge_sorted, parts, None), total)
 
 
 def _outer_parts(f, g, additive):
     """The f x g grid in row blocks of about ``_CHUNK`` cells, each sorted
     with equal values merged."""
-    (fv, fc), (gv, gc) = f.arrays(), g.arrays()
+    fv, fc, gv, gc = f.vals, f.cnts, g.vals, g.cnts
     outer = np.add.outer if additive else np.multiply.outer
     counted = f.counted
     unit = counted and f.total == f.size and g.total == g.size
@@ -260,8 +227,7 @@ def _triangle_parts(f, additive):
     in row blocks of at most ``_CHUNK`` cells (one row when a row is
     longer), each sorted with equal values merged.  Row i is the slice
     v[i+1:] combined with v[i], written straight into the block."""
-    v, c = f.arrays()
-    n = len(v)
+    v, c, n = f.vals, f.cnts, f.size
     op = np.add if additive else np.multiply
     counted = f.counted
     unit = counted and f.total == f.size
@@ -286,7 +252,7 @@ def _triangle_parts(f, additive):
 
 def _diagonal(f, additive):
     """The n diagonal cells of f x f, weight c², sorted and merged."""
-    v, c = f.arrays()
+    v, c = f.vals, f.cnts
     unit = c is None or f.total == f.size
     return _merge_equal(2 * v if additive else v * v, None if unit else c * c, f.counted)
 

@@ -122,20 +122,12 @@ def _reach(seq) -> int:
     return max(-int(lo), int(hi))
 
 
-def _exact_arrays(reach, *seqs):
-    """``seqs`` as int64 arrays when ``reach``, a bound on the magnitude of
-    their values and of the sums or products formed from them, is below
-    2**62, else as object arrays of Python ints."""
-    dtype = np.int64 if reach < _kernel._VALUE_LIMIT else object
-    return [np.array(v, dtype=dtype) for v in seqs]
-
-
 def _membership(X, Y, S, additive):
     """Bool matrix [X_i + Y_j in S] (products when not ``additive``).
 
     X and Y are sequences or arrays of ints, in any order, and S is
     sorted.  The grid is int64 when every value of X, Y and S and every
-    cell stays below 2**62 in absolute value (a product with a factor 0
+    cell stays below 2**63 in absolute value (a product with a factor 0
     does not bound the other), else an object array of Python ints; it
     is built and tested in row blocks of about ``_BLOCK`` cells, so only
     the bool matrix is |X|*|Y| sized.  The columns are taken in sorted
@@ -146,7 +138,8 @@ def _membership(X, Y, S, additive):
     bound = mx + my if additive else max(mx, my, mx * my)
     if len(S):
         bound = max(bound, _reach(S))
-    X, Y, S = _exact_arrays(bound, X, Y, S)
+    dtype = _kernel.exact_dtype(bound)
+    X, Y, S = (np.array(v, dtype=dtype) for v in (X, Y, S))
     out = np.zeros((len(X), len(Y)), dtype=bool)
     if len(S):
         outer = np.add.outer if additive else np.multiply.outer
@@ -183,8 +176,7 @@ def _nested_spans(P, level, additive):
     order = np.argsort(level, kind="stable")
     level = level[order]
     mag = _reach(P)
-    (P,) = _exact_arrays(2 * mag if additive else mag * mag, P)
-    P = P[order]
+    P = np.array(P, dtype=_kernel.exact_dtype(2 * mag if additive else mag * mag))[order]
     outer = np.add.outer if additive else np.multiply.outer
     sums, levels = [], []  # each row block's distinct sums, with their levels there
     rows = max(1, _BLOCK // len(P))
@@ -222,7 +214,8 @@ def bsg_extract(U: IntSet, V: IntSet, G: PopularSumGraph, keys=None):
     """
     elems = list(U)
     if keys is None:
-        X, Y, S, add = np.array(elems, dtype=object), V.elements, sorted(G.sum_filter), G.mode == ADDITIVE
+        X = np.array(elems, dtype=_kernel.exact_dtype(_reach(elems)))
+        Y, S, add = V.elements, sorted(G.sum_filter), G.mode == ADDITIVE
     else:
         (X, Y, S), add = keys, True
     adj = _membership(X, Y, S, add)
@@ -393,7 +386,7 @@ def _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_ch
     # 2**63, so int64 sums and products of counts are exact.
 
     # --- stage S: popular sums ------------------------------------------
-    s_coords, s_cnts = r_s.counts.arrays()
+    s_coords, s_cnts = r_s.counts.vals, r_s.counts.cnts
     if mode == PAPER:
         thr_S = Fraction(E_s, 2 * nA**s)  # = |A|^(s-nu) / 2, exactly
         S_idx = np.flatnonzero(s_cnts >= math.ceil(thr_S))
@@ -442,7 +435,7 @@ def _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_ch
     V = IntSet._trusted([H[i] for i in R_x.tolist()])
     U_w, V_w = (_kernel.Weighted.indicator(np.sort(H_coords[idx]).tolist(), True) for idx in (Y2, R_x))
     r_uv = RepFunction(_kernel.pair(U_w, V_w, add), s, energy_mode, codec)
-    uv_coords, uv_cnts = r_uv.counts.arrays()
+    uv_coords, uv_cnts = r_uv.counts.vals, r_uv.counts.cnts
     M = Fraction(4 * nA ** (2 * s), E_s)  # 4 |A|^nu, exactly
     if mode == PAPER:
         # c >= 2^-37 |A|^(-20 delta) M = 2^-35 |A|^(2s - 20 delta) / E_s

@@ -47,21 +47,22 @@ class ParseFailure(Exception):
 
 
 def _read_input(path) -> IntSet:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path) as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise ParseFailure(str(exc))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseFailure(str(exc))
     text = text.strip()
     if not text:
         raise ParseFailure("empty input")
-    if "_" in text:  # int() would read 1_000 as 1000
-        raise ParseFailure("integers may not contain underscores")
     try:
         if not text.startswith("["):
+            # without "+", "_" and non-ASCII text, int() takes a token only if it is -?[0-9]+
+            if not text.isascii() or "+" in text or "_" in text:
+                raise ParseFailure("integers must be ASCII tokens -?[0-9]+")
             return IntSet(int(tok) for tok in text.split())
         vals = json.loads(text)
     except ValueError as exc:

@@ -186,13 +186,15 @@ def _extract_exhaustive(A_i: IntSet, cert_mode: str, arity_half: int):
 # -- the two loops -----------------------------------------------------------
 
 
-def _loop(A_pos, cfg, stop_mode, stop_arity, stop_exp, cert_mode, cert_arity_half, cert_exp, cert_name, small_stop):
-    """Extract until the residual's stop certificate holds.
+def _loop(
+    A_pos, cfg, budget, stop_mode, stop_arity, stop_exp, cert_mode, cert_arity_half, cert_exp, cert_name, small_stop
+):
+    """Extract until the residual's stop certificate holds, raising
+    ExtractorFailedError once the extractions pass ``budget``.
 
-    Returns (B parts, residual, trace, budget, iterations, stop report,
-    failed); the stop report is None when an extraction failed.
+    Returns (B parts, residual, trace, iterations, stop report, failed);
+    the stop report is None when an extraction failed.
     """
-    budget = com2_budget(max(1, len(A_pos)), _FRAC_C, _FRAC_CC)
     small = max(small_stop, 1)
 
     def stop(X) -> CheckReport:
@@ -229,12 +231,14 @@ def _loop(A_pos, cfg, stop_mode, stop_arity, stop_exp, cert_mode, cert_arity_hal
         if iterations > budget:
             raise ExtractorFailedError(iterations, "iteration budget exceeded")
         report = stop(residual)
-    return B_parts, residual, trace, budget, iterations, report, report is None
+    return B_parts, residual, trace, iterations, report, report is None
 
 
 def decompose(A: IntSet, cfg: DecomposeConfig) -> Decomposition:
     """B = multiplicatively-rich extractions (each certified additively
-    small at arity q/2), C = residual with small M_s."""
+    small at arity q/2), C = residual with small M_s.  The two sign parts
+    share one iteration budget, ``com2_budget(|A|)``: the second loop
+    gets what the first left."""
     if len(A) == 0:
         raise BadParamsError("need a non-empty set")
     pos, neg, zero = sign_split(A)
@@ -250,8 +254,8 @@ def decompose(A: IntSet, cfg: DecomposeConfig) -> Decomposition:
         if len(part) == 0:
             continue
         work = part if flip == 1 else IntSet(-a for a in part)
-        Bp, Cp, tr, _, it, sr, fl = _loop(
-            work, cfg, MULTIPLICATIVE, cfg.s, stop_exp, ADDITIVE, cfg.q // 2, cert_exp, "gemn", 0
+        Bp, Cp, tr, it, sr, fl = _loop(
+            work, cfg, budget - iterations, MULTIPLICATIVE, cfg.s, stop_exp, ADDITIVE, cfg.q // 2, cert_exp, "gemn", 0
         )
         B_all.extend(flip * b for b in Bp)
         C_all.extend(flip * c for c in Cp)
@@ -260,8 +264,6 @@ def decompose(A: IntSet, cfg: DecomposeConfig) -> Decomposition:
         failed = failed or fl
         if sr is not None and (stop_report is None or not sr.holds):
             stop_report = sr
-    if iterations > budget:
-        raise ExtractorFailedError(iterations, f"{iterations} iterations exceed the budget {budget}")
     B, C = IntSet(B_all), IntSet(C_all)
     _check_partition(A, B, C)
     return Decomposition(B, C, trace_all, budget, iterations, stop_report, failed)
@@ -277,8 +279,9 @@ def decompose_eric(A: IntSet, cfg: DecomposeConfig) -> Decomposition:
         raise BadParamsError("dual loop needs positive elements")
     stop_exp = 2 * cfg.s1 - cfg.k
     cert_exp = 2 * cfg.s2 - cfg.k
-    Bp, Cp, tr, budget, it, sr, fl = _loop(
-        pos, cfg, ADDITIVE, cfg.s1, stop_exp, MULTIPLICATIVE, cfg.s2 // 2, cert_exp, "eric", _SMALL_SET_BOUND
+    budget = com2_budget(len(pos), _FRAC_C, _FRAC_CC)
+    Bp, Cp, tr, it, sr, fl = _loop(
+        pos, cfg, budget, ADDITIVE, cfg.s1, stop_exp, MULTIPLICATIVE, cfg.s2 // 2, cert_exp, "eric", _SMALL_SET_BOUND
     )
     B, C = IntSet(Bp), Cp
     _check_partition(A, B, C)

@@ -53,7 +53,7 @@ class RepFunction:
     def by_value(self):
         """(values, counts, coordinates), sorted by value: the values are
         int64, or an object array of Python ints when one leaves int64."""
-        coords, cnts = self.counts.arrays()
+        coords, cnts = self.counts.vals, self.counts.cnts
         if self.codec is None:
             return coords, cnts, coords
         vals = self.codec.values(coords, self.s)
@@ -66,14 +66,12 @@ class RepFunction:
 
     def values_at(self, idx):
         """The values at the positions ``idx`` of the sorted coordinates,
-        ``counts.arrays()``."""
-        coords = self.counts.arrays()[0][idx]
+        ``counts.vals``."""
+        coords = self.counts.vals[idx]
         return coords if self.codec is None else self.codec.values(coords, self.s)
 
     @cached_property
     def support(self) -> dict:
-        if self.codec is None:
-            return self.counts.py()
         vals, cnts, _ = self.by_value
         return dict(zip(vals.tolist(), cnts.tolist()))
 
@@ -94,7 +92,7 @@ class RepFunction:
         r = self
         if self.codec is not None and 2 * self.s > self.codec.arity:
             vals, cnts, _ = self.by_value
-            r = RepFunction(_kernel.Weighted._from_arrays(vals, cnts, self.total()), self.s, self.mode)
+            r = RepFunction(_kernel.Weighted(vals, cnts, self.total()), self.s, self.mode)
         return RepFunction(_kernel.pair(r.counts, r.counts, r.adds), 2 * self.s, self.mode, r.codec)
 
 

@@ -85,16 +85,15 @@ def guarded_floor(v):
         return f
 
 
-def guarded_cmp(lhs, rhs, guard_bits=None) -> int:
+def guarded_cmp(lhs, rhs) -> int:
     """Three-way compare of two mpf/numbers with a margin guard.
 
     Returns -1, 0 or +1.  Exact equality is fine; a nonzero difference
-    smaller than 2**-guard_bits relative to the operand scale raises
-    PrecisionError.
+    smaller than 2**-(bits/2) relative to the operand scale, at the
+    configured precision, raises PrecisionError.
     """
     bits = precision_bits()
-    if guard_bits is None:
-        guard_bits = bits // 2
+    guard_bits = bits // 2
     with mpmath.workprec(bits):
         a = mpmath.mpf(lhs) if not isinstance(lhs, mpmath.mpf) else lhs
         b = mpmath.mpf(rhs) if not isinstance(rhs, mpmath.mpf) else rhs

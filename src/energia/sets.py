@@ -71,11 +71,6 @@ class RatSet(_SortedSet):
         super().__init__(Fraction(v) for v in values)
 
 
-def make_set(values) -> IntSet:
-    """Deduplicate and sort a list of integers into an IntSet."""
-    return IntSet(values)
-
-
 def iterated_sumset(A: IntSet, m: int, n: int) -> IntSet:
     """mA - nA, the m-fold sumset minus the n-fold sumset of A."""
     if m < 0 or n < 0:
@@ -84,12 +79,13 @@ def iterated_sumset(A: IntSet, m: int, n: int) -> IntSet:
         raise ZeroArityError("m = n = 0")
     if len(A) == 0:
         raise EmptySetError("iterated_sumset of empty set")
-    base = _kernel.Weighted.indicator(A.elements, counted=False)
-    out = _kernel.power(base, m, additive=True) if m else None
+    # mA - nA = mA + n(-A)
+    out = _kernel.power(_kernel.Weighted.indicator(A.elements, counted=False), m, additive=True) if m else None
     if n:
-        minus = _kernel.power(base, n, additive=True).negated()
+        neg = _kernel.Weighted.indicator([-a for a in reversed(A.elements)], counted=False)
+        minus = _kernel.power(neg, n, additive=True)
         out = minus if out is None else _kernel.pair(out, minus, additive=True)
-    return IntSet._trusted(out.sorted_values())
+    return IntSet._trusted(out.vals.tolist())
 
 
 def iterated_product_set(A: IntSet, m: int, n: int) -> RatSet:
@@ -103,10 +99,10 @@ def iterated_product_set(A: IntSet, m: int, n: int) -> RatSet:
     if n >= 1 and 0 in A.elements:
         raise DivisionByZeroElementError("0 in A with n >= 1")
     base = _kernel.Weighted.indicator(A.elements, counted=False)
-    num = _kernel.power(base, m, additive=False).sorted_values() if m else [1]
+    num = _kernel.power(base, m, additive=False).vals.tolist() if m else [1]
     if not n:
         return RatSet._trusted([Fraction(p) for p in num])
-    den = _kernel.power(base, n, additive=False).sorted_values()
+    den = _kernel.power(base, n, additive=False).vals.tolist()
     return RatSet._trusted(_quotients(num, den))
 
 

@@ -62,6 +62,26 @@ class TestEnergyCmd:
             code, out, err = run(capsys, "sumset", "--m", "1", str(p))
             assert code == 2 and out == "" and err.startswith("parse error:")
 
+    @pytest.mark.parametrize("text", ["\u0663 5 7", "3 5 +7", "\uff11\uff12 5", "1 \u00b2", "7-", "--7"])
+    def test_whitespace_form_takes_only_ascii_integers(self, capsys, tmp_path, text):
+        # int() would read the Arabic-Indic three, the plus sign and the full-width 12
+        p = tmp_path / "bad.txt"
+        p.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "sumset", "--m", "1", str(p))
+        assert code == 2 and out == "" and err.startswith("parse error:")
+
+    def test_undecodable_input_is_a_parse_error(self, capsys, tmp_path):
+        p = tmp_path / "bad.bin"
+        p.write_bytes(b"\xff 1 2")
+        code, out, err = run(capsys, "sumset", "--m", "1", str(p))
+        assert code == 2 and out == "" and err.startswith("parse error:")
+
+    def test_whitespace_form_takes_signed_integers(self, capsys, tmp_path):
+        p = tmp_path / "ok.txt"
+        p.write_text("-7 0\n12\t-007")
+        code, doc, _ = run_json(capsys, "sumset", "--m", "1", str(p))
+        assert code == 0 and doc["results"]["values"] == ["-7", "0", "12"]
+
 
 class TestSumsetCmd:
     def test_basic(self, capsys, abc_file):

@@ -246,7 +246,7 @@ class TestInvariantErrors:
         def loop(A_pos, cfg, *args):
             first = A_pos.elements[:1]
             C = A_pos if overlap else IntSet(A_pos.elements[1:])
-            return list(first), C, [], 1, iterations, None, False
+            return list(first), C, [], iterations, None, False
 
         return loop
 
@@ -263,11 +263,40 @@ class TestInvariantErrors:
         with pytest.raises(ExtractorFailedError, match="iteration budget exceeded"):
             run()
 
-    def test_summed_budget_exceeded(self, monkeypatch):
-        # decompose also checks the iterations of its sign parts together
-        monkeypatch.setattr(decomposer, "_loop", self.fake_loop(10**6))
-        with pytest.raises(ExtractorFailedError, match="exceed the budget"):
-            decompose(MIX, CFG)
+    @staticmethod
+    def one_at_a_time(monkeypatch):
+        """Each extraction takes the least element; at k = 4 the stop
+        exponent 2s - k is 0, so a part of n elements stops only at one
+        element, after n - 1 extractions.  Returns the list the extracted
+        elements are appended to, and the config."""
+        taken = []
+
+        def extract(A_i, *args):
+            taken.append(A_i.elements[0])
+            return IntSet(taken[-1:])
+
+        monkeypatch.setattr(decomposer, "_extract_kp", extract)
+        return taken, DecomposeConfig(k=4, s=2, q=4)
+
+    def test_sign_parts_share_the_budget_of_A(self, monkeypatch):
+        # A+ needs 128 extractions, more than budget(|A+|) = 127 but within budget(|A|)
+        taken, cfg = self.one_at_a_time(monkeypatch)
+        budget = lambda n: com2_budget(n, decomposer._FRAC_C, decomposer._FRAC_CC)
+        A = IntSet(list(range(1, 130)) + [-1])
+        assert budget(129) < 128 <= budget(130)
+        d = decompose(A, cfg)
+        assert d.budget == budget(130) and d.iterations_used == len(taken) == 128
+        assert list(d.C) == [-1, 129]
+
+    def test_second_loop_gets_what_the_first_left(self, monkeypatch):
+        # each part of 100 needs 99 <= budget(100) extractions; together they pass budget(200)
+        taken, cfg = self.one_at_a_time(monkeypatch)
+        budget = com2_budget(200, decomposer._FRAC_C, decomposer._FRAC_CC)
+        assert 99 + 99 > budget >= 99 and com2_budget(100, decomposer._FRAC_C, decomposer._FRAC_CC) >= 99
+        with pytest.raises(ExtractorFailedError, match="iteration budget exceeded"):
+            decompose(IntSet(list(range(-100, 0)) + list(range(1, 101))), cfg)
+        # the first loop took 99; the second raised on passing the 'budget - 99' left to it
+        assert len(taken) == budget + 1 and taken[98:100] == [99, 1]
 
     @pytest.mark.parametrize("run", [lambda: decompose(MIX, CFG), lambda: decompose_eric(MIX, DecomposeConfig())])
     def test_parts_overlap(self, monkeypatch, run):

@@ -30,7 +30,7 @@ from energia.energy import (
     mixed_energy,
     rep_function,
 )
-from energia.sets import IntSet, _quotients, iterated_product_set, iterated_sumset
+from energia.sets import IntSet, _quotients, interval, iterated_product_set, iterated_sumset
 
 BACKENDS = {"python": _kernel._python, "dense": _kernel._dense, "sort-count": _kernel._sort_count}
 MODES = (ADDITIVE, MULTIPLICATIVE)
@@ -145,11 +145,12 @@ def _operand(vals, kind, counts):
     if kind != "weighted":
         return _kernel.Weighted.indicator(tuple(vals), kind == "unit")
     cnts = np.array(counts[: len(vals)], dtype=np.int64)
-    return _kernel.Weighted._from_arrays(np.array(vals, dtype=np.int64), cnts, int(cnts.sum()))
+    return _kernel.Weighted(np.array(vals, dtype=np.int64), cnts, int(cnts.sum()))
 
 
 def _content(w):
-    return w.size, w.lo, w.hi, w.total, w.sorted_values(), w.py()
+    cnts = None if w.cnts is None else (w.cnts.dtype, w.cnts.tolist())
+    return w.size, w.lo, w.hi, w.total, w.vals.dtype, w.vals.tolist(), cnts
 
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))
@@ -334,15 +335,49 @@ def test_sumsets_at_the_int64_edges(edges, small, m, n):
     plus = {sum(t) for t in product(A, repeat=m)}
     minus = {sum(t) for t in product(A, repeat=n)}
     assert list(iterated_sumset(IntSet(A), m, n).elements) == sorted({p - q for p in plus for q in minus})
-    w = _kernel.Weighted.indicator(A, counted=False)
-    assert w.negated().sorted_values() == sorted(-a for a in A)
+
+
+@pytest.mark.parametrize("vals", [[-(2**63) + 1, 2**63 - 1], [-(2**63), 0], [0, 2**63], [-(2**70), 2**70]])
+def test_indicator_is_int64_exactly_below_magnitude_2_63(vals):
+    w = _kernel.Weighted.indicator(vals, counted=True)
+    assert w.vals.tolist() == vals and w.cnts.tolist() == [1, 1]
+    assert w.vals.dtype == (np.int64 if max(map(abs, vals)) < 2**63 else object)
+
+
+@pytest.mark.parametrize("bound, dtype", [(0, np.int64), (2**63 - 1, np.int64), (2**63, object), (2**200, object)])
+def test_exact_dtype(bound, dtype):
+    assert _kernel.exact_dtype(bound) is dtype
 
 
 def test_sum_squares_beyond_int64():
     cnts = np.array([2**40, 3, 2**35], dtype=np.int64)
-    w = _kernel.Weighted(3, 0, 2, int(cnts.sum()), arrays=(np.arange(3, dtype=np.int64), cnts))
+    w = _kernel.Weighted(np.arange(3, dtype=np.int64), cnts, int(cnts.sum()))
     assert w.sum_squares() == 2**80 + 9 + 2**70
     assert w.max_count() == 2**40
+
+
+@pytest.mark.parametrize("n, s", [(100, 10), (30, 13)])
+def test_mixed_energy_of_intervals_past_int64(n, s):
+    # n^s >= 2^63 tuples a side: the halves' counts leave int64 on the Python
+    # backend and ``inner`` sums their products.  The closed form counts the
+    # 2s-tuples of [0, n) with x_1 + ... + x_s + (n-1-y_1) + ... = s(n-1).
+    top = s * (n - 1)
+    terms = ((-1) ** j * math.comb(2 * s, j) * math.comb(top - j * n + 2 * s - 1, 2 * s - 1) for j in range(top // n + 1))
+    want = sum(terms)
+    assert n**s >= 2**63
+    assert mixed_energy([interval(n)] * (2 * s)).count == want
+
+
+def test_python_counts_past_int64_are_objects():
+    # 2^32 * 2^32 tuples: the Python backend's counts reach 2^63 and are held as Python ints
+    f = _indicator([0, 1])
+    f.total = 2**32
+    f.cnts = np.array([2**31, 2**31], dtype=np.int64)
+    out = _kernel.pair(f, f, True)
+    assert out.total == 2**64 and out.cnts.dtype == object
+    assert out.vals.tolist() == [0, 1, 2] and out.cnts.tolist() == [2**62, 2**63, 2**62]
+    assert out.sum_squares() == 2 * 2**124 + 2**126 and out.max_count() == 2**63
+    assert _kernel.inner(out, out) == out.sum_squares()
 
 
 def test_support_is_built_lazily_and_equal():

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from energia import _keys, bsg
+from energia import _kernel, _keys, bsg
 from energia.decomposer import DecomposeConfig, decompose
 from energia.energy import MULTIPLICATIVE, energy, energy_oracle, rep_function
 from energia.sets import IntSet
@@ -149,7 +149,7 @@ def _pieces(vals, data):
     X, Y = pick(half.counts.size), pick(half.counts.size)
     S = np.array(pick(full.counts.size))
     hv, _, hk = half.by_value
-    return (hv[X], hk[X]), (hv[Y], hk[Y]), (full.values_at(S), full.counts.arrays()[0][S])
+    return (hv[X], hk[X]), (hv[Y], hk[Y]), (full.values_at(S), full.counts.vals[S])
 
 
 @prop(100)
@@ -208,14 +208,13 @@ def test_decompose_pipeline_grids_stay_int64(monkeypatch, p, q, ni, nj, m):
     c = 7919
     A = IntSet({c * p**i * q**j for i in range(ni) for j in range(nj)} | {c * v for v in range(1, m + 1)})
     dtypes = []
-    exact = bsg._exact_arrays
+    exact = _kernel.exact_dtype
 
-    def spy(reach, *seqs):
-        out = exact(reach, *seqs)
-        dtypes.extend(a.dtype for a in out)
-        return out
+    def spy(bound):
+        dtypes.append(np.dtype(exact(bound)))
+        return dtypes[-1]
 
-    monkeypatch.setattr(bsg, "_exact_arrays", spy)
+    monkeypatch.setattr(_kernel, "exact_dtype", spy)
     d = decompose(A, DecomposeConfig(k=1.5, s=2, q=4))
     assert d.iterations_used >= 1
     assert dtypes and set(dtypes) == {np.dtype(np.int64)}

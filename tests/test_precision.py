@@ -140,5 +140,7 @@ def test_guarded_cmp_equality_and_margin(monkeypatch):
     for lhs, rhs in ((one, near), (near, one)):
         with pytest.raises(PrecisionError, match="comparison margin"):
             precision.guarded_cmp(lhs, rhs)
-    assert precision.guarded_cmp(one, near, guard_bits=220) == -1
-    assert precision.guarded_cmp(near, one, guard_bits=220) == 1
+    # at 512 bits the guard is 2^-256, so the 2^-200 margin decides
+    monkeypatch.setenv(precision.PRECISION_ENV, "512")
+    assert precision.guarded_cmp(one, near) == -1
+    assert precision.guarded_cmp(near, one) == 1

@@ -21,7 +21,6 @@ from energia.sets import (
     interval,
     iterated_product_set,
     iterated_sumset,
-    make_set,
     mixed,
     poly_image,
     powers,
@@ -53,7 +52,7 @@ def brute_prodset(A, m, n):
 
 class TestIntSet:
     def test_dedup_and_sort(self):
-        assert list(make_set([3, 1, 2, 1])) == [1, 2, 3]
+        assert list(IntSet([3, 1, 2, 1])) == [1, 2, 3]
 
     def test_membership(self):
         A = IntSet([5, 1, 9])

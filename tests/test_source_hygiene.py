@@ -8,8 +8,9 @@ keep the independent oracles independent: ``energy_oracle``,
 ``_numpy_oracle`` and ``tests/fiber_oracle.py`` may not name the
 convolution kernel or the exponent-key module they cross-check; and
 they keep the kernel one (value, multiplicity) semiring, with exponent
-keys held by ``energy.RepFunction``; and they keep every comparison of
-mpf values inside ``precision.py``, with ``bsg.py`` free of mpmath.
+keys held by ``energy.RepFunction``; they keep every comparison of
+mpf values inside ``precision.py``, with ``bsg.py`` free of mpmath; and
+they keep the choice between int64 and object arrays in ``_kernel.py``.
 """
 
 import ast
@@ -169,3 +170,39 @@ def test_raw_mpf_comparisons_are_found():
 def test_bsg_does_not_import_mpmath():
     names = set(_names(ast.parse((SRC / "bsg.py").read_text())))
     assert "mpmath" not in names
+
+
+# Whether an array holds int64 or Python ints is decided by one rule,
+# ``_kernel.exact_dtype``; ``_keys`` decodes to the dtype its caller
+# bounds.  No other module may pass ``object`` to a call, as a dtype or
+# inside an expression that picks one.
+DTYPE_OWNERS = {"_kernel.py", "_keys.py"}
+
+
+def _object_arguments(tree):
+    """Line numbers of the calls with an argument that names ``object``."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            args = [*node.args, *(kw.value for kw in node.keywords)]
+            if any(isinstance(n, ast.Name) and n.id == "object" for arg in args for n in ast.walk(arg)):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in DTYPE_OWNERS], ids=lambda p: p.name)
+def test_no_object_dtype_outside_the_kernel(path):
+    lines = _object_arguments(ast.parse(path.read_text()))
+    assert not lines, f"{path.name} passes object as a dtype at lines {lines}; use _kernel.exact_dtype"
+
+
+def test_object_arguments_are_found():
+    src = (
+        "a = np.array(x, dtype=object)\n"
+        "b = np.ones(3, object)\n"
+        "c = x.astype(np.int64 if big else object)\n"
+        "d = np.array(x, dtype=_kernel.exact_dtype(bound))\n"
+        "object.__setattr__(self, 'k', 1)\n"
+        "e = x.dtype == object\n"
+    )
+    assert _object_arguments(ast.parse(src)) == [1, 2, 3]
