@@ -61,26 +61,28 @@ class Weighted:
     ``vals`` holds the sorted, distinct values, as int64 or, once one
     leaves int64, as an object array of Python ints; ``cnts`` their
     multiplicities, as int64 or, once ``total`` (their sum) reaches 2**63,
-    as object.  ``lo``/``hi`` are the least and greatest value.
+    as object.  ``lo``/``hi`` are the least and greatest value, as Python
+    ints; a caller that holds them already passes them in.
     """
 
     __slots__ = ("vals", "cnts", "total", "size", "lo", "hi", "_step")
 
-    def __init__(self, vals, cnts, total):
+    def __init__(self, vals, cnts, total, lo=None, hi=None):
         self.vals, self.cnts, self.total = vals, cnts, total
-        self.size, self.lo, self.hi, self._step = len(vals), int(vals[0]), int(vals[-1]), None
-
-    @classmethod
-    def from_sorted(cls, values, counts, total):
-        """From sorted, distinct ints and their counts (None when plain)."""
-        vals = np.array(values, dtype=exact_dtype(max(-values[0], values[-1])))
-        return cls(vals, None if counts is None else np.asarray(counts, dtype=exact_dtype(total)), total)
+        self.size, self._step = len(vals), None
+        self.lo = int(vals[0]) if lo is None else lo
+        self.hi = int(vals[-1]) if hi is None else hi
 
     @classmethod
     def indicator(cls, elements, counted):
-        """Each of the sorted, distinct ``elements`` once."""
-        n = len(elements)
-        return cls.from_sorted(elements, np.ones(n, dtype=np.int64) if counted else None, n if counted else None)
+        """Each of the sorted, distinct ``elements`` (Python ints) once."""
+        n, lo, hi = len(elements), elements[0], elements[-1]
+        vals = np.array(elements, dtype=exact_dtype(max(-lo, hi)))
+        if not counted:
+            return cls(vals, None, None, lo, hi)
+        cnts = np.empty(n, dtype=np.int64)
+        cnts.fill(1)
+        return cls(vals, cnts, n, lo, hi)
 
     @property
     def counted(self):
@@ -161,8 +163,19 @@ def _python(f, g, additive):
             for b, cb in gitems:
                 k = a + b if additive else a * b
                 out[k] = get(k, 0) + ca * cb
-    keys = sorted(out)
-    return Weighted.from_sorted(keys, None if total is None else [out[k] for k in keys], total)
+    # the corners of the grid are cells, so they bound the result exactly
+    if additive:
+        lo, hi = f.lo + g.lo, f.hi + g.hi
+    else:
+        corners = (f.lo * g.lo, f.lo * g.hi, f.hi * g.lo, f.hi * g.hi)
+        lo, hi = min(corners), max(corners)
+    n = len(out)
+    vals = np.fromiter(out, exact_dtype(max(-lo, hi)), n)
+    if total is None:
+        vals.sort()
+        return Weighted(vals, None, None, lo, hi)
+    order = vals.argsort()
+    return Weighted(vals[order], np.fromiter(out.values(), exact_dtype(total), n)[order], total, lo, hi)
 
 
 def _python_self(v, c, additive):

@@ -50,6 +50,14 @@ SUBSET_BRANCH = "SubsetBranch"
 # 2^19 cells a run of decompose jobs ended 1-3 MB higher in peak RSS, for
 # a few percent of speed; 2^12 cells keep each block near 100 KB.
 _BLOCK = 1 << 12
+# Span of S below which a membership test indexes a bool table of S
+# (see ``_membership``).  It holds every kp table of the benchmark (S in
+# 4A, A spanning less than 5*10^5); decompose's exponent-key spans reach
+# 2^24 and beyond, and a 2^24 cap took certify-mix peak RSS from 45.6 to
+# 56.5 MB.
+_TABLE = 1 << 21
+# Packed (sum, level) keys of ``_nested_spans`` stay below this.
+_PACKED = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -130,9 +138,18 @@ def _membership(X, Y, S, additive):
     cell stays below 2**63 in absolute value (a product with a factor 0
     does not bound the other), else an object array of Python ints; it
     is built and tested in row blocks of about ``_BLOCK`` cells, so only
-    the bool matrix is |X|*|Y| sized.  The columns are taken in sorted
-    order of Y, so that a row of sums is sorted, which ``searchsorted``
-    runs through fastest, and put back in place.
+    the bool matrix is |X|*|Y| sized.
+
+    On an int64 grid with max S - min S below ``_TABLE`` (2**21), a cell
+    is looked up in one bool table of S indexed by value - min S: the
+    difference, taken modulo 2**64 and read unsigned, exceeds the span
+    exactly when the cell lies outside [min S, max S], and such cells
+    are sent to a False slot past the end.  The cap bounds the table at
+    2 MB: decompose's exponent-key spans run far wider, and tables of up
+    to 2**24 bytes raised certify-mix peak RSS.  Only object grids and
+    wider spans take the searchsorted path: the columns in sorted order
+    of Y, so that a row of sums is sorted, which ``searchsorted`` runs
+    through fastest, put back in place.
     """
     mx, my = _reach(X), _reach(Y)
     bound = mx + my if additive else max(mx, my, mx * my)
@@ -141,17 +158,37 @@ def _membership(X, Y, S, additive):
     dtype = _kernel.exact_dtype(bound)
     X, Y, S = (np.array(v, dtype=dtype) for v in (X, Y, S))
     out = np.zeros((len(X), len(Y)), dtype=bool)
-    if len(S):
-        outer = np.add.outer if additive else np.multiply.outer
-        cols = np.argsort(Y, kind="stable")
-        Y = Y[cols]
-        rows = max(1, _BLOCK // len(Y))
+    if not len(S):
+        return out
+    outer = np.add.outer if additive else np.multiply.outer
+    rows = max(1, _BLOCK // len(Y))
+    lo = int(S[0])
+    if dtype is np.int64 and int(S[-1]) - lo < _TABLE:
+        table = _table(S)
         for i in range(0, len(X), rows):
             grid = outer(X[i : i + rows], Y)
-            pos = np.searchsorted(S, grid)
-            np.minimum(pos, len(S) - 1, out=pos)
-            out[i : i + rows, cols] = S[pos] == grid
+            grid -= lo  # may wrap; read unsigned, it is the distance above lo mod 2**64
+            pos = grid.view(np.uint64)
+            np.minimum(pos, len(table) - 1, out=pos)
+            out[i : i + rows] = table[pos]
+        return out
+    cols = np.argsort(Y, kind="stable")
+    Y = Y[cols]
+    for i in range(0, len(X), rows):
+        grid = outer(X[i : i + rows], Y)
+        pos = np.searchsorted(S, grid)
+        np.minimum(pos, len(S) - 1, out=pos)
+        out[i : i + rows, cols] = S[pos] == grid
     return out
+
+
+def _table(S):
+    """[v in S] at v - min S for v from min S to max S + 1 (False), for
+    a sorted int64 array S."""
+    lo = int(S[0])
+    table = np.zeros(int(S[-1]) - lo + 2, dtype=bool)
+    table[S - lo] = True
+    return table
 
 
 def _matvec(M, v):
@@ -168,28 +205,59 @@ def _nested_spans(P, level, additive):
     ``level`` holds each element's first level, 0..k-1, every level
     taken.  Each pair of elements enters at the larger of its two levels,
     and each distinct sum at the least level of the pairs forming it; the
-    spans are the running counts of sums by entry level.  With the
-    elements ordered by level, the pairs (a, b), b <= a, visited row by
-    row enter in nondecreasing level, so a sum's first occurrence carries
-    its entry level; ``np.unique`` returns first occurrences.
+    spans are the running counts of sums by entry level, one
+    ``bincount``.  With the elements ordered by level, the pairs (a, b),
+    b <= a, visited row by row in blocks of about ``_BLOCK`` cells enter
+    at the level of their row.
+
+    On int64 values whose sums lie in [-bound, bound], with the levels
+    in ``bits`` bits and (2 bound + 1) << bits below ``_PACKED`` (2**62),
+    each pair is packed as the int64 key (sum + bound) << bits | level,
+    as ``_kernel._merge_equal`` packs value and weight: sorting a
+    block's keys puts each sum's least level first, and one more sort
+    and first pick over the blocks' survivors gives each sum's entry
+    level.  Only object arrays and sums too wide to pack keep
+    ``np.unique``: a sum's first occurrence in row order carries its
+    entry level.
     """
     order = np.argsort(level, kind="stable")
     level = level[order]
     mag = _reach(P)
-    P = np.array(P, dtype=_kernel.exact_dtype(2 * mag if additive else mag * mag))[order]
+    bound = 2 * mag if additive else mag * mag
+    dtype = _kernel.exact_dtype(bound)
+    P = np.array(P, dtype=dtype)[order]
+    bits = int(level[-1]).bit_length()
+    packed = dtype is np.int64 and (2 * bound + 1) << bits < _PACKED
     outer = np.add.outer if additive else np.multiply.outer
-    sums, levels = [], []  # each row block's distinct sums, with their levels there
+    parts = []  # packed: each block's first keys; else (distinct sums, their levels)
     rows = max(1, _BLOCK // len(P))
     for r0 in range(0, len(P), rows):
         r1 = min(len(P), r0 + rows)
         below = np.arange(r1)[None, :] <= np.arange(r0, r1)[:, None]
-        vals, first = np.unique(outer(P[r0:r1], P[:r1])[below], return_index=True)
-        row = np.repeat(np.arange(r0, r1), np.arange(r0, r1) + 1)
-        sums.append(vals)
-        levels.append(level[row[first]])
-    _, first = np.unique(np.concatenate(sums), return_index=True)
-    entered = np.bincount(np.concatenate(levels)[first], minlength=int(level[-1]) + 1)
-    return np.cumsum(entered).tolist()
+        grid = outer(P[r0:r1], P[:r1])
+        if packed:
+            grid += bound
+            grid <<= bits
+            grid |= level[r0:r1, None]
+            parts.append(_first_keys(grid[below], bits))
+        else:
+            vals, first = np.unique(grid[below], return_index=True)
+            row = np.repeat(np.arange(r0, r1), np.arange(r0, r1) + 1)
+            parts.append((vals, level[row[first]]))
+    if packed:
+        entry = _first_keys(np.concatenate(parts), bits) & ((1 << bits) - 1)
+    else:
+        _, first = np.unique(np.concatenate([v for v, _ in parts]), return_index=True)
+        entry = np.concatenate([l for _, l in parts])[first]
+    return np.cumsum(np.bincount(entry, minlength=int(level[-1]) + 1)).tolist()
+
+
+def _first_keys(keys, bits):
+    """The least of each run of ``keys`` equal above their low ``bits``
+    bits, sorted (``keys`` is sorted in place)."""
+    keys.sort()
+    sums = keys >> bits
+    return keys[np.concatenate(([True], sums[1:] != sums[:-1]))]
 
 
 def bsg_extract(U: IntSet, V: IntSet, G: PopularSumGraph, keys=None):

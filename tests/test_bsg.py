@@ -1,8 +1,10 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -155,6 +157,119 @@ def test_verification_bound_at_full_density(n, holds):
     G = PopularSumGraph(IntSet(range(n)), IntSet([0]), frozenset([0]), Fraction(1))
     report = bsg._balbsg_report((0,), 1, G)
     assert report.holds == holds
+
+
+# -- the direct-indexed grid paths against the searches they replace ---------
+
+EDGE = 2**63 - 1
+_OPS = {True: lambda a, b: a + b, False: lambda a, b: a * b}
+
+
+def _search_path(fn, cap, *args):
+    """``fn(*args)`` with the cap of its direct-indexed path set to 0, so
+    that it takes the searchsorted or ``np.unique`` path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bsg, cap, 0)
+        return fn(*args)
+
+
+def _grid_operands(add, place, xs, ys):
+    """X and Y whose cells lie near 0 ("middle") or within a few units of
+    +-(2^63 - 1) ("top", "bottom"), with an int64 grid either way."""
+    if place == "middle":
+        return xs, ys
+    sign = 1 if place == "top" else -1
+    if add:  # each operand at most 2^62 - 1 in size, so every cell fits
+        return [sign * (2**62 - 7 + x) for x in xs], [sign * (2**62 - 7 + y) for y in ys]
+    # products: one operand in {-1, 0, 1}, so the other bounds every cell
+    return [(x > 0) - (x < 0) for x in xs], [sign * (EDGE - 6 + y) for y in ys]
+
+
+class TestDirectIndexedPaths:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        add=st.booleans(),
+        place=st.sampled_from(("middle", "top", "bottom")),
+        xs=st.lists(st.integers(-6, 6), min_size=1, max_size=9),
+        ys=st.lists(st.integers(-6, 6), min_size=1, max_size=9),
+        data=st.data(),
+        cap=st.sampled_from((None, 1, 4, 30)),
+        block=st.sampled_from((None, 1, 3, 7)),
+    )
+    def test_membership_table_matches_search(self, add, place, xs, ys, data, cap, block):
+        X, Y = _grid_operands(add, place, xs, ys)
+        cells = sorted({_OPS[add](x, y) for x in X for y in Y})
+        lo, hi = cells[0], cells[-1]
+        picked = data.draw(st.lists(st.sampled_from(cells), max_size=6))
+        # values around the cells leave some cells below min S and above max S
+        near = data.draw(st.lists(st.integers(max(lo - 9, -EDGE), min(hi + 9, EDGE)), max_size=4))
+        # a far value widens S past the cap, either side of it, or across
+        # int64, where cell - min S wraps
+        far = data.draw(st.sampled_from((None, 0, EDGE - 2, -EDGE + 2, lo + 2**21 - 1, lo + 2**21)))
+        S = sorted(set(picked + near + ([] if far is None or abs(far) > EDGE else [far])))
+        with pytest.MonkeyPatch.context() as mp:
+            if cap is not None:
+                mp.setattr(bsg, "_TABLE", cap)
+            if block is not None:
+                mp.setattr(bsg, "_BLOCK", block)
+            got = bsg._membership(X, Y, S, add)
+            want = _search_path(bsg._membership, "_TABLE", X, Y, S, add)
+        assert np.array_equal(got, want)
+        members = set(S)
+        assert got.tolist() == [[_OPS[add](x, y) in members for y in Y] for x in X]
+
+    @pytest.mark.parametrize("span, table", [(2**21 - 1, True), (2**21, False)])
+    def test_membership_table_below_the_cap_only(self, monkeypatch, span, table):
+        built = []
+        make = bsg._table
+        monkeypatch.setattr(bsg, "_table", lambda S: built.append(make(S)) or built[-1])
+        S = [-5, -5 + span]
+        got = bsg._membership([-9, -5, 0], [0, span, span + 1], S, True)
+        assert got.tolist() == [[False, False, False], [True, True, False], [False, False, False]]
+        assert [len(t) for t in built] == ([span + 2] if table else [])
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        add=st.booleans(),
+        bits=st.integers(0, 9),
+        extra=st.integers(0, 12),
+        scale=st.sampled_from(("small", "edge", "over")),
+        seed=st.integers(0, 2**32),
+        block=st.sampled_from((None, 2, 5, 64)),
+    )
+    def test_nested_spans_packed_matches_unique(self, add, bits, extra, scale, seed, block):
+        rng = random.Random(seed)
+        # k levels, every one taken, need ``bits`` bits for the top level
+        k = 1 if bits == 0 else rng.randint(2 ** (bits - 1) + 1, 2**bits)
+        level = np.array(rng.sample(list(range(k)) + [rng.randrange(k) for _ in range(extra)], k + extra))
+        # the largest magnitude whose packed keys (2 bound + 1) << bits fit
+        top = 2 ** (61 - bits) - 1
+        edge = top // 2 if add else math.isqrt(top)
+        mag = {"small": 40, "edge": edge, "over": edge + 1}[scale]
+        P = [rng.choice((-mag, mag))] + [rng.randint(-mag, mag) for _ in range(k + extra - 1)]
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(bsg, "_BLOCK", block)
+            got = bsg._nested_spans(P, level, add)
+            want = _search_path(bsg._nested_spans, "_PACKED", P, level, add)
+        assert got == want
+
+    @pytest.mark.parametrize("add", (True, False))
+    @pytest.mark.parametrize("bits", (1, 5, 9))
+    def test_nested_spans_pack_up_to_the_cap(self, monkeypatch, add, bits):
+        top = 2 ** (61 - bits) - 1
+        edge = top // 2 if add else math.isqrt(top)
+        k = 2**bits
+        level = np.arange(k) % k
+        packs = []
+        first = bsg._first_keys
+        monkeypatch.setattr(bsg, "_first_keys", lambda keys, b: packs.append(b) or first(keys, b))
+        for mag, packed in ((edge, True), (edge + 1, False)):
+            packs.clear()
+            P = [mag - i for i in range(k - 1)] + [-mag]
+            want = _search_path(bsg._nested_spans, "_PACKED", P, level, add)
+            assert bsg._nested_spans(P, level, add) == want
+            assert bool(packs) == packed and set(packs) <= {bits}
 
 
 class TestKpPipeline:

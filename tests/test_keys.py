@@ -218,3 +218,37 @@ def test_decompose_pipeline_grids_stay_int64(monkeypatch, p, q, ni, nj, m):
     d = decompose(A, DecomposeConfig(k=1.5, s=2, q=4))
     assert d.iterations_used >= 1
     assert dtypes and set(dtypes) == {np.dtype(np.int64)}
+
+
+# the same inputs and three more of the workload; at c = 7919 the last
+# two build grids whose S spans more key values than bsg._TABLE
+@pytest.mark.parametrize(
+    "p, q, ni, nj, m, wide",
+    [
+        (2, 3, 5, 5, 16, False),
+        (2, 7, 5, 5, 16, False),
+        (3, 5, 5, 4, 16, False),
+        (2, 5, 5, 5, 16, False),
+        (2, 3, 5, 4, 24, True),
+        (2, 5, 4, 5, 20, True),
+    ],
+)
+def test_decompose_membership_tables_stay_under_the_cap(monkeypatch, p, q, ni, nj, m, wide):
+    # a membership table costs a byte per value of S's span: the cap keeps
+    # the decompose pipeline's peak memory where the searches had it
+    c = 7919
+    A = IntSet({c * p**i * q**j for i in range(ni) for j in range(nj)} | {c * v for v in range(1, m + 1)})
+    spans, tables = [], []
+    membership, table = bsg._membership, bsg._table
+
+    def spy(X, Y, S, add):
+        spans.append(int(S[-1]) - int(S[0]))
+        return membership(X, Y, S, add)
+
+    monkeypatch.setattr(bsg, "_membership", spy)
+    monkeypatch.setattr(bsg, "_table", lambda S: tables.append(table(S)) or tables[-1])
+    decompose(A, DecomposeConfig(k=1.5, s=2, q=4))
+    assert spans and all(len(t) <= bsg._TABLE + 1 for t in tables)
+    # every grid below the cap reads a table, and no wider one does
+    assert len(tables) == sum(span < bsg._TABLE for span in spans)
+    assert any(span >= bsg._TABLE for span in spans) == wide
