@@ -29,7 +29,6 @@ from .bsg import (  # noqa: F401
     bsg_extract,
     kp_pipeline,
     kp_verify,
-    popular_sums,
 )
 from .decomposer import (  # noqa: F401
     DecomposeConfig,

@@ -14,15 +14,21 @@ operands:
   the differences, the two indicators are at most ``_DENSE_RATIO`` times
   longer than a grid of the supports.  Exact int64 ``np.convolve``, kept
   where the result is > 0.
-* sort-and-count: otherwise.  The outer sum or product grid is sorted in
-  blocks of ``_CHUNK`` cells and equal values are merged, summing their
-  weights.
+* sort-and-count: otherwise.  The outer sum or product grid goes, in
+  row blocks of at most ``_CHUNK`` cells, through :func:`merge_blocks`,
+  which sorts each block, merges equal values summing their weights,
+  and merges the blocks.  The BSG stage's nested spans use the same
+  merge, keeping the least weight of each value.
 
 A self-pair (``f is g``: every squaring step of :func:`power`) visits
 each unordered pair once, since x + y = y + x and x * y = y * x: the
-Python and sort-and-count backends take the upper triangle of the grid,
-an off-diagonal cell with twice its weight, and merge the diagonal in
-once.  The dense backend convolves whole lines either way.
+Python and sort-and-count backends take the upper triangle of the grid
+with its diagonal, an off-diagonal cell with twice its weight and a
+diagonal cell with its own.  Where every weight is 1, sort-and-count
+sorts the values alone, doubles every count and then takes 1 off at the
+value of each diagonal cell (two diagonal cells can share a value, as
+x * x = (-x) * (-x)).  The dense backend convolves whole lines either
+way.
 
 The kernel sees values only.  Products taken on exponent keys (see
 ``energy.RepFunction``) reach it as sums of plain ints.
@@ -36,8 +42,6 @@ int64 or object.
 """
 
 import math
-from functools import reduce
-from itertools import chain
 
 import numpy as np
 
@@ -214,99 +218,120 @@ def _dense(f, g, additive):
 
 def _sort_count(f, g, additive):
     total = f.total * g.total if f.counted else None
-    if f is g:
-        parts = chain(_triangle_parts(f, additive), [_diagonal(f, additive)])
-    else:
-        parts = _outer_parts(f, g, additive)
-    return Weighted(*reduce(_merge_sorted, parts, None), total)
+    unit = f.counted and f.total == f.size and g.total == g.size
+    vals, cnts = merge_blocks(_row_blocks(f, g, additive, f.counted and not unit), f.counted, np.add)
+    if unit and f is g:
+        # an off-diagonal cell stands for two, a diagonal one for itself
+        cnts *= 2
+        np.subtract.at(cnts, np.searchsorted(vals, 2 * f.vals if additive else f.vals * f.vals), 1)
+    return Weighted(vals, cnts, total)
 
 
-def _outer_parts(f, g, additive):
-    """The f x g grid in row blocks of about ``_CHUNK`` cells, each sorted
-    with equal values merged."""
+def _row_blocks(f, g, additive, weighted):
+    """The f x g grid as (values, weights) blocks of whole rows, at most
+    ``_CHUNK`` cells (one row when a row is longer), weights None unless
+    ``weighted``.  For a self-pair (``f is g``) row i holds the columns
+    j >= i only: the upper triangle with its diagonal, an off-diagonal
+    cell weighing 2·c_i·c_j and a diagonal one c_i²; each of its rows,
+    the slice v[i:] combined with v[i], is written straight into the
+    block."""
     fv, fc, gv, gc = f.vals, f.cnts, g.vals, g.cnts
-    outer = np.add.outer if additive else np.multiply.outer
-    counted = f.counted
-    unit = counted and f.total == f.size and g.total == g.size
-    rows = max(1, _CHUNK // len(gv))
-    for i in range(0, len(fv), rows):
-        grid = outer(fv[i : i + rows], gv).ravel()
-        weights = np.multiply.outer(fc[i : i + rows], gc).ravel() if counted and not unit else None
-        yield _merge_equal(grid, weights, counted)
-
-
-def _triangle_parts(f, additive):
-    """The strict upper triangle of f x f (cells i < j, weight 2·c_i·c_j),
-    in row blocks of at most ``_CHUNK`` cells (one row when a row is
-    longer), each sorted with equal values merged.  Row i is the slice
-    v[i+1:] combined with v[i], written straight into the block."""
-    v, c, n = f.vals, f.cnts, f.size
     op = np.add if additive else np.multiply
-    counted = f.counted
-    unit = counted and f.total == f.size
-    ends = np.cumsum(np.arange(n - 1, -1, -1))  # cells in rows 0..i
+    half = f is g
+    lens = np.arange(g.size, 0, -1) if half else np.full(f.size, g.size)
+    ends = np.cumsum(lens)  # cells in rows 0..i
     i = 0
-    while i < n - 1:  # the last row is empty
-        start = int(ends[i]) - (n - 1 - i)
+    while i < f.size:
+        start = int(ends[i] - lens[i])
         stop = max(i + 1, int(np.searchsorted(ends, start + _CHUNK, side="right")))
-        grid = np.empty(int(ends[stop - 1]) - start, dtype=v.dtype)
-        weights = np.empty(len(grid), dtype=np.int64) if counted and not unit else None
-        pos = 0
-        for r in range(i, stop):
-            nxt = pos + n - 1 - r
-            op(v[r], v[r + 1 :], out=grid[pos:nxt])
-            if weights is not None:
-                np.multiply(2 * c[r], c[r + 1 :], out=weights[pos:nxt])
-            pos = nxt
-        vals, cnts = _merge_equal(grid, weights, counted)
-        yield vals, (2 * cnts if unit else cnts)
+        if not half:
+            grid = op.outer(fv[i:stop], gv).ravel()
+            weights = np.multiply.outer(fc[i:stop], gc).ravel() if weighted else None
+        else:
+            grid = np.empty(int(ends[stop - 1]) - start, dtype=fv.dtype)
+            weights = np.empty(len(grid), dtype=np.int64) if weighted else None
+            pos = 0
+            for r in range(i, stop):
+                nxt = pos + f.size - r
+                op(fv[r], fv[r:], out=grid[pos:nxt])
+                if weighted:
+                    np.multiply(2 * fc[r], fc[r:], out=weights[pos:nxt])
+                    weights[pos] = fc[r] * fc[r]
+                pos = nxt
+        yield grid, weights
         i = stop
 
 
-def _diagonal(f, additive):
-    """The n diagonal cells of f x f, weight c², sorted and merged."""
-    v, c = f.vals, f.cnts
-    unit = c is None or f.total == f.size
-    return _merge_equal(2 * v if additive else v * v, None if unit else c * c, f.counted)
+def merge_blocks(blocks, counted, reduce):
+    """The distinct values of (values, weights) ``blocks``, sorted, with
+    ``reduce`` (``np.add`` or ``np.minimum``) of the weights of each value
+    when ``counted``.  Weights None count cells (``np.add`` only).
+
+    Each block is sorted and its equal values merged by ``_merge_equal``.
+    The merged blocks wait until they hold more values than the result so
+    far, and are then merged into it by one more ``_merge_equal`` of their
+    concatenation.  A merge so holds at most about twice the result and
+    one block, and sorts fewer than two values for each value of the
+    blocks it takes in.
+    """
+    vals, cnts, size = [], [], 0  # sorted runs; the first merges every block before the others
+    for values, weights in blocks:
+        v, c = _merge_equal(values, weights, counted, reduce)
+        vals.append(v)
+        cnts.append(c)
+        size += len(v)
+        if size > 2 * len(vals[0]):
+            _merge_runs(vals, cnts, counted, reduce)
+            size = len(vals[0])
+    if len(vals) > 1:
+        _merge_runs(vals, cnts, counted, reduce)
+    return vals[0], cnts[0]
 
 
-def _merge_sorted(acc, part):
-    """Merge two sorted, distinct (values, counts) pairs, summing the
-    counts of shared values; ``acc`` may be None.  ``acc``'s counts are
-    updated in place."""
-    if acc is None:
-        return part
-    (av, ac), (pv, pc) = acc, part
-    pos = np.searchsorted(av, pv)
-    hit = pos < len(av)
-    hit[hit] = av[pos[hit]] == pv[hit]
-    miss = ~hit
-    vals = np.insert(av, pos[miss], pv[miss])
-    if ac is None:
-        return vals, None
-    ac[pos[hit]] += pc[hit]
-    return vals, np.insert(ac, pos[miss], pc[miss])
+def _merge_runs(vals, cnts, counted, reduce):
+    """Merge the sorted runs ``vals``, weighing ``cnts``, into one, in
+    place.  Each list is emptied once it is copied, and ``_merge_equal``
+    holds the only copies, so that no run outlives the sort."""
+    if not counted:
+        cnts.clear()
+    v, c = _merge_equal(_take(vals), _take(cnts) if counted else None, counted, reduce)
+    vals.append(v)
+    cnts.append(c)
 
 
-def _merge_equal(values, weights, counted):
-    """Sort ``values`` and merge equal ones; with ``counted``, sum their
-    ``weights`` (each value once when ``weights`` is None)."""
+def _take(arrays):
+    """The concatenation of ``arrays``, which is emptied."""
+    out = np.concatenate(arrays)
+    arrays.clear()
+    return out
+
+
+def _merge_equal(values, weights, counted, reduce):
+    """Sort ``values`` and merge equal ones; with ``counted``, ``reduce``
+    their non-negative ``weights``, or count them when ``weights`` is None."""
     if not counted or weights is None:
         values = np.sort(values)
         starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
         cnts = np.diff(np.append(starts, len(values))) if counted else None
         return values[starts], cnts
     lo, bits = int(values.min()), int(weights.max()).bit_length()
-    if (int(values.max()) - lo) >> (63 - bits) == 0:
+    packed = values.dtype != object and (int(values.max()) - lo) >> (63 - bits) == 0
+    if packed:
         # one int64 key per cell, value - lo above the weight's bits:
         # sorting the keys sorts the values and carries the weights along
         key = values - lo
         key <<= bits
         key |= weights
+        del values, weights  # freed here if the caller passed its only copies
         key.sort()
-        values, weights = (key >> bits) + lo, key & ((1 << bits) - 1)
+        values = key >> bits
+        values += lo
+        key &= (1 << bits) - 1
+        weights = key
     else:
         order = np.argsort(values)
         values, weights = values[order], weights[order]
     starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
-    return values[starts], np.add.reduceat(weights, starts)
+    if packed and reduce is np.minimum:  # the keys sort each value's weights too, least first
+        return values[starts], weights[starts]
+    return values[starts], reduce.reduceat(weights, starts)

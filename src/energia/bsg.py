@@ -30,7 +30,6 @@ from .energy import ADDITIVE, RepFunction, guard_counts, rep_function
 from .errors import (
     BadParamsError,
     EmptyGraphError,
-    EmptyResultError,
     EnergiaError,
     InvariantError,
     StageCollapseError,
@@ -56,8 +55,6 @@ _BLOCK = 1 << 12
 # 2^24 and beyond, and a 2^24 cap took certify-mix peak RSS from 45.6 to
 # 56.5 MB.
 _TABLE = 1 << 21
-# Packed (sum, level) keys of ``_nested_spans`` stay below this.
-_PACKED = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -87,16 +84,6 @@ class KpResult:
     stage_stats: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
     trace: list = field(default_factory=list)  # (stage, cardinality, threshold)
-
-
-def popular_sums(r: RepFunction, threshold) -> IntSet:
-    """S = {n : r(n) >= threshold}."""
-    if r.mode != ADDITIVE:
-        raise BadParamsError("popular_sums expects an additive rep function")
-    hits = [n for n, c in r.support.items() if c >= threshold]
-    if not hits:
-        raise EmptyResultError("no value reaches the popularity threshold")
-    return IntSet(hits)
 
 
 def _top(pos, mass, k, values=None):
@@ -207,57 +194,26 @@ def _nested_spans(P, level, additive):
     and each distinct sum at the least level of the pairs forming it; the
     spans are the running counts of sums by entry level, one
     ``bincount``.  With the elements ordered by level, the pairs (a, b),
-    b <= a, visited row by row in blocks of about ``_BLOCK`` cells enter
-    at the level of their row.
-
-    On int64 values whose sums lie in [-bound, bound], with the levels
-    in ``bits`` bits and (2 bound + 1) << bits below ``_PACKED`` (2**62),
-    each pair is packed as the int64 key (sum + bound) << bits | level,
-    as ``_kernel._merge_equal`` packs value and weight: sorting a
-    block's keys puts each sum's least level first, and one more sort
-    and first pick over the blocks' survivors gives each sum's entry
-    level.  Only object arrays and sums too wide to pack keep
-    ``np.unique``: a sum's first occurrence in row order carries its
-    entry level.
+    b <= a, visited row by row in blocks of about ``_kernel._CHUNK``
+    cells, as the kernel's grids, enter at the level of their row:
+    ``_kernel.merge_blocks`` takes the blocks of (sum, row level) cells
+    and keeps each sum's least level.
     """
     order = np.argsort(level, kind="stable")
     level = level[order]
     mag = _reach(P)
-    bound = 2 * mag if additive else mag * mag
-    dtype = _kernel.exact_dtype(bound)
-    P = np.array(P, dtype=dtype)[order]
-    bits = int(level[-1]).bit_length()
-    packed = dtype is np.int64 and (2 * bound + 1) << bits < _PACKED
+    P = np.array(P, dtype=_kernel.exact_dtype(2 * mag if additive else mag * mag))[order]
     outer = np.add.outer if additive else np.multiply.outer
-    parts = []  # packed: each block's first keys; else (distinct sums, their levels)
-    rows = max(1, _BLOCK // len(P))
-    for r0 in range(0, len(P), rows):
-        r1 = min(len(P), r0 + rows)
-        below = np.arange(r1)[None, :] <= np.arange(r0, r1)[:, None]
-        grid = outer(P[r0:r1], P[:r1])
-        if packed:
-            grid += bound
-            grid <<= bits
-            grid |= level[r0:r1, None]
-            parts.append(_first_keys(grid[below], bits))
-        else:
-            vals, first = np.unique(grid[below], return_index=True)
-            row = np.repeat(np.arange(r0, r1), np.arange(r0, r1) + 1)
-            parts.append((vals, level[row[first]]))
-    if packed:
-        entry = _first_keys(np.concatenate(parts), bits) & ((1 << bits) - 1)
-    else:
-        _, first = np.unique(np.concatenate([v for v, _ in parts]), return_index=True)
-        entry = np.concatenate([l for _, l in parts])[first]
+    rows = max(1, _kernel._CHUNK // len(P))
+
+    def blocks():
+        for r0 in range(0, len(P), rows):
+            r1 = min(len(P), r0 + rows)
+            below = np.arange(r1) <= np.arange(r0, r1)[:, None]
+            yield outer(P[r0:r1], P[:r1])[below], np.repeat(level[r0:r1], np.arange(r0 + 1, r1 + 1))
+
+    _, entry = _kernel.merge_blocks(blocks(), True, np.minimum)
     return np.cumsum(np.bincount(entry, minlength=int(level[-1]) + 1)).tolist()
-
-
-def _first_keys(keys, bits):
-    """The least of each run of ``keys`` equal above their low ``bits``
-    bits, sorted (``keys`` is sorted in place)."""
-    keys.sort()
-    sums = keys >> bits
-    return keys[np.concatenate(([True], sums[1:] != sums[:-1]))]
 
 
 def bsg_extract(U: IntSet, V: IntSet, G: PopularSumGraph, keys=None):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from energia import bsg
+from energia import _kernel, bsg
 from energia.bsg import (
     CALIBRATED,
     ENERGY_BRANCH,
@@ -18,38 +18,16 @@ from energia.bsg import (
     bsg_extract,
     kp_pipeline,
     kp_verify,
-    popular_sums,
 )
 from energia.checks import CheckReport
-from energia.energy import ADDITIVE, MULTIPLICATIVE, rep_function
+from energia.energy import ADDITIVE, MULTIPLICATIVE
 from fiber_oracle import reference_bsg_extract, tuple_oracle
 from energia.errors import (
     BadParamsError,
-    EmptyResultError,
     EnergiaError,
     WrongBranchError,
 )
 from energia.sets import IntSet, interval, iterated_sumset
-
-
-class TestPopularSums:
-    def test_threshold_three(self):
-        r = rep_function(IntSet([1, 2, 3]), 2)
-        assert list(popular_sums(r, 3)) == [4]
-
-    def test_threshold_one_full_support(self):
-        A = IntSet([1, 5, 9])
-        r = rep_function(A, 2)
-        assert set(popular_sums(r, 1)) == set(iterated_sumset(A, 2, 0))
-
-    def test_above_total_mass(self):
-        r = rep_function(IntSet([1, 2, 3]), 2)
-        with pytest.raises(EmptyResultError):
-            popular_sums(r, 3**2 + 1)
-
-    def test_rational_threshold(self):
-        r = rep_function(IntSet([1, 2, 3]), 2)
-        assert list(popular_sums(r, Fraction(5, 2))) == [4]
 
 
 class TestBsgExtract:
@@ -228,48 +206,61 @@ class TestDirectIndexedPaths:
         assert got.tolist() == [[False, False, False], [True, True, False], [False, False, False]]
         assert [len(t) for t in built] == ([span + 2] if table else [])
 
-    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         add=st.booleans(),
         bits=st.integers(0, 9),
         extra=st.integers(0, 12),
-        scale=st.sampled_from(("small", "edge", "over")),
+        scale=st.sampled_from(("small", "edge", "over", "wide")),
         seed=st.integers(0, 2**32),
-        block=st.sampled_from((None, 2, 5, 64)),
+        block=st.sampled_from((None, 1, 5, 64)),
     )
-    def test_nested_spans_packed_matches_unique(self, add, bits, extra, scale, seed, block):
+    def test_nested_spans_match_sets(self, add, bits, extra, scale, seed, block):
         rng = random.Random(seed)
         # k levels, every one taken, need ``bits`` bits for the top level
         k = 1 if bits == 0 else rng.randint(2 ** (bits - 1) + 1, 2**bits)
-        level = np.array(rng.sample(list(range(k)) + [rng.randrange(k) for _ in range(extra)], k + extra))
-        # the largest magnitude whose packed keys (2 bound + 1) << bits fit
-        top = 2 ** (61 - bits) - 1
-        edge = top // 2 if add else math.isqrt(top)
-        mag = {"small": 40, "edge": edge, "over": edge + 1}[scale]
-        P = [rng.choice((-mag, mag))] + [rng.randint(-mag, mag) for _ in range(k + extra - 1)]
+        level = rng.sample(list(range(k)) + [rng.randrange(k) for _ in range(extra)], k + extra)
+        # "edge": sums or products within a few units of 2^63 - 1, int64;
+        # "over": just past it, and "wide": far past it, object arrays
+        edge = EDGE // 2 if add else math.isqrt(EDGE)
+        mag = {"small": 40, "edge": edge - rng.randint(0, 3), "over": edge + 1, "wide": 2**70}[scale]
+        near = mag if scale == "small" else 4
+        P = [rng.choice((-mag, mag))] + [rng.choice((-1, 1)) * (mag - rng.randint(0, near)) for _ in range(k + extra - 1)]
         with pytest.MonkeyPatch.context() as mp:
             if block is not None:
-                mp.setattr(bsg, "_BLOCK", block)
-            got = bsg._nested_spans(P, level, add)
-            want = _search_path(bsg._nested_spans, "_PACKED", P, level, add)
-        assert got == want
+                mp.setattr(_kernel, "_CHUNK", block)
+            got = bsg._nested_spans(P, np.array(level), add)
+        assert got == _nested_span_sets(P, level, add)
 
     @pytest.mark.parametrize("add", (True, False))
     @pytest.mark.parametrize("bits", (1, 5, 9))
     def test_nested_spans_pack_up_to_the_cap(self, monkeypatch, add, bits):
-        top = 2 ** (61 - bits) - 1
-        edge = top // 2 if add else math.isqrt(top)
+        # with levels in ``bits`` bits, (sum - min sum) << bits | level fits
+        # an int64 key up to the first magnitude and argsorts from the
+        # second; sums or products reach +-(2^63 - 1) at the third and pass
+        # it (object arrays) at the fourth.  One element a level, blocks of
+        # a few rows.
+        monkeypatch.setattr(_kernel, "_CHUNK", 3 * 2**bits)
+        top = 2 ** (63 - bits) - 1  # the widest span of packed sums
+        cap = top // 4 if add else math.isqrt(top // 2)
+        edge = EDGE // 2 if add else math.isqrt(EDGE)
         k = 2**bits
-        level = np.arange(k) % k
-        packs = []
-        first = bsg._first_keys
-        monkeypatch.setattr(bsg, "_first_keys", lambda keys, b: packs.append(b) or first(keys, b))
-        for mag, packed in ((edge, True), (edge + 1, False)):
-            packs.clear()
+        for mag in (cap, cap + 1, edge, edge + 1):
             P = [mag - i for i in range(k - 1)] + [-mag]
-            want = _search_path(bsg._nested_spans, "_PACKED", P, level, add)
-            assert bsg._nested_spans(P, level, add) == want
-            assert bool(packs) == packed and set(packs) <= {bits}
+            level = list(range(k))[::-1]
+            assert bsg._nested_spans(P, np.array(level), add) == _nested_span_sets(P, level, add)
+
+
+def _nested_span_sets(P, level, add):
+    """|C_j + C_j| (or |C_j * C_j|) for each j, C_j = {P_i : level_i <= j},
+    from one growing Python set of sums."""
+    seen, sums, spans = [], set(), []
+    for j in range(max(level) + 1):
+        for x in (p for p, l in zip(P, level) if l == j):
+            seen.append(x)
+            sums.update(_OPS[add](x, y) for y in seen)
+        spans.append(len(sums))
+    return spans
 
 
 class TestKpPipeline:

@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from energia import _kernel
 from energia.energy import (
@@ -162,6 +162,7 @@ def _content(w):
     counts=st.lists(st.integers(1, 5), min_size=9, max_size=9),
     chunk=st.sampled_from([5, 1 << 19]),
 )
+@example(vals=[-3, -2, 0, 2, 3], counts=[1] * 9, chunk=5)  # x * x = (-x) * (-x): diagonal cells share values
 def test_self_pair_equals_pair_with_a_copy(monkeypatch, name, additive, kind, vals, counts, chunk):
     # f * f skips the symmetric half; f * (a copy of f) sorts the whole grid
     monkeypatch.setattr(_kernel, "_CHUNK", chunk)
@@ -176,41 +177,92 @@ def test_self_pair_equals_pair_with_a_copy(monkeypatch, name, additive, kind, va
 
 
 def test_triangle_blocks_stay_within_chunk(monkeypatch):
-    # rows of 13, 12, ..., 1 cells; a block takes whole rows up to 20 cells
+    # rows of 14, 13, ..., 1 cells, diagonal included; a block takes whole
+    # rows up to 20 cells
     monkeypatch.setattr(_kernel, "_CHUNK", 20)
+    f = _operand(range(0, 40, 3), "weighted", [1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3, 4, 5])
+    blocks = list(_kernel._row_blocks(f, f, True, True))
+    assert [len(v) for v, _ in blocks] == [14, 13, 12, 11, 10 + 9, 8 + 7, 6 + 5 + 4 + 3 + 2, 1]
+    # an off-diagonal cell weighs 2 c_i c_j, a diagonal one c_i^2
+    v, c = f.vals.tolist(), f.cnts.tolist()
+    want = Counter((v[i] + v[j], (1 + (i < j)) * c[i] * c[j]) for i in range(14) for j in range(i, 14))
+    cells = zip(np.concatenate([v for v, _ in blocks]).tolist(), np.concatenate([w for _, w in blocks]).tolist())
+    assert Counter(cells) == want
+
+
+def _merge_reference(cells, reduce):
+    """(sorted distinct values, the sum or the least of each one's weights)."""
+    out = {}
+    for v, w in cells:
+        out[v] = w if v not in out else (out[v] + w if reduce is np.add else min(out[v], w))
+    return sorted(out), [out[v] for v in sorted(out)]
+
+
+_cell_values = st.one_of(st.integers(-50, 50), st.integers(-(2**62), 2**62 - 1))
+_cell_weights = st.one_of(st.integers(0, 8), st.integers(0, 2**40))
+
+
+@prop(300)
+@given(
+    cells=st.lists(st.tuples(_cell_values, _cell_weights), min_size=1, max_size=30),
+    reduce=st.sampled_from((np.add, np.minimum)),
+    unit=st.booleans(),
+)
+def test_merge_equal_sums_weights(cells, reduce, unit):
+    # narrow spans with small weights sort packed keys; the rest argsort;
+    # weights None count the cells of each value, a sum of unit weights
+    unit = unit and reduce is np.add
+    if unit:
+        cells = [(v, 1) for v, _ in cells]
+    keys, want = _merge_reference(cells, reduce)
+    values, weights = (np.array(col, dtype=np.int64) for col in zip(*cells))
+    vals, cnts = _kernel._merge_equal(values, None if unit else weights, True, reduce)
+    assert vals.tolist() == keys
+    assert cnts.tolist() == want
+
+
+@pytest.mark.parametrize("reduce", (np.add, np.minimum))
+@pytest.mark.parametrize("wide", (False, True))
+@prop(100)
+@given(
+    blocks=st.lists(st.lists(st.tuples(_cell_values, _cell_weights), min_size=1, max_size=6), min_size=1, max_size=40),
+    unit=st.booleans(),
+)
+def test_merge_blocks_across_many_parts(monkeypatch, reduce, wide, blocks, unit):
+    # int64 values, or (wide) object values past 2^64; no merge may hold
+    # more than about twice the result and one block
+    unit = unit and reduce is np.add
+    if unit:
+        blocks = [[(v, 1) for v, _ in b] for b in blocks]
+    if wide:
+        blocks = [[(v + 2**64, w) for v, w in b] for b in blocks]
+    keys, want = _merge_reference([cell for b in blocks for cell in b], reduce)
     seen = []
     merge = _kernel._merge_equal
+    monkeypatch.setattr(_kernel, "_merge_equal", lambda values, *rest: seen.append(len(values)) or merge(values, *rest))
+    dtype = _kernel.exact_dtype(max(abs(v) for b in blocks for v, _ in b))
+    arrays = (
+        (np.array([v for v, _ in b], dtype=dtype), None if unit else np.array([w for _, w in b], dtype=np.int64))
+        for b in blocks
+    )
+    vals, cnts = _kernel.merge_blocks(arrays, True, reduce)
+    assert vals.tolist() == keys and cnts.tolist() == want
+    assert vals.dtype == dtype and cnts.dtype == np.int64
+    assert max(seen) <= 2 * len(keys) + max(map(len, blocks))
 
-    def spy(values, *args, **kwargs):
-        seen.append(len(values))
-        return merge(values, *args, **kwargs)
 
-    monkeypatch.setattr(_kernel, "_merge_equal", spy)
-    f = _operand(range(0, 40, 3), "unit", None)
-    parts = list(_kernel._triangle_parts(f, True))
-    assert seen == [13, 12, 11, 10 + 9, 8 + 7, 6 + 5 + 4 + 3 + 2, 1] and len(parts) == len(seen)
-
-
-@prop(200)
-@given(
-    cells=st.lists(
-        st.tuples(
-            st.one_of(st.integers(-50, 50), st.integers(-(2**62), 2**62 - 1)),
-            st.one_of(st.integers(1, 8), st.integers(1, 2**40)),
-        ),
-        min_size=1,
-        max_size=30,
-    ),
-)
-def test_merge_equal_sums_weights(cells):
-    # narrow spans with small weights sort packed keys; the rest argsort
-    want = Counter()
-    for v, w in cells:
-        want[v] += w
-    values, weights = (np.array(col, dtype=np.int64) for col in zip(*cells))
-    vals, cnts = _kernel._merge_equal(values, weights, True)
-    assert vals.tolist() == sorted(want)
-    assert cnts.tolist() == [want[v] for v in sorted(want)]
+@pytest.mark.parametrize("self_pair", (False, True))
+def test_sort_count_merges_stay_near_the_result(monkeypatch, self_pair):
+    # blocks of a few cells over 24 x 24 (or 24 x 15) sums
+    monkeypatch.setattr(_kernel, "_CHUNK", 7)
+    seen = []
+    merge = _kernel._merge_equal
+    monkeypatch.setattr(_kernel, "_merge_equal", lambda values, *rest: seen.append(len(values)) or merge(values, *rest))
+    f = _operand([3**i for i in range(12)] + [-(5**i) for i in range(12)], "unit", None)
+    g = f if self_pair else _operand([7**i for i in range(15)], "unit", None)
+    out = _kernel._sort_count(f, g, True)
+    assert _content(out) == _content(_kernel._python(f, _operand(g.vals.tolist(), "unit", None), True))
+    assert len(seen) > 10 and max(seen) <= 2 * out.size + 7
 
 
 # -- the keyed quotient set ---------------------------------------------------

@@ -9,8 +9,9 @@ keep the independent oracles independent: ``energy_oracle``,
 convolution kernel or the exponent-key module they cross-check; and
 they keep the kernel one (value, multiplicity) semiring, with exponent
 keys held by ``energy.RepFunction``; they keep every comparison of
-mpf values inside ``precision.py``, with ``bsg.py`` free of mpmath; and
-they keep the choice between int64 and object arrays in ``_kernel.py``.
+mpf values inside ``precision.py``, with ``bsg.py`` free of mpmath; they
+keep the choice between int64 and object arrays in ``_kernel.py``; and
+they keep the sort that merges equal values of a grid in ``_kernel.py``.
 """
 
 import ast
@@ -206,3 +207,39 @@ def test_object_arguments_are_found():
         "e = x.dtype == object\n"
     )
     assert _object_arguments(ast.parse(src)) == [1, 2, 3]
+
+
+# Sorting a grid and reducing the weights of equal values is
+# ``_kernel._merge_equal``'s job (through ``merge_blocks``): it alone
+# packs (value, weight) keys and reduces runs.  No other module may
+# shift a key into place with ``<<=`` or call a ``.reduceat``.
+MERGE_OWNER = "_kernel.py"
+
+
+def _packs_or_reduces(tree):
+    """Line numbers of ``<<=`` augmented assignments and of ``.reduceat``
+    attributes."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.LShift):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "reduceat":
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != MERGE_OWNER], ids=lambda p: p.name)
+def test_only_the_kernel_packs_keys_or_reduces_runs(path):
+    lines = _packs_or_reduces(ast.parse(path.read_text()))
+    assert not lines, f"{path.name} packs keys or reduces runs at lines {lines}; use _kernel.merge_blocks"
+
+
+def test_packing_and_reducing_are_found():
+    src = (
+        "key <<= bits\n"
+        "key = key << bits\n"
+        "out = np.add.reduceat(w, starts)\n"
+        "red = reduce.reduceat\n"
+        "x >>= 1\n"
+    )
+    assert _packs_or_reduces(ast.parse(src)) == [1, 3, 4]

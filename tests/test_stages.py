@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import stage_reference as ref
-from energia import _keys, bsg, precision
+from energia import _kernel, _keys, bsg, precision
 from energia.bsg import CALIBRATED, PAPER
 from energia.energy import ADDITIVE, MULTIPLICATIVE, rep_function
 from energia.errors import StageCollapseError
@@ -106,6 +106,7 @@ def test_pipeline_stages_match_reference(values, scale, energy_mode, mode, delta
     with pytest.MonkeyPatch.context() as mp:
         if chunk is not None:  # grids, products and spans in blocks of a few rows
             mp.setattr(bsg, "_BLOCK", chunk)
+            mp.setattr(_kernel, "_CHUNK", chunk)
         _compare(_scaled(values, scale), 4, delta, mode, energy_mode)
 
 
