@@ -9,12 +9,15 @@ when --timing is passed.  Exit codes: 0 ok, 1 failed mandatory check,
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import random
 import sys
 import time
 from fractions import Fraction
+
+import numpy as np
 
 from . import __version__, precision
 from .bsg import CALIBRATED, SUBSET_BRANCH, kp_pipeline, kp_verify
@@ -94,8 +97,79 @@ def _report(args, results, seed=None) -> dict:
     return rep
 
 
-def _emit(args, results, seed=None):
-    print(json.dumps(_report(args, results, seed), sort_keys=True, default=str))
+# A results value that _emit replaces with JSON text made beforehand.  No
+# other string of a report is a lone NUL, so its JSON form marks the spot.
+_SPLICE = "\0"
+
+
+def _emit(args, results, seed=None, splice=None):
+    text = json.dumps(_report(args, results, seed), sort_keys=True, default=str)
+    if splice is not None:
+        text = text.replace('"\\u0000"', splice, 1)
+    print(text)
+
+
+@functools.cache
+def _tables():
+    """A row of the report's values is read four ASCII cells, one uint32
+    word, at a time: the digits of 0000-9999 as words, the masks that keep
+    the last k of four cells, and the powers 10^1-10^19 that count digits.
+    Built on first use, so that importing the CLI costs nothing more."""
+    digits = np.ascontiguousarray((np.indices((10,) * 4, dtype=np.uint8) + ord("0")).reshape(4, -1).T)
+    last = np.arange(4) >= 4 - np.arange(5)[:, None]
+    return digits.view(np.uint32)[:, 0], last.view(np.uint32)[:, 0], 10 ** np.arange(1, 20, dtype=np.uint64)
+
+
+def _word(cells):
+    """Four ASCII characters, or four keep flags, as one word."""
+    raw = cells.encode() if isinstance(cells, str) else bytes(cells)
+    return np.frombuffer(raw, dtype=np.uint8).view(np.uint32)[0]
+
+
+def _decimal(mag, shown):
+    """(characters, keep) words of the digits of the uint64 array ``mag``,
+    right-aligned, most significant word first; a value keeps its digits
+    (one for 0) where ``shown``, else none."""
+    digits, last, pow10 = _tables()
+    count = np.where(shown, np.searchsorted(pow10, mag, side="right") + 1, 0)
+    words = []
+    for below in range(0, int(count.max()), 4):  # digits to the right of this word
+        mag, group = np.divmod(mag, 10000)
+        words.append((digits[group], last[np.clip(count - below, 0, 4)]))
+    return words[::-1]
+
+
+def _json_strings(num, den=None):
+    """The JSON text of the list of decimal strings of the integers
+    ``num``, or of the fractions num/den ("p" where the denominator is 1,
+    else "p/q"), as ``json.dumps`` writes it.
+
+    Each value is one row of words: quote and sign, digits, slash and
+    denominator digits, closing quote and separator, each word beside the
+    mask of the cells it keeps.  The kept cells, read row by row, are the
+    text.  Object arrays take ``str`` per value.
+    """
+    n = len(num)
+    if num.dtype == object or (den is not None and den.dtype == object):
+        pairs = zip(num.tolist(), den.tolist() if den is not None else [1] * n)
+        return json.dumps([str(p) if q == 1 else f"{p}/{q}" for p, q in pairs])
+    neg = num < 0
+    mag = num.astype(np.uint64)  # a negative v wraps to 2^64 - |v| ...
+    np.negative(mag, out=mag, where=neg)  # ... and back to |v|, -2^63 included
+    row = [(_word('  "-'), np.where(neg, _word([0, 0, 1, 1]), _word([0, 0, 1, 0])))]
+    row += _decimal(mag, True)
+    if den is not None:
+        frac = den != 1
+        row.append((_word("   /"), np.where(frac, _word([0, 0, 0, 1]), 0)))
+        row += _decimal(den.astype(np.uint64), frac)
+    end = np.full(n, _word([1, 1, 1, 0]))
+    end[-1] = _word([1, 0, 0, 0])  # no separator after the last value
+    row.append((_word('", _'), end))
+    chars, keep = np.empty((2, n, len(row)), dtype=np.uint32)
+    for i, (c, k) in enumerate(row):
+        chars[:, i], keep[:, i] = c, k
+    text = np.compress(keep.view(bool).ravel(), chars.view(np.uint8).ravel())
+    return "[" + text.tobytes().decode("ascii") + "]"
 
 
 def _check_dict(r) -> dict:
@@ -149,8 +223,8 @@ def cmd_sumset(args):
     A = _read_input(args.input)
     fold = iterated_sumset if _MODES[args.mode] == ADDITIVE else iterated_product_set
     out = fold(A, args.m, args.n)
-    values = [str(v) for v in out]
-    _emit(args, {"input_digest": _digest(A), "m": args.m, "n": args.n, "size": len(out), "values": values})
+    results = {"input_digest": _digest(A), "m": args.m, "n": args.n, "size": len(out), "values": _SPLICE}
+    _emit(args, results, splice=_json_strings(*out.arrays))
     return 0
 
 

@@ -1,13 +1,25 @@
-"""Exact finite-set arithmetic: IntSet/RatSet, iterated sumsets and
-product sets, and canonical generators for the standard example sets.
+"""Exact finite-set arithmetic: iterated sumsets and product sets as
+sorted arrays, the IntSet/RatSet views of them, and canonical generators
+for the standard example sets.
 
-All values are arbitrary-precision (Python int / Fraction); product and
-quotient sets live in exact rationals so that no collision is ever
-spurious.  Every object is immutable and every operation is pure.
+The folds compute on arrays.  ``sumset_array`` gives mA - nA as the
+kernel's sorted values; ``product_set_arrays`` gives A^(m)/A^(n) as
+sorted (numerator, denominator) arrays of the reduced quotients, the
+sign on the numerator.  An array is int64 or, once a value leaves
+int64, an object array of Python ints (``_kernel.exact_dtype``), so
+nothing is rounded.
+
+``iterated_sumset`` and ``iterated_product_set`` wrap those arrays as an
+``IntSet`` of Python ints or a ``RatSet`` of ``Fraction``s, built when a
+caller first reads the elements: its length, and the report the CLI
+prints, come from the arrays.  Every object is immutable and every
+operation is pure.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
+
+import numpy as np
 
 from . import _kernel
 from .errors import (
@@ -19,22 +31,40 @@ from .errors import (
 
 
 class _SortedSet:
-    """Immutable strictly-increasing sequence of exact values."""
+    """Immutable strictly-increasing sequence of exact values.
 
-    __slots__ = ("elements",)
+    A set a fold made holds the fold's sorted, distinct ``arrays`` (one
+    or two, see the subclasses) and builds ``elements`` from them on first
+    use; any other set holds its elements and ``arrays`` is None.
+    """
+
+    __slots__ = ("_elements", "arrays")
 
     def __init__(self, values):
-        self.elements = tuple(sorted(set(values)))
+        self._elements, self.arrays = tuple(sorted(set(values))), None
 
     @classmethod
     def _trusted(cls, elements):
         """Wrap values already sorted, distinct and of this set's type."""
         obj = cls.__new__(cls)
-        obj.elements = tuple(elements)
+        obj._elements, obj.arrays = tuple(elements), None
         return obj
 
+    @classmethod
+    def _of_arrays(cls, *arrays):
+        """Wrap a fold's sorted, distinct arrays."""
+        obj = cls.__new__(cls)
+        obj._elements, obj.arrays = None, arrays
+        return obj
+
+    @property
+    def elements(self):
+        if self._elements is None:
+            self._elements = self._from_arrays(*self.arrays)
+        return self._elements
+
     def __len__(self):
-        return len(self.elements)
+        return len(self.arrays[0]) if self._elements is None else len(self._elements)
 
     def __iter__(self):
         return iter(self.elements)
@@ -54,7 +84,7 @@ class _SortedSet:
 
 
 class IntSet(_SortedSet):
-    """Finite set of arbitrary-precision integers."""
+    """Finite set of arbitrary-precision integers; ``arrays`` is (values,)."""
 
     def __init__(self, values):
         values = list(values)
@@ -63,65 +93,91 @@ class IntSet(_SortedSet):
                 raise BadParamsError(f"IntSet elements must be int, got {type(v).__name__}")
         super().__init__(values)
 
+    @staticmethod
+    def _from_arrays(vals):
+        return tuple(vals.tolist())
+
 
 class RatSet(_SortedSet):
-    """Finite set of exact rationals (stored reduced, denominators > 0)."""
+    """Finite set of exact rationals (stored reduced, denominators > 0);
+    ``arrays`` is (numerators, denominators)."""
 
     def __init__(self, values):
         super().__init__(Fraction(v) for v in values)
 
+    @staticmethod
+    def _from_arrays(num, den):
+        return tuple(map(Fraction, num.tolist(), den.tolist()))
 
-def iterated_sumset(A: IntSet, m: int, n: int) -> IntSet:
-    """mA - nA, the m-fold sumset minus the n-fold sumset of A."""
+
+def _check_fold(A, m, n, name):
     if m < 0 or n < 0:
         raise BadParamsError("m and n must be non-negative")
     if m == 0 and n == 0:
         raise ZeroArityError("m = n = 0")
     if len(A) == 0:
-        raise EmptySetError("iterated_sumset of empty set")
+        raise EmptySetError(f"{name} of empty set")
+
+
+def sumset_array(A: IntSet, m: int, n: int) -> np.ndarray:
+    """mA - nA, the m-fold sumset minus the n-fold sumset of A, as the
+    kernel's sorted values."""
+    _check_fold(A, m, n, "iterated_sumset")
     # mA - nA = mA + n(-A)
     out = _kernel.power(_kernel.Weighted.indicator(A.elements, counted=False), m, additive=True) if m else None
     if n:
         neg = _kernel.Weighted.indicator([-a for a in reversed(A.elements)], counted=False)
         minus = _kernel.power(neg, n, additive=True)
         out = minus if out is None else _kernel.pair(out, minus, additive=True)
-    return IntSet._trusted(out.vals.tolist())
+    return out.vals
 
 
-def iterated_product_set(A: IntSet, m: int, n: int) -> RatSet:
-    """A^(m) / A^(n) as exact rationals; n = 0 gives the plain product set."""
-    if m < 0 or n < 0:
-        raise BadParamsError("m and n must be non-negative")
-    if m == 0 and n == 0:
-        raise ZeroArityError("m = n = 0")
-    if len(A) == 0:
-        raise EmptySetError("iterated_product_set of empty set")
+def product_set_arrays(A: IntSet, m: int, n: int):
+    """A^(m) / A^(n) as the sorted (numerator, denominator) arrays of its
+    reduced quotients; n = 0 gives the plain product set over 1."""
+    _check_fold(A, m, n, "iterated_product_set")
     if n >= 1 and 0 in A.elements:
         raise DivisionByZeroElementError("0 in A with n >= 1")
     base = _kernel.Weighted.indicator(A.elements, counted=False)
-    num = _kernel.power(base, m, additive=False).vals.tolist() if m else [1]
-    if not n:
-        return RatSet._trusted([Fraction(p) for p in num])
-    den = _kernel.power(base, n, additive=False).vals.tolist()
-    return RatSet._trusted(_quotients(num, den))
+    one = np.ones(1, dtype=np.int64)
+    num = _kernel.power(base, m, additive=False).vals if m else one
+    den = _kernel.power(base, n, additive=False).vals if n else one
+    return quotient_arrays(num, den)
 
 
-def _quotients(num, den):
-    """The distinct p / q over p in num, q in den (no zero), sorted.
+def quotient_arrays(num, den):
+    """The distinct p / q over the sorted arrays ``num`` and ``den`` (no
+    zero), as sorted arrays of reduced numerators and positive
+    denominators.
 
-    Each pair is keyed by the integer floor(p 2^(2b) / q), b the bit
-    length of the largest |q|.  Two distinct quotients with denominators
-    below 2^b differ by more than 2^(-2b), so their scaled values differ
-    by more than 1 and their floors differ; equal quotients give equal
-    keys, and the keys keep the order.  So deduplicating and sorting the
-    keys deduplicates and sorts the quotients exactly, and one Fraction
-    is built per distinct value.  Floor division floors the exact
-    quotient for either sign of q.
+    Each cell of the num x den grid is keyed by the integer
+    floor(p 2^(2b) / q), b the bit length of the largest |q|.  Two
+    distinct quotients with denominators below 2^b differ by more than
+    2^(-2b), so their scaled values differ by more than 1 and their floors
+    differ; equal quotients give equal keys, and the keys keep the order.
+    So the distinct keys, sorted, pick one cell per distinct quotient in
+    order, and one gcd reduces it.  Floor division floors the exact
+    quotient for either sign of q.  The keys are int64 while every
+    |p| 2^(2b) is, else Python ints.
     """
-    shift = 2 * max(-den[0], den[-1]).bit_length()
-    shifted = [(p << shift, p) for p in num]
-    table = {ps // q: (p, q) for q in den for ps, p in shifted}
-    return [Fraction(*table[k]) for k in sorted(table)]
+    shift = 2 * max(-int(den[0]), int(den[-1])).bit_length()
+    dtype = _kernel.exact_dtype(max(-int(num[0]), int(num[-1])) << shift)
+    keys = np.floor_divide.outer(np.left_shift(num.astype(dtype, copy=False), shift), den.astype(dtype, copy=False))
+    cells = np.unique(keys.ravel(), return_index=True)[1]
+    p, q = num[cells // len(den)], den[cells % len(den)]
+    g = np.gcd(p, q)
+    g[q < 0] *= -1  # dividing by -g moves the sign onto the numerator
+    return p // g, q // g
+
+
+def iterated_sumset(A: IntSet, m: int, n: int) -> IntSet:
+    """mA - nA as an IntSet over ``sumset_array``."""
+    return IntSet._of_arrays(sumset_array(A, m, n))
+
+
+def iterated_product_set(A: IntSet, m: int, n: int) -> RatSet:
+    """A^(m) / A^(n) as a RatSet over ``product_set_arrays``."""
+    return RatSet._of_arrays(*product_set_arrays(A, m, n))
 
 
 # -- canonical generators ---------------------------------------------------

@@ -17,8 +17,9 @@ multiplicative work moved to exponent keys, the ``kp-mult-*``,
 ``kp-paper-*``, ``kp-s6*`` and ``decompose-mult-*`` cases before the
 popular-sum stages were vectorised, ``constants-gemn-k1.5-q6`` and
 ``constants-eric-b31-m40`` before the parameter formulas became plain
-values instead of expression trees, the others before the convolution
-kernel was rewritten.  The twelve ``kp-*`` cases, the eighteen
+values instead of expression trees, ``sumset-A-A-digit-counts`` before
+sumset reports were written straight from the fold's arrays, the others
+before the convolution kernel was rewritten.  The twelve ``kp-*`` cases, the eighteen
 ``energy-*`` cases that print an ``exponent`` and
 ``constants-gemn-k1.5-q6`` were captured again when every kp threshold
 became an exact comparison: the kp checks print their right-hand sides
@@ -96,6 +97,9 @@ DECOMPOSE_35 = sorted({35 * 3**i * 5**j for i in range(5) for j in range(5)} | {
 WIDE_BASE = sorted(random.Random(11).sample(range(2**40, 2**40 + 2**36), 30))
 # -2^63 is the least int64, and its negation is not one
 INT64_MIN = [-(2**63), 0, 5]
+# A - A holds +-10^k, +-(10^k - 1) and +-(2^63 - 1): every decimal digit
+# count from 1 to 19, with either sign
+DIGIT_COUNTS = [0, 7] + [10**k for k in range(19)] + [2**63 - 1]
 
 
 def _energy(values, s, mode="add", oracle=False):
@@ -136,6 +140,7 @@ CASES = {
     "sumset-A/A-above-2^62": _sumset(QUOTIENT_WIDE, 1, 1, "mult"),
     "sumset-0A-A-int64-min": _sumset(INT64_MIN, 0, 1),
     "sumset-A-A-int64-min": _sumset(INT64_MIN, 1, 1),
+    "sumset-A-A-digit-counts": _sumset(DIGIT_COUNTS, 1, 1),
     "energy-random-s4": _energy(E4_RANDOM, 4),
     "kp-verify-random": (["kp", "--s", "4", "--delta", "0.05", "--verify"], KP_RANDOM),
     "kp-verify-ap-union": (["kp", "--s", "4", "--delta", "0.05", "--verify"], KP_AP_UNION),

@@ -30,7 +30,14 @@ from energia.energy import (
     mixed_energy,
     rep_function,
 )
-from energia.sets import IntSet, _quotients, interval, iterated_product_set, iterated_sumset
+from energia.sets import (
+    IntSet,
+    interval,
+    iterated_product_set,
+    iterated_sumset,
+    product_set_arrays,
+    quotient_arrays,
+)
 
 BACKENDS = {"python": _kernel._python, "dense": _kernel._dense, "sort-count": _kernel._sort_count}
 MODES = (ADDITIVE, MULTIPLICATIVE)
@@ -265,7 +272,26 @@ def test_sort_count_merges_stay_near_the_result(monkeypatch, self_pair):
     assert len(seen) > 10 and max(seen) <= 2 * out.size + 7
 
 
-# -- the keyed quotient set ---------------------------------------------------
+# -- the keyed quotient arrays ------------------------------------------------
+
+
+def _array(values):
+    return np.array(values, dtype=_kernel.exact_dtype(max(map(abs, values))))
+
+
+def _pairs(num, den):
+    return list(zip(num.tolist(), den.tolist()))
+
+
+def _reduced(fractions):
+    return [(f.numerator, f.denominator) for f in fractions]
+
+
+def _fold_fractions(A, m, n):
+    num = [math.prod(t) for t in product(A, repeat=m)]
+    den = [math.prod(t) for t in product(A, repeat=n)]
+    return sorted({Fraction(p, q) for p in num for q in den})
+
 
 near_2_62 = st.integers(2**62 - 40, 2**62 + 40)
 quotient_values = st.one_of(
@@ -281,27 +307,77 @@ quotient_values = st.one_of(
 def test_quotients_match_fraction_reference(num, den):
     num, den = sorted(num), sorted(den)
     want = sorted({Fraction(p, q) for p in num for q in den})
-    got = _quotients(num, den)
-    assert got == want
-    assert all(type(x) is Fraction for x in got)
+    assert _pairs(*quotient_arrays(_array(num), _array(den))) == _reduced(want)
 
 
 def test_quotients_separate_farey_neighbours():
     # (q-1)/q and q/(q+1) differ by 1/(q(q+1)), just above 2^(-2b) for b = 63
     q = 2**63 - 2
     A = IntSet([q - 1, q, q + 1])
-    got = list(iterated_product_set(A, 1, 1).elements)
+    got = _pairs(*product_set_arrays(A, 1, 1))
     want = sorted({Fraction(p, r) for p in A for r in A})
-    assert got == want and Fraction(q - 1, q) in got and Fraction(q, q + 1) in got
+    assert got == _reduced(want) and (q - 1, q) in got and (q, q + 1) in got
 
 
 @pytest.mark.parametrize("m, n", [(0, 1), (0, 2), (1, 1), (2, 1), (1, 2)])
 def test_product_set_quotients_against_fractions(m, n):
     A = IntSet([-(2**63) - 5, -9, -2, 3, 7, 2**61 + 1, 2**62 + 3])
-    num = [1] if m == 0 else [math.prod(t) for t in product(A, repeat=m)]
-    den = [math.prod(t) for t in product(A, repeat=n)]
-    want = sorted({Fraction(p, q) for p in num for q in den})
-    assert list(iterated_product_set(A, m, n).elements) == want
+    assert list(iterated_product_set(A, m, n).elements) == _fold_fractions(A, m, n)
+
+
+# signed, with +-(2^63 - 1): int64 values whose keys pass 2^63
+@pytest.mark.parametrize("A", [[-9, -4, -1, 2, 3, 8], [1, 2, 3, 4, 6], [-(2**63 - 1), -3, 2, 2**63 - 1]])
+@pytest.mark.parametrize("m, n", [(1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (2, 1), (1, 2)])
+def test_product_set_arrays_against_fractions(A, m, n):
+    p, q = product_set_arrays(IntSet(A), m, n)
+    assert _pairs(p, q) == _reduced(_fold_fractions(A, m, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    A=st.lists(st.integers(-40, 40).filter(bool), min_size=1, max_size=7, unique=True),
+    m=st.integers(0, 2),
+    n=st.integers(0, 2),
+)
+def test_product_set_arrays_of_signed_sets(A, m, n):
+    if m == n == 0:
+        return
+    assert _pairs(*product_set_arrays(IntSet(A), m, n)) == _reduced(_fold_fractions(A, m, n))
+
+
+def _key_dtypes(monkeypatch):
+    """The (bound, dtype) of every choice ``quotient_arrays`` makes."""
+    seen, exact_dtype = [], _kernel.exact_dtype
+    monkeypatch.setattr(_kernel, "exact_dtype", lambda bound: seen.append((bound, exact_dtype(bound))) or seen[-1][1])
+    return seen
+
+
+@pytest.mark.parametrize("top, dtype", [(2**61 - 1, np.int64), (2**61, object)])
+def test_quotient_keys_switch_to_python_ints_at_2_63(monkeypatch, top, dtype):
+    # den = {-1, 1} has bit length 1, so every key is p << 2: max |p| << 2
+    # is 2^63 - 4, one step below 2^63, or 2^63 itself
+    num, den = [-top, -5, 0, 3, top], [-1, 1]
+    seen = _key_dtypes(monkeypatch)
+    got = quotient_arrays(np.array(num, dtype=np.int64), np.array(den, dtype=np.int64))
+    assert seen == [(top << 2, dtype)]
+    assert _pairs(*got) == _reduced(sorted({Fraction(p, q) for p in num for q in den}))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(b=st.integers(1, 5), data=st.data())
+def test_quotient_keys_near_the_switch(monkeypatch, b, data):
+    # with den of bit length b, max |p| = 2^(63 - 2b) is where the keys leave int64
+    edge = 2 ** (63 - 2 * b)
+    den = data.draw(st.lists(st.integers(-(2**b - 1), 2**b - 1).filter(bool), max_size=4, unique=True))
+    den = sorted(set(den) | {data.draw(st.sampled_from([2**b - 1, -(2**b - 1)]))})
+    near = st.integers(edge - 3, edge + 3)
+    num = data.draw(st.lists(st.one_of(near, near.map(lambda v: -v), st.integers(-50, 50)), min_size=1, max_size=6, unique=True))
+    num.sort()
+    with monkeypatch.context() as patch:
+        seen = _key_dtypes(patch)
+        got = quotient_arrays(np.array(num, dtype=np.int64), np.array(den, dtype=np.int64))
+    assert seen[-1][1] == (np.int64 if max(map(abs, num)) < edge else object)
+    assert _pairs(*got) == _reduced(sorted({Fraction(p, q) for p in num for q in den}))
 
 
 # -- the natural choice -------------------------------------------------------

@@ -71,6 +71,29 @@ class TestIntSet:
         assert len(R) == 2
 
 
+class TestFoldArrays:
+    """A fold's set holds the fold's arrays; its length reads them, and its
+    elements are built from them on first use."""
+
+    def test_length_builds_no_elements(self):
+        A = IntSet([-4, 1, 9, 30])
+        for S, m, n in ((iterated_sumset(A, 2, 1), 2, 1), (iterated_product_set(A, 1, 1), 1, 1)):
+            assert len(S) == len(S.arrays[0]) and S._elements is None
+        assert len(iterated_sumset(A, 2, 1)) == len(brute_sumset(list(A), 2, 1))
+        assert len(iterated_product_set(A, 1, 1)) == len(brute_prodset(list(A), 1, 1))
+
+    def test_elements_match_sets_built_from_values(self):
+        A = IntSet([-4, 1, 9, 30])
+        S, P = iterated_sumset(A, 2, 1), iterated_product_set(A, 2, 1)
+        assert S == IntSet(brute_sumset(list(A), 2, 1)) and hash(S) == hash(IntSet(S.elements))
+        assert P == RatSet(brute_prodset(list(A), 2, 1)) and hash(P) == hash(RatSet(P.elements))
+        assert all(type(x) is int for x in S) and all(type(x) is Fraction for x in P)
+        assert 2 * 30 - 1 in S and Fraction(-4, 30) in P and Fraction(1, 7) not in P
+
+    def test_sets_built_from_values_hold_no_arrays(self):
+        assert IntSet([3, 1]).arrays is None and RatSet([Fraction(1, 2)]).arrays is None
+
+
 class TestSumsets:
     @given(small_sets, st.integers(0, 3), st.integers(0, 2))
     @settings(max_examples=60, deadline=None)
