@@ -229,7 +229,8 @@ def bsg_extract(U: IntSet, V: IntSet, G: PopularSumGraph, keys=None):
     1 only from E >= 109227^2, and the span bound, at least 5 (2^38/3) n,
     exceeds any span n(n+1)/2.  A seed's candidates are nested, so all
     their doubling spans come from one pass over the largest (see
-    ``_nested_spans``).
+    ``_nested_spans``), and their sizes from the counts of each
+    codegree; only the winner's members are listed.
 
     ``keys``, for a multiplicative graph, holds int64 exponent keys (see
     ``_keys``) of U and of V, aligned with their elements, and of
@@ -249,28 +250,22 @@ def bsg_extract(U: IntSet, V: IntSet, G: PopularSumGraph, keys=None):
 
     by_degree = np.argsort(-deg, kind="stable")
     seeds = by_degree[deg[by_degree] > 0][:4]
-    candidates = []  # (members mask, span)
+    candidates = []  # (size, span, codegrees, tau): the members are codegrees >= tau
     for seed in seeds.tolist():
         codeg = adj[:, adj[seed]].sum(axis=1)
         inside = np.flatnonzero(codeg)
-        taus = np.unique(codeg[inside])
-        level = len(taus) - 1 - np.searchsorted(taus, codeg[inside])
-        spans = _nested_spans(X[inside], level, add)
-        candidates.extend((codeg >= tau, span) for tau, span in zip(taus[::-1].tolist(), spans))
+        taus, at, counts = np.unique(codeg[inside], return_inverse=True, return_counts=True)
+        spans = _nested_spans(X[inside], len(taus) - 1 - at, add)
+        sizes = np.cumsum(counts[::-1]).tolist()
+        candidates.extend((size, span, codeg, tau) for size, span, tau in zip(sizes, spans, taus[::-1].tolist()))
 
     # Rank by size^2 / span exactly, in integers: two unequal ratios whose
     # spans are below 2**b differ by more than 2**-2b, so scaled by
     # 2**(2b + 1) and floored they keep their order, and equal ones tie.
     # Equal ranks go to the larger candidate, then to the first.
-    shift = 2 * max(span for _, span in candidates).bit_length() + 1
-
-    def rank(candidate):
-        mask, span = candidate
-        size = int(np.count_nonzero(mask))
-        return (size * size << shift) // span, size
-
-    mask, span = max(candidates, key=rank)
-    cand = tuple(elems[k] for k in np.flatnonzero(mask).tolist())
+    shift = 2 * max(span for _, span, _, _ in candidates).bit_length() + 1
+    _, span, codeg, tau = max(candidates, key=lambda c: ((c[0] * c[0] << shift) // c[1], c[0]))
+    cand = tuple(elems[k] for k in np.flatnonzero(codeg >= tau).tolist())
     report = _balbsg_report(cand, span, G)
     if not report.holds:
         raise EnergiaError("the BSG candidate failed its verification")

@@ -457,7 +457,8 @@ def build_parser():
     sp.add_argument("--s", type=int, default=2)
     sp.add_argument("--mode", choices=sorted(_MODES), default="add")
     sp.add_argument("--oracle", action="store_true", help="cross-check against brute force")
-    sp.add_argument("--guard-max-tuples", type=int, default=10**8, dest="guard_max_tuples")
+    tuples = "with --oracle: refuse when |A|^(2s), the number of 2s-tuples to enumerate, exceeds this"
+    sp.add_argument("--guard-max-tuples", type=int, default=10**8, dest="guard_max_tuples", help=tuples)
     sp.set_defaults(fn=cmd_energy)
 
     sp = sub.add_parser("sumset")

@@ -172,15 +172,16 @@ def mixed_energy(sets, mode: str = ADDITIVE) -> EnergyValue:
 # -- independent brute-force oracle ----------------------------------------
 
 ORACLE_GUARD = 10**8
-_PY_ORACLE_CAP = 200_000
 
 
 def energy_oracle(A: IntSet, s: int, mode: str = ADDITIVE, guard: int = ORACLE_GUARD) -> EnergyValue:
     """Energy by literal enumeration of all 2s-tuples.
 
-    Small inputs run nested Python loops; larger ones enumerate every
-    (s-tuple, s-tuple) pair in numpy batches.  Both visit each 2s-tuple
-    individually; no convolution is shared with the fast path.
+    While every s-fold sum or product fits int64 (``_fits_int64``), the
+    (s-tuple, s-tuple) pairs are compared in numpy batches, whatever the
+    size of A; past int64, in nested Python loops over Python ints.  Both
+    visit each 2s-tuple individually: no sort, count by value or
+    convolution is shared with the fast path.
     """
     if len(A) == 0:
         raise EmptySetError("energy_oracle of empty set")
@@ -191,21 +192,8 @@ def energy_oracle(A: IntSet, s: int, mode: str = ADDITIVE, guard: int = ORACLE_G
     n_tuples = len(A) ** (2 * s)
     if n_tuples > guard:
         raise TooLargeError(f"|A|^(2s) = {n_tuples} exceeds the oracle guard {guard}")
-    op = _OPS[mode]
-    if n_tuples <= _PY_ORACLE_CAP or not _fits_int64(A, s, mode):
-        count = 0
-        for tup in product(A.elements, repeat=2 * s):
-            lhs = tup[0]
-            for x in tup[1:s]:
-                lhs = op(lhs, x)
-            rhs = tup[s]
-            for x in tup[s + 1 :]:
-                rhs = op(rhs, x)
-            if lhs == rhs:
-                count += 1
-    else:
-        count = _numpy_oracle(A, s, mode)
-    return EnergyValue(count, s, mode)
+    oracle = _numpy_oracle if _fits_int64(A, s, mode) else _python_oracle
+    return EnergyValue(oracle(A, s, mode), s, mode)
 
 
 def _fits_int64(A: IntSet, s: int, mode: str) -> bool:
@@ -214,6 +202,21 @@ def _fits_int64(A: IntSet, s: int, mode: str) -> bool:
         return True
     bound = m * s if mode == ADDITIVE else m**s
     return bound < 2**62
+
+
+def _python_oracle(A: IntSet, s: int, mode: str) -> int:
+    op = _OPS[mode]
+    count = 0
+    for tup in product(A.elements, repeat=2 * s):
+        lhs = tup[0]
+        for x in tup[1:s]:
+            lhs = op(lhs, x)
+        rhs = tup[s]
+        for x in tup[s + 1 :]:
+            rhs = op(rhs, x)
+        if lhs == rhs:
+            count += 1
+    return count
 
 
 def _numpy_oracle(A: IntSet, s: int, mode: str) -> int:
@@ -227,5 +230,5 @@ def _numpy_oracle(A: IntSet, s: int, mode: str) -> int:
     step = max(1, (1 << 22) // max(1, sums.size))
     for i in range(0, sums.size, step):
         block = sums[i : i + step]
-        count += int(np.sum(block[:, None] == sums[None, :]))
+        count += int(np.count_nonzero(block[:, None] == sums[None, :]))
     return count

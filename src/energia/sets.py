@@ -158,10 +158,11 @@ def quotient_arrays(num, den):
     So the distinct keys, sorted, pick one cell per distinct quotient in
     order, and one gcd reduces it.  Floor division floors the exact
     quotient for either sign of q.  The keys are int64 while every
-    |p| 2^(2b) is, else Python ints.
+    |p| 2^(2b) is, else Python ints; |p| is taken as at least 1, as
+    2^(2b) bounds the denominators too.
     """
     shift = 2 * max(-int(den[0]), int(den[-1])).bit_length()
-    dtype = _kernel.exact_dtype(max(-int(num[0]), int(num[-1])) << shift)
+    dtype = _kernel.exact_dtype(max(-int(num[0]), int(num[-1]), 1) << shift)
     keys = np.floor_divide.outer(np.left_shift(num.astype(dtype, copy=False), shift), den.astype(dtype, copy=False))
     cells = np.unique(keys.ravel(), return_index=True)[1]
     p, q = num[cells // len(den)], den[cells % len(den)]

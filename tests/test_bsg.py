@@ -126,6 +126,61 @@ class TestBsgExtractAgainstReference:
         assert len(calls) == 1  # no other candidate, no subset is tried
 
 
+def _full_mask_choice(U, V, G):
+    """bsg_extract's additive candidate ranking with one bool mask per
+    candidate, each size counted from its mask: (members, span, number
+    of distinct candidates tied with the winner on (rank, size))."""
+    elems = list(U)
+    X = np.array(elems, dtype=_kernel.exact_dtype(bsg._reach(elems)))
+    adj = bsg._membership(X, V.elements, sorted(G.sum_filter), True)
+    deg = adj.sum(axis=1)
+    by_degree = np.argsort(-deg, kind="stable")
+    candidates = []
+    for seed in by_degree[deg[by_degree] > 0][:4].tolist():
+        codeg = adj[:, adj[seed]].sum(axis=1)
+        inside = np.flatnonzero(codeg)
+        taus = np.unique(codeg[inside])
+        level = len(taus) - 1 - np.searchsorted(taus, codeg[inside])
+        spans = bsg._nested_spans(X[inside], level, True)
+        candidates.extend((codeg >= tau, span) for tau, span in zip(taus[::-1].tolist(), spans))
+    shift = 2 * max(span for _, span in candidates).bit_length() + 1
+
+    def rank(candidate):
+        mask, span = candidate
+        size = int(np.count_nonzero(mask))
+        return (size * size << shift) // span, size
+
+    mask, span = max(candidates, key=rank)
+    ties = len({m.tobytes() for m, sp in candidates if rank((m, sp)) == rank((mask, span))})
+    return tuple(elems[k] for k in np.flatnonzero(mask).tolist()), span, ties
+
+
+def _square_spans(P, level, additive):
+    """Spans |C_j|^2, which tie every candidate at ratio 1."""
+    return [int(np.count_nonzero(level <= j)) ** 2 for j in range(int(level.max()) + 1)]
+
+
+@pytest.mark.parametrize("spans", ["measured", "square"])
+def test_ranking_matches_full_masks_on_tied_graphs(monkeypatch, spans):
+    # few vertices in a short range and a fifth of their sums: distinct
+    # candidates often tie on (rank, size), and the first of them must
+    # win; with square spans every ratio ties, and the largest must win
+    if spans == "square":
+        monkeypatch.setattr(bsg, "_nested_spans", _square_spans)
+    rng = random.Random(5)
+    tied = 0
+    for _ in range(300):
+        U = IntSet(rng.sample(range(40), rng.randint(1, 10)))
+        V = IntSet(rng.sample(range(40), rng.randint(1, 4)))
+        sums = sorted({u + v for u in U for v in V})
+        G = _natural_graph(U, V, rng.sample(sums, max(1, len(sums) // 5)), ADDITIVE)
+        members, span, ties = _full_mask_choice(U, V, G)
+        A_prime, report = bsg_extract(U, V, G)
+        assert tuple(A_prime) == members and report == bsg._balbsg_report(members, span, G)
+        tied += ties > 1
+    assert tied >= 30
+
+
 @pytest.mark.parametrize("n, holds", [(109226, True), (109227, False)])
 def test_verification_bound_at_full_density(n, holds):
     # alpha <= 1 on every graph whose alpha counts its edges; at alpha = 1

@@ -1,3 +1,4 @@
+import importlib
 import random
 from itertools import product
 
@@ -116,6 +117,89 @@ class TestOracle:
     def test_big_values_fall_back_to_python(self):
         A = IntSet([1, 10**30, 10**30 + 7])
         assert energy(A, 2).count == energy_oracle(A, 2).count
+
+
+energy_module = importlib.import_module("energia.energy")
+
+
+def _taken(monkeypatch):
+    """The names of the oracle branches that run, in call order."""
+    taken = []
+    for name in ("_numpy_oracle", "_python_oracle"):
+
+        def spy(A, s, mode, name=name, fn=getattr(energy_module, name)):
+            taken.append(name)
+            return fn(A, s, mode)
+
+        monkeypatch.setattr(energy_module, name, spy)
+    return taken
+
+
+CUBE_ROOT_2_62 = 1664510  # the largest m with m^3 < 2^62
+
+
+class TestOracleBranch:
+    """int64 inputs of any size take the numpy batches; the nested loop
+    runs only once an s-fold sum or product could reach 2**62."""
+
+    @pytest.mark.parametrize(
+        "vals, s",
+        [
+            ([5], 1),
+            ([0], 3),
+            ([-7], 4),
+            ([-1, 3], 1),
+            ([-1, 3], 2),
+            ([0, 2], 3),
+            ([1, -2], 4),
+            (range(-3, 4), 1),
+            (range(12), 2),
+            (range(-4, 4), 3),
+            ([-9, -2, 0, 1, 4, 6], 3),
+        ],
+    )
+    @pytest.mark.parametrize("mode", [ADDITIVE, MULTIPLICATIVE])
+    def test_int64_inputs_of_every_size_take_numpy(self, monkeypatch, vals, s, mode):
+        A = IntSet(vals)
+        taken = _taken(monkeypatch)
+        assert energy_oracle(A, s, mode).count == energy(A, s, mode).count
+        assert taken == ["_numpy_oracle"]
+
+    @pytest.mark.parametrize(
+        "mode, s, m, fits",
+        [
+            (ADDITIVE, 1, 2**62 - 1, True),
+            (ADDITIVE, 1, 2**62, False),
+            (ADDITIVE, 3, (2**62 - 1) // 3, True),
+            (ADDITIVE, 2, 2**61, False),
+            (ADDITIVE, 3, (2**62 - 1) // 3 + 1, False),
+            (MULTIPLICATIVE, 1, 2**62 - 1, True),
+            (MULTIPLICATIVE, 1, 2**62, False),
+            (MULTIPLICATIVE, 2, 2**31 - 1, True),
+            (MULTIPLICATIVE, 2, 2**31, False),
+            (MULTIPLICATIVE, 3, CUBE_ROOT_2_62, True),
+            (MULTIPLICATIVE, 3, CUBE_ROOT_2_62 + 1, False),
+        ],
+    )
+    def test_switch_at_2_62(self, monkeypatch, mode, s, m, fits):
+        bound = m * s if mode == ADDITIVE else m**s
+        assert (bound < 2**62) == fits
+        taken = _taken(monkeypatch)
+        # signed values, with 0, and max|a| reached by -m as well as m
+        for A in (IntSet([-m, -1, 0, 2, m]), IntSet([-m, 3, 5]), IntSet([0, 1, m])):
+            taken.clear()
+            assert energy_oracle(A, s, mode).count == energy(A, s, mode).count
+            assert taken == ["_numpy_oracle" if fits else "_python_oracle"]
+
+    @given(
+        st.sets(st.integers(-20, 20), min_size=1, max_size=5),
+        st.integers(1, 3),
+        st.sampled_from([ADDITIVE, MULTIPLICATIVE]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_loop_matches_numpy_batches(self, vals, s, mode):
+        A = IntSet(vals)
+        assert energy_module._python_oracle(A, s, mode) == energy_module._numpy_oracle(A, s, mode)
 
 
 class TestMixedEnergy:

@@ -25,6 +25,7 @@ from energia.energy import (
     ADDITIVE,
     MULTIPLICATIVE,
     _numpy_oracle,
+    _python_oracle,
     energy,
     energy_oracle,
     mixed_energy,
@@ -304,6 +305,8 @@ quotient_values = st.one_of(
     num=st.lists(quotient_values, min_size=1, max_size=12, unique=True),
     den=st.lists(quotient_values.filter(bool), min_size=1, max_size=12, unique=True),
 )
+@example(num=[0], den=[2**63])  # zero keys, yet a denominator past int64
+@example(num=[0], den=[-(2**63) - 1, 5])
 def test_quotients_match_fraction_reference(num, den):
     num, den = sorted(num), sorted(den)
     want = sorted({Fraction(p, q) for p in num for q in den})
@@ -534,9 +537,10 @@ def test_oracle_does_not_use_the_kernel(monkeypatch):
         energy(IntSet([1, 2, 3]), 2)
     assert energy_oracle(IntSet([1, 2, 3]), 2).count == 19
     assert energy_oracle(IntSet([1, 2, 4]), 2, MULTIPLICATIVE).count == 19
-    # |A|^6 > 200000: the numpy batch path
+    # int64 sums of any size take the numpy batches; past 2^62, the nested loop
     A = list(range(1, 9))
     hand = sum(1 for t in product(A, repeat=6) if sum(t[:3]) == sum(t[3:]))
     assert energy_oracle(IntSet(A), 3).count == hand
-    for fn in (energy_oracle, _numpy_oracle):
+    assert energy_oracle(IntSet([-(2**62), 0, 2**62]), 2).count == 19
+    for fn in (energy_oracle, _numpy_oracle, _python_oracle):
         assert "_kernel" not in inspect.getsource(fn)

@@ -5,8 +5,10 @@ one silently stops being checked, and a bare ``AssertionError`` escapes
 the CLI's ``EnergiaError`` handling.  The library raises typed
 ``EnergiaError``s instead; these tests keep it that way.  They also
 keep the independent oracles independent: ``energy_oracle``,
-``_numpy_oracle`` and ``tests/fiber_oracle.py`` may not name the
-convolution kernel or the exponent-key module they cross-check; and
+``_numpy_oracle``, ``_python_oracle`` and ``tests/fiber_oracle.py`` may
+not name the convolution kernel or the exponent-key module they
+cross-check, and the three oracle functions may not sort or count by
+value; and
 they keep the kernel one (value, multiplicity) semiring, with exponent
 keys held by ``energy.RepFunction``; they keep every comparison of
 mpf values inside ``precision.py``, with ``bsg.py`` free of mpmath; they
@@ -51,7 +53,7 @@ def test_no_raise_assertion_error(path):
 # The independent oracles must not reach the fast paths they check: the
 # convolution kernel and the exponent keys.
 FAST_PATHS = {"_kernel", "_keys"}
-ORACLE_FUNCTIONS = ("energy_oracle", "_numpy_oracle")
+ORACLE_FUNCTIONS = ("energy_oracle", "_numpy_oracle", "_python_oracle")
 FIBER_ORACLE = Path(__file__).resolve().parent / "fiber_oracle.py"
 
 
@@ -73,13 +75,51 @@ def _names(tree):
             yield from node.module.split(".")
 
 
+def _oracle_scopes(source):
+    """The definitions of ``ORACLE_FUNCTIONS`` in the source of energy.py."""
+    found = {node.name: node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
+    return {name: found[name] for name in ORACLE_FUNCTIONS}
+
+
 def test_oracles_name_no_fast_path():
-    tree = ast.parse((SRC / "energy.py").read_text())
-    found = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-    scopes = {name: found[name] for name in ORACLE_FUNCTIONS}
+    scopes = _oracle_scopes((SRC / "energy.py").read_text())
     scopes[FIBER_ORACLE.name] = ast.parse(FIBER_ORACLE.read_text())
     for name, scope in scopes.items():
         assert not FAST_PATHS & set(_names(scope)), f"{name} names {sorted(FAST_PATHS & set(_names(scope)))}"
+
+
+# The oracles stay literal: every (s-tuple, s-tuple) pair is compared on
+# its own.  They may not sort, count by value, take running sums or
+# convolve, which is how the fast paths they check get their speed.
+COUNTING_NAMES = {
+    "sort",
+    "sorted",
+    "argsort",
+    "unique",
+    "bincount",
+    "searchsorted",
+    "convolve",
+    "cumsum",
+    "reduceat",
+    "at",
+    "Counter",
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_FUNCTIONS)
+def test_oracles_stay_literal(name):
+    scope = _oracle_scopes((SRC / "energy.py").read_text())[name]
+    assert not COUNTING_NAMES & set(_names(scope)), f"{name} names {sorted(COUNTING_NAMES & set(_names(scope)))}"
+
+
+def test_counting_oracle_is_found():
+    source = (SRC / "energy.py").read_text()
+    literal = "count += int(np.count_nonzero(block[:, None] == sums[None, :]))"
+    assert literal in source
+    # the right count, from the multiplicity of each s-fold sum
+    mutant = source.replace(literal, "count = int(np.square(np.unique(sums, return_counts=True)[1]).sum())")
+    scope = _oracle_scopes(mutant)["_numpy_oracle"]
+    assert COUNTING_NAMES & set(_names(scope)) == {"unique"}
 
 
 def test_kernel_names_no_key_form():
