@@ -46,7 +46,7 @@ import math
 import numpy as np
 
 _VALUE_LIMIT = 2**62
-_COUNT_LIMIT = 2**63
+_INT64_LIMIT = 2**63
 _PY_PAIRS = 256
 _DENSE_RATIO = 32
 _CHUNK = 1 << 19
@@ -55,7 +55,7 @@ _CHUNK = 1 << 19
 def exact_dtype(bound):
     """int64 when ``bound``, a bound on the magnitude of every value an
     array will hold, is below 2**63; else object, for Python ints."""
-    return np.int64 if bound < _COUNT_LIMIT else object
+    return np.int64 if bound < _INT64_LIMIT else object
 
 
 class Weighted:
@@ -107,7 +107,7 @@ class Weighted:
     def sum_squares(self) -> int:
         """sum of squared multiplicities, exact."""
         # every partial sum is at most max * total <= total**2, so the int64 dot cannot wrap
-        if self.total**2 < _COUNT_LIMIT or self.max_count() * self.total < _COUNT_LIMIT:
+        if self.total**2 < _INT64_LIMIT or self.max_count() * self.total < _INT64_LIMIT:
             return int(np.dot(self.cnts, self.cnts))
         return sum(c * c for c in self.cnts.tolist())
 
@@ -141,7 +141,7 @@ def choose(f, g, additive):
     if f.size * g.size <= _PY_PAIRS:
         return _python
     bound = f.magnitude() + g.magnitude() if additive else f.magnitude() * g.magnitude()
-    if bound >= _VALUE_LIMIT or (f.counted and f.total * g.total >= _COUNT_LIMIT):
+    if bound >= _VALUE_LIMIT or (f.counted and f.total * g.total >= _INT64_LIMIT):
         return _python
     if additive:
         step = math.gcd(f.step(), g.step()) or 1

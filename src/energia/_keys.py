@@ -26,8 +26,7 @@ from math import gcd, prod
 
 import numpy as np
 
-_SPAN_LIMIT = 2**62
-_INT64 = 2**63
+from . import _kernel
 
 
 def codec_for(elements, arity):
@@ -35,7 +34,7 @@ def codec_for(elements, arity):
     to ``arity`` of them, or None when they stay on values: arity 1, a
     set that is not positive, products below 2**62, or a base too wide
     (see ``encode``)."""
-    if arity > 1 and elements[0] > 0 and elements[-1] ** arity >= _SPAN_LIMIT:
+    if arity > 1 and elements[0] > 0 and elements[-1] ** arity >= _kernel._VALUE_LIMIT:
         return encode(elements, arity)
     return None
 
@@ -67,11 +66,11 @@ class Codec:
         for p, place, radix in zip(self.base, self.places, self.radices):
             digits = keys // place % radix
             top = p ** (radix - 1)
-            if top >= _INT64:
+            if top >= _kernel._INT64_LIMIT:
                 digits, inv = np.unique(digits, return_inverse=True)
                 out *= np.array([p**d for d in digits.tolist()], dtype=dtype)[inv]
                 continue
-            if reach * top >= _INT64:
+            if reach * top >= _kernel._INT64_LIMIT:
                 out *= part
                 part, reach = np.ones(len(keys), dtype=np.int64), 1
             part *= np.array([p**d for d in range(radix)], dtype=np.int64)[digits]
@@ -81,8 +80,8 @@ class Codec:
 
     def values(self, keys, factors):
         """The values of the keys of products of ``factors`` elements, in
-        int64 when the largest such product is below 2**63."""
-        return self.decode(keys, np.int64 if self.hi**factors < _INT64 else object)
+        the dtype ``_kernel.exact_dtype`` gives the largest such product."""
+        return self.decode(keys, _kernel.exact_dtype(self.hi**factors))
 
 
 def encode(elements, arity):
@@ -117,7 +116,7 @@ def encode(elements, arity):
         for q, e in vec.items():
             top[q] = max(top.get(q, 0), e)
         vectors.append(vec)
-        if prod(arity * e + 1 for e in top.values()) >= _SPAN_LIMIT:
+        if prod(arity * e + 1 for e in top.values()) >= _kernel._VALUE_LIMIT:
             return None
     return Codec(base, [arity * top[p] + 1 for p in base], arity, vectors, max(elements))
 

@@ -9,12 +9,12 @@ of log |A|, formed at the configured precision and compared with
 """
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
 from . import precision
-from .energy import ADDITIVE, MULTIPLICATIVE, energy, mixed_energy, sup_rep
+from .energy import ADDITIVE, MULTIPLICATIVE, energy, mixed_energy, rep_function
 from .errors import (
     BadArityError,
     BadParamsError,
@@ -70,11 +70,11 @@ def check_young(A: IntSet, s: int, l: int):
         raise BadArityError("part one needs even s")
     if not 1 <= l < s:
         raise BadParamsError("need 1 <= l < s")
-    sup = sup_rep(A, s, ADDITIVE)
+    r_s = rep_function(A, s, ADDITIVE)
+    sup, e_s = r_s.sup(), r_s.energy_count()
     e_half = energy(A, s // 2, ADDITIVE).count
     first = _report("yoc-sup", sup, e_half, sup <= e_half, (A, s, "sup"))
-    e_s = energy(A, s, ADDITIVE).count
-    e_l = energy(A, l, ADDITIVE).count
+    e_l = e_half if l == s // 2 else energy(A, l, ADDITIVE).count
     bound = len(A) ** (2 * s - 2 * l) * e_l
     second = _report("yoc-power", e_s, bound, e_s <= bound, (A, s, l))
     return first, second
@@ -184,14 +184,10 @@ def check_convex_growth(A: IntSet, k: int, K: Fraction) -> CheckReport:
 
 
 def check_war2(k: int, s: int, N: int, guard: int = 10**8) -> CheckReport:
-    """E_s(N_k) * |s N_k| >= N^(2s), exactly."""
+    """E_s(N_k) * |s N_k| >= N^(2s), exactly: ``check_csref`` on N_k =
+    {1, 2^k, ..., N^k}, named and digested by (k, s, N)."""
     if k < 1 or s < 1 or N < 1:
         raise BadParamsError("need k, s, N >= 1")
-    nk = powers(k, N)
-    if len(nk) ** (2 * s) > guard**2:
+    if N ** (2 * s) > guard**2:
         raise TooLargeError("war2 instance too large")
-    e = energy(nk, s, ADDITIVE).count
-    span = len(iterated_sumset(nk, s, 0))
-    lhs = N ** (2 * s)
-    rhs = e * span
-    return _report("war2", lhs, rhs, rhs >= lhs, (k, s, N))
+    return replace(check_csref(powers(k, N), s), name="war2", inputs_digest=digest(k, s, N))

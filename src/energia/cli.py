@@ -260,19 +260,13 @@ _SUITES = {
 }
 
 
-def _run_suite(name, rng, cases):
-    return [r for _ in range(cases) for r in _SUITES[name](rng)]
-
-
 def cmd_check(args):
     if args.suite != "all" and args.suite not in _SUITES:
         print(f"unknown suite {args.suite!r}", file=sys.stderr)
         return 2
     rng = random.Random(args.seed)
     suites = _SUITES if args.suite == "all" else (args.suite,)
-    all_reports = []
-    for name in suites:
-        all_reports.extend(_run_suite(name, rng, args.cases))
+    all_reports = [r for name in suites for _ in range(args.cases) for r in _SUITES[name](rng)]
     failures = [r for r in all_reports if not r.holds]
     _emit(
         args,

@@ -22,8 +22,6 @@ from .sets import IntSet
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
 
-_COUNTER_LIMIT = 2**63
-
 _OPS = {ADDITIVE: lambda a, b: a + b, MULTIPLICATIVE: lambda a, b: a * b}
 
 
@@ -87,7 +85,7 @@ class RepFunction:
     def self_convolution(self) -> "RepFunction":
         """r_2s (or q_2s) as r_s * r_s, under the same multiplicity guard;
         on values once 2s passes the codec's arity."""
-        if self.total() ** 2 >= _COUNTER_LIMIT:
+        if self.total() ** 2 >= _kernel._INT64_LIMIT:
             raise OverflowGuardError(f"r_{2 * self.s} has {self.total()}^2 tuples, beyond the 64-bit multiplicity guard")
         r = self
         if self.codec is not None and 2 * self.s > self.codec.arity:
@@ -104,12 +102,19 @@ class EnergyValue:
     s: int
     mode: str
 
-    def __int__(self):
-        return self.count
+
+def _check_args(name, A, s, mode):
+    """The preconditions of ``name`` on a set, its arity and its mode."""
+    if len(A) == 0:
+        raise EmptySetError(f"{name} of empty set")
+    if s < 1:
+        raise BadParamsError("s must be >= 1")
+    if mode not in _OPS:
+        raise BadParamsError(f"unknown mode {mode!r}")
 
 
 def guard_counts(size: int, s: int):
-    if size >= 2 and size**s >= _COUNTER_LIMIT:
+    if size >= 2 and size**s >= _kernel._INT64_LIMIT:
         raise OverflowGuardError(f"|A|^s = {size}^{s} exceeds the 64-bit multiplicity guard")
 
 
@@ -121,12 +126,7 @@ def rep_function(A: IntSet, s: int, mode: str = ADDITIVE, products: int = 0) -> 
     will be formed from the result (as ``self_convolution`` does), so
     that the keys are sized for them.
     """
-    if len(A) == 0:
-        raise EmptySetError("rep_function of empty set")
-    if s < 1:
-        raise BadParamsError("s must be >= 1")
-    if mode not in _OPS:
-        raise BadParamsError(f"unknown mode {mode!r}")
+    _check_args("rep_function", A, s, mode)
     guard_counts(len(A), s)
     codec = None if mode == ADDITIVE else _keys.codec_for(A.elements, max(s, products))
     coords = A.elements if codec is None else np.sort(codec.keys).tolist()
@@ -183,12 +183,7 @@ def energy_oracle(A: IntSet, s: int, mode: str = ADDITIVE, guard: int = ORACLE_G
     visit each 2s-tuple individually: no sort, count by value or
     convolution is shared with the fast path.
     """
-    if len(A) == 0:
-        raise EmptySetError("energy_oracle of empty set")
-    if s < 1:
-        raise BadParamsError("s must be >= 1")
-    if mode not in _OPS:
-        raise BadParamsError(f"unknown mode {mode!r}")
+    _check_args("energy_oracle", A, s, mode)
     n_tuples = len(A) ** (2 * s)
     if n_tuples > guard:
         raise TooLargeError(f"|A|^(2s) = {n_tuples} exceeds the oracle guard {guard}")

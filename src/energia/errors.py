@@ -41,10 +41,6 @@ class NotDisjointError(EnergiaError):
     """Union bound invoked on overlapping parts."""
 
 
-class EmptyResultError(EnergiaError):
-    """A threshold left no surviving values."""
-
-
 class EmptyGraphError(EnergiaError):
     """BSG extraction invoked on a graph with no edges."""
 

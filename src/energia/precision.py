@@ -117,13 +117,21 @@ def cmp_count_power(count: int, base: int, exponent, factor=1) -> int:
     count**q against factor**q * base**p, whenever each power stays below
     2**16 bits (a few milliseconds); larger powers and other exponents go
     through the guarded log-space comparison, both sides formed at the
-    configured precision.
+    configured precision.  Base 0, base 1, exponent 0 and count 0 are
+    decided exactly first.
     """
     if count < 0 or base < 0:
         raise ValueError("count and base must be non-negative")
     factor = Fraction(factor)
     if factor <= 0:
         raise ValueError("factor must be positive")
+    if base == 0 and exponent < 0:
+        return -1  # 0**exponent is infinite
+    if base <= 1 or exponent == 0:  # base**exponent is 0 or 1
+        rhs = 0 if base == 0 and exponent > 0 else factor
+        return (count > rhs) - (count < rhs)
+    if count == 0:
+        return -1
     if isinstance(exponent, int):
         exponent = Fraction(exponent)
     if isinstance(exponent, Fraction):
@@ -136,11 +144,5 @@ def cmp_count_power(count: int, base: int, exponent, factor=1) -> int:
             else:
                 lhs *= base**-p
             return (lhs > rhs) - (lhs < rhs)
-    if count == 0:
-        return -1 if base > 0 else 0
-    if base == 0:
-        return 1
-    if base == 1:
-        return (count > factor) - (count < factor)
     with working():
         return guarded_cmp(log2(count), log2(factor) + mpf(exponent) * log2(base))

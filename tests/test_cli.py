@@ -70,6 +70,13 @@ class TestEnergyCmd:
         code, out, err = run(capsys, "sumset", "--m", "1", str(p))
         assert code == 2 and out == "" and err.startswith("parse error:")
 
+    @pytest.mark.parametrize("text", ["", " \n\t", '{"A": [1, 2]}', "[[1, 2]]"])
+    def test_empty_input_and_json_objects_are_parse_errors(self, capsys, tmp_path, text):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        code, out, err = run(capsys, "sumset", "--m", "1", str(p))
+        assert code == 2 and out == "" and err.startswith("parse error:")
+
     def test_undecodable_input_is_a_parse_error(self, capsys, tmp_path):
         p = tmp_path / "bad.bin"
         p.write_bytes(b"\xff 1 2")
@@ -174,6 +181,19 @@ class TestDecomposeCmd:
         assert res["certificates"]["C"]["count"] == str(energy(C, 2, MULTIPLICATIVE).count)
         assert calls.count(MULTIPLICATIVE) == int(recounted)
 
+    def test_csv_trace(self, capsys, tmp_path):
+        vals = list(range(1, 33)) + [3**i for i in range(16)]
+        p = tmp_path / "mix.txt"
+        p.write_text(" ".join(str(v) for v in vals))
+        csv_path = tmp_path / "trace.csv"
+        code, doc, _ = run_json(capsys, "decompose", "--k", "2", "--csv", str(csv_path), str(p))
+        trace = doc["results"]["trace"]
+        assert code == 0 and len(trace) == 2  # at k = 2 the loop extracts twice
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "iteration,size,report,holds,threshold"
+        rows = [f"{i},{len(t['D'])},{t['report']['name']},{t['report']['holds']},{t['threshold']}" for i, t in enumerate(trace)]
+        assert lines[1:] == rows
+
     def test_unknown_extractor(self, capsys, tmp_path):
         # rejected even where no extraction would run: {0} has nothing to extract
         p = tmp_path / "zero.txt"
@@ -263,6 +283,20 @@ class TestExperiments:
         assert code == 0
         assert int(doc["results"]["mixed_mult_energy"]) >= 121
         assert doc["results"]["guard_fired"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("energy", "--s", "2"), ("sumset", "--m", "2"), ("check", "--suite", "war2", "--cases", "2"), ("constants", "rtp")],
+)
+def test_timing_adds_only_the_wall_time(capsys, abc_file, argv):
+    argv = argv + (abc_file,) if argv[0] in ("energy", "sumset") else argv
+    code, plain, _ = run_json(capsys, *argv)
+    timed_code, timed, _ = run_json(capsys, "--timing", *argv)
+    wall = timed.pop("wall_time_s")
+    assert code == timed_code == 0 and isinstance(wall, float) and wall >= 0
+    assert timed.pop("command") == "energia --timing " + plain.pop("command")[len("energia ") :]
+    assert timed == plain
 
 
 def test_determinism_byte_identical(capsys, abc_file):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -308,6 +309,41 @@ class TestInvariantErrors:
         monkeypatch.setattr(decomposer, "_loop", self.fake_loop(0))
         d = decompose(MIX, CFG)
         assert set(d.B) | set(d.C) == set(MIX) and not set(d.B) & set(d.C)
+
+
+class TestFailedCertificate:
+    """An extraction whose additive certificate fails ends the loop: the
+    piece is traced but not taken into B, no stop report is kept, and the
+    CLI exits 1.  At k = 2 the stop exponent 2s - k is 2, and M_2(C) >=
+    |C|^2, so the loop extracts until a certificate fails."""
+
+    CFG = DecomposeConfig(k=2, s=2, q=8)
+
+    @staticmethod
+    def extract(monkeypatch):
+        # {16} holds E_4 = 1 <= 1^6; then {1..10} fails: E_4 = 4816030 > 10^6 = |D|^(q - q/4)
+        pieces = iter([IntSet([16]), interval(10)])
+        monkeypatch.setattr(decomposer, "_extract_kp", lambda A_i, *args: next(pieces))
+
+    def test_failed_certificate_ends_the_loop(self, monkeypatch):
+        self.extract(monkeypatch)
+        d = decompose(interval(16), self.CFG)
+        assert d.failed and d.stop_report is None and d.iterations_used == 1
+        assert [(list(D), r.holds, t) for D, r, t in d.trace] == [([16], True, 6), (list(range(1, 11)), False, 6)]
+        report = d.trace[-1][1]
+        assert report.name == "gemn" and report.lhs == energy(interval(10), 4).count == 4816030
+        assert list(d.B) == [16] and list(d.C) == list(range(1, 16))
+
+    def test_cli_exits_1(self, monkeypatch, capsys, tmp_path):
+        from energia.cli import main
+
+        self.extract(monkeypatch)
+        p = tmp_path / "interval.txt"
+        p.write_text(" ".join(str(v) for v in range(1, 17)))
+        assert main(["decompose", "--k", "2", "--q", "8", str(p)]) == 1
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["failed"] and res["stop_report"] is None
+        assert [t["report"]["holds"] for t in res["trace"]] == [True, False]
 
 
 def test_random_partition_property():

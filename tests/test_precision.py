@@ -144,3 +144,28 @@ def test_guarded_cmp_equality_and_margin(monkeypatch):
     monkeypatch.setenv(precision.PRECISION_ENV, "512")
     assert precision.guarded_cmp(one, near) == -1
     assert precision.guarded_cmp(near, one) == 1
+
+
+@pytest.mark.parametrize(
+    "count, base, exponent, factor",
+    [
+        (2**70000, 0, Fraction(-1), 1),  # 0^-1 is infinite
+        (2**70000, 0, Fraction(0), 2**80000),  # 0^0 = 1
+        (0, 0, Fraction(-1), 2**70000),
+        (0, 0, Fraction(0), 2**70000),
+    ],
+    ids=["big-over-infinity", "big-below-factor", "zero-over-infinity", "zero-below-factor"],
+)
+def test_cmp_count_power_decides_base_zero_exactly(count, base, exponent, factor):
+    # each power is too wide for the exact path, so only the degenerate cases decide them
+    assert precision.cmp_count_power(count, base, exponent, factor=factor) == -1
+
+
+def test_cmp_count_power_degenerate_operands():
+    big = 2**70000
+    assert precision.cmp_count_power(big, 0, Fraction(3)) == 1  # 0^3 = 0
+    assert precision.cmp_count_power(0, 0, Fraction(3)) == 0
+    assert precision.cmp_count_power(big, 1, Fraction(-5, 3), factor=big) == 0  # 1^e = 1
+    assert precision.cmp_count_power(big + 1, 1, 2.5, factor=big) == 1
+    assert precision.cmp_count_power(0, 2**70000, Fraction(-3)) == -1
+    assert precision.cmp_count_power(big, 3, 0.0, factor=big + 1) == -1

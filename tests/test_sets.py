@@ -62,6 +62,12 @@ class TestIntSet:
         with pytest.raises(BadParamsError):
             IntSet([1, 2.5])
 
+    @pytest.mark.parametrize("values", [[True, 2], [1, False], [True]])
+    def test_booleans_are_refused(self, values):
+        # True == 1, but its repr, and every digest over the set, would differ
+        with pytest.raises(BadParamsError, match="got bool"):
+            IntSet(values)
+
     def test_equality_hash(self):
         assert IntSet([1, 2]) == IntSet([2, 1])
         assert hash(IntSet([1, 2])) == hash(IntSet([2, 1]))

@@ -12,8 +12,9 @@ value; and
 they keep the kernel one (value, multiplicity) semiring, with exponent
 keys held by ``energy.RepFunction``; they keep every comparison of
 mpf values inside ``precision.py``, with ``bsg.py`` free of mpmath; they
-keep the choice between int64 and object arrays in ``_kernel.py``; and
-they keep the sort that merges equal values of a grid in ``_kernel.py``.
+keep the choice between int64 and object arrays in ``_kernel.py``; they
+keep the sort that merges equal values of a grid in ``_kernel.py``; and
+they keep every class in ``errors.py`` raised somewhere in the library.
 """
 
 import ast
@@ -214,10 +215,9 @@ def test_bsg_does_not_import_mpmath():
 
 
 # Whether an array holds int64 or Python ints is decided by one rule,
-# ``_kernel.exact_dtype``; ``_keys`` decodes to the dtype its caller
-# bounds.  No other module may pass ``object`` to a call, as a dtype or
-# inside an expression that picks one.
-DTYPE_OWNERS = {"_kernel.py", "_keys.py"}
+# ``_kernel.exact_dtype``.  No other module may pass ``object`` to a
+# call, as a dtype or inside an expression that picks one.
+DTYPE_OWNERS = {"_kernel.py"}
 
 
 def _object_arguments(tree):
@@ -283,3 +283,48 @@ def test_packing_and_reducing_are_found():
         "x >>= 1\n"
     )
     assert _packs_or_reduces(ast.parse(src)) == [1, 3, 4]
+
+
+# An error class that no module raises, and that is no base of one that
+# is raised, is a dead member: nothing can catch it.
+def _unraised_errors(errors_tree, trees):
+    """The classes of ``errors_tree`` that no ``raise`` in ``trees`` names,
+    directly or through a subclass."""
+    bases = {
+        node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+        for node in errors_tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    pending = [
+        exc.id
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc
+        for exc in [node.exc.func if isinstance(node.exc, ast.Call) else node.exc]
+        if isinstance(exc, ast.Name)
+    ]
+    live = set()
+    while pending:
+        name = pending.pop()
+        if name in bases and name not in live:
+            live.add(name)
+            pending += bases[name]
+    return sorted(set(bases) - live)
+
+
+def test_every_error_class_is_raised():
+    dead = _unraised_errors(ast.parse((SRC / "errors.py").read_text()), [ast.parse(p.read_text()) for p in MODULES])
+    assert not dead, f"errors.py defines {dead}, which nothing raises"
+
+
+def test_unraised_errors_are_found():
+    errors = (
+        "class Base(Exception): pass\n"
+        "class Mid(Base): pass\n"
+        "class Leaf(Mid): pass\n"
+        "class Dead(Base): pass\n"
+        "class Named(Base): pass\n"
+        "class Other(Exception): pass\n"
+    )
+    module = "def f(x):\n    if x:\n        raise Leaf('no')\n    raise Named\n\nOther('built, not raised')\n"
+    assert _unraised_errors(ast.parse(errors), [ast.parse(module)]) == ["Dead", "Other"]
