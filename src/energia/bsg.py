@@ -216,7 +216,7 @@ def _nested_spans(P, level, additive):
     return np.cumsum(np.bincount(entry, minlength=int(level[-1]) + 1)).tolist()
 
 
-def bsg_extract(U: IntSet, V: IntSet, G: PopularSumGraph, keys=None):
+def bsg_extract(U: IntSet, V: IntSet, G: PopularSumGraph, grid=None):
     """Constructive BSG: popular seed + common-neighbourhood filtering.
 
     Candidates are common-neighbourhood superlevel sets of the four most
@@ -232,17 +232,19 @@ def bsg_extract(U: IntSet, V: IntSet, G: PopularSumGraph, keys=None):
     ``_nested_spans``), and their sizes from the counts of each
     codegree; only the winner's members are listed.
 
-    ``keys``, for a multiplicative graph, holds int64 exponent keys (see
-    ``_keys``) of U and of V, aligned with their elements, and of
-    ``G.sum_filter``, sorted: the adjacency and the spans then add keys
-    in place of multiplying values.
+    ``grid`` is (X, Y, S, add): the coordinates of U (an array) and of
+    V, aligned with their elements, and of ``G.sum_filter``, sorted, and
+    whether they add.  They are the values, or for a product graph int64
+    exponent keys (see ``_keys``), which add.  ``kp_pipeline`` passes its
+    stage arrays; without ``grid`` they are the values of U, V and G.
     """
+    if not (len(U) and len(V)):
+        raise EmptyGraphError("popular-sum graph has an empty side")
     elems = list(U)
-    if keys is None:
+    if grid is None:
         X = np.array(elems, dtype=_kernel.exact_dtype(_reach(elems)))
-        Y, S, add = V.elements, sorted(G.sum_filter), G.mode == ADDITIVE
-    else:
-        (X, Y, S), add = keys, True
+        grid = X, V.elements, sorted(G.sum_filter), G.mode == ADDITIVE
+    X, Y, S, add = grid
     adj = _membership(X, Y, S, add)
     deg = adj.sum(axis=1)
     if not deg.any():
@@ -333,15 +335,16 @@ def kp_pipeline(
 
 
 def _chain(A, s, energy_mode):
-    """(r_{s/2-1}, r_{s/2}, r_s) of A for even s >= 4, from r_1 alone:
+    """(r_{s/2-1}, r_{s/2}, r_s) of A for even s >= 4, from r_1 alone,
+    under one count guard on |A|^s, checked before any of them is built:
     r_{s/2} = r_{s/2-1} * r_1 and r_s = r_{s/2} * r_{s/2}.  The first
     holds the shift stage's shifts.  r_1 is asked for products of up to
     s elements, so on exponent keys all three share its codec."""
-    guard_counts(len(A), s // 2)
+    guard_counts(len(A), s)
     r_1 = rep_function(A, 1, energy_mode, products=s)
     shifts = RepFunction(_kernel.power(r_1.counts, s // 2 - 1, r_1.adds), s // 2 - 1, energy_mode, r_1.codec)
     half = RepFunction(_kernel.pair(shifts.counts, r_1.counts, r_1.adds), s // 2, energy_mode, r_1.codec)
-    return shifts, half, half.self_convolution()
+    return shifts, half, RepFunction(_kernel.pair(half.counts, half.counts, r_1.adds), s, energy_mode, r_1.codec)
 
 
 def _fiber_stages(H, h, S, additive, mode, nA, s, d):
@@ -477,9 +480,8 @@ def _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_ch
     trace.append(("V", len(V), ""))
     trace.append(("Sprime", len(Sp_idx), thr_repr))
 
-    # --- BSG extraction on sum values -------------------------------------
-    keys = None if codec is None else (H_coords[Y2], H_coords[R_x], uv_coords[Sp_idx])
-    U_prime, balbsg_report = bsg_extract(U, V, graph, keys)
+    # --- BSG extraction on the stage coordinates -------------------------
+    U_prime, balbsg_report = bsg_extract(U, V, graph, (H_coords[Y2], H_coords[R_x], uv_coords[Sp_idx], add))
     checks.append(balbsg_report)
     trace.append(("Uprime", len(U_prime), "balbsg"))
 

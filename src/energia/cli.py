@@ -40,7 +40,7 @@ from .decomposer import (
 )
 from .energy import ADDITIVE, MULTIPLICATIVE, energy, energy_oracle, mixed_energy
 from .errors import EnergiaError, PrecisionError, TooLargeError, OverflowGuardError
-from .sets import GENERATORS, IntSet, generate, iterated_product_set, iterated_sumset
+from .sets import IntSet, generate, iterated_product_set, iterated_sumset
 
 _MODES = {"add": ADDITIVE, "additive": ADDITIVE, "mult": MULTIPLICATIVE, "multiplicative": MULTIPLICATIVE}
 
@@ -503,7 +503,8 @@ def build_parser():
     sp.set_defaults(fn=cmd_constants)
 
     sp = sub.add_parser("gen")
-    sp.add_argument("kind", choices=sorted(GENERATORS))
+    # the kinds these flags can build: no flag gives poly_image its coeffs or base
+    sp.add_argument("kind", choices=("ap", "gp", "interval", "mixed", "powers"))
     sp.add_argument("--start", type=int, dest="g_start")
     sp.add_argument("--step", type=int, dest="g_step")
     sp.add_argument("--ratio", type=int, dest="g_ratio")

@@ -221,7 +221,7 @@ def _loop(
             break
         cert = _energy_cert(D, cert_arity_half, cert_exp, cert_mode, cert_name)
         trace.append((D, cert, cert_exp))
-        if not cert.holds or len(D) == 0:
+        if not cert.holds:
             report = None
             break
         B_parts.extend(D)

@@ -82,17 +82,6 @@ class RepFunction:
     def sup(self) -> int:
         return self.counts.max_count()
 
-    def self_convolution(self) -> "RepFunction":
-        """r_2s (or q_2s) as r_s * r_s, under the same multiplicity guard;
-        on values once 2s passes the codec's arity."""
-        if self.total() ** 2 >= _kernel._INT64_LIMIT:
-            raise OverflowGuardError(f"r_{2 * self.s} has {self.total()}^2 tuples, beyond the 64-bit multiplicity guard")
-        r = self
-        if self.codec is not None and 2 * self.s > self.codec.arity:
-            vals, cnts, _ = self.by_value
-            r = RepFunction(_kernel.Weighted(vals, cnts, self.total()), self.s, self.mode)
-        return RepFunction(_kernel.pair(r.counts, r.counts, r.adds), 2 * self.s, self.mode, r.codec)
-
 
 @dataclass(frozen=True)
 class EnergyValue:
@@ -123,8 +112,8 @@ def rep_function(A: IntSet, s: int, mode: str = ADDITIVE, products: int = 0) -> 
 
     q_s runs on exponent keys when ``_keys.codec_for`` gives a codec;
     ``products``, when above s, is the most elements of A whose products
-    will be formed from the result (as ``self_convolution`` does), so
-    that the keys are sized for them.
+    will be formed from the result (as ``bsg._chain`` forms q_s from
+    q_1), so that the keys are sized for them.
     """
     _check_args("rep_function", A, s, mode)
     guard_counts(len(A), s)

@@ -24,10 +24,12 @@ from energia.energy import ADDITIVE, MULTIPLICATIVE
 from fiber_oracle import reference_bsg_extract, tuple_oracle
 from energia.errors import (
     BadParamsError,
+    EmptyGraphError,
     EnergiaError,
+    OverflowGuardError,
     WrongBranchError,
 )
-from energia.sets import IntSet, interval, iterated_sumset
+from energia.sets import IntSet, gp, interval, iterated_sumset
 
 
 class TestBsgExtract:
@@ -64,6 +66,13 @@ class TestBsgExtract:
         assert len(iterated_sumset(Ap, 2, 0)) <= 4 * len(Ap)
         assert len(Ap) >= len(U) // 8
         assert rep.holds
+
+    @pytest.mark.parametrize("empty", ["U", "V"])
+    def test_empty_side_has_no_edges(self, empty):
+        side = IntSet([1, 2, 3])
+        U, V = (IntSet([]), side) if empty == "U" else (side, IntSet([]))
+        with pytest.raises(EmptyGraphError):
+            bsg_extract(U, V, PopularSumGraph(U, V, frozenset({3, 4}), Fraction(1, 9)))
 
 
 def _outcome(extract, U, V, G):
@@ -110,6 +119,27 @@ class TestBsgExtractAgainstReference:
             if chunk is not None:  # adjacency and spans in blocks of a few rows
                 mp.setattr(bsg, "_BLOCK", chunk)
             assert _outcome(bsg_extract, U, V, G) == _outcome(reference_bsg_extract, U, V, G)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        U=vertex_sets,
+        V=st.lists(st.integers(-12, 25), min_size=1, max_size=12, unique=True),
+        data=st.data(),
+        scale=st.sampled_from((1, 7, 2**31 + 11, 2**61 + 3, 2**64 + 13)),
+        mode=st.sampled_from((ADDITIVE, MULTIPLICATIVE)),
+    )
+    def test_stage_grid_matches_the_graph(self, U, V, data, scale, mode):
+        # the value arrays kp_pipeline passes on its value path give the
+        # same extraction as the graph alone; 2^64 + 13 puts every nonzero
+        # value past 2^63, so the arrays hold Python ints
+        U, V = IntSet(scale * u for u in U), IntSet(scale * v for v in V)
+        op = (lambda a, b: a + b) if mode == ADDITIVE else (lambda a, b: a * b)
+        reach = sorted({op(u, v) for u in U for v in V})
+        filt = sorted(set(data.draw(st.lists(st.sampled_from(reach), max_size=len(reach)))))
+        G = _natural_graph(U, V, filt, mode)
+        X, Y, S = (np.array(v, dtype=_kernel.exact_dtype(max(map(abs, v), default=0))) for v in (list(U), list(V), filt))
+        grid = X, Y, S, mode == ADDITIVE
+        assert _outcome(lambda *args: bsg_extract(*args, grid), U, V, G) == _outcome(bsg_extract, U, V, G)
 
     def test_failed_verification_raises(self, monkeypatch):
         U = IntSet(range(1, 9))
@@ -372,6 +402,45 @@ class TestKpPipeline:
             kp_pipeline(interval(8), 4, 0)
         with pytest.raises(BadParamsError):
             kp_pipeline(IntSet([1]), 4, 0.05)
+
+    def test_guard_runs_before_any_kernel_work(self, monkeypatch):
+        # 235^4 passes the count guard and 235^8 does not: the pipeline
+        # refuses s = 8 before building r_1, r_{s/2} or r_s
+        calls = []
+        for name in ("power", "pair"):
+            fn = getattr(_kernel, name)
+            monkeypatch.setattr(_kernel, name, lambda *args, fn=fn: calls.append(fn) or fn(*args))
+        with pytest.raises(OverflowGuardError):
+            kp_pipeline(interval(235), 8, 0.05)
+        assert calls == []
+        kp_pipeline(interval(235), 4, 0.05)
+        assert calls
+
+    @pytest.mark.parametrize(
+        "A, energy_mode, keyed",
+        [
+            (IntSet([-5, 0, 1, 2, 4, 9, 30]), ADDITIVE, False),
+            (interval(16), MULTIPLICATIVE, False),
+            (gp(7**25, 3, 12), MULTIPLICATIVE, True),
+        ],
+    )
+    def test_extraction_gets_the_stage_grid(self, monkeypatch, A, energy_mode, keyed):
+        # on values, the grid holds U, V and the sorted popular sums; on
+        # exponent keys, their keys, which add
+        grids, extract = [], bsg.bsg_extract
+
+        def spy(U, V, G, grid=None):
+            grids.append((U, V, G, grid))
+            return extract(U, V, G, grid)
+
+        monkeypatch.setattr(bsg, "bsg_extract", spy)
+        kp_pipeline(A, 4, 0.05, energy_mode=energy_mode)
+        [(U, V, G, grid)] = grids
+        X, Y, S, add = grid
+        assert add == (keyed or energy_mode == ADDITIVE)
+        assert (len(X), len(Y), len(S)) == (len(U), len(V), len(G.sum_filter))
+        if not keyed:
+            assert (X.tolist(), Y.tolist(), S.tolist()) == (list(U), list(V), sorted(G.sum_filter))
 
     def test_verify_wrong_branch(self):
         res = kp_pipeline(interval(16), 4, 0.05, mode=PAPER)

@@ -1,10 +1,12 @@
+import argparse
+import inspect
 import json
 
 import pytest
 
-from energia.cli import main
+from energia.cli import build_parser, main
 from energia.energy import MULTIPLICATIVE, energy
-from energia.sets import IntSet
+from energia.sets import GENERATORS, IntSet, generate
 
 
 def run(capsys, *argv):
@@ -248,6 +250,16 @@ class TestGenCmd:
         p.write_text(out)
         code2, doc, _ = run_json(capsys, "energy", "--s", "2", str(p))
         assert code2 == 0 and doc["results"]["s"] == 2
+
+    def test_every_offered_kind_builds_from_its_flags(self, capsys):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        kinds = next(a for a in sub.choices["gen"]._actions if a.dest == "kind").choices
+        flags = {"start": 2, "step": 3, "ratio": 3, "k": 2, "n": 4}
+        for kind in kinds:
+            params = {p: flags[p] for p in inspect.signature(GENERATORS[kind]).parameters if p in flags}
+            argv = [arg for p, v in params.items() for arg in (f"--{p}", str(v))]
+            code, out, err = run(capsys, "gen", kind, *argv)
+            assert (code, err) == (0, "") and json.loads(out) == list(generate(kind, **params))
 
 
 class TestExperiments:

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from energia import _kernel
+from energia import _kernel, bsg
 from energia.energy import (
     ADDITIVE,
     MULTIPLICATIVE,
@@ -518,10 +518,18 @@ def test_support_is_built_lazily_and_equal():
     assert r.support == Counter(a + b for a in range(0, 600, 3) for b in range(0, 600, 3))
 
 
-def test_self_convolution_is_r_2s():
-    A = IntSet([-4, 0, 1, 5, 9, 30])
-    for mode in MODES:
-        assert rep_function(A, 2, mode).self_convolution().support == rep_function(A, 4, mode).support
+def test_chain_r_s_is_rep_function():
+    # signed, holding 0, and past 2^62, where q_s runs on exponent keys
+    keyed = IntSet(7**25 * 2**i * 3**j for i in range(3) for j in range(3))
+    for A in (IntSet([-4, 0, 1, 5, 9, 30]), IntSet([-7, -2, 0, 3, 11]), keyed):
+        for mode in MODES:
+            for s in (4, 6, 8):
+                _, half, r_s = bsg._chain(A, s, mode)
+                want = rep_function(A, s, mode)
+                assert (r_s.s, half.s, r_s.codec) == (s, s // 2, half.codec)
+                assert r_s.support == want.support
+                assert (r_s.total(), r_s.energy_count(), r_s.sup()) == (want.total(), want.energy_count(), want.sup())
+    assert bsg._chain(keyed, 4, MULTIPLICATIVE)[2].codec is not None
 
 
 # -- the oracle stays independent ---------------------------------------------

@@ -131,21 +131,14 @@ def test_M_s_matches_the_oracle_past_2_62(vals, s):
     assert energy(A, s, MULTIPLICATIVE).count == energy_oracle(A, s, MULTIPLICATIVE).count
 
 
-def test_self_convolution_past_the_codec_arity_decodes():
-    A = IntSet(7**25 * 2**i * 3**j for i in range(3) for j in range(3))
-    q2 = rep_function(A, 2, MULTIPLICATIVE)  # keys for products of two elements
-    assert q2.codec is not None
-    assert q2.self_convolution().support == rep_function(A, 4, MULTIPLICATIVE).support
-
-
 # -- the pipeline grids -------------------------------------------------------
 
 
 def _pieces(vals, data):
-    """The q_2 support of vals and q_4 = q_2 * q_2, on keys, with a random
-    subset of each: (values, keys) pairs."""
-    half = rep_function(IntSet(vals), 2, MULTIPLICATIVE, products=4)
-    full = half.self_convolution()
+    """The q_2 support of vals and q_4 = q_2 * q_2, on keys, as the
+    pipeline builds them, with a random subset of each: (values, keys)
+    pairs."""
+    _, half, full = bsg._chain(IntSet(vals), 4, MULTIPLICATIVE)
     pick = lambda n: sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
     X, Y = pick(half.counts.size), pick(half.counts.size)
     S = np.array(pick(full.counts.size))

@@ -58,9 +58,9 @@ def _new(A, s, delta, mode, energy_mode, shifts, r_s, half):
         seen.update(S=list(S), anchor=H[a], R_x=vals(R_x), Y=vals(Y), z=H[z], Y1=vals(Y1))
         return a, R_x, Y, thr_Y, z, Y1
 
-    def spy_extract(U, V, G, keys=None):
+    def spy_extract(U, V, G, grid=None):
         seen["Sprime"] = sorted(G.sum_filter)
-        return bsg_extract(U, V, G, keys)
+        return bsg_extract(U, V, G, grid)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bsg, "_fiber_stages", spy_fiber)
