@@ -15,10 +15,17 @@ operands:
   longer than a grid of the supports.  Exact int64 ``np.convolve``, kept
   where the result is > 0.
 * sort-and-count: otherwise.  The outer sum or product grid goes, in
-  row blocks of at most ``_CHUNK`` cells, through :func:`merge_blocks`,
-  which sorts each block, merges equal values summing their weights,
-  and merges the blocks.  The BSG stage's nested spans use the same
-  merge, keeping the least weight of each value.
+  row blocks, through :func:`merge_blocks`, which sorts each block,
+  merges equal values summing their weights, and merges the blocks.
+  Each block is written straight from the operands as packed unsigned
+  keys, (value - lo) above the weight's bits (none for unit and plain
+  grids), lo the least cell: uint32 while offset and weight bits fit 32
+  bits, else uint64.  Sorting the keys sorts the values and carries the
+  weights along.  ``_CHUNK`` is the block budget in 8-byte cells, so a
+  block of 32-bit keys holds twice as many cells.  Only object arrays
+  and keys past 64 bits sort values by argsort, weights apart.  The BSG
+  stage's nested spans use the same keys and merge, keeping the least
+  weight of each value.
 
 A self-pair (``f is g``: every squaring step of :func:`power`) visits
 each unordered pair once, since x + y = y + x and x * y = y * x: the
@@ -50,6 +57,7 @@ _INT64_LIMIT = 2**63
 _PY_PAIRS = 256
 _DENSE_RATIO = 32
 _CHUNK = 1 << 19
+_SHORT_ROW = 512
 
 
 def exact_dtype(bound):
@@ -167,12 +175,7 @@ def _python(f, g, additive):
             for b, cb in gitems:
                 k = a + b if additive else a * b
                 out[k] = get(k, 0) + ca * cb
-    # the corners of the grid are cells, so they bound the result exactly
-    if additive:
-        lo, hi = f.lo + g.lo, f.hi + g.hi
-    else:
-        corners = (f.lo * g.lo, f.lo * g.hi, f.hi * g.lo, f.hi * g.hi)
-        lo, hi = min(corners), max(corners)
+    lo, hi = grid_bounds(f.lo, f.hi, g.lo, g.hi, additive)
     n = len(out)
     vals = np.fromiter(out, exact_dtype(max(-lo, hi)), n)
     if total is None:
@@ -219,7 +222,15 @@ def _dense(f, g, additive):
 def _sort_count(f, g, additive):
     total = f.total * g.total if f.counted else None
     unit = f.counted and f.total == f.size and g.total == g.size
-    vals, cnts = merge_blocks(_row_blocks(f, g, additive, f.counted and not unit), f.counted, np.add)
+    weighted = f.counted and not unit
+    lo, hi = grid_bounds(f.lo, f.hi, g.lo, g.hi, additive)
+    wbits = (2 * f.max_count() * g.max_count()).bit_length() if weighted else 0
+    dtype = key_dtype(hi - lo, wbits)
+    layout = (lo, wbits)
+    if dtype is None:  # past 64 bits: the cells' values, weights apart
+        dtype, lo, wbits, layout = np.int64, 0, 0, None
+    blocks = _row_blocks(f, g, additive, weighted, dtype, lo, wbits)
+    vals, cnts = merge_blocks(blocks, f.counted, np.add, layout)
     if unit and f is g:
         # an off-diagonal cell stands for two, a diagonal one for itself
         cnts *= 2
@@ -227,56 +238,143 @@ def _sort_count(f, g, additive):
     return Weighted(vals, cnts, total)
 
 
-def _row_blocks(f, g, additive, weighted):
-    """The f x g grid as (values, weights) blocks of whole rows, at most
-    ``_CHUNK`` cells (one row when a row is longer), weights None unless
-    ``weighted``.  For a self-pair (``f is g``) row i holds the columns
-    j >= i only: the upper triangle with its diagonal, an off-diagonal
-    cell weighing 2·c_i·c_j and a diagonal one c_i²; each of its rows,
-    the slice v[i:] combined with v[i], is written straight into the
-    block."""
-    fv, fc, gv, gc = f.vals, f.cnts, g.vals, g.cnts
+def grid_bounds(flo, fhi, glo, ghi, additive):
+    """The least and greatest cell of the grid of x + y (or x * y) over
+    x in [flo, fhi], y in [glo, ghi]: its corners are cells."""
+    if additive:
+        return flo + glo, fhi + ghi
+    corners = (flo * glo, flo * ghi, fhi * glo, fhi * ghi)
+    return min(corners), max(corners)
+
+
+def key_dtype(span, wbits):
+    """The unsigned dtype of keys holding offsets 0..``span`` above
+    ``wbits`` weight bits: uint32 while they fit 32 bits, else uint64,
+    and None past 64 bits."""
+    bits = span.bit_length() + wbits
+    return np.uint32 if bits <= 32 else np.uint64 if bits <= 64 else None
+
+
+def block_cells(dtype):
+    """The cells of one block of ``dtype`` keys: ``_CHUNK`` is a budget
+    of 8-byte cells, so a block of 32-bit keys holds twice as many."""
+    return _CHUNK * 8 // np.dtype(dtype).itemsize
+
+
+def key_operands(x, y, lo, wbits, dtype, additive):
+    """``x`` and ``y`` (int64) as ``dtype`` vectors, and a base, such that
+    each cell of ``np.add.outer`` (or ``np.multiply.outer``) of the two,
+    less the base, is the key (cell - lo) << wbits.  The arithmetic wraps
+    modulo the width of ``dtype``, which is exact for every key the
+    width holds."""
+    xk = _offset_keys(x, lo if additive else 0, wbits, np.empty(len(x), dtype=dtype))
+    yk = _offset_keys(y, 0, wbits if additive else 0, np.empty(len(y), dtype=dtype))
+    return xk, yk, 0 if additive else _wrap(lo << wbits, dtype)
+
+
+def _offset_keys(values, lo, wbits, out):
+    """(values - lo) << wbits for int64 ``values``, written into ``out``
+    modulo its width."""
+    np.subtract(values, lo, out=out, casting="unsafe")
+    out <<= wbits
+    return out
+
+
+def _wrap(n, dtype):
+    """The Python int ``n`` as a ``dtype`` scalar, modulo its width."""
+    return dtype(n % (1 << 8 * np.dtype(dtype).itemsize))
+
+
+def _row_blocks(f, g, additive, weighted, dtype, lo, wbits):
+    """The f x g grid as (keys, weights) blocks of whole rows, at most
+    ``block_cells(dtype)`` cells (one row when a row is longer).  The keys
+    are (cell - lo) << wbits, the cell x + y (or x * y), by
+    ``key_operands``: the cells' values themselves for int64, lo 0 and
+    wbits 0.  The weights c_i·c_j are None unless ``weighted``, and go
+    into the keys' low ``wbits`` bits when there are any.
+
+    For a self-pair (``f is g``) row i holds the columns j >= i only: the
+    upper triangle with its diagonal, an off-diagonal cell weighing
+    2·c_i·c_j and a diagonal one c_i².  A block whose first row is longer
+    than ``_SHORT_ROW`` cells is written row by row, each row the slice of
+    columns j >= i combined with row i; a block of shorter rows is one
+    outer product, masked to the triangle.
+    """
+    xk, yk, base = key_operands(f.vals, g.vals, lo, wbits, dtype, additive)
     op = np.add if additive else np.multiply
     half = f is g
+    if weighted:
+        fc, gc = f.cnts.astype(dtype), g.cnts.astype(dtype)
+        if half:
+            diag, fc = fc * fc, 2 * fc  # c_i² on the diagonal, 2·c_i·c_j off it
     lens = np.arange(g.size, 0, -1) if half else np.full(f.size, g.size)
     ends = np.cumsum(lens)  # cells in rows 0..i
+    budget = block_cells(dtype)
     i = 0
     while i < f.size:
         start = int(ends[i] - lens[i])
-        stop = max(i + 1, int(np.searchsorted(ends, start + _CHUNK, side="right")))
+        stop = max(i + 1, int(np.searchsorted(ends, start + budget, side="right")))
+        weights = upper = None
         if not half:
-            grid = op.outer(fv[i:stop], gv).ravel()
-            weights = np.multiply.outer(fc[i:stop], gc).ravel() if weighted else None
+            keys = op.outer(xk[i:stop], yk).ravel()
+            if weighted:
+                weights = np.multiply.outer(fc[i:stop], gc).ravel()
+        elif lens[i] <= _SHORT_ROW:
+            upper = np.arange(i, f.size) >= np.arange(i, stop)[:, None]
+            keys = op.outer(xk[i:stop], yk[i:])
+            if weighted:
+                weights = np.multiply.outer(fc[i:stop], gc[i:])
+                rows = np.arange(stop - i)
+                weights[rows, rows] = diag[i:stop]
         else:
-            grid = np.empty(int(ends[stop - 1]) - start, dtype=fv.dtype)
-            weights = np.empty(len(grid), dtype=np.int64) if weighted else None
+            keys = np.empty(int(ends[stop - 1]) - start, dtype=dtype)
+            if weighted:
+                weights = np.empty(len(keys), dtype=dtype)
             pos = 0
             for r in range(i, stop):
                 nxt = pos + f.size - r
-                op(fv[r], fv[r:], out=grid[pos:nxt])
+                op(xk[r], yk[r:], out=keys[pos:nxt])
                 if weighted:
-                    np.multiply(2 * fc[r], fc[r:], out=weights[pos:nxt])
-                    weights[pos] = fc[r] * fc[r]
+                    np.multiply(fc[r], gc[r:], out=weights[pos:nxt])
                 pos = nxt
-        yield grid, weights
+            if weighted:
+                weights[ends[i:stop] - lens[i:stop] - start] = diag[i:stop]
+        if base:
+            keys -= base
+        if wbits and weights is not None:
+            keys |= weights
+            weights = None
+        if upper is not None:
+            keys = keys[upper]
+            weights = None if weights is None else weights[upper]
+        yield keys, weights
         i = stop
 
 
-def merge_blocks(blocks, counted, reduce):
-    """The distinct values of (values, weights) ``blocks``, sorted, with
-    ``reduce`` (``np.add`` or ``np.minimum``) of the weights of each value
-    when ``counted``.  Weights None count cells (``np.add`` only).
+def merge_blocks(blocks, counted, reduce, layout=None):
+    """The distinct values of the cells of (keys, weights) ``blocks``,
+    sorted, with ``reduce`` (``np.add`` or ``np.minimum``) of the weights
+    of each value when ``counted``.
+
+    With ``layout`` = (lo, wbits), a block's keys hold each cell as
+    (value - lo) << wbits | weight, its weights None.  Without, they are
+    the cells' values and the weights stand apart, None to count cells
+    (``np.add`` only).
 
     Each block is sorted and its equal values merged by ``_merge_equal``.
     The merged blocks wait until they hold more values than the result so
-    far, and are then merged into it by one more ``_merge_equal`` of their
-    concatenation.  A merge so holds at most about twice the result and
-    one block, and sorts fewer than two values for each value of the
+    far, and are then merged into it by one more sort of their keys
+    (``_merge_cells``).  A merge so holds at most about twice the result
+    and one block, and sorts fewer than two values for each value of the
     blocks it takes in.
     """
     vals, cnts, size = [], [], 0  # sorted runs; the first merges every block before the others
-    for values, weights in blocks:
-        v, c = _merge_equal(values, weights, counted, reduce)
+    for keys, weights in blocks:
+        if layout:
+            v, c = _merge_equal(keys, *layout, counted, reduce)
+        else:
+            v, c = _merge_cells([keys], [weights], counted, reduce)
+        del keys, weights  # no block outlives its merge
         vals.append(v)
         cnts.append(c)
         size += len(v)
@@ -290,13 +388,45 @@ def merge_blocks(blocks, counted, reduce):
 
 def _merge_runs(vals, cnts, counted, reduce):
     """Merge the sorted runs ``vals``, weighing ``cnts``, into one, in
-    place.  Each list is emptied once it is copied, and ``_merge_equal``
-    holds the only copies, so that no run outlives the sort."""
-    if not counted:
-        cnts.clear()
-    v, c = _merge_equal(_take(vals), _take(cnts) if counted else None, counted, reduce)
+    place."""
+    v, c = _merge_cells(vals, cnts, counted, reduce)
     vals.append(v)
     cnts.append(c)
+
+
+def _merge_cells(vals, cnts, counted, reduce):
+    """``_merge_equal`` of the cells of the value arrays ``vals``, weighing
+    the arrays ``cnts`` (non-negative; None each to count cells).  Both
+    lists are emptied as they are read, so that no part outlives the
+    sort.  Where the values are int64 and their span and weight bits fit
+    64 bits, each part is packed straight into one array of keys; else the
+    parts are concatenated and an argsort orders them."""
+    if vals[0].dtype != object:
+        lo, hi = min(int(v.min()) for v in vals), max(int(v.max()) for v in vals)
+        wbits = 0 if cnts[0] is None else max(int(c.max()) for c in cnts).bit_length() or 1
+        dtype = key_dtype(hi - lo, wbits)
+        if dtype is not None:
+            keys, pos = np.empty(sum(map(len, vals)), dtype=dtype), 0
+            while vals:
+                v, c = vals.pop(), cnts.pop()
+                part = _offset_keys(v, lo, wbits, keys[pos : pos + len(v)])
+                if wbits:
+                    np.bitwise_or(part, c, out=part, dtype=dtype, casting="unsafe")
+                pos += len(v)
+            del v, c
+            return _merge_equal(keys, lo, wbits, counted, reduce)
+    values = _take(vals)
+    weights = None if cnts[0] is None else _take(cnts)
+    cnts.clear()
+    if not counted:
+        values = np.sort(values)
+        return values[_starts(values)], None
+    order = np.argsort(values)
+    values = values[order]
+    starts = _starts(values)
+    if weights is None:
+        return values[starts], np.diff(np.append(starts, len(values)))
+    return values[starts], reduce.reduceat(weights[order], starts)
 
 
 def _take(arrays):
@@ -306,32 +436,27 @@ def _take(arrays):
     return out
 
 
-def _merge_equal(values, weights, counted, reduce):
-    """Sort ``values`` and merge equal ones; with ``counted``, ``reduce``
-    their non-negative ``weights``, or count them when ``weights`` is None."""
-    if not counted or weights is None:
-        values = np.sort(values)
-        starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
-        cnts = np.diff(np.append(starts, len(values))) if counted else None
-        return values[starts], cnts
-    lo, bits = int(values.min()), int(weights.max()).bit_length()
-    packed = values.dtype != object and (int(values.max()) - lo) >> (63 - bits) == 0
-    if packed:
-        # one int64 key per cell, value - lo above the weight's bits:
-        # sorting the keys sorts the values and carries the weights along
-        key = values - lo
-        key <<= bits
-        key |= weights
-        del values, weights  # freed here if the caller passed its only copies
-        key.sort()
-        values = key >> bits
-        values += lo
-        key &= (1 << bits) - 1
-        weights = key
-    else:
-        order = np.argsort(values)
-        values, weights = values[order], weights[order]
-    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
-    if packed and reduce is np.minimum:  # the keys sort each value's weights too, least first
-        return values[starts], weights[starts]
-    return values[starts], reduce.reduceat(weights, starts)
+def _merge_equal(keys, lo, wbits, counted, reduce):
+    """Sort the packed ``keys`` (value - lo) << wbits | weight in place and
+    merge equal values: with ``counted``, ``reduce`` their weights, or
+    count them when ``wbits`` is 0.  Sorting the keys sorts each value's
+    weights too, least first."""
+    keys.sort()
+    offsets = keys >> wbits if wbits else keys
+    starts = _starts(offsets)
+    values = offsets[starts].astype(np.int64)
+    values += lo
+    del offsets
+    if not counted:
+        return values, None
+    if not wbits:
+        return values, np.diff(np.append(starts, len(keys)))
+    keys &= (1 << wbits) - 1
+    if reduce is np.minimum:
+        return values, keys[starts].astype(np.int64)
+    return values, np.add.reduceat(keys, starts, dtype=np.int64)
+
+
+def _starts(values):
+    """The index of the first of each run of equal sorted ``values``."""
+    return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))

@@ -88,9 +88,10 @@ class IntSet(_SortedSet):
 
     def __init__(self, values):
         values = list(values)
-        for v in values:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise BadParamsError(f"IntSet elements must be int, got {type(v).__name__}")
+        if not set(map(type, values)) <= {int}:  # plain ints pass in one C-level pass
+            for v in values:
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise BadParamsError(f"IntSet elements must be int, got {type(v).__name__}")
         super().__init__(values)
 
     @staticmethod
@@ -155,16 +156,19 @@ def quotient_arrays(num, den):
     distinct quotients with denominators below 2^b differ by more than
     2^(-2b), so their scaled values differ by more than 1 and their floors
     differ; equal quotients give equal keys, and the keys keep the order.
-    So the distinct keys, sorted, pick one cell per distinct quotient in
-    order, and one gcd reduces it.  Floor division floors the exact
+    So the first cell of each run of equal keys, sorted, picks one cell
+    per distinct quotient in order (any cell of a key reduces to the same
+    p/q), and one gcd reduces it.  Floor division floors the exact
     quotient for either sign of q.  The keys are int64 while every
     |p| 2^(2b) is, else Python ints; |p| is taken as at least 1, as
     2^(2b) bounds the denominators too.
     """
     shift = 2 * max(-int(den[0]), int(den[-1])).bit_length()
     dtype = _kernel.exact_dtype(max(-int(num[0]), int(num[-1]), 1) << shift)
-    keys = np.floor_divide.outer(np.left_shift(num.astype(dtype, copy=False), shift), den.astype(dtype, copy=False))
-    cells = np.unique(keys.ravel(), return_index=True)[1]
+    keys = np.floor_divide.outer(np.left_shift(num.astype(dtype, copy=False), shift), den.astype(dtype, copy=False)).ravel()
+    order = np.argsort(keys)
+    keys = keys[order]
+    cells = order[np.concatenate(([True], keys[1:] != keys[:-1]))]
     p, q = num[cells // len(den)], den[cells % len(den)]
     g = np.gcd(p, q)
     g[q < 0] *= -1  # dividing by -g moves the sign onto the numerator

@@ -321,12 +321,12 @@ class TestDirectIndexedPaths:
     @pytest.mark.parametrize("bits", (1, 5, 9))
     def test_nested_spans_pack_up_to_the_cap(self, monkeypatch, add, bits):
         # with levels in ``bits`` bits, (sum - min sum) << bits | level fits
-        # an int64 key up to the first magnitude and argsorts from the
+        # a 64-bit key up to the first magnitude and argsorts from the
         # second; sums or products reach +-(2^63 - 1) at the third and pass
         # it (object arrays) at the fourth.  One element a level, blocks of
         # a few rows.
         monkeypatch.setattr(_kernel, "_CHUNK", 3 * 2**bits)
-        top = 2 ** (63 - bits) - 1  # the widest span of packed sums
+        top = 2 ** (64 - bits) - 1  # the widest span of packed sums
         cap = top // 4 if add else math.isqrt(top // 2)
         edge = EDGE // 2 if add else math.isqrt(EDGE)
         k = 2**bits

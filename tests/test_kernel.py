@@ -161,6 +161,62 @@ def _content(w):
     return w.size, w.lo, w.hi, w.total, w.vals.dtype, w.vals.tolist(), cnts
 
 
+# Operands whose grid keys need 31, 32, 33, 63 and 64 bits: offset bits
+# alone for plain and unit grids, and with 4 weight bits (largest count 2)
+# for weighted ones.  The products take signed sets holding 0.  Each
+# example runs in every mode and kind, at the edge in its own.
+_TWO = [2] + [1] * 8
+KEY_WIDTH_EDGES = {
+    # (additive, weighted): (vals, counts, chunk) for 31, 32, 33, 63 and 64 bits
+    (True, False): [
+        ([-3, 0, 5, 2**30 - 4], [1] * 9, 5),
+        ([-3, 0, 5, 2**31 - 4], [1] * 9, 5),
+        ([-3, 0, 5, 2**31 - 2], [1] * 9, 1 << 19),
+        ([-(2**61), 5, 2**61 - 1], [1] * 9, 5),
+        ([-(2**62) + 1, 5, 2**62 - 1], [1] * 9, 5),
+    ],
+    (True, True): [
+        ([-3, 0, 2**26 - 4], _TWO, 5),
+        ([-3, 0, 2**27 - 4], _TWO, 1 << 19),
+        ([-3, 0, 2**27 - 2], _TWO, 5),
+        ([-(2**57), 5, 2**57 - 1], _TWO, 5),
+        ([-(2**58), 5, 2**58 - 1], _TWO, 5),
+    ],
+    (False, False): [
+        ([-(2**15), 0, 3, 2**15 - 1], [1] * 9, 5),
+        ([-46340, 0, 46339], [1] * 9, 5),
+        ([-46341, 0, 46341], [1] * 9, 1 << 19),
+        ([-(2**31), 0, 2**31 - 1], [1] * 9, 5),
+        ([-3 * 10**9, 0, 3 * 10**9 - 1], [1] * 9, 5),
+    ],
+    (False, True): [
+        ([-8192, 0, 8191], _TWO, 5),
+        ([-8292, 0, 8292], _TWO, 1 << 19),
+        ([-16383, 0, 16383], _TWO, 5),
+        ([-(2**29) + 1, 0, 2**29 - 1], _TWO, 5),
+        ([-(2**29), 0, 2**29], _TWO, 5),
+    ],
+}
+
+
+@pytest.mark.parametrize("additive, weighted", sorted(KEY_WIDTH_EDGES))
+def test_key_width_edges_are_reached(additive, weighted):
+    # offset bits plus weight bits of each grid's keys, as _sort_count packs them
+    bits = []
+    for vals, counts, _ in KEY_WIDTH_EDGES[additive, weighted]:
+        lo, hi = _kernel.grid_bounds(vals[0], vals[-1], vals[0], vals[-1], additive)
+        wbits = (2 * max(counts[: len(vals)]) ** 2).bit_length() if weighted else 0
+        bits.append((hi - lo).bit_length() + wbits)
+    assert bits == [31, 32, 33, 63, 64]
+
+
+def _at_key_width_edges(test):
+    for edges in KEY_WIDTH_EDGES.values():
+        for vals, counts, chunk in edges:
+            test = example(vals=vals, counts=counts, chunk=chunk)(test)
+    return test
+
+
 @pytest.mark.parametrize("name", sorted(BACKENDS))
 @pytest.mark.parametrize("additive", (True, False))
 @pytest.mark.parametrize("kind", ("plain", "unit", "weighted"))
@@ -171,11 +227,15 @@ def _content(w):
     chunk=st.sampled_from([5, 1 << 19]),
 )
 @example(vals=[-3, -2, 0, 2, 3], counts=[1] * 9, chunk=5)  # x * x = (-x) * (-x): diagonal cells share values
+@_at_key_width_edges
 def test_self_pair_equals_pair_with_a_copy(monkeypatch, name, additive, kind, vals, counts, chunk):
     # f * f skips the symmetric half; f * (a copy of f) sorts the whole grid
     monkeypatch.setattr(_kernel, "_CHUNK", chunk)
     f, g = _operand(vals, kind, counts), _operand(vals, kind, counts)
     if name == "dense" and not (additive and _short_lines(f, g)):
+        return
+    bound = f.magnitude() + g.magnitude() if additive else f.magnitude() * g.magnitude()
+    if name != "python" and bound >= _kernel._INT64_LIMIT:  # numpy results hold int64 values
         return
     backend = BACKENDS[name]
     want = _content(_kernel._python(f, g, additive))
@@ -184,18 +244,52 @@ def test_self_pair_equals_pair_with_a_copy(monkeypatch, name, additive, kind, va
     assert _content(_kernel.pair(f, f, additive)) == want
 
 
+def _cells(blocks, lo, wbits):
+    """The (value, weight) of every cell of packed ``blocks``."""
+    keys = np.concatenate([k for k, _ in blocks]).astype(object)
+    return Counter(zip(((keys >> wbits) + lo).tolist(), (keys & ((1 << wbits) - 1)).tolist()))
+
+
 def test_triangle_blocks_stay_within_chunk(monkeypatch):
-    # rows of 14, 13, ..., 1 cells, diagonal included; a block takes whole
-    # rows up to 20 cells
+    # rows of 14, 13, ..., 1 cells, diagonal included.  The keys are 32-bit,
+    # so a block takes whole rows up to 2 * _CHUNK = 40 cells; the blocks
+    # starting with rows of 14 and 11 cells are written row by row, the one
+    # starting with 7 cells as one masked outer product.
     monkeypatch.setattr(_kernel, "_CHUNK", 20)
-    f = _operand(range(0, 40, 3), "weighted", [1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3, 4, 5])
-    blocks = list(_kernel._row_blocks(f, f, True, True))
-    assert [len(v) for v, _ in blocks] == [14, 13, 12, 11, 10 + 9, 8 + 7, 6 + 5 + 4 + 3 + 2, 1]
-    # an off-diagonal cell weighs 2 c_i c_j, a diagonal one c_i^2
+    monkeypatch.setattr(_kernel, "_SHORT_ROW", 7)
+    f = _operand(range(-20, 22, 3), "weighted", [1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3, 4, 5])
     v, c = f.vals.tolist(), f.cnts.tolist()
-    want = Counter((v[i] + v[j], (1 + (i < j)) * c[i] * c[j]) for i in range(14) for j in range(i, 14))
-    cells = zip(np.concatenate([v for v, _ in blocks]).tolist(), np.concatenate([w for _, w in blocks]).tolist())
-    assert Counter(cells) == want
+    wbits = (2 * 9 * 9).bit_length()
+    for additive, op in ((True, lambda a, b: a + b), (False, lambda a, b: a * b)):
+        lo, hi = _kernel.grid_bounds(f.lo, f.hi, f.lo, f.hi, additive)
+        dtype = _kernel.key_dtype(hi - lo, wbits)
+        assert dtype is np.uint32 and _kernel.block_cells(dtype) == 40
+        blocks = list(_kernel._row_blocks(f, f, additive, True, dtype, lo, wbits))
+        assert [len(k) for k, _ in blocks] == [14 + 13 + 12, 11 + 10 + 9 + 8, 7 + 6 + 5 + 4 + 3 + 2 + 1]
+        assert all(k.dtype == dtype and w is None for k, w in blocks)
+        # an off-diagonal cell weighs 2 c_i c_j, a diagonal one c_i^2
+        want = Counter((op(v[i], v[j]), (1 + (i < j)) * c[i] * c[j]) for i in range(14) for j in range(i, 14))
+        assert _cells(blocks, lo, wbits) == want
+
+
+@pytest.mark.parametrize("self_pair", (False, True))
+@pytest.mark.parametrize("wide", (False, True))
+def test_block_budget_is_in_bytes(monkeypatch, self_pair, wide):
+    # 120 cells against _CHUNK = 64: 32-bit keys merge them as one block,
+    # with no merge of runs after it; 64-bit keys take two blocks or more
+    monkeypatch.setattr(_kernel, "_CHUNK", 64)
+    seen = []
+    merge = _kernel._merge_equal
+    monkeypatch.setattr(_kernel, "_merge_equal", lambda keys, *rest: seen.append(len(keys)) or merge(keys, *rest))
+    base = (lambda i: 7**i) if wide else (lambda i: i * i)
+    f = _operand([base(i) for i in range(15 if self_pair else 10)], "unit", None)
+    g = f if self_pair else _operand([-(11**i if wide else 3 * i) for i in range(12)], "unit", None)
+    out = _kernel._sort_count(f, g, True)
+    assert _content(out) == _content(_kernel._python(f, _operand(g.vals.tolist(), "unit", None), True))
+    if wide:
+        assert len(seen) >= 2 and seen[0] <= 64
+    else:
+        assert seen == [120]
 
 
 def _merge_reference(cells, reduce):
@@ -217,14 +311,15 @@ _cell_weights = st.one_of(st.integers(0, 8), st.integers(0, 2**40))
     unit=st.booleans(),
 )
 def test_merge_equal_sums_weights(cells, reduce, unit):
-    # narrow spans with small weights sort packed keys; the rest argsort;
-    # weights None count the cells of each value, a sum of unit weights
+    # narrow spans with small weights sort 32- or 64-bit packed keys; the
+    # rest argsort; weights None count the cells of each value, a sum of
+    # unit weights
     unit = unit and reduce is np.add
     if unit:
         cells = [(v, 1) for v, _ in cells]
     keys, want = _merge_reference(cells, reduce)
     values, weights = (np.array(col, dtype=np.int64) for col in zip(*cells))
-    vals, cnts = _kernel._merge_equal(values, None if unit else weights, True, reduce)
+    vals, cnts = _kernel._merge_cells([values], [None if unit else weights], True, reduce)
     assert vals.tolist() == keys
     assert cnts.tolist() == want
 
@@ -246,8 +341,8 @@ def test_merge_blocks_across_many_parts(monkeypatch, reduce, wide, blocks, unit)
         blocks = [[(v + 2**64, w) for v, w in b] for b in blocks]
     keys, want = _merge_reference([cell for b in blocks for cell in b], reduce)
     seen = []
-    merge = _kernel._merge_equal
-    monkeypatch.setattr(_kernel, "_merge_equal", lambda values, *rest: seen.append(len(values)) or merge(values, *rest))
+    merge = _kernel._merge_cells
+    monkeypatch.setattr(_kernel, "_merge_cells", lambda vals, *rest: seen.append(sum(map(len, vals))) or merge(vals, *rest))
     dtype = _kernel.exact_dtype(max(abs(v) for b in blocks for v, _ in b))
     arrays = (
         (np.array([v for v, _ in b], dtype=dtype), None if unit else np.array([w for _, w in b], dtype=np.int64))
@@ -261,16 +356,17 @@ def test_merge_blocks_across_many_parts(monkeypatch, reduce, wide, blocks, unit)
 
 @pytest.mark.parametrize("self_pair", (False, True))
 def test_sort_count_merges_stay_near_the_result(monkeypatch, self_pair):
-    # blocks of a few cells over 24 x 24 (or 24 x 15) sums
+    # blocks of a few cells over 24 x 24 (or 24 x 15) sums: 14 cells of
+    # 32-bit keys, or 7 of 64-bit ones
     monkeypatch.setattr(_kernel, "_CHUNK", 7)
     seen = []
     merge = _kernel._merge_equal
-    monkeypatch.setattr(_kernel, "_merge_equal", lambda values, *rest: seen.append(len(values)) or merge(values, *rest))
+    monkeypatch.setattr(_kernel, "_merge_equal", lambda keys, *rest: seen.append(len(keys)) or merge(keys, *rest))
     f = _operand([3**i for i in range(12)] + [-(5**i) for i in range(12)], "unit", None)
     g = f if self_pair else _operand([7**i for i in range(15)], "unit", None)
     out = _kernel._sort_count(f, g, True)
     assert _content(out) == _content(_kernel._python(f, _operand(g.vals.tolist(), "unit", None), True))
-    assert len(seen) > 10 and max(seen) <= 2 * out.size + 7
+    assert len(seen) > 10 and max(seen) <= 2 * out.size + 14
 
 
 # -- the keyed quotient arrays ------------------------------------------------
