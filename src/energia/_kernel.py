@@ -24,8 +24,8 @@ operands:
   weights along.  ``_CHUNK`` is the block budget in 8-byte cells, so a
   block of 32-bit keys holds twice as many cells.  Only object arrays
   and keys past 64 bits sort values by argsort, weights apart.  The BSG
-  stage's nested spans use the same keys and merge, keeping the least
-  weight of each value.
+  stage's nested spans pass (sum, level) blocks to the same merge, which
+  packs them likewise and keeps the least weight of each value.
 
 A self-pair (``f is g``: every squaring step of :func:`power`) visits
 each unordered pair once, since x + y = y + x and x * y = y * x: the
@@ -261,7 +261,7 @@ def block_cells(dtype):
     return _CHUNK * 8 // np.dtype(dtype).itemsize
 
 
-def key_operands(x, y, lo, wbits, dtype, additive):
+def _key_operands(x, y, lo, wbits, dtype, additive):
     """``x`` and ``y`` (int64) as ``dtype`` vectors, and a base, such that
     each cell of ``np.add.outer`` (or ``np.multiply.outer``) of the two,
     less the base, is the key (cell - lo) << wbits.  The arithmetic wraps
@@ -289,7 +289,7 @@ def _row_blocks(f, g, additive, weighted, dtype, lo, wbits):
     """The f x g grid as (keys, weights) blocks of whole rows, at most
     ``block_cells(dtype)`` cells (one row when a row is longer).  The keys
     are (cell - lo) << wbits, the cell x + y (or x * y), by
-    ``key_operands``: the cells' values themselves for int64, lo 0 and
+    ``_key_operands``: the cells' values themselves for int64, lo 0 and
     wbits 0.  The weights c_i·c_j are None unless ``weighted``, and go
     into the keys' low ``wbits`` bits when there are any.
 
@@ -297,10 +297,11 @@ def _row_blocks(f, g, additive, weighted, dtype, lo, wbits):
     upper triangle with its diagonal, an off-diagonal cell weighing
     2·c_i·c_j and a diagonal one c_i².  A block whose first row is longer
     than ``_SHORT_ROW`` cells is written row by row, each row the slice of
-    columns j >= i combined with row i; a block of shorter rows is one
-    outer product, masked to the triangle.
+    columns j >= i combined with row i.  A block of shorter rows is one
+    outer product with the columns from its first row, masked to the
+    triangle: the rows' calls cost more than the masked cells there.
     """
-    xk, yk, base = key_operands(f.vals, g.vals, lo, wbits, dtype, additive)
+    xk, yk, base = _key_operands(f.vals, g.vals, lo, wbits, dtype, additive)
     op = np.add if additive else np.multiply
     half = f is g
     if weighted:
@@ -314,22 +315,10 @@ def _row_blocks(f, g, additive, weighted, dtype, lo, wbits):
     while i < f.size:
         start = int(ends[i] - lens[i])
         stop = max(i + 1, int(np.searchsorted(ends, start + budget, side="right")))
-        weights = upper = None
-        if not half:
-            keys = op.outer(xk[i:stop], yk).ravel()
-            if weighted:
-                weights = np.multiply.outer(fc[i:stop], gc).ravel()
-        elif lens[i] <= _SHORT_ROW:
-            upper = np.arange(i, f.size) >= np.arange(i, stop)[:, None]
-            keys = op.outer(xk[i:stop], yk[i:])
-            if weighted:
-                weights = np.multiply.outer(fc[i:stop], gc[i:])
-                rows = np.arange(stop - i)
-                weights[rows, rows] = diag[i:stop]
-        else:
+        cells = slice(None)
+        if half and lens[i] > _SHORT_ROW:
             keys = np.empty(int(ends[stop - 1]) - start, dtype=dtype)
-            if weighted:
-                weights = np.empty(len(keys), dtype=dtype)
+            weights = np.empty(len(keys), dtype=dtype) if weighted else None
             pos = 0
             for r in range(i, stop):
                 nxt = pos + f.size - r
@@ -339,14 +328,22 @@ def _row_blocks(f, g, additive, weighted, dtype, lo, wbits):
                 pos = nxt
             if weighted:
                 weights[ends[i:stop] - lens[i:stop] - start] = diag[i:stop]
+        else:
+            col = i if half else 0
+            keys = op.outer(xk[i:stop], yk[col:])
+            weights = np.multiply.outer(fc[i:stop], gc[col:]) if weighted else None
+            if half:
+                cells = np.arange(col, g.size) >= np.arange(i, stop)[:, None]
+                if weighted:
+                    rows = np.arange(stop - i)
+                    weights[rows, rows] = diag[i:stop]
         if base:
             keys -= base
         if wbits and weights is not None:
             keys |= weights
             weights = None
-        if upper is not None:
-            keys = keys[upper]
-            weights = None if weights is None else weights[upper]
+        keys = keys[cells].ravel()  # no masked rectangle outlives its block
+        weights = None if weights is None else weights[cells].ravel()
         yield keys, weights
         i = stop
 
@@ -379,19 +376,13 @@ def merge_blocks(blocks, counted, reduce, layout=None):
         cnts.append(c)
         size += len(v)
         if size > 2 * len(vals[0]):
-            _merge_runs(vals, cnts, counted, reduce)
-            size = len(vals[0])
+            v, c = _merge_cells(vals, cnts, counted, reduce)
+            vals.append(v)
+            cnts.append(c)
+            size = len(v)
     if len(vals) > 1:
-        _merge_runs(vals, cnts, counted, reduce)
+        return _merge_cells(vals, cnts, counted, reduce)
     return vals[0], cnts[0]
-
-
-def _merge_runs(vals, cnts, counted, reduce):
-    """Merge the sorted runs ``vals``, weighing ``cnts``, into one, in
-    place."""
-    v, c = _merge_cells(vals, cnts, counted, reduce)
-    vals.append(v)
-    cnts.append(c)
 
 
 def _merge_cells(vals, cnts, counted, reduce):

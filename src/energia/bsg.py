@@ -194,42 +194,25 @@ def _nested_spans(P, level, additive):
     and each distinct sum at the least level of the pairs forming it; the
     spans are the running counts of sums by entry level, one
     ``bincount``.  With the elements ordered by level, the pairs (a, b),
-    b <= a, visited row by row in blocks of about ``_kernel.block_cells``
+    b <= a, visited row by row in blocks of about ``_kernel._CHUNK``
     cells, as the kernel's grids, enter at the level of their row:
-    ``_kernel.merge_blocks`` takes the blocks of cells, each a key packed
-    with its row's level as the weight (for object arrays, or keys past
-    64 bits, the sums and levels apart), and keeps each sum's least level.
+    ``_kernel.merge_blocks`` takes the blocks of (sum, row level) cells
+    and keeps each sum's least level.
     """
     order = np.argsort(level, kind="stable")
     level = level[order]
     mag = _reach(P)
     P = np.array(P, dtype=_kernel.exact_dtype(2 * mag if additive else mag * mag))[order]
-    op = np.add if additive else np.multiply
-    pmin, pmax = int(P.min()), int(P.max())
-    lo, hi = _kernel.grid_bounds(pmin, pmax, pmin, pmax, additive)
-    wbits = int(level[-1]).bit_length() or 1
-    dtype = None if P.dtype == object else _kernel.key_dtype(hi - lo, wbits)
-    if dtype is None:
-        X, Y, base, layout = P, P, 0, None
-    else:
-        X, Y, base = _kernel.key_operands(P, P, lo, wbits, dtype, additive)
-        level, layout = level.astype(dtype), (lo, wbits)
-    rows = max(1, _kernel.block_cells(dtype or np.int64) // len(P))
+    outer = np.add.outer if additive else np.multiply.outer
+    rows = max(1, _kernel._CHUNK // len(P))
 
     def blocks():
         for r0 in range(0, len(P), rows):
             r1 = min(len(P), r0 + rows)
             below = np.arange(r1) <= np.arange(r0, r1)[:, None]
-            cells = op.outer(X[r0:r1], Y[:r1])
-            if layout is None:
-                yield cells[below], np.repeat(level[r0:r1], np.arange(r0 + 1, r1 + 1))
-            else:
-                if base:
-                    cells -= base
-                cells |= level[r0:r1, None]
-                yield cells[below], None
+            yield outer(P[r0:r1], P[:r1])[below], np.repeat(level[r0:r1], np.arange(r0 + 1, r1 + 1))
 
-    _, entry = _kernel.merge_blocks(blocks(), True, np.minimum, layout)
+    _, entry = _kernel.merge_blocks(blocks(), True, np.minimum)
     return np.cumsum(np.bincount(entry, minlength=int(level[-1]) + 1)).tolist()
 
 

@@ -88,10 +88,9 @@ class IntSet(_SortedSet):
 
     def __init__(self, values):
         values = list(values)
-        if not set(map(type, values)) <= {int}:  # plain ints pass in one C-level pass
-            for v in values:
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise BadParamsError(f"IntSet elements must be int, got {type(v).__name__}")
+        for v in values:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise BadParamsError(f"IntSet elements must be int, got {type(v).__name__}")
         super().__init__(values)
 
     @staticmethod

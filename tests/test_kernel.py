@@ -163,11 +163,12 @@ def _content(w):
 
 # Operands whose grid keys need 31, 32, 33, 63 and 64 bits: offset bits
 # alone for plain and unit grids, and with 4 weight bits (largest count 2)
-# for weighted ones.  The products take signed sets holding 0.  Each
+# for weighted ones, which also reach 65 bits, where the values and
+# weights sort apart.  The products take signed sets holding 0.  Each
 # example runs in every mode and kind, at the edge in its own.
 _TWO = [2] + [1] * 8
 KEY_WIDTH_EDGES = {
-    # (additive, weighted): (vals, counts, chunk) for 31, 32, 33, 63 and 64 bits
+    # (additive, weighted): (vals, counts, chunk) for 31, 32, 33, 63, 64 (and 65) bits
     (True, False): [
         ([-3, 0, 5, 2**30 - 4], [1] * 9, 5),
         ([-3, 0, 5, 2**31 - 4], [1] * 9, 5),
@@ -181,6 +182,7 @@ KEY_WIDTH_EDGES = {
         ([-3, 0, 2**27 - 2], _TWO, 5),
         ([-(2**57), 5, 2**57 - 1], _TWO, 5),
         ([-(2**58), 5, 2**58 - 1], _TWO, 5),
+        ([-(2**58), 5, 2**58], _TWO, 5),
     ],
     (False, False): [
         ([-(2**15), 0, 3, 2**15 - 1], [1] * 9, 5),
@@ -195,6 +197,7 @@ KEY_WIDTH_EDGES = {
         ([-16383, 0, 16383], _TWO, 5),
         ([-(2**29) + 1, 0, 2**29 - 1], _TWO, 5),
         ([-(2**29), 0, 2**29], _TWO, 5),
+        ([-(2**30), 0, 2**29], _TWO, 5),
     ],
 }
 
@@ -207,7 +210,8 @@ def test_key_width_edges_are_reached(additive, weighted):
         lo, hi = _kernel.grid_bounds(vals[0], vals[-1], vals[0], vals[-1], additive)
         wbits = (2 * max(counts[: len(vals)]) ** 2).bit_length() if weighted else 0
         bits.append((hi - lo).bit_length() + wbits)
-    assert bits == [31, 32, 33, 63, 64]
+    assert bits == [31, 32, 33, 63, 64] + [65] * weighted
+    assert [_kernel.key_dtype(2 ** (b - 1), 0) for b in bits] == [np.uint32, np.uint32] + [np.uint64] * 3 + [None] * weighted
 
 
 def _at_key_width_edges(test):
