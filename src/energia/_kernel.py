@@ -31,11 +31,13 @@ A self-pair (``f is g``: every squaring step of :func:`power`) visits
 each unordered pair once, since x + y = y + x and x * y = y * x: the
 Python and sort-and-count backends take the upper triangle of the grid
 with its diagonal, an off-diagonal cell with twice its weight and a
-diagonal cell with its own.  Where every weight is 1, sort-and-count
-sorts the values alone, doubles every count and then takes 1 off at the
-value of each diagonal cell (two diagonal cells can share a value, as
-x * x = (-x) * (-x)).  The dense backend convolves whole lines either
-way.
+diagonal cell with its own.  Sort-and-count writes its blocks ``_GROUP``
+rows at a time: one outer product with the columns past the group, one
+with its own masked to its triangle.  Where every weight is 1,
+sort-and-count sorts the values alone, doubles every count and then
+takes 1 off at the value of each diagonal cell (two diagonal cells can
+share a value, as x * x = (-x) * (-x)).  The dense backend convolves
+whole lines either way.
 
 The kernel sees values only.  Products taken on exponent keys (see
 ``energy.RepFunction``) reach it as sums of plain ints.
@@ -57,7 +59,7 @@ _INT64_LIMIT = 2**63
 _PY_PAIRS = 256
 _DENSE_RATIO = 32
 _CHUNK = 1 << 19
-_SHORT_ROW = 512
+_GROUP = 128
 
 
 def exact_dtype(bound):
@@ -295,11 +297,10 @@ def _row_blocks(f, g, additive, weighted, dtype, lo, wbits):
 
     For a self-pair (``f is g``) row i holds the columns j >= i only: the
     upper triangle with its diagonal, an off-diagonal cell weighing
-    2·c_i·c_j and a diagonal one c_i².  A block whose first row is longer
-    than ``_SHORT_ROW`` cells is written row by row, each row the slice of
-    columns j >= i combined with row i.  A block of shorter rows is one
-    outer product with the columns from its first row, masked to the
-    triangle: the rows' calls cost more than the masked cells there.
+    2·c_i·c_j and a diagonal one c_i².  A block takes its rows ``_GROUP``
+    at a time: for rows [a, b), the columns from b on are one outer
+    product written straight into the block, and the group's own columns
+    one (b - a)² outer product masked to its upper triangle.
     """
     xk, yk, base = _key_operands(f.vals, g.vals, lo, wbits, dtype, additive)
     op = np.add if additive else np.multiply
@@ -315,35 +316,32 @@ def _row_blocks(f, g, additive, weighted, dtype, lo, wbits):
     while i < f.size:
         start = int(ends[i] - lens[i])
         stop = max(i + 1, int(np.searchsorted(ends, start + budget, side="right")))
-        cells = slice(None)
-        if half and lens[i] > _SHORT_ROW:
+        if half:
             keys = np.empty(int(ends[stop - 1]) - start, dtype=dtype)
             weights = np.empty(len(keys), dtype=dtype) if weighted else None
             pos = 0
-            for r in range(i, stop):
-                nxt = pos + f.size - r
-                op(xk[r], yk[r:], out=keys[pos:nxt])
+            upper = np.arange(_GROUP) >= np.arange(_GROUP)[:, None]  # corner m x m: an m-row group's triangle
+            for a in range(i, stop, _GROUP):
+                b = min(a + _GROUP, stop)
+                m = b - a
+                mid = pos + m * (f.size - b)  # [pos, mid) holds the columns past b, [mid, end) the triangle
+                end = mid + m * (m + 1) // 2
+                op.outer(xk[a:b], yk[b:], out=keys[pos:mid].reshape(m, -1))
+                keys[mid:end] = op.outer(xk[a:b], yk[a:b])[upper[:m, :m]]
                 if weighted:
-                    np.multiply(fc[r], gc[r:], out=weights[pos:nxt])
-                pos = nxt
-            if weighted:
-                weights[ends[i:stop] - lens[i:stop] - start] = diag[i:stop]
+                    np.multiply.outer(fc[a:b], gc[b:], out=weights[pos:mid].reshape(m, -1))
+                    square = np.multiply.outer(fc[a:b], gc[a:b])
+                    np.fill_diagonal(square, diag[a:b])
+                    weights[mid:end] = square[upper[:m, :m]]
+                pos = end
         else:
-            col = i if half else 0
-            keys = op.outer(xk[i:stop], yk[col:])
-            weights = np.multiply.outer(fc[i:stop], gc[col:]) if weighted else None
-            if half:
-                cells = np.arange(col, g.size) >= np.arange(i, stop)[:, None]
-                if weighted:
-                    rows = np.arange(stop - i)
-                    weights[rows, rows] = diag[i:stop]
+            keys = op.outer(xk[i:stop], yk).ravel()
+            weights = np.multiply.outer(fc[i:stop], gc).ravel() if weighted else None
         if base:
             keys -= base
         if wbits and weights is not None:
             keys |= weights
             weights = None
-        keys = keys[cells].ravel()  # no masked rectangle outlives its block
-        weights = None if weights is None else weights[cells].ravel()
         yield keys, weights
         i = stop
 

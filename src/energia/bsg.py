@@ -194,8 +194,8 @@ def _nested_spans(P, level, additive):
     and each distinct sum at the least level of the pairs forming it; the
     spans are the running counts of sums by entry level, one
     ``bincount``.  With the elements ordered by level, the pairs (a, b),
-    b <= a, visited row by row in blocks of about ``_kernel._CHUNK``
-    cells, as the kernel's grids, enter at the level of their row:
+    b <= a, visited row by row in blocks of about
+    ``block_cells(np.int64)`` = 2^19 cells, enter at the level of their row:
     ``_kernel.merge_blocks`` takes the blocks of (sum, row level) cells
     and keeps each sum's least level.
     """
@@ -204,7 +204,7 @@ def _nested_spans(P, level, additive):
     mag = _reach(P)
     P = np.array(P, dtype=_kernel.exact_dtype(2 * mag if additive else mag * mag))[order]
     outer = np.add.outer if additive else np.multiply.outer
-    rows = max(1, _kernel._CHUNK // len(P))
+    rows = max(1, _kernel.block_cells(np.int64) // len(P))
 
     def blocks():
         for r0 in range(0, len(P), rows):

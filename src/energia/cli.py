@@ -184,10 +184,11 @@ def _check_dict(r) -> dict:
 
 
 def _write_csv(path, rows, header):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+    try:
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
+    except OSError as exc:
+        raise ParseFailure(f"cannot write --csv: {exc}")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -262,8 +263,9 @@ _SUITES = {
 
 def cmd_check(args):
     if args.suite != "all" and args.suite not in _SUITES:
-        print(f"unknown suite {args.suite!r}", file=sys.stderr)
-        return 2
+        raise ParseFailure(f"unknown suite {args.suite!r}")
+    if args.cases < 0:
+        raise ParseFailure(f"--cases must be 0 or more, got {args.cases}")
     rng = random.Random(args.seed)
     suites = _SUITES if args.suite == "all" else (args.suite,)
     all_reports = [r for name in suites for _ in range(args.cases) for r in _SUITES[name](rng)]

@@ -127,8 +127,16 @@ class TestCheckCmd:
             assert any(expected in n for n in names)
 
     def test_unknown_suite(self, capsys):
-        code, _, err = run(capsys, "check", "--suite", "nope")
-        assert code == 2
+        code, out, err = run(capsys, "check", "--suite", "nope")
+        assert code == 2 and out == "" and err == "parse error: unknown suite 'nope'\n"
+
+    def test_negative_cases_is_a_parse_error(self, capsys):
+        code, out, err = run(capsys, "check", "--suite", "csref", "--cases", "-3")
+        assert code == 2 and out == "" and err == "parse error: --cases must be 0 or more, got -3\n"
+
+    def test_zero_cases_is_an_empty_report(self, capsys):
+        code, doc, _ = run_json(capsys, "check", "--suite", "csref", "--cases", "0")
+        assert code == 0 and doc["results"]["cases"] == 0 and doc["results"]["reports"] == []
 
 
 class TestKpCmd:
@@ -150,6 +158,16 @@ class TestKpCmd:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "stage,cardinality,threshold"
         assert len(lines) > 5
+
+
+@pytest.mark.parametrize("cmd", ("kp", "decompose"))
+def test_unwritable_csv_is_a_parse_error(capsys, tmp_path, cmd):
+    p = tmp_path / "ap.txt"
+    p.write_text(" ".join(str(v) for v in range(1, 17)))
+    csv_path = tmp_path / "missing" / "trace.csv"
+    code, out, err = run(capsys, cmd, "--csv", str(csv_path), str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: cannot write --csv: ") and str(csv_path) in err and err.count("\n") == 1
 
 
 class TestDecomposeCmd:

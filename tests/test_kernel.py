@@ -249,20 +249,43 @@ def test_self_pair_equals_pair_with_a_copy(monkeypatch, name, additive, kind, va
 
 
 def _cells(blocks, lo, wbits):
-    """The (value, weight) of every cell of packed ``blocks``."""
+    """The (value, weight) of every cell of ``blocks``: packed keys for a
+    layout (lo, wbits), else values with their weights apart (None for 0)."""
+    if lo is None:
+        return Counter(
+            (v, w) for k, ws in blocks for v, w in zip(k.tolist(), [0] * len(k) if ws is None else ws.tolist())
+        )
     keys = np.concatenate([k for k, _ in blocks]).astype(object)
     return Counter(zip(((keys >> wbits) + lo).tolist(), (keys & ((1 << wbits) - 1)).tolist()))
 
 
+def _triangle(f, op):
+    """The literal upper triangle of f x f with its diagonal, as (value,
+    weight) cells: 2 c_i c_j off the diagonal, c_i^2 on it, 0 unweighted."""
+    v = f.vals.tolist()
+    c = f.cnts.tolist() if f.counted and f.total != f.size else [0] * f.size
+    return Counter((op(v[i], v[j]), (1 + (i < j)) * c[i] * c[j]) for i in range(f.size) for j in range(i, f.size))
+
+
+def _block_rows(blocks, n):
+    """The rows of each block of an n-row triangle, from the blocks' sizes."""
+    rows, r = [], 0
+    for keys, _ in blocks:
+        first, size = r, len(keys)
+        while size:
+            size -= n - r
+            r += 1
+        rows.append(r - first)
+    return rows
+
+
 def test_triangle_blocks_stay_within_chunk(monkeypatch):
     # rows of 14, 13, ..., 1 cells, diagonal included.  The keys are 32-bit,
-    # so a block takes whole rows up to 2 * _CHUNK = 40 cells; the blocks
-    # starting with rows of 14 and 11 cells are written row by row, the one
-    # starting with 7 cells as one masked outer product.
+    # so a block takes whole rows up to 2 * _CHUNK = 40 cells, two at a time
+    # at _GROUP = 2: the blocks of 3 and 7 rows end mid-group.
     monkeypatch.setattr(_kernel, "_CHUNK", 20)
-    monkeypatch.setattr(_kernel, "_SHORT_ROW", 7)
+    monkeypatch.setattr(_kernel, "_GROUP", 2)
     f = _operand(range(-20, 22, 3), "weighted", [1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3, 4, 5])
-    v, c = f.vals.tolist(), f.cnts.tolist()
     wbits = (2 * 9 * 9).bit_length()
     for additive, op in ((True, lambda a, b: a + b), (False, lambda a, b: a * b)):
         lo, hi = _kernel.grid_bounds(f.lo, f.hi, f.lo, f.hi, additive)
@@ -270,10 +293,44 @@ def test_triangle_blocks_stay_within_chunk(monkeypatch):
         assert dtype is np.uint32 and _kernel.block_cells(dtype) == 40
         blocks = list(_kernel._row_blocks(f, f, additive, True, dtype, lo, wbits))
         assert [len(k) for k, _ in blocks] == [14 + 13 + 12, 11 + 10 + 9 + 8, 7 + 6 + 5 + 4 + 3 + 2 + 1]
+        assert _block_rows(blocks, 14) == [3, 4, 7]
         assert all(k.dtype == dtype and w is None for k, w in blocks)
-        # an off-diagonal cell weighs 2 c_i c_j, a diagonal one c_i^2
-        want = Counter((op(v[i], v[j]), (1 + (i < j)) * c[i] * c[j]) for i in range(14) for j in range(i, 14))
-        assert _cells(blocks, lo, wbits) == want
+        assert _cells(blocks, lo, wbits) == _triangle(f, op)
+
+
+# Each self-pair's extremes -S and S set its key width: 32 bits, 64, or
+# (weighted, 5 weight bits) 65 and more, where the values and weights of
+# int64 cells go apart; unweighted grids stay at 64 there.
+_TRIANGLE_EXTREMES = {True: {32: 1000, 64: 2**40, 65: 2**60}, False: {32: 1000, 64: 2**25, 65: 2**30}}
+
+
+@pytest.mark.parametrize("rows", (3, 4, 5, 11))  # _GROUP - 1, _GROUP, _GROUP + 1, 2 _GROUP + 3
+@pytest.mark.parametrize("chunk", (3, 12))
+@pytest.mark.parametrize("kind", ("plain", "unit", "weighted"))
+@pytest.mark.parametrize("additive", (True, False))
+@pytest.mark.parametrize("width", (32, 64, 65))
+def test_grouped_triangle(monkeypatch, rows, chunk, kind, additive, width):
+    # groups of 4 rows; at _CHUNK = 3 every triangle has a block that ends
+    # mid-group (of 2 or 3 rows), at 12 blocks of 5 and 6 rows hold a
+    # whole group and part of the next
+    monkeypatch.setattr(_kernel, "_GROUP", 4)
+    monkeypatch.setattr(_kernel, "_CHUNK", chunk)
+    S = _TRIANGLE_EXTREMES[additive][width]
+    f = _operand([-S, 0, S] + [3 * k * (-1) ** k for k in range(1, rows - 2)], kind, [1, 2, 3] * 4)
+    weighted = kind == "weighted"
+    lo, hi = _kernel.grid_bounds(f.lo, f.hi, f.lo, f.hi, additive)
+    wbits = 5 if weighted else 0
+    dtype = _kernel.key_dtype(hi - lo, wbits)
+    assert dtype is {32: np.uint32, 64: np.uint64, 65: None if weighted else np.uint64}[width]
+    layout = (lo, wbits)
+    if dtype is None:
+        dtype, lo, wbits, layout = np.int64, 0, 0, (None, 0)
+    blocks = list(_kernel._row_blocks(f, f, additive, weighted, dtype, lo, wbits))
+    budget = _kernel.block_cells(dtype)
+    assert all(len(k) <= budget or r == 1 for (k, _), r in zip(blocks, _block_rows(blocks, rows)))
+    assert sum(_block_rows(blocks, rows)) == rows
+    assert _cells(blocks, *layout) == _triangle(f, (lambda a, b: a + b) if additive else (lambda a, b: a * b))
+    assert _content(_kernel._sort_count(f, f, additive)) == _content(_kernel._python(f, f, additive))
 
 
 @pytest.mark.parametrize("self_pair", (False, True))
