@@ -3,8 +3,14 @@ emit deterministic JSON reports.
 
 Reports are byte-identical for identical (command, input, seed): counts
 are decimal strings, key order is sorted, and wall-time is only included
-when --timing is passed.  Exit codes: 0 ok, 1 failed mandatory check,
-2 parse error, 3 guard violation.
+when --timing is passed.
+
+Exit codes: 0 ok; 1 a failed verdict (a mandatory check, an extraction)
+or a library defect; 2 a refused input or configuration; 3 a guard (a
+work, counter-width or precision bound).  Every refusal is an
+EnergiaError whose class declares its code; it prints one stderr line,
+"error: ", "parse error: " or "guard violation: " and the message, and
+no report.  argparse's own errors exit 2 with its usage text.
 """
 
 import argparse
@@ -39,14 +45,10 @@ from .decomposer import (
     minimal_adversary,
 )
 from .energy import ADDITIVE, MULTIPLICATIVE, energy, energy_oracle, mixed_energy
-from .errors import EnergiaError, PrecisionError, TooLargeError, OverflowGuardError
+from .errors import BadParamsError, EnergiaError
 from .sets import IntSet, generate, iterated_product_set, iterated_sumset
 
 _MODES = {"add": ADDITIVE, "additive": ADDITIVE, "mult": MULTIPLICATIVE, "multiplicative": MULTIPLICATIVE}
-
-
-class ParseFailure(Exception):
-    pass
 
 
 def _read_input(path) -> IntSet:
@@ -57,24 +59,24 @@ def _read_input(path) -> IntSet:
             with open(path) as fh:
                 text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ParseFailure(str(exc))
+        raise BadParamsError(str(exc))
     text = text.strip()
     if not text:
-        raise ParseFailure("empty input")
+        raise BadParamsError("empty input")
     try:
         if not text.startswith("["):
             # without "+", "_" and non-ASCII text, int() takes a token only if it is -?[0-9]+
             if not text.isascii() or "+" in text or "_" in text:
-                raise ParseFailure("integers must be ASCII tokens -?[0-9]+")
+                raise BadParamsError("integers must be ASCII tokens -?[0-9]+")
             return IntSet(int(tok) for tok in text.split())
         vals = json.loads(text)
     except ValueError as exc:
-        raise ParseFailure(f"cannot parse input: {exc}")
+        raise BadParamsError(f"cannot parse input: {exc}")
     if not isinstance(vals, list):
-        raise ParseFailure("JSON input must be an array")
+        raise BadParamsError("JSON input must be an array")
     bad = [v for v in vals if type(v) is not int]  # strings, floats, booleans, null, ...
     if bad:
-        raise ParseFailure(f"JSON input must hold integers, got {json.dumps(bad[0])}")
+        raise BadParamsError(f"JSON input must hold integers, got {json.dumps(bad[0])}")
     return IntSet(vals)
 
 
@@ -188,7 +190,7 @@ def _write_csv(path, rows, header):
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows([header, *rows])
     except OSError as exc:
-        raise ParseFailure(f"cannot write --csv: {exc}")
+        raise BadParamsError(f"cannot write --csv: {exc}")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -263,9 +265,9 @@ _SUITES = {
 
 def cmd_check(args):
     if args.suite != "all" and args.suite not in _SUITES:
-        raise ParseFailure(f"unknown suite {args.suite!r}")
+        raise BadParamsError(f"unknown suite {args.suite!r}")
     if args.cases < 0:
-        raise ParseFailure(f"--cases must be 0 or more, got {args.cases}")
+        raise BadParamsError(f"--cases must be 0 or more, got {args.cases}")
     rng = random.Random(args.seed)
     suites = _SUITES if args.suite == "all" else (args.suite,)
     all_reports = [r for name in suites for _ in range(args.cases) for r in _SUITES[name](rng)]
@@ -388,11 +390,7 @@ def cmd_gen(args):
         v = getattr(args, f"g_{key}", None)
         if v is not None:
             params[key] = v
-    try:
-        A = generate(args.kind, **params)
-    except TypeError as exc:
-        raise ParseFailure(str(exc))
-    print(json.dumps([int(v) for v in A]))
+    print(json.dumps([int(v) for v in generate(args.kind, **params)]))
     return 0
 
 
@@ -522,6 +520,7 @@ def build_parser():
 
 
 _PARSER = None
+_LABELS = {1: "error", 2: "parse error", 3: "guard violation"}  # stderr prefix by exit code
 
 
 def main(argv=None):
@@ -534,15 +533,9 @@ def main(argv=None):
     args._t0 = time.monotonic()
     try:
         return args.fn(args)
-    except ParseFailure as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except (TooLargeError, OverflowGuardError, PrecisionError) as exc:
-        print(f"guard violation: {exc}", file=sys.stderr)
-        return 3
     except EnergiaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        print(f"{_LABELS[exc.code]}: {exc}", file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -74,14 +74,14 @@ def log2(x):
 def guarded_floor(v):
     """floor(v) of an mpf computed at the configured precision.
 
-    A non-integer v within 2**-(bits/2) of an integer, on either side,
-    raises PrecisionError: its true value may lie across that integer.
+    A non-integer v that :func:`guarded_cmp` cannot tell from floor(v) or
+    floor(v) + 1 raises PrecisionError: its true value may lie across
+    that integer.
     """
-    bits = precision_bits()
-    with mpmath.workprec(bits):
+    with working():
         f = mpmath.floor(v)
-        if v != f and min(v - f, f + 1 - v) < mpmath.mpf(2) ** -(bits // 2):
-            raise PrecisionError(f"value too close to an integer to round; raise {PRECISION_ENV} to certify")
+        guarded_cmp(v, f)
+        guarded_cmp(v, f + 1)
         return f
 
 

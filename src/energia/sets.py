@@ -16,6 +16,7 @@ prints, come from the arrays.  Every object is immutable and every
 operation is pure.
 """
 
+import inspect
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -253,9 +254,13 @@ GENERATORS = {
 
 
 def generate(kind: str, **params) -> IntSet:
-    """Dispatch to one of the named generators."""
+    """Dispatch to one of the named generators; an unknown kind, or
+    parameters that do not fit its signature, raise BadParamsError."""
     try:
         fn = GENERATORS[kind]
+        bound = inspect.signature(fn).bind(**params)
     except KeyError:
         raise BadParamsError(f"unknown generator kind {kind!r}") from None
-    return fn(**params)
+    except TypeError as exc:
+        raise BadParamsError(str(exc)) from None
+    return fn(*bound.args, **bound.kwargs)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from energia import cli, errors
 from energia.cli import build_parser, main
 from energia.energy import MULTIPLICATIVE, energy
 from energia.sets import GENERATORS, IntSet, generate
@@ -219,8 +220,8 @@ class TestDecomposeCmd:
         p = tmp_path / "zero.txt"
         p.write_text("0\n")
         code, out, err = run(capsys, "decompose", "--extractor", "bogus", str(p))
-        assert code == 1 and out == ""
-        assert "unknown extractor 'bogus'" in err
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: unknown extractor 'bogus'")
 
 
 class TestConstantsCmd:
@@ -253,8 +254,8 @@ def test_non_finite_parameters_are_errors(capsys, abc_file, argv, name):
     if argv[0] != "constants":
         argv = argv + [abc_file]
     code, out, err = run(capsys, *argv)
-    assert code == 1 and out == ""
-    assert err.startswith(f"error: {name} must be finite") and "Traceback" not in err
+    assert code == 2 and out == ""
+    assert err.startswith(f"parse error: {name} must be finite") and "Traceback" not in err
 
 
 class TestGenCmd:
@@ -336,3 +337,86 @@ def test_determinism_byte_identical(capsys, abc_file):
     _, c1, _ = run(capsys, "check", "--suite", "yoc", "--cases", "5", "--seed", "3")
     _, c2, _ = run(capsys, "check", "--suite", "yoc", "--cases", "5", "--seed", "3")
     assert c1 == c2
+
+
+# -- exit-code contract ------------------------------------------------------
+
+SET8 = "1 2 3 4 5 6 7 8"
+
+# (argv, input text or None, environment): every refusal of an input or
+# a configuration exits 2 with one "parse error:" line and no report
+REFUSALS = [
+    (("energy", "--s", "0"), SET8, {}),
+    (("sumset", "--m", "-1"), SET8, {}),
+    (("sumset", "--m", "0", "--n", "0"), SET8, {}),
+    (("sumset", "--mode", "mult", "--n", "1"), "0 1 2", {}),
+    (("kp", "--s", "5"), SET8, {}),
+    (("kp", "--delta", "-1"), SET8, {}),
+    (("kp",), "[5]", {}),
+    (("decompose", "--q", "0"), SET8, {}),
+    (("decompose", "--k", "-1"), SET8, {}),
+    (("decompose", "--s", "66"), SET8, {}),
+    (("decompose", "--extractor", "nope"), SET8, {}),
+    (("constants", "com2", "--n-int", "0"), None, {}),
+    (("constants", "gemn", "--q", "3"), None, {}),
+    (("constants", "thrt", "--s", "7"), None, {}),
+    (("constants", "rtp", "--k-int", "1"), None, {}),
+    (("energy",), "[]", {}),
+    (("sumset",), "[]", {}),
+    (("kp",), "[]", {}),
+    (("decompose",), "[]", {}),
+    (("energy",), "", {}),
+    (("gen", "ap", "--start", "1", "--step", "1", "--n", "0"), None, {}),
+    (("gen", "ap", "--n", "3"), None, {}),
+    (("energy",), SET8, {"ENERGIA_PRECISION_BITS": "x"}),
+]
+
+
+def _run_case(capsys, monkeypatch, tmp_path, argv, text, env):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    if text is not None:
+        p = tmp_path / "input.txt"
+        p.write_text(text)
+        argv = argv + (str(p),)
+    return run(capsys, *argv)
+
+
+@pytest.mark.parametrize(
+    "argv, text, env", REFUSALS, ids=[" ".join(a) + f" <{t}>" + "".join(f" {k}" for k in e) for a, t, e in REFUSALS]
+)
+def test_every_refusal_exits_2(capsys, monkeypatch, tmp_path, argv, text, env):
+    code, out, err = _run_case(capsys, monkeypatch, tmp_path, argv, text, env)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("energy", "--oracle", "--guard-max-tuples", "1"), SET8),
+        (("energy", "--s", "13"), " ".join(str(v) for v in range(1, 31))),
+    ],
+)
+def test_guards_exit_3(capsys, monkeypatch, tmp_path, argv, text):
+    code, out, err = _run_case(capsys, monkeypatch, tmp_path, argv, text, {})
+    assert (code, out) == (3, "")
+    assert err.startswith("guard violation: ") and err.count("\n") == 1
+
+
+def test_failed_extraction_exits_1_with_its_report(capsys, monkeypatch, tmp_path):
+    # 20 elements are past the exhaustive extractor's cap
+    argv = ("decompose", "--k", "1.5", "--s", "2", "--q", "4", "--extractor", "exhaustive")
+    code, out, err = _run_case(capsys, monkeypatch, tmp_path, argv, " ".join(str(2**i) for i in range(20)), {})
+    assert (code, err) == (1, "") and json.loads(out)["results"]["failed"]
+
+
+@pytest.mark.parametrize("cls", [c for c in vars(errors).values() if isinstance(c, type) and c.__module__ == errors.__name__])
+def test_each_error_class_exits_with_its_code(capsys, monkeypatch, abc_file, cls):
+    def refuse(*args, **kwargs):
+        raise cls("refused")
+
+    monkeypatch.setattr(cli, "energy", refuse)
+    code, out, err = run(capsys, "energy", abc_file)
+    label = {1: "error", 2: "parse error", 3: "guard violation"}[cls.code]
+    assert (code, out) == (cls.code, "") and err == f"{label}: {cls('refused')}\n"

@@ -32,10 +32,10 @@ def test_malformed_precision_bits_in_the_cli(monkeypatch, capsys, tmp_path):
     path = tmp_path / "a.txt"
     path.write_text("1 2 3\n")
     monkeypatch.setenv(precision.PRECISION_ENV, "lots")
-    assert main(["energy", str(path)]) == 1
+    assert main(["energy", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "ENERGIA_PRECISION_BITS='lots'" in captured.err
+    assert captured.err.startswith("parse error: ENERGIA_PRECISION_BITS='lots'")
 
 
 def test_rational_coercion():

@@ -177,6 +177,13 @@ class TestGenerators:
         with pytest.raises(BadParamsError):
             generate("nope", n=3)
 
+    @pytest.mark.parametrize(
+        "kind, params", [("ap", {"n": 3}), ("interval", {"n": 3, "step": 1}), ("powers", {"k": 2}), ("mixed", {})]
+    )
+    def test_generate_refuses_parameters_its_kind_does_not_take(self, kind, params):
+        with pytest.raises(BadParamsError, match="argument"):
+            generate(kind, **params)
+
     def test_bad_params(self):
         with pytest.raises(BadParamsError):
             ap(0, 0, 5)

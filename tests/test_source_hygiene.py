@@ -14,13 +14,17 @@ keys held by ``energy.RepFunction``; they keep every comparison of
 mpf values inside ``precision.py``, with ``bsg.py`` free of mpmath; they
 keep the choice between int64 and object arrays in ``_kernel.py``; they
 keep the sort that merges equal values of a grid in ``_kernel.py``; and
-they keep every class in ``errors.py`` raised somewhere in the library.
+they keep every class in ``errors.py`` raised somewhere in the library,
+each declaring its own exit code, as README's exit-code table lists it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+from energia import errors
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "energia"
 MODULES = sorted(SRC.glob("*.py"))
@@ -328,3 +332,47 @@ def test_unraised_errors_are_found():
     )
     module = "def f(x):\n    if x:\n        raise Leaf('no')\n    raise Named\n\nOther('built, not raised')\n"
     assert _unraised_errors(ast.parse(errors), [ast.parse(module)]) == ["Dead", "Other"]
+
+
+# The CLI's exit status is the ``code`` of the error class it caught, so
+# every class declares its own: an inherited code would silently give a
+# new class its base's meaning.
+EXIT_CODES = {1, 2, 3}
+README = SRC.parent.parent / "README.md"
+
+
+def _error_classes():
+    return [cls for cls in vars(errors).values() if isinstance(cls, type) and cls.__module__ == errors.__name__]
+
+
+def _uncoded(classes):
+    """The names of the classes that do not declare a ``code`` of their own
+    in ``EXIT_CODES``."""
+    return [cls.__name__ for cls in classes if cls.__dict__.get("code") not in EXIT_CODES]
+
+
+def test_every_error_class_declares_its_exit_code():
+    classes = _error_classes()
+    assert len(classes) >= 18 and errors.EnergiaError in classes
+    assert not _uncoded(classes), f"errors.py classes without their own exit code: {_uncoded(classes)}"
+
+
+def test_uncoded_errors_are_found():
+    class Base(Exception):
+        code = 2
+
+    class Inherits(Base):
+        pass
+
+    class Zero(Base):
+        code = 0
+
+    assert _uncoded([Base, Inherits, Zero]) == ["Inherits", "Zero"]
+
+
+def test_readme_exit_code_table_names_every_class():
+    rows = re.findall(r"^\| (\d) \|(.*)$", README.read_text(), re.M)
+    named = {int(code): set(re.findall(r"`(\w+Error)`", rest)) for code, rest in rows}
+    assert set(named) == {0} | EXIT_CODES
+    for code in EXIT_CODES:
+        assert named[code] == {cls.__name__ for cls in _error_classes() if cls.code == code}, f"exit {code}"
