@@ -10,7 +10,7 @@ or a library defect; 2 a refused input or configuration; 3 a guard (a
 work, counter-width or precision bound).  Every refusal is an
 EnergiaError whose class declares its code; it prints one stderr line,
 "error: ", "parse error: " or "guard violation: " and the message, and
-no report.  argparse's own errors exit 2 with its usage text.
+no report.  A malformed command line is refused the same way, exit 2.
 """
 
 import argparse
@@ -39,6 +39,7 @@ from .checks import (
 from .constants import eric_params, gemn_params, rtp_constants, thrt_trace
 from .decomposer import (
     DecomposeConfig,
+    certificates,
     com2_budget,
     com2_simulate,
     decompose,
@@ -201,7 +202,7 @@ def cmd_energy(args):
     mode = _MODES[args.mode]
     e = energy(A, args.s, mode)
     exponent = None  # log_|A| of the count
-    if len(A) >= 2 and e.count > 0:
+    if len(A) >= 2:
         with precision.working():
             exponent = precision.show(precision.log2(e.count) / precision.log2(len(A)), 20)
     results = {
@@ -309,33 +310,11 @@ def cmd_kp(args):
     return 0
 
 
-def _certificates(A, d, cfg):
-    """E_s(B) and M_s(C) of the decomposition d of A, each tested against
-    |part|^(2s - k); an empty part holds with count 0."""
-    exp = 2 * cfg.s - cfg.k
-    # one sign and no 0: C is the residual of the one loop, whose stop report
-    # (unless an extraction failed, or |C| <= 1) already holds M_s(C) = M_s(-C)
-    stop_count = len(d.C) > 1 and d.stop_report is not None and (A.elements[0] > 0 or A.elements[-1] < 0)
-    certs = {}
-    for label, part, mode in (("B", d.B, ADDITIVE), ("C", d.C, MULTIPLICATIVE)):
-        if len(part) == 0:
-            certs[label] = {"count": "0", "holds": True, "size": 0}
-            continue
-        e = d.stop_report.lhs if label == "C" and stop_count else energy(part, cfg.s, mode).count
-        certs[label] = {
-            "count": str(e),
-            "size": len(part),
-            "exponent": str(exp),
-            "holds": precision.cmp_count_power(e, len(part), exp) <= 0,
-        }
-    return certs
-
-
 def cmd_decompose(args):
     A = _read_input(args.input)
     cfg = DecomposeConfig(k=args.k, s=args.s, q=args.q, mode=args.mode, extractor=args.extractor)
     d = decompose(A, cfg)
-    certs = _certificates(A, d, cfg)
+    certs = certificates(A, d, cfg)
     results = {
         "input_digest": _digest(A),
         "B": [str(v) for v in d.B],
@@ -404,7 +383,7 @@ def cmd_experiment(args):
         A = IntSet(list(range(1, 33)) + [3**i for i in range(16)])
         cfg = DecomposeConfig(k=Fraction(6, 5), s=2, q=4, mode=CALIBRATED)
         d = decompose(A, cfg)  # raises past the iteration budget
-        certs = _certificates(A, d, cfg)
+        certs = certificates(A, d, cfg)
         ok = certs["B"]["holds"] and certs["C"]["holds"]
         results = {
             "experiment": name,
@@ -438,8 +417,15 @@ def cmd_experiment(args):
 # -- argument wiring ---------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is a refused configuration; subcommand parsers share the class."""
+
+    def error(self, message):
+        raise BadParamsError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="energia", description=__doc__)
+    p = _Parser(prog="energia", description=__doc__)
     p.add_argument("--timing", action="store_true", help="include wall time in the report")
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -528,10 +514,10 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     if _PARSER is None:  # built on the first call, not at import
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
-    args._command_echo = " ".join(["energia"] + argv)
-    args._t0 = time.monotonic()
     try:
+        args = _PARSER.parse_args(argv)
+        args._command_echo = " ".join(["energia"] + argv)
+        args._t0 = time.monotonic()
         return args.fn(args)
     except EnergiaError as exc:
         print(f"{_LABELS[exc.code]}: {exc}", file=sys.stderr)

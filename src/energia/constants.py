@@ -18,13 +18,8 @@ from .errors import BadParamsError, InvariantError
 
 
 def _ceil_log2(k: Fraction) -> int:
-    """ceil(log2 k) exactly for rational k >= 1."""
-    e = 0
-    p = Fraction(1)
-    while p < k:
-        p *= 2
-        e += 1
-    return e
+    """ceil(log2 k) exactly for rational k >= 1: 2^e >= k exactly when 2^e >= ceil(k)."""
+    return (math.ceil(k) - 1).bit_length()
 
 
 def gemn_params(k, q: int) -> dict:

@@ -12,6 +12,7 @@ exponents are decided by clearing denominators, never by floats.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 import mpmath
@@ -166,21 +167,13 @@ def _extract_kp(A_i: IntSet, mode: str, energy_mode: str, arity: int):
 
 
 def _extract_exhaustive(A_i: IntSet, cert_mode: str, arity_half: int):
+    """The least-energy subset of at least ceil(|A_i|^(1-c)) elements, least members on a tie.  A set has
+    no less energy than its subsets, so the minimum is met at exactly that size."""
     if len(A_i) > _EXHAUSTIVE_CAP:
         raise TooLargeError(f"exhaustive extractor limited to |A| <= {_EXHAUSTIVE_CAP}")
-    # guaranteed fraction by construction: only subsets of size >= |A|^(1-c)
-    min_size = max(1, min_deletion(len(A_i), _FRAC_C, Fraction(1)))
-    elems = list(A_i)
-    best = None
-    for mask in range(1, 1 << len(elems)):
-        members = tuple(elems[i] for i in range(len(elems)) if mask >> i & 1)
-        if len(members) < min_size:
-            continue
-        e = energy(IntSet(members), arity_half, cert_mode).count
-        key = (e, len(members), members)
-        if best is None or key < best:
-            best = key
-    return IntSet(best[2])
+    size = min_deletion(len(A_i), _FRAC_C, Fraction(1))
+    _, members = min((energy(IntSet(D), arity_half, cert_mode).count, D) for D in combinations(A_i, size))
+    return IntSet(members)
 
 
 # -- the two loops -----------------------------------------------------------
@@ -267,6 +260,28 @@ def decompose(A: IntSet, cfg: DecomposeConfig) -> Decomposition:
     B, C = IntSet(B_all), IntSet(C_all)
     _check_partition(A, B, C)
     return Decomposition(B, C, trace_all, budget, iterations, stop_report, failed)
+
+
+def certificates(A: IntSet, d: Decomposition, cfg: DecomposeConfig) -> dict:
+    """E_s(B) and M_s(C) of the decomposition ``d = decompose(A, cfg)``,
+    each tested against |part|^(2s - k); an empty part holds with count 0."""
+    exp = 2 * cfg.s - cfg.k
+    # one sign and no 0: C is the residual of the one loop, whose stop report (unless an
+    # extraction failed) holds M_s(C) = M_s(-C), or |C| = M_s(C) when |C| <= 1
+    stop_count = d.stop_report is not None and (A.elements[0] > 0 or A.elements[-1] < 0)
+    certs = {}
+    for label, part, mode in (("B", d.B, ADDITIVE), ("C", d.C, MULTIPLICATIVE)):
+        if len(part) == 0:
+            certs[label] = {"count": "0", "holds": True, "size": 0}
+            continue
+        e = d.stop_report.lhs if label == "C" and stop_count else energy(part, cfg.s, mode).count
+        certs[label] = {
+            "count": str(e),
+            "size": len(part),
+            "exponent": str(exp),
+            "holds": precision.cmp_count_power(e, len(part), exp) <= 0,
+        }
+    return certs
 
 
 def decompose_eric(A: IntSet, cfg: DecomposeConfig) -> Decomposition:

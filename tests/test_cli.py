@@ -6,6 +6,7 @@ import pytest
 
 from energia import cli, errors
 from energia.cli import build_parser, main
+from energia.decomposer import certificates
 from energia.energy import MULTIPLICATIVE, energy
 from energia.sets import GENERATORS, IntSet, generate
 
@@ -187,11 +188,17 @@ class TestDecomposeCmd:
     @pytest.mark.parametrize("sign, zero, recounted", [(1, False, False), (-1, False, False), (1, True, True)])
     def test_C_count_comes_from_the_stop_report(self, capsys, tmp_path, monkeypatch, sign, zero, recounted):
         # one sign and no 0: C is the loop's residual, whose M_s the stop
-        # report holds (M_s(-C) = M_s(C)), so only B's energy is computed
-        from energia import cli
+        # report holds (M_s(-C) = M_s(C)), so the certificates compute only
+        # B's energy
+        from energia import decomposer
 
         calls = []
-        monkeypatch.setattr(cli, "energy", lambda A, s, mode: calls.append(mode) or energy(A, s, mode))
+
+        def spied(*args):
+            monkeypatch.setattr(decomposer, "energy", lambda A, s, mode: calls.append(mode) or energy(A, s, mode))
+            return certificates(*args)
+
+        monkeypatch.setattr(cli, "certificates", spied)
         vals = [sign * v for v in [1, 2, 3, 4, 5, 8, 16, 32, 64, 128]] + ([0] if zero else [])
         p = tmp_path / "set.txt"
         p.write_text(" ".join(str(v) for v in vals))
@@ -369,6 +376,9 @@ REFUSALS = [
     (("gen", "ap", "--start", "1", "--step", "1", "--n", "0"), None, {}),
     (("gen", "ap", "--n", "3"), None, {}),
     (("energy",), SET8, {"ENERGIA_PRECISION_BITS": "x"}),
+    (("energy", "--s", "x"), SET8, {}),
+    (("kp", "--delta", "abc"), SET8, {}),
+    ((), None, {}),
 ]
 
 
@@ -389,6 +399,12 @@ def test_every_refusal_exits_2(capsys, monkeypatch, tmp_path, argv, text, env):
     code, out, err = _run_case(capsys, monkeypatch, tmp_path, argv, text, env)
     assert (code, out) == (2, "")
     assert err.startswith("parse error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: energia")
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from energia import constants
 from energia.constants import (
@@ -21,6 +22,26 @@ from energia.errors import BadParamsError, InvariantError
 
 def _is_exact(x):
     return isinstance(x, (int, Fraction))
+
+
+def _ceil_log2_loop(k):
+    e, p = 0, Fraction(1)
+    while p < k:
+        p *= 2
+        e += 1
+    return e
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(min_value=1, max_value=2**70, max_denominator=10**6))
+@example(Fraction(1))
+@example(Fraction(2))
+@example(Fraction(2**40))
+@example(Fraction(2**40 + 1, 1))
+@example(Fraction(2**40 + 1, 2**40))
+@example(Fraction(2**40 - 1, 2**39))
+def test_ceil_log2_matches_doubling(k):
+    assert constants._ceil_log2(k) == _ceil_log2_loop(k)
 
 
 class TestGemnParams:

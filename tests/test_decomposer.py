@@ -1,12 +1,15 @@
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from energia import decomposer, precision
 from energia.decomposer import (
     DecomposeConfig,
+    certificates,
     com2_budget,
     com2_simulate,
     decompose,
@@ -22,6 +25,7 @@ from energia.errors import (
     ExtractorFailedError,
     InvariantError,
     ParameterTooLargeError,
+    TooLargeError,
 )
 from energia.sets import IntSet, ap, gp, interval
 
@@ -157,6 +161,21 @@ class TestDecompose:
         with pytest.raises(BadParamsError):
             decompose(IntSet([]), CFG)
 
+    @pytest.mark.parametrize(
+        "A",
+        [MIX, gp(1, 3, 16), interval(16), IntSet([-3, -9, -27, 0, 2, 4, 8, 16]), IntSet([-16, -8, -4, -2, -1]), IntSet([7])],
+        ids=["mix", "gp", "interval", "signed", "negative", "singleton"],
+    )
+    def test_certificates_count_each_part(self, A):
+        # a certificate read from the stop report equals a fresh count
+        d = decompose(A, CFG)
+        certs = certificates(A, d, CFG)
+        for label, part, mode in (("B", d.B, ADDITIVE), ("C", d.C, MULTIPLICATIVE)):
+            count = energy(part, 2, mode).count if len(part) else 0
+            assert certs[label]["count"] == str(count) and certs[label]["size"] == len(part)
+            holds = not len(part) or precision.cmp_count_power(count, len(part), Fraction(14, 5)) <= 0
+            assert certs[label]["holds"] == holds
+
     def test_immediate_stop_takes_one_energy(self, monkeypatch):
         # the stop certificate of a residual is decided once, and reported
         calls = []
@@ -171,6 +190,54 @@ class TestDecompose:
         assert d.iterations_used == 0 and d.C == A
         assert d.stop_report.holds and d.stop_report.rhs == "|C|^14/5"
         assert len(calls) == 1
+
+
+def _all_masks_exhaustive(A_i, cert_mode, arity_half):
+    """The exhaustive extractor as it was first written: every subset of
+    at least the extraction size, least (energy, size, members) first."""
+    min_size = max(1, min_deletion(len(A_i), Fraction(1, 2), Fraction(1)))
+    elems = list(A_i)
+    best = None
+    for mask in range(1, 1 << len(elems)):
+        members = tuple(elems[i] for i in range(len(elems)) if mask >> i & 1)
+        if len(members) < min_size:
+            continue
+        e = energy(IntSet(members), arity_half, cert_mode).count
+        key = (e, len(members), members)
+        if best is None or key < best:
+            best = key
+    return IntSet(best[2])
+
+
+class TestExhaustiveExtractor:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sets(st.integers(-30, 30), min_size=1, max_size=10),
+        st.sampled_from([ADDITIVE, MULTIPLICATIVE]),
+        st.sampled_from([1, 2]),
+    )
+    # energies tie here, and the least members tuple breaks the tie
+    @example({-22, -11, -2, 0, 7, 8, 9, 10, 11, 12}, ADDITIVE, 2)
+    def test_matches_all_masks(self, values, mode, arity_half):
+        A = IntSet(values)
+        assert decomposer._extract_exhaustive(A, mode, arity_half) == _all_masks_exhaustive(A, mode, arity_half)
+
+    def test_scores_only_the_minimum_size(self, monkeypatch):
+        # 16 elements: the C(16, 4) subsets of size ceil(sqrt(16)) = 4, no others
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return energy(*args)
+
+        monkeypatch.setattr(decomposer, "energy", counted)
+        A = IntSet(random.Random(5).sample(range(-10**4, 10**4), 16))
+        D = decomposer._extract_exhaustive(A, MULTIPLICATIVE, 1)
+        assert len(calls) == math.comb(16, 4) == 1820 and set(calls) == {4} and len(D) == 4
+
+    def test_over_cap_refused(self):
+        with pytest.raises(TooLargeError):
+            decomposer._extract_exhaustive(interval(17), ADDITIVE, 1)
 
 
 class TestDecomposeEric:
