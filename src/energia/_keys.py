@@ -18,6 +18,11 @@ below 2**62, every key fits int64 and multiplicative work becomes the
 kernel's additive work on keys.  Values are rebuilt from keys only where
 a caller reads them, once per distinct key.
 
+``encode`` builds the base with array passes: the remainders of the
+elements not yet factored sit in one array, the first remainder above 1
+refines the base by gcds, and each new piece is divided out of every
+remainder at once, its exponent read from a gcd with a power of it.
+
 ``codec_for`` decides when keys pay: for products of more than one
 element of a positive set, once they could reach 2**62.
 """
@@ -27,6 +32,8 @@ from math import gcd, prod
 import numpy as np
 
 from . import _kernel
+
+_BLOCK = 64  # remainders in the first block of ``encode``
 
 
 def codec_for(elements, arity):
@@ -41,16 +48,18 @@ def codec_for(elements, arity):
 
 class Codec:
     """A coprime base with its mixed-radix layout, the keys of the
-    encoded elements (int64, in their order) and the largest of them."""
+    encoded elements (int64, in their order) and the largest of them.
+
+    ``exponents`` is the int64 matrix of the elements' exponents, one row
+    per base element, and each key is the sum of a column's exponents
+    times the places."""
 
     __slots__ = ("base", "places", "radices", "arity", "keys", "hi")
 
-    def __init__(self, base, radices, arity, vectors, hi):
+    def __init__(self, base, radices, arity, exponents, hi):
         self.base, self.radices, self.arity, self.hi = base, radices, arity, hi
         self.places = [prod(radices[:i]) for i in range(len(base))]
-        self.keys = np.array(
-            [sum(v.get(p, 0) * w for p, w in zip(base, self.places)) for v in vectors], dtype=np.int64
-        )
+        self.keys = np.array(self.places, dtype=np.int64) @ exponents
 
     def decode(self, keys, dtype):
         """The value of each int64 key, as an array of ``dtype`` (int64 when
@@ -85,40 +94,63 @@ class Codec:
 
 
 def encode(elements, arity):
-    """The codec of the positive ``elements`` for products of at most
-    ``arity`` of them, or None once the radix span reaches 2**62.
+    """The codec of the sorted, distinct, positive ``elements`` for
+    products of at most ``arity`` of them, or None once the radix span
+    reaches 2**62.
 
-    One pass over the elements: each is divided by the current base as
-    often as it goes, and a remainder above 1 is merged into the base by
-    gcd refinement, which splits any base element it shares a factor
-    with; the exponents of earlier elements are rewritten over the
-    pieces.  The span only grows as the pass goes on, so a wide base
-    stops it early.
+    The remainders of the elements not yet factored are held in one
+    array.  The base is refined (``_refine``) by the first remainder
+    above 1, and each new piece is divided out of every remainder by
+    ``_exponents``.  For a base B' that refines B, the remainder over B'
+    of the remainder over B is the remainder over B', so each remainder
+    ``_refine`` sees, and so the base it builds, is the one a pass that
+    divides each element in turn by the current base would give.  An
+    element is the product of the pieces divided out of it, each to its
+    exponent, so rewriting each retired piece's exponents over its own
+    pieces leaves the element's exponents at the base elements.
+
+    Each base element divides some element, so its radix is at least
+    arity + 1: the pass stops once (arity + 1)**|base| reaches 2**62.
+    The remainders are taken in blocks, the first of ``_BLOCK`` elements
+    and each later one seven times the elements before it, taken when no
+    remainder above 1 is left and divided by every piece so far in the
+    order the pieces came; a retired piece, such as c·2^64 of a grid
+    {c·2^(64+i)·3^j}, takes most of each element in one division.  A
+    wide base thus stops the pass after work that grows with the
+    elements read, not with the length of the set.
     """
-    base, top, vectors = [], {}, []  # top: the largest exponent of each base element
-    for a in elements:
-        vec, rest = _divide(a, base)
-        if rest > 1:
-            for p in _refine(base, rest):
-                if p not in top:  # a piece made and split again within this refinement
-                    continue
-                # an element of the old base was split: rewrite over its pieces
-                pieces, t = _divide(p, base)[0], top.pop(p)
-                for q, m in pieces.items():
-                    top[q] = max(top.get(q, 0), t * m)
-                for v in vectors + [vec]:
-                    e = v.pop(p, 0)
-                    if e:
-                        for q, m in pieces.items():
-                            v[q] = v.get(q, 0) + e * m
-            for q, m in _divide(rest, base)[0].items():
-                vec[q] = vec.get(q, 0) + m
-        for q, e in vec.items():
-            top[q] = max(top.get(q, 0), e)
-        vectors.append(vec)
-        if prod(arity * e + 1 for e in top.values()) >= _kernel._VALUE_LIMIT:
-            return None
-    return Codec(base, [arity * top[p] + 1 for p in base], arity, vectors, max(elements))
+    n = len(elements)
+    base, chain = [], []  # chain: every piece, in the order it joined the base
+    cols, splits = {}, {}  # piece -> its exponent in each element; retired piece -> {piece: exponent}
+    lo = end = 0  # elements[:lo] are factored; rest holds the remainders of elements[lo:end]
+    rest = np.ones(0, dtype=np.int64)
+    while True:
+        above = np.flatnonzero(rest > 1)
+        if above.size:
+            lo, rest = lo + int(above[0]), rest[above[0] :]
+            retired = _refine(base, int(rest[0]))
+            if (arity + 1) ** len(base) >= _kernel._VALUE_LIMIT:
+                return None
+            pieces = [q for q in base if q not in cols]
+            splits.update((p, _divide(p, pieces)[0]) for p in retired if p in cols)
+            chain += pieces
+        elif end < n:
+            lo, end = end, min(n, 8 * end or _BLOCK)
+            rest = np.array(elements[lo:end], dtype=_kernel.exact_dtype(elements[end - 1]))
+            pieces = chain
+        else:
+            break
+        for q in pieces:
+            e, rest = _exponents(rest, q)
+            cols.setdefault(q, np.zeros(n, dtype=np.int64))[lo:end] = e
+    for p in chain:
+        for q, m in splits.get(p, {}).items():
+            cols[q] += m * cols[p]
+    exponents = np.array([cols[p] for p in base], dtype=np.int64).reshape(len(base), n)
+    radices = (arity * exponents.max(axis=1) + 1).tolist()
+    if prod(radices) >= _kernel._VALUE_LIMIT:
+        return None
+    return Codec(base, radices, arity, exponents, elements[-1])
 
 
 def _refine(base, x):
@@ -145,6 +177,40 @@ def _refine(base, x):
         else:
             base.append(x)
     return retired
+
+
+def _exponents(values, p):
+    """(e, rest): the exponent e of p in each of the positive ``values``,
+    and each value divided by p**e, in the dtype ``_kernel.exact_dtype``
+    gives the largest value.
+
+    When p**2 exceeds every value, e is 1 where p divides the value.
+    Otherwise, with p**k the largest power of p up to the largest value,
+    g = gcd(value, p**k) has the exponent of p in the value, and is p**e
+    itself whenever it is a power of p (always when p is prime, or the
+    value a product of powers of a coprime base holding p): e is then
+    its place among the powers.  A value that shares only some of p's
+    factors (6 and 10) has in g a product that is no power of p, and e
+    is the number of powers of p above 1 that divide g.
+    """
+    top = int(values.max())
+    values = values.astype(_kernel.exact_dtype(top), copy=False)
+    if p > top:
+        return np.zeros(values.size, dtype=np.int64), values
+    if p * p > top:  # no value holds p**2
+        e = values % p == 0
+        return e.astype(np.int64), np.where(e, values // p, values)
+    powers = [1]
+    while powers[-1] * p <= top:
+        powers.append(powers[-1] * p)
+    powers = np.array(powers, dtype=values.dtype)
+    g = np.gcd(values, powers[-1])
+    e = np.searchsorted(powers, g)
+    mixed = np.flatnonzero(powers[e] != g)
+    if mixed.size:
+        e[mixed] = np.count_nonzero(g[mixed, None] % powers[1:] == 0, axis=1)
+        g[mixed] = powers[e[mixed]]
+    return e, values // g
 
 
 def _divide(x, base):

@@ -69,7 +69,7 @@ def _read_input(path) -> IntSet:
             # without "+", "_" and non-ASCII text, int() takes a token only if it is -?[0-9]+
             if not text.isascii() or "+" in text or "_" in text:
                 raise BadParamsError("integers must be ASCII tokens -?[0-9]+")
-            return IntSet(int(tok) for tok in text.split())
+            return IntSet(map(int, text.split()))
         vals = json.loads(text)
     except ValueError as exc:
         raise BadParamsError(f"cannot parse input: {exc}")

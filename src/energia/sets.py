@@ -89,9 +89,10 @@ class IntSet(_SortedSet):
 
     def __init__(self, values):
         values = list(values)
-        for v in values:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise BadParamsError(f"IntSet elements must be int, got {type(v).__name__}")
+        if set(map(type, values)) - {int}:  # one pass; the loop below names the offender
+            for v in values:
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise BadParamsError(f"IntSet elements must be int, got {type(v).__name__}")
         super().__init__(values)
 
     @staticmethod

@@ -54,6 +54,18 @@ class TestEnergyCmd:
         )
         assert code == 3 and "guard" in err
 
+    @pytest.mark.parametrize("text", ["3 1 2 3\n", "[3, 1, 2, 3]"])
+    def test_input_goes_through_the_intset_constructor(self, monkeypatch, tmp_path, text):
+        # the benchmark's traced kp-extract run needs the span of IntSet.__init__,
+        # which on that workload only the input set makes
+        built = []
+        init = IntSet.__init__
+        monkeypatch.setattr(IntSet, "__init__", lambda self, values: built.append(self) or init(self, values))
+        p = tmp_path / "in.txt"
+        p.write_text(text)
+        A = cli._read_input(str(p))
+        assert len(built) == 1 and built[0] is A and list(A) == [1, 2, 3]
+
     def test_json_array_input(self, capsys, tmp_path):
         p = tmp_path / "arr.json"
         p.write_text("[3, 1, 2]")

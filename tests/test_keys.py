@@ -8,7 +8,9 @@ second time with ``_keys.encode`` replaced by a function that always
 declines, which sends it down the value path, and asks for identical
 results.  The sets are small random bases times
 cofactors: 1, generators that share prime factors, and dilations that
-push every product past 2^62.
+push every product past 2^62.  ``encode`` itself, an array pass, is
+checked against ``keys_reference.encode``, the pass over the elements in
+turn, ``Codec`` for ``Codec``.
 """
 
 import math
@@ -24,6 +26,7 @@ from energia import _kernel, _keys, bsg
 from energia.decomposer import DecomposeConfig, decompose
 from energia.energy import MULTIPLICATIVE, energy, energy_oracle, rep_function
 from energia.sets import IntSet
+import keys_reference
 
 # 4, 6, 10, 12, 15 and 35 share primes with 2, 3, 5 and 7; 2^31 - 1 is
 # prime and 2^32 + 1 = 641 * 6700417
@@ -31,6 +34,9 @@ GENERATORS = (2, 3, 4, 5, 6, 7, 10, 12, 15, 35, 2**31 - 1, 2**32 + 1)
 # 7^25 > 2^70 and 3^40 > 2^63 take every product past 2^62; 6 and 35
 # share primes with the generators
 DILATIONS = (1, 6, 35, 7**25, 3**40, 2**64 + 13)
+
+
+PRIMES = [p for p in range(3, 20000, 2) if all(p % q for q in range(3, int(p**0.5) + 1, 2))]
 
 
 @st.composite
@@ -102,6 +108,83 @@ def test_wide_base_falls_back_within_linear_gcds(monkeypatch):
     # of the set, and each element costs about one gcd per base element
     assert counts[0] == counts[1] == counts[2] <= 26 * 27
     assert rep_function(IntSet(2**40 * p for p in primes[:30]), 4, MULTIPLICATIVE).codec is None
+
+
+def test_wide_base_divides_as_many_remainders_whatever_the_length(monkeypatch):
+    divided = []
+    exponents = _keys._exponents
+    monkeypatch.setattr(_keys, "_exponents", lambda values, p: divided.append(values.size) or exponents(values, p))
+    counts = []
+    for n in (200, 400, 800):
+        divided.clear()
+        assert _keys.encode([2**40 * p for p in PRIMES[:n]], 4) is None
+        counts.append(sum(divided))
+    # the pass stops at the 26th element, within the first block, and each
+    # refinement divides at most that block's remainders by its new pieces:
+    # three at the second element (2^40, 3 and 5), one at each other
+    assert counts[0] == counts[1] == counts[2] <= 28 * _keys._BLOCK
+
+
+# -- the array pass against the pass over the elements in turn -------------------
+
+
+def same_codec(got, want):
+    if got is None or want is None:
+        return got is want
+    fields = lambda c: (c.base, c.radices, c.places, c.arity, c.hi, c.keys.dtype, c.keys.tolist())
+    return fields(got) == fields(want)
+
+
+@st.composite
+def grids(draw):
+    """{c 2^(64+i) 3^j : i < ni, j < nj}, the M2-grid sets of the benchmark."""
+    ni, nj, shift = draw(st.integers(1, 20)), draw(st.integers(1, 20)), draw(st.integers(0, 32))
+    c = draw(st.integers(1, 10**6))
+    return sorted(c * 2 ** (64 + shift + i) * 3**j for i in range(ni) for j in range(nj))
+
+
+@st.composite
+def prime_sets(draw):
+    """A dilation of up to 80 odd primes, a base wide enough to stop the pass."""
+    c = draw(st.sampled_from(DILATIONS + (2**40,)))
+    return sorted(c * p for p in draw(st.lists(st.sampled_from(PRIMES[:120]), min_size=1, max_size=80, unique=True)))
+
+
+# up to 125 elements: past the first block, so later blocks replay the pieces
+@prop(300)
+@given(vals=st.one_of(keyed_sets(), keyed_sets(max_size=150), grids(), prime_sets()), arity=st.integers(1, 8))
+def test_encode_matches_the_pass_over_the_elements_in_turn(vals, arity):
+    assert same_codec(_keys.encode(vals, arity), keys_reference.encode(vals, arity))
+
+
+# the benchmark's M2-grid shapes and decompose inputs (p, q, ni, nj, m)
+@pytest.mark.parametrize("arity", (2, 4))
+@pytest.mark.parametrize("c", (1, 7919, 11964 * 2**80))
+@pytest.mark.parametrize(
+    "p, q, ni, nj, m",
+    [(2, 3, 16, 16, 0), (2, 3, 20, 20, 0)] + [(2, 3, 5, 5, 16), (2, 7, 5, 5, 16), (3, 5, 5, 4, 16)]
+    + [(2, 3, 5, 4, 24), (2, 5, 4, 5, 20), (2, 5, 5, 5, 16)],
+)
+def test_encode_matches_the_reference_on_benchmark_shapes(p, q, ni, nj, m, c, arity):
+    vals = sorted({c * p**i * q**j for i in range(ni) for j in range(nj)} | {c * v for v in range(1, m + 1)})
+    assert same_codec(_keys.encode(vals, arity), keys_reference.encode(vals, arity))
+
+
+# values of four small primes, times a cofactor past 2^64 prime to them, and
+# pieces p of the same primes: p may divide a value, or share only some of
+# its factors with it (6 and 10)
+smooth = st.tuples(*[st.integers(0, 12)] * 4).map(lambda ex: prod(q**e for q, e in zip((2, 3, 5, 7), ex)))
+
+
+@prop(300)
+@given(values=st.lists(smooth, min_size=1, max_size=40), p=smooth.filter(lambda p: p > 1), big=st.booleans())
+def test_exponents_match_division_in_turn(values, p, big):
+    if big:
+        values = [v * (2**64 + 13) for v in values]
+    e, rest = _keys._exponents(np.array(values, dtype=_kernel.exact_dtype(max(values))), p)
+    want = [_keys._divide(v, [p]) for v in values]
+    assert e.tolist() == [vec.get(p, 0) for vec, _ in want]
+    assert rest.tolist() == [r for _, r in want]
 
 
 # -- q_s and M_s ---------------------------------------------------------------

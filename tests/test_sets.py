@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,6 +68,25 @@ class TestIntSet:
         # True == 1, but its repr, and every digest over the set, would differ
         with pytest.raises(BadParamsError, match="got bool"):
             IntSet(values)
+
+    @pytest.mark.parametrize("bad, name", [(True, "bool"), (2.5, "float"), ("7", "str"), (np.int64(7), "int64"), (None, "NoneType")])
+    @pytest.mark.parametrize("at", (0, 2, 3))
+    def test_refusals_name_the_offender_wherever_it_stands(self, bad, name, at):
+        values = [3, 1, 2]
+        values.insert(at, bad)
+        with pytest.raises(BadParamsError, match=f"^IntSet elements must be int, got {name}$"):
+            IntSet(values)
+
+    def test_the_first_offender_is_named(self):
+        with pytest.raises(BadParamsError, match="got str$"):
+            IntSet([1, "x", 2.5, None])
+
+    def test_int_subclasses_are_accepted(self):
+        class Tagged(int):
+            pass
+
+        A = IntSet([Tagged(5), 2, Tagged(3)])
+        assert list(A) == [2, 3, 5] and A == IntSet([2, 3, 5])
 
     def test_equality_hash(self):
         assert IntSet([1, 2]) == IntSet([2, 1])
