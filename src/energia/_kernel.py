@@ -30,14 +30,14 @@ operands:
 A self-pair (``f is g``: every squaring step of :func:`power`) visits
 each unordered pair once, since x + y = y + x and x * y = y * x: the
 Python and sort-and-count backends take the upper triangle of the grid
-with its diagonal, an off-diagonal cell with twice its weight and a
-diagonal cell with its own.  Sort-and-count writes its blocks ``_GROUP``
-rows at a time: one outer product with the columns past the group, one
-with its own masked to its triangle.  Where every weight is 1,
-sort-and-count sorts the values alone, doubles every count and then
-takes 1 off at the value of each diagonal cell (two diagonal cells can
-share a value, as x * x = (-x) * (-x)).  The dense backend convolves
-whole lines either way.
+with its diagonal, an off-diagonal cell standing for two and a diagonal
+cell for itself.  Sort-and-count writes its blocks ``_GROUP`` rows at a
+time: one outer product with the columns past the group, one with its
+own masked to its triangle, each cell weighing c_i·c_j.  After the merge
+one rule, for unit and weighted grids alike, takes c_i² off the count at
+each diagonal value, doubles every count and adds c_i² back; two
+diagonal cells can share a value, as x * x = (-x) * (-x).  The dense
+backend convolves whole lines either way.
 
 The kernel sees values only.  Products taken on exponent keys (see
 ``energy.RepFunction``) reach it as sums of plain ints.
@@ -223,20 +223,22 @@ def _dense(f, g, additive):
 
 def _sort_count(f, g, additive):
     total = f.total * g.total if f.counted else None
-    unit = f.counted and f.total == f.size and g.total == g.size
-    weighted = f.counted and not unit
+    weighted = f.counted and (f.total > f.size or g.total > g.size)  # unit grids count cells instead
     lo, hi = grid_bounds(f.lo, f.hi, g.lo, g.hi, additive)
-    wbits = (2 * f.max_count() * g.max_count()).bit_length() if weighted else 0
+    wbits = (f.max_count() * g.max_count()).bit_length() if weighted else 0
     dtype = key_dtype(hi - lo, wbits)
     layout = (lo, wbits)
     if dtype is None:  # past 64 bits: the cells' values, weights apart
         dtype, lo, wbits, layout = np.int64, 0, 0, None
     blocks = _row_blocks(f, g, additive, weighted, dtype, lo, wbits)
     vals, cnts = merge_blocks(blocks, f.counted, np.add, layout)
-    if unit and f is g:
-        # an off-diagonal cell stands for two, a diagonal one for itself
+    if f is g and f.counted:
+        # an off-diagonal cell stands for two, a diagonal one for itself:
+        # the squares come off before the doubling, so no count passes its final value
+        at, squares = np.searchsorted(vals, 2 * f.vals if additive else f.vals * f.vals), f.cnts * f.cnts
+        np.subtract.at(cnts, at, squares)
         cnts *= 2
-        np.subtract.at(cnts, np.searchsorted(vals, 2 * f.vals if additive else f.vals * f.vals), 1)
+        np.add.at(cnts, at, squares)
     return Weighted(vals, cnts, total)
 
 
@@ -296,19 +298,17 @@ def _row_blocks(f, g, additive, weighted, dtype, lo, wbits):
     into the keys' low ``wbits`` bits when there are any.
 
     For a self-pair (``f is g``) row i holds the columns j >= i only: the
-    upper triangle with its diagonal, an off-diagonal cell weighing
-    2·c_i·c_j and a diagonal one c_i².  A block takes its rows ``_GROUP``
-    at a time: for rows [a, b), the columns from b on are one outer
-    product written straight into the block, and the group's own columns
-    one (b - a)² outer product masked to its upper triangle.
+    upper triangle with its diagonal (what each cell stands for is
+    ``_sort_count``'s rule).  A block takes its rows ``_GROUP`` at a
+    time: for rows [a, b), the columns from b on are one outer product
+    written straight into the block, and the group's own columns one
+    (b - a)² outer product masked to its upper triangle.
     """
     xk, yk, base = _key_operands(f.vals, g.vals, lo, wbits, dtype, additive)
-    op = np.add if additive else np.multiply
-    half = f is g
+    planes = [(np.add if additive else np.multiply, xk, yk)]  # each cell of a plane is op(x_i, y_j)
     if weighted:
-        fc, gc = f.cnts.astype(dtype), g.cnts.astype(dtype)
-        if half:
-            diag, fc = fc * fc, 2 * fc  # c_i² on the diagonal, 2·c_i·c_j off it
+        planes.append((np.multiply, f.cnts.astype(dtype), g.cnts.astype(dtype)))
+    half = f is g
     lens = np.arange(g.size, 0, -1) if half else np.full(f.size, g.size)
     ends = np.cumsum(lens)  # cells in rows 0..i
     budget = block_cells(dtype)
@@ -317,8 +317,7 @@ def _row_blocks(f, g, additive, weighted, dtype, lo, wbits):
         start = int(ends[i] - lens[i])
         stop = max(i + 1, int(np.searchsorted(ends, start + budget, side="right")))
         if half:
-            keys = np.empty(int(ends[stop - 1]) - start, dtype=dtype)
-            weights = np.empty(len(keys), dtype=dtype) if weighted else None
+            out = [np.empty(int(ends[stop - 1]) - start, dtype=dtype) for _ in planes]
             pos = 0
             upper = np.arange(_GROUP) >= np.arange(_GROUP)[:, None]  # corner m x m: an m-row group's triangle
             for a in range(i, stop, _GROUP):
@@ -326,17 +325,14 @@ def _row_blocks(f, g, additive, weighted, dtype, lo, wbits):
                 m = b - a
                 mid = pos + m * (f.size - b)  # [pos, mid) holds the columns past b, [mid, end) the triangle
                 end = mid + m * (m + 1) // 2
-                op.outer(xk[a:b], yk[b:], out=keys[pos:mid].reshape(m, -1))
-                keys[mid:end] = op.outer(xk[a:b], yk[a:b])[upper[:m, :m]]
-                if weighted:
-                    np.multiply.outer(fc[a:b], gc[b:], out=weights[pos:mid].reshape(m, -1))
-                    square = np.multiply.outer(fc[a:b], gc[a:b])
-                    np.fill_diagonal(square, diag[a:b])
-                    weights[mid:end] = square[upper[:m, :m]]
+                for j, (op, x, y) in enumerate(planes):  # a loop name would hold a buffer past the yield
+                    op.outer(x[a:b], y[b:], out=out[j][pos:mid].reshape(m, -1))
+                    out[j][mid:end] = op.outer(x[a:b], y[a:b])[upper[:m, :m]]
                 pos = end
         else:
-            keys = op.outer(xk[i:stop], yk).ravel()
-            weights = np.multiply.outer(fc[i:stop], gc).ravel() if weighted else None
+            out = [op.outer(x[i:stop], y).ravel() for op, x, y in planes]
+        keys, weights = out[0], out[1] if weighted else None
+        del out  # packed weights are freed before the block's merge
         if base:
             keys -= base
         if wbits and weights is not None:

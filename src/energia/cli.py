@@ -514,6 +514,8 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     if _PARSER is None:  # built on the first call, not at import
         _PARSER = build_parser()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # read and print exact integers of any length
     try:
         args = _PARSER.parse_args(argv)
         args._command_echo = " ".join(["energia"] + argv)
@@ -522,6 +524,8 @@ def main(argv=None):
     except EnergiaError as exc:
         print(f"{_LABELS[exc.code]}: {exc}", file=sys.stderr)
         return exc.code
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

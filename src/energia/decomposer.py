@@ -10,6 +10,7 @@ Stopping and extraction certificates are exact: rational threshold
 exponents are decided by clearing denominators, never by floats.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -105,19 +106,26 @@ def com2_budget(n: int, c, Cc) -> int:
 
 
 def min_deletion(size: int, c, Cc) -> int:
-    """ceil(Cc size^(1-c)), exactly, for rational c and Cc."""
-    c = precision.rational(c, "c")
-    Cc = precision.rational(Cc, "Cc")
+    """ceil(Cc size^(1-c)), exactly, for rational c and Cc: the least d
+    that ``precision.cmp_count_power`` finds at least Cc size^(1-c)."""
+    c, Cc = precision.rational(c, "c"), precision.rational(Cc, "Cc")
+    if not 0 < c < 1 or Cc <= 0:
+        raise BadParamsError("need 0 < c < 1 and Cc > 0")
     if size < 1:
         return 0
-    e = 1 - c
-    p, q = e.numerator, e.denominator
-    # smallest d >= 1 with (d / Cc)^q >= size^p
-    rhs = Cc.numerator**q * size**p
-    d = 1
-    while d**q * Cc.denominator**q < rhs:
-        d += 1
-    return d
+    e, lo, hi = 1 - c, 0, math.ceil(Cc * size)  # d = 0 falls short; hi >= Cc size >= Cc size^(1-c)
+
+    def enough(d):
+        return precision.cmp_count_power(d, size, e, factor=Cc) >= 0
+
+    if max(size, hi) < 2**53:  # a float estimate is nearly always right: check it on both sides
+        d = math.ceil(float(Cc) * size ** float(e))
+        if enough(d) and not enough(d - 1):
+            return d
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if enough(mid) else (mid, hi)
+    return hi
 
 
 def com2_simulate(n: int, c, Cc, adversary) -> int:
@@ -129,6 +137,7 @@ def com2_simulate(n: int, c, Cc, adversary) -> int:
     """
     if n < 1:
         raise BadParamsError("need n >= 1")
+    c, Cc = precision.rational(c, "c"), precision.rational(Cc, "Cc")
     size = n
     steps = 0
     budget = com2_budget(n, c, Cc)
@@ -145,6 +154,7 @@ def com2_simulate(n: int, c, Cc, adversary) -> int:
 
 def minimal_adversary(c, Cc):
     """The slowest admissible deletion rule."""
+    c, Cc = precision.rational(c, "c"), precision.rational(Cc, "Cc")
     return lambda size: min_deletion(size, c, Cc)
 
 

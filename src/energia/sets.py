@@ -2,18 +2,18 @@
 sorted arrays, the IntSet/RatSet views of them, and canonical generators
 for the standard example sets.
 
-The folds compute on arrays.  ``sumset_array`` gives mA - nA as the
-kernel's sorted values; ``product_set_arrays`` gives A^(m)/A^(n) as
-sorted (numerator, denominator) arrays of the reduced quotients, the
-sign on the numerator.  An array is int64 or, once a value leaves
-int64, an object array of Python ints (``_kernel.exact_dtype``), so
-nothing is rounded.
+The folds compute on the kernel's arrays.  ``iterated_sumset`` holds
+mA - nA as the kernel's sorted values; ``iterated_product_set`` holds
+A^(m)/A^(n) as sorted (numerator, denominator) arrays of the reduced
+quotients, the sign on the numerator, one cell per distinct quotient
+picked by ``_kernel.merge_blocks``.  An array is int64 or, once a value
+leaves int64, an object array of Python ints (``_kernel.exact_dtype``),
+so nothing is rounded.
 
-``iterated_sumset`` and ``iterated_product_set`` wrap those arrays as an
-``IntSet`` of Python ints or a ``RatSet`` of ``Fraction``s, built when a
-caller first reads the elements: its length, and the report the CLI
-prints, come from the arrays.  Every object is immutable and every
-operation is pure.
+The ``IntSet`` of Python ints or ``RatSet`` of ``Fraction``s that a fold
+returns builds its elements from those arrays when a caller first reads
+them: its length, and the report the CLI prints, come from the arrays.
+Every object is immutable and every operation is pure.
 """
 
 import inspect
@@ -121,8 +121,8 @@ def _check_fold(A, m, n, name):
         raise EmptySetError(f"{name} of empty set")
 
 
-def sumset_array(A: IntSet, m: int, n: int) -> np.ndarray:
-    """mA - nA, the m-fold sumset minus the n-fold sumset of A, as the
+def iterated_sumset(A: IntSet, m: int, n: int) -> IntSet:
+    """mA - nA, the m-fold sumset minus the n-fold sumset of A, over the
     kernel's sorted values."""
     _check_fold(A, m, n, "iterated_sumset")
     # mA - nA = mA + n(-A)
@@ -131,11 +131,11 @@ def sumset_array(A: IntSet, m: int, n: int) -> np.ndarray:
         neg = _kernel.Weighted.indicator([-a for a in reversed(A.elements)], counted=False)
         minus = _kernel.power(neg, n, additive=True)
         out = minus if out is None else _kernel.pair(out, minus, additive=True)
-    return out.vals
+    return IntSet._of_arrays(out.vals)
 
 
-def product_set_arrays(A: IntSet, m: int, n: int):
-    """A^(m) / A^(n) as the sorted (numerator, denominator) arrays of its
+def iterated_product_set(A: IntSet, m: int, n: int) -> RatSet:
+    """A^(m) / A^(n) over the sorted (numerator, denominator) arrays of its
     reduced quotients; n = 0 gives the plain product set over 1."""
     _check_fold(A, m, n, "iterated_product_set")
     if n >= 1 and 0 in A.elements:
@@ -144,10 +144,10 @@ def product_set_arrays(A: IntSet, m: int, n: int):
     one = np.ones(1, dtype=np.int64)
     num = _kernel.power(base, m, additive=False).vals if m else one
     den = _kernel.power(base, n, additive=False).vals if n else one
-    return quotient_arrays(num, den)
+    return RatSet._of_arrays(*_quotient_arrays(num, den))
 
 
-def quotient_arrays(num, den):
+def _quotient_arrays(num, den):
     """The distinct p / q over the sorted arrays ``num`` and ``den`` (no
     zero), as sorted arrays of reduced numerators and positive
     denominators.
@@ -157,8 +157,9 @@ def quotient_arrays(num, den):
     distinct quotients with denominators below 2^b differ by more than
     2^(-2b), so their scaled values differ by more than 1 and their floors
     differ; equal quotients give equal keys, and the keys keep the order.
-    So the first cell of each run of equal keys, sorted, picks one cell
-    per distinct quotient in order (any cell of a key reduces to the same
+    So ``_kernel.merge_blocks``, taking the grid as one block that weighs
+    each cell by its index and keeping the least, picks one cell per
+    distinct quotient in order (any cell of a key reduces to the same
     p/q), and one gcd reduces it.  Floor division floors the exact
     quotient for either sign of q.  The keys are int64 while every
     |p| 2^(2b) is, else Python ints; |p| is taken as at least 1, as
@@ -167,23 +168,11 @@ def quotient_arrays(num, den):
     shift = 2 * max(-int(den[0]), int(den[-1])).bit_length()
     dtype = _kernel.exact_dtype(max(-int(num[0]), int(num[-1]), 1) << shift)
     keys = np.floor_divide.outer(np.left_shift(num.astype(dtype, copy=False), shift), den.astype(dtype, copy=False)).ravel()
-    order = np.argsort(keys)
-    keys = keys[order]
-    cells = order[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    _, cells = _kernel.merge_blocks([(keys, np.arange(len(keys)))], True, np.minimum)
     p, q = num[cells // len(den)], den[cells % len(den)]
     g = np.gcd(p, q)
     g[q < 0] *= -1  # dividing by -g moves the sign onto the numerator
     return p // g, q // g
-
-
-def iterated_sumset(A: IntSet, m: int, n: int) -> IntSet:
-    """mA - nA as an IntSet over ``sumset_array``."""
-    return IntSet._of_arrays(sumset_array(A, m, n))
-
-
-def iterated_product_set(A: IntSet, m: int, n: int) -> RatSet:
-    """A^(m) / A^(n) as a RatSet over ``product_set_arrays``."""
-    return RatSet._of_arrays(*product_set_arrays(A, m, n))
 
 
 # -- canonical generators ---------------------------------------------------

@@ -1,6 +1,7 @@
 import argparse
 import inspect
 import json
+import sys
 
 import pytest
 
@@ -411,6 +412,34 @@ def test_every_refusal_exits_2(capsys, monkeypatch, tmp_path, argv, text, env):
     code, out, err = _run_case(capsys, monkeypatch, tmp_path, argv, text, env)
     assert (code, out) == (2, "")
     assert err.startswith("parse error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+# (argv, input text or None, environment): runs whose integers pass
+# Python's default 4300-digit int/str limit, which the CLI lifts
+LONG_INTEGERS = [
+    (("gen", "powers", "--k", "3000", "--n", "100"), None, {}),
+    (("gen", "mixed", "--n", "2000"), None, {}),
+    (("constants", "rtp", "--k-int", "20000"), None, {}),
+    (("constants", "thrt", "--k-int", "2000", "--s", "1048576"), None, {}),
+]
+
+
+@pytest.mark.parametrize("argv, text, env", LONG_INTEGERS, ids=[" ".join(a) for a, _, _ in LONG_INTEGERS])
+def test_long_integers_exit_0(capsys, monkeypatch, tmp_path, argv, text, env):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = _run_case(capsys, monkeypatch, tmp_path, argv, text, env)
+    assert (code, err) == (0, "") and out
+    assert sys.get_int_max_str_digits() == limit  # lifted for the run only
+
+
+def test_long_generated_set_round_trips(capsys, tmp_path):
+    # the test's own json.loads would refuse 30**3000, of 4432 digits
+    code, out, _ = run(capsys, "gen", "powers", "--k", "3000", "--n", "30")
+    assert code == 0 and max(map(len, out.strip("[]\n").split(", "))) == 4432
+    p = tmp_path / "powers.json"
+    p.write_text(out)
+    code, doc, _ = run_json(capsys, "energy", "--s", "2", str(p))
+    assert code == 0 and doc["results"]["count"] == str(2 * 30**2 - 30)
 
 
 def test_help_exits_0(capsys):

@@ -103,6 +103,42 @@ class TestCom2:
         assert min_deletion(16, Fraction(1, 4), 1) == 8
         assert min_deletion(10, Fraction(1, 2), 1) == 4  # ceil(sqrt(10))
 
+    @staticmethod
+    def _scan(size, c, Cc):
+        """The least d >= 1 with (d / Cc)^q >= size^p, 1 - c = p/q, by trying
+        d = 1, 2, ...: exact, but d comparisons of q-th powers."""
+        e = 1 - c
+        p, q = e.numerator, e.denominator
+        rhs = Cc.numerator**q * size**p
+        d = 1
+        while d**q * Cc.denominator**q < rhs:
+            d += 1
+        return d
+
+    @pytest.mark.parametrize(
+        "c, Cc",
+        [(Fraction(1, 2), Fraction(1)), (Fraction(1, 3), Fraction(1)), (Fraction(3, 4), Fraction(1, 2)),
+         (Fraction(2, 5), Fraction(3, 2)), (Fraction(9, 10), Fraction(7, 3))],
+    )
+    def test_min_deletion_matches_the_scan(self, c, Cc):
+        assert [min_deletion(size, c, Cc) for size in range(1, 2001)] == [self._scan(size, c, Cc) for size in range(1, 2001)]
+
+    def test_min_deletion_past_float_estimates(self):
+        # sizes past 2^53 skip the float estimate and bisect
+        assert min_deletion(2**100, Fraction(1, 2), 1) == 2**50
+        assert min_deletion(2**100 + 1, Fraction(1, 2), 1) == 2**50 + 1
+        assert min_deletion(2**60, Fraction(1, 3), 3) == 3 * 2**40
+
+    def test_min_deletion_near_c_0(self):
+        # 1 - c = 999999999/10^9: the scan would raise each d to the 10^9th power
+        assert min_deletion(16, 1e-9, 1) == 16
+        assert com2_simulate(16, 1e-9, 1, minimal_adversary(1e-9, 1)) == 1
+
+    @pytest.mark.parametrize("c, Cc", [(0, 1), (1, 1), (Fraction(-1, 2), 1), (Fraction(1, 2), 0)])
+    def test_min_deletion_params(self, c, Cc):
+        with pytest.raises(BadParamsError):
+            min_deletion(16, c, Cc)
+
     def test_budget_params(self):
         with pytest.raises(BadParamsError):
             com2_budget(10, Fraction(3, 2), 1)

@@ -31,14 +31,7 @@ from energia.energy import (
     mixed_energy,
     rep_function,
 )
-from energia.sets import (
-    IntSet,
-    interval,
-    iterated_product_set,
-    iterated_sumset,
-    product_set_arrays,
-    quotient_arrays,
-)
+from energia.sets import IntSet, _quotient_arrays, interval, iterated_product_set, iterated_sumset
 
 BACKENDS = {"python": _kernel._python, "dense": _kernel._dense, "sort-count": _kernel._sort_count}
 MODES = (ADDITIVE, MULTIPLICATIVE)
@@ -162,11 +155,11 @@ def _content(w):
 
 
 # Operands whose grid keys need 31, 32, 33, 63 and 64 bits: offset bits
-# alone for plain and unit grids, and with 4 weight bits (largest count 2)
+# alone for plain and unit grids, and with 4 weight bits (largest count 3)
 # for weighted ones, which also reach 65 bits, where the values and
 # weights sort apart.  The products take signed sets holding 0.  Each
 # example runs in every mode and kind, at the edge in its own.
-_TWO = [2] + [1] * 8
+_THREE = [3] + [1] * 8
 KEY_WIDTH_EDGES = {
     # (additive, weighted): (vals, counts, chunk) for 31, 32, 33, 63, 64 (and 65) bits
     (True, False): [
@@ -177,12 +170,12 @@ KEY_WIDTH_EDGES = {
         ([-(2**62) + 1, 5, 2**62 - 1], [1] * 9, 5),
     ],
     (True, True): [
-        ([-3, 0, 2**26 - 4], _TWO, 5),
-        ([-3, 0, 2**27 - 4], _TWO, 1 << 19),
-        ([-3, 0, 2**27 - 2], _TWO, 5),
-        ([-(2**57), 5, 2**57 - 1], _TWO, 5),
-        ([-(2**58), 5, 2**58 - 1], _TWO, 5),
-        ([-(2**58), 5, 2**58], _TWO, 5),
+        ([-3, 0, 2**26 - 4], _THREE, 5),
+        ([-3, 0, 2**27 - 4], _THREE, 1 << 19),
+        ([-3, 0, 2**27 - 2], _THREE, 5),
+        ([-(2**57), 5, 2**57 - 1], _THREE, 5),
+        ([-(2**58), 5, 2**58 - 1], _THREE, 5),
+        ([-(2**58), 5, 2**58], _THREE, 5),
     ],
     (False, False): [
         ([-(2**15), 0, 3, 2**15 - 1], [1] * 9, 5),
@@ -192,12 +185,12 @@ KEY_WIDTH_EDGES = {
         ([-3 * 10**9, 0, 3 * 10**9 - 1], [1] * 9, 5),
     ],
     (False, True): [
-        ([-8192, 0, 8191], _TWO, 5),
-        ([-8292, 0, 8292], _TWO, 1 << 19),
-        ([-16383, 0, 16383], _TWO, 5),
-        ([-(2**29) + 1, 0, 2**29 - 1], _TWO, 5),
-        ([-(2**29), 0, 2**29], _TWO, 5),
-        ([-(2**30), 0, 2**29], _TWO, 5),
+        ([-8192, 0, 8191], _THREE, 5),
+        ([-8292, 0, 8292], _THREE, 1 << 19),
+        ([-16383, 0, 16383], _THREE, 5),
+        ([-(2**29) + 1, 0, 2**29 - 1], _THREE, 5),
+        ([-(2**29), 0, 2**29], _THREE, 5),
+        ([-(2**30), 0, 2**29], _THREE, 5),
     ],
 }
 
@@ -208,7 +201,7 @@ def test_key_width_edges_are_reached(additive, weighted):
     bits = []
     for vals, counts, _ in KEY_WIDTH_EDGES[additive, weighted]:
         lo, hi = _kernel.grid_bounds(vals[0], vals[-1], vals[0], vals[-1], additive)
-        wbits = (2 * max(counts[: len(vals)]) ** 2).bit_length() if weighted else 0
+        wbits = (max(counts[: len(vals)]) ** 2).bit_length() if weighted else 0
         bits.append((hi - lo).bit_length() + wbits)
     assert bits == [31, 32, 33, 63, 64] + [65] * weighted
     assert [_kernel.key_dtype(2 ** (b - 1), 0) for b in bits] == [np.uint32, np.uint32] + [np.uint64] * 3 + [None] * weighted
@@ -261,10 +254,10 @@ def _cells(blocks, lo, wbits):
 
 def _triangle(f, op):
     """The literal upper triangle of f x f with its diagonal, as (value,
-    weight) cells: 2 c_i c_j off the diagonal, c_i^2 on it, 0 unweighted."""
+    weight) cells: c_i c_j on every cell, 0 unweighted."""
     v = f.vals.tolist()
     c = f.cnts.tolist() if f.counted and f.total != f.size else [0] * f.size
-    return Counter((op(v[i], v[j]), (1 + (i < j)) * c[i] * c[j]) for i in range(f.size) for j in range(i, f.size))
+    return Counter((op(v[i], v[j]), c[i] * c[j]) for i in range(f.size) for j in range(i, f.size))
 
 
 def _block_rows(blocks, n):
@@ -286,7 +279,7 @@ def test_triangle_blocks_stay_within_chunk(monkeypatch):
     monkeypatch.setattr(_kernel, "_CHUNK", 20)
     monkeypatch.setattr(_kernel, "_GROUP", 2)
     f = _operand(range(-20, 22, 3), "weighted", [1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3, 4, 5])
-    wbits = (2 * 9 * 9).bit_length()
+    wbits = (9 * 9).bit_length()
     for additive, op in ((True, lambda a, b: a + b), (False, lambda a, b: a * b)):
         lo, hi = _kernel.grid_bounds(f.lo, f.hi, f.lo, f.hi, additive)
         dtype = _kernel.key_dtype(hi - lo, wbits)
@@ -299,7 +292,7 @@ def test_triangle_blocks_stay_within_chunk(monkeypatch):
 
 
 # Each self-pair's extremes -S and S set its key width: 32 bits, 64, or
-# (weighted, 5 weight bits) 65 and more, where the values and weights of
+# (weighted, 4 weight bits) 65 and more, where the values and weights of
 # int64 cells go apart; unweighted grids stay at 64 there.
 _TRIANGLE_EXTREMES = {True: {32: 1000, 64: 2**40, 65: 2**60}, False: {32: 1000, 64: 2**25, 65: 2**30}}
 
@@ -319,7 +312,7 @@ def test_grouped_triangle(monkeypatch, rows, chunk, kind, additive, width):
     f = _operand([-S, 0, S] + [3 * k * (-1) ** k for k in range(1, rows - 2)], kind, [1, 2, 3] * 4)
     weighted = kind == "weighted"
     lo, hi = _kernel.grid_bounds(f.lo, f.hi, f.lo, f.hi, additive)
-    wbits = 5 if weighted else 0
+    wbits = (3 * 3).bit_length() if weighted else 0
     dtype = _kernel.key_dtype(hi - lo, wbits)
     assert dtype is {32: np.uint32, 64: np.uint64, 65: None if weighted else np.uint64}[width]
     layout = (lo, wbits)
@@ -330,6 +323,41 @@ def test_grouped_triangle(monkeypatch, rows, chunk, kind, additive, width):
     assert all(len(k) <= budget or r == 1 for (k, _), r in zip(blocks, _block_rows(blocks, rows)))
     assert sum(_block_rows(blocks, rows)) == rows
     assert _cells(blocks, *layout) == _triangle(f, (lambda a, b: a + b) if additive else (lambda a, b: a * b))
+    assert _content(_kernel._sort_count(f, f, additive)) == _content(_kernel._python(f, f, additive))
+
+
+class _NeverNegative(np.ndarray):
+    """int64 counts that fail the test the moment a ufunc leaves one of
+    them negative: a count that passed 2^63 and wrapped.  Wrapping is
+    exact modulo 2^64, so only the counts between steps can show it."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=(), **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, _NeverNegative) else x for x in (*inputs, *out)]
+        if out:
+            kwargs["out"] = tuple(plain[len(inputs) :])
+        result = getattr(ufunc, method)(*plain[: len(inputs)], **kwargs)
+        for x in (*inputs, *out):
+            if isinstance(x, _NeverNegative):
+                assert x.view(np.ndarray).min() >= 0, f"{ufunc.__name__}.{method} wrapped a count"
+        return out[0] if out else result
+
+
+@pytest.mark.parametrize("additive", (True, False))
+def test_self_pair_rule_stays_within_int64(monkeypatch, additive):
+    # one count of 2^31: its diagonal cell weighs 2^62, while the total
+    # 2^31 + 16 keeps total^2 below 2^63.  Doubling the count at 3 + 3 (or
+    # 3 * 3 = -3 * -3) before its squares come off would pass 2^63.
+    counts = [1] * 17
+    counts[11] = 2**31
+    f = _operand(range(-8, 9), "weighted", counts)
+    assert f.max_count() ** 2 >= 2**62 and f.total**2 < _kernel._INT64_LIMIT
+    merge = _kernel.merge_blocks
+
+    def watched(*args):
+        vals, cnts = merge(*args)
+        return vals, cnts.view(_NeverNegative)
+
+    monkeypatch.setattr(_kernel, "merge_blocks", watched)
     assert _content(_kernel._sort_count(f, f, additive)) == _content(_kernel._python(f, f, additive))
 
 
@@ -467,14 +495,14 @@ quotient_values = st.one_of(
 def test_quotients_match_fraction_reference(num, den):
     num, den = sorted(num), sorted(den)
     want = sorted({Fraction(p, q) for p in num for q in den})
-    assert _pairs(*quotient_arrays(_array(num), _array(den))) == _reduced(want)
+    assert _pairs(*_quotient_arrays(_array(num), _array(den))) == _reduced(want)
 
 
 def test_quotients_separate_farey_neighbours():
     # (q-1)/q and q/(q+1) differ by 1/(q(q+1)), just above 2^(-2b) for b = 63
     q = 2**63 - 2
     A = IntSet([q - 1, q, q + 1])
-    got = _pairs(*product_set_arrays(A, 1, 1))
+    got = _pairs(*iterated_product_set(A, 1, 1).arrays)
     want = sorted({Fraction(p, r) for p in A for r in A})
     assert got == _reduced(want) and (q - 1, q) in got and (q, q + 1) in got
 
@@ -489,7 +517,7 @@ def test_product_set_quotients_against_fractions(m, n):
 @pytest.mark.parametrize("A", [[-9, -4, -1, 2, 3, 8], [1, 2, 3, 4, 6], [-(2**63 - 1), -3, 2, 2**63 - 1]])
 @pytest.mark.parametrize("m, n", [(1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (2, 1), (1, 2)])
 def test_product_set_arrays_against_fractions(A, m, n):
-    p, q = product_set_arrays(IntSet(A), m, n)
+    p, q = iterated_product_set(IntSet(A), m, n).arrays
     assert _pairs(p, q) == _reduced(_fold_fractions(A, m, n))
 
 
@@ -502,11 +530,11 @@ def test_product_set_arrays_against_fractions(A, m, n):
 def test_product_set_arrays_of_signed_sets(A, m, n):
     if m == n == 0:
         return
-    assert _pairs(*product_set_arrays(IntSet(A), m, n)) == _reduced(_fold_fractions(A, m, n))
+    assert _pairs(*iterated_product_set(IntSet(A), m, n).arrays) == _reduced(_fold_fractions(A, m, n))
 
 
 def _key_dtypes(monkeypatch):
-    """The (bound, dtype) of every choice ``quotient_arrays`` makes."""
+    """The (bound, dtype) of every choice ``_quotient_arrays`` makes."""
     seen, exact_dtype = [], _kernel.exact_dtype
     monkeypatch.setattr(_kernel, "exact_dtype", lambda bound: seen.append((bound, exact_dtype(bound))) or seen[-1][1])
     return seen
@@ -518,7 +546,7 @@ def test_quotient_keys_switch_to_python_ints_at_2_63(monkeypatch, top, dtype):
     # is 2^63 - 4, one step below 2^63, or 2^63 itself
     num, den = [-top, -5, 0, 3, top], [-1, 1]
     seen = _key_dtypes(monkeypatch)
-    got = quotient_arrays(np.array(num, dtype=np.int64), np.array(den, dtype=np.int64))
+    got = _quotient_arrays(np.array(num, dtype=np.int64), np.array(den, dtype=np.int64))
     assert seen == [(top << 2, dtype)]
     assert _pairs(*got) == _reduced(sorted({Fraction(p, q) for p in num for q in den}))
 
@@ -535,7 +563,7 @@ def test_quotient_keys_near_the_switch(monkeypatch, b, data):
     num.sort()
     with monkeypatch.context() as patch:
         seen = _key_dtypes(patch)
-        got = quotient_arrays(np.array(num, dtype=np.int64), np.array(den, dtype=np.int64))
+        got = _quotient_arrays(np.array(num, dtype=np.int64), np.array(den, dtype=np.int64))
     assert seen[-1][1] == (np.int64 if max(map(abs, num)) < edge else object)
     assert _pairs(*got) == _reduced(sorted({Fraction(p, q) for p in num for q in den}))
 

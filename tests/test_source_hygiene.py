@@ -13,7 +13,8 @@ they keep the kernel one (value, multiplicity) semiring, with exponent
 keys held by ``energy.RepFunction``; they keep every comparison of
 mpf values inside ``precision.py``, with ``bsg.py`` free of mpmath; they
 keep the choice between int64 and object arrays in ``_kernel.py``; they
-keep the sort that merges equal values of a grid in ``_kernel.py``; and
+keep the sort that merges equal values of a grid, and the dedup of a
+sorted grid, in ``_kernel.py``; and
 they keep every class in ``errors.py`` raised somewhere in the library,
 each declaring its own exit code, as README's exit-code table lists it.
 """
@@ -287,6 +288,38 @@ def test_packing_and_reducing_are_found():
         "x >>= 1\n"
     )
     assert _packs_or_reduces(ast.parse(src)) == [1, 3, 4]
+
+
+# Keeping one cell per distinct value of a sorted grid is
+# ``_kernel.merge_blocks``' job too: no other module may find where runs of
+# equal sorted values start by comparing ``x[1:]`` with ``x[:-1]``.
+def _finds_runs(tree):
+    """Line numbers of comparisons between an ``[1:]`` and a ``[:-1]``
+    subscript."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            slices = {ast.unparse(n.slice) for n in [node.left, *node.comparators] if isinstance(n, ast.Subscript)}
+            if {"1:", ":-1"} <= slices:
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != MERGE_OWNER], ids=lambda p: p.name)
+def test_only_the_kernel_dedups_sorted_grids(path):
+    lines = _finds_runs(ast.parse(path.read_text()))
+    assert not lines, f"{path.name} dedups a sorted grid at lines {lines}; use _kernel.merge_blocks"
+
+
+def test_run_finding_is_found():
+    src = (
+        "new = keys[1:] != keys[:-1]\n"
+        "same = v[:-1] == v[1:]\n"
+        "gaps = x[1:] - x[:-1]\n"
+        "head = x[1:] != x[0]\n"
+        "starts = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))\n"
+    )
+    assert _finds_runs(ast.parse(src)) == [1, 2, 5]
 
 
 # An error class that no module raises, and that is no base of one that
