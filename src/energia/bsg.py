@@ -331,7 +331,7 @@ def kp_pipeline(
     if mode == PAPER and energy_cond:
         stats = {"E_s": E_s, "E_half": E_half}
         return KpResult(ENERGY_BRANCH, nu, delta, s, mode, energy_mode, stage_stats=stats, checks=[energy_check])
-    return _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_check)
+    return _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_check, nA, E_s, d)
 
 
 def _chain(A, s, energy_mode):
@@ -389,7 +389,7 @@ def _fiber_stages(H, h, S, additive, mode, nA, s, d):
     return a, R_x, Y, thr_Y, z, Y[M[Y, z]]
 
 
-def _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_check):
+def _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_check, nA, E_s, d):
     # The shifts, r_{s/2} and r_s come from one r_1 (see _chain), so they
     # are all on exponent keys with its codec, or all on values.  Every
     # grid below combines coordinates: on keys it adds them in place of
@@ -397,10 +397,8 @@ def _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_ch
     # so each first maximum still goes to the least value; r_s and r_uv
     # are read in coordinate order, and their values are decoded only for
     # the ties at a cut and for the graph's sums.
+    # nA = |A|, E_s = E_s(A) and d = delta as a Fraction come from kp_pipeline.
     add, codec = half.adds, half.codec
-    nA = len(A)
-    E_s = r_s.energy_count()
-    d = precision.rational(delta, "delta")
     trace = []
     checks = [energy_check]
 

@@ -152,6 +152,7 @@ def check_pluennecke(A: IntSet, m: int, n: int) -> CheckReport:
 
 GROWTH_RATIO_FLOOR = Fraction(1, 100)
 SUMSET_CAP = 10**8
+_WAR2_CAP = 10**16  # largest N^(2s) that check_war2 runs
 
 
 def check_convex_growth(A: IntSet, k: int, K: Fraction) -> CheckReport:
@@ -183,11 +184,11 @@ def check_convex_growth(A: IntSet, k: int, K: Fraction) -> CheckReport:
     )
 
 
-def check_war2(k: int, s: int, N: int, guard: int = 10**8) -> CheckReport:
+def check_war2(k: int, s: int, N: int) -> CheckReport:
     """E_s(N_k) * |s N_k| >= N^(2s), exactly: ``check_csref`` on N_k =
     {1, 2^k, ..., N^k}, named and digested by (k, s, N)."""
     if k < 1 or s < 1 or N < 1:
         raise BadParamsError("need k, s, N >= 1")
-    if N ** (2 * s) > guard**2:
+    if N ** (2 * s) > _WAR2_CAP:
         raise TooLargeError("war2 instance too large")
     return replace(check_csref(powers(k, N), s), name="war2", inputs_digest=digest(k, s, N))

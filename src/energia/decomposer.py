@@ -89,14 +89,19 @@ def sign_split(A: IntSet):
 # -- iteration budget --------------------------------------------------------
 
 
-def com2_budget(n: int, c, Cc) -> int:
-    """floor(2(log2 n + 2) + Cc^-1 n^c / (2^c - 1))."""
-    c = precision.rational(c, "c")
-    Cc = precision.rational(Cc, "Cc")
+def _com2_params(c, Cc, n=1):
+    """c and Cc as exact Fractions; refuses n < 1, then c outside (0, 1) or Cc <= 0."""
+    c, Cc = precision.rational(c, "c"), precision.rational(Cc, "Cc")
     if n < 1:
         raise BadParamsError("need n >= 1")
     if not 0 < c < 1 or Cc <= 0:
         raise BadParamsError("need 0 < c < 1 and Cc > 0")
+    return c, Cc
+
+
+def com2_budget(n: int, c, Cc) -> int:
+    """floor(2(log2 n + 2) + Cc^-1 n^c / (2^c - 1))."""
+    c, Cc = _com2_params(c, Cc, n)
     with precision.working():
         cv = precision.mpf(c)
         val = 2 * (mpmath.log(n, 2) + 2) + precision.mpf(1 / Cc) * mpmath.mpf(n) ** cv / (
@@ -108,9 +113,7 @@ def com2_budget(n: int, c, Cc) -> int:
 def min_deletion(size: int, c, Cc) -> int:
     """ceil(Cc size^(1-c)), exactly, for rational c and Cc: the least d
     that ``precision.cmp_count_power`` finds at least Cc size^(1-c)."""
-    c, Cc = precision.rational(c, "c"), precision.rational(Cc, "Cc")
-    if not 0 < c < 1 or Cc <= 0:
-        raise BadParamsError("need 0 < c < 1 and Cc > 0")
+    c, Cc = _com2_params(c, Cc)
     if size < 1:
         return 0
     e, lo, hi = 1 - c, 0, math.ceil(Cc * size)  # d = 0 falls short; hi >= Cc size >= Cc size^(1-c)
@@ -131,24 +134,19 @@ def min_deletion(size: int, c, Cc) -> int:
 def com2_simulate(n: int, c, Cc, adversary) -> int:
     """Run the halve-or-delete process; adversary(size) gives the deletion.
 
-    Each step removes the adversary's count (at least ceil(Cc size^(1-c)),
-    else BadAdversary) and then halves the remainder, matching the
-    two-phase accounting behind the budget formula.
+    Each step removes the adversary's count d, which must be at least
+    Cc size^(1-c) (the comparison ``min_deletion`` bisects on), else
+    BadAdversary.  Each step deletes at least one element, so the process
+    ends within n - 1 steps.
     """
-    if n < 1:
-        raise BadParamsError("need n >= 1")
-    c, Cc = precision.rational(c, "c"), precision.rational(Cc, "Cc")
-    size = n
-    steps = 0
-    budget = com2_budget(n, c, Cc)
+    c, Cc = _com2_params(c, Cc, n)
+    size, steps = n, 0
     while size > 1:
         d = adversary(size)
-        if d < min_deletion(size, c, Cc):
+        if d < 1 or precision.cmp_count_power(d, size, 1 - c, factor=Cc) < 0:
             raise BadAdversaryError(f"deleted {d} < minimum at size {size}")
         size = max(0, size - d)
         steps += 1
-        if steps > budget + n:
-            raise InvariantError("simulation runaway")  # pragma: no cover
     return steps
 
 
@@ -265,7 +263,7 @@ def decompose(A: IntSet, cfg: DecomposeConfig) -> Decomposition:
         trace_all.extend(tr)
         iterations += it
         failed = failed or fl
-        if sr is not None and (stop_report is None or not sr.holds):
+        if stop_report is None:
             stop_report = sr
     B, C = IntSet(B_all), IntSet(C_all)
     _check_partition(A, B, C)

@@ -161,3 +161,12 @@ class TestWar2:
         for k in (1, 2):
             for n in (4, 8, 12):
                 assert check_war2(k, 2, n).holds
+
+    def test_size_cap(self):
+        # N^(2s) = 10^16 is the largest instance run; one past it is refused, exit 3
+        assert check_war2(1, 8, 10).holds
+        with pytest.raises(TooLargeError, match="war2 instance too large") as exc:
+            check_war2(1, 8, 11)
+        assert exc.value.code == 3
+        with pytest.raises(TooLargeError):
+            check_war2(1, 2, 10**4 + 1)

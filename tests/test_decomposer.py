@@ -115,11 +115,10 @@ class TestCom2:
             d += 1
         return d
 
-    @pytest.mark.parametrize(
-        "c, Cc",
-        [(Fraction(1, 2), Fraction(1)), (Fraction(1, 3), Fraction(1)), (Fraction(3, 4), Fraction(1, 2)),
-         (Fraction(2, 5), Fraction(3, 2)), (Fraction(9, 10), Fraction(7, 3))],
-    )
+    PAIRS = [(Fraction(1, 2), Fraction(1)), (Fraction(1, 3), Fraction(1)), (Fraction(3, 4), Fraction(1, 2)),
+             (Fraction(2, 5), Fraction(3, 2)), (Fraction(9, 10), Fraction(7, 3))]
+
+    @pytest.mark.parametrize("c, Cc", PAIRS)
     def test_min_deletion_matches_the_scan(self, c, Cc):
         assert [min_deletion(size, c, Cc) for size in range(1, 2001)] == [self._scan(size, c, Cc) for size in range(1, 2001)]
 
@@ -142,6 +141,52 @@ class TestCom2:
     def test_budget_params(self):
         with pytest.raises(BadParamsError):
             com2_budget(10, Fraction(3, 2), 1)
+
+    @pytest.mark.parametrize("c, Cc", PAIRS)
+    def test_simulate_admits_exactly_the_least_deletion(self, c, Cc):
+        # the first step deletes d at size n; every later one deletes the rest
+        first = lambda n, d: lambda size: d if size == n else 10**6
+        for n in range(2, 301):
+            least = self._scan(n, c, Cc)
+            assert com2_simulate(n, c, Cc, first(n, least)) == (1 if n - least <= 1 else 2)
+            with pytest.raises(BadAdversaryError, match=f"deleted {least - 1} < minimum at size {n}"):
+                com2_simulate(n, c, Cc, first(n, least - 1))
+
+    @pytest.mark.parametrize("c, Cc", [(0, 1), (1, 1), (Fraction(1, 2), 0)])
+    def test_simulate_refuses_params_before_any_step(self, c, Cc):
+        def adversary(size):
+            raise AssertionError("no step may run")
+
+        with pytest.raises(BadParamsError, match="need 0 < c < 1 and Cc > 0"):
+            com2_simulate(16, c, Cc, adversary)
+        with pytest.raises(BadParamsError, match="need n >= 1"):  # n is refused first
+            com2_simulate(0, c, Cc, adversary)
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_simulate_refuses_no_deletion(self, d):
+        with pytest.raises(BadAdversaryError, match=f"deleted {d} < minimum at size 16"):
+            com2_simulate(16, Fraction(1, 2), 1, lambda size: d)
+
+    def test_constants_com2_computes_one_budget(self, monkeypatch, capsys):
+        from energia import cli
+
+        calls = {"com2_budget": 0, "min_deletion": 0}
+
+        def spy(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return counted
+
+        budget = spy("com2_budget", com2_budget)
+        monkeypatch.setattr(cli, "com2_budget", budget)
+        monkeypatch.setattr(decomposer, "com2_budget", budget)
+        monkeypatch.setattr(decomposer, "min_deletion", spy("min_deletion", min_deletion))
+        assert cli.main(["constants", "com2"]) == 0
+        values = json.loads(capsys.readouterr().out)["results"]["values"]
+        assert values["simulated"] == 5 and calls == {"com2_budget": 1, "min_deletion": 5}
+        assert not {"com2_budget", "min_deletion"} & set(com2_simulate.__code__.co_names)
 
 
 class TestDecompose:
@@ -179,6 +224,12 @@ class TestDecompose:
         d = decompose(A, CFG)
         assert set(d.B) | set(d.C) == set(A)
         assert not (set(d.B) & set(d.C))
+
+    def test_mixed_signs_keep_the_positive_stop_report(self):
+        A = IntSet([-3, -9, -27, 0, 2, 4, 8, 16])
+        pos, neg = decompose(IntSet([2, 4, 8, 16]), CFG), decompose(IntSet([3, 9, 27]), CFG)
+        assert pos.stop_report.holds and neg.stop_report.holds and pos.stop_report != neg.stop_report
+        assert decompose(A, CFG).stop_report == pos.stop_report
 
     def test_dilation_invariance(self):
         G = gp(1, 3, 12)

@@ -62,10 +62,11 @@ def _new(A, s, delta, mode, energy_mode, shifts, r_s, half):
         seen["Sprime"] = sorted(G.sum_filter)
         return bsg_extract(U, V, G, grid)
 
+    E_s, d = r_s.energy_count(), precision.rational(delta, "delta")  # as kp_pipeline passes them
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bsg, "_fiber_stages", spy_fiber)
         mp.setattr(bsg, "bsg_extract", spy_extract)
-        res = bsg._run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, None, None)
+        res = bsg._run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, None, None, len(A), E_s, d)
     # checks[0] is the energy check kp_pipeline passes in, checks[-1] the
     # final-size report, both outside the stages compared here
     return res.trace, res.checks[1:-1], res.A_prime, res.anchor_sum, seen
@@ -167,7 +168,7 @@ def test_fiber_stages_match_reference(H, data, scale, additive, mode, nA):
         S = sorted(set(S) | {v + 1 for v in reach[:3]} - set(reach)) or S
     if not S:
         S = reach[:1]
-    d = precision.rational(0.05, "delta")  # as _run_stages passes it
+    d = precision.rational(0.05, "delta")  # as kp_pipeline passes it
 
     def new():
         a, R_x, Y, thr_Y, z, Y1 = bsg._fiber_stages(H, np.array(h, dtype=np.int64), S, additive, mode, nA, 4, d)
