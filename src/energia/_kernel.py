@@ -11,9 +11,14 @@ operands:
   operands read as lists of Python ints, its result sorted back into
   arrays.
 * dense (sums only): translated by the minimum and divided by the gcd of
-  the differences, the two indicators are at most ``_DENSE_RATIO`` times
-  longer than a grid of the supports.  Exact int64 ``np.convolve``, kept
-  where the result is > 0.
+  the differences, the two indicator lines are at most ``_DENSE_RATIO``
+  times longer than a grid of the supports.  One big-integer product
+  (Kronecker substitution): each line is packed into a Python int, a
+  coefficient to a slot of 8, 16, 32 or 64 bits, the narrowest that
+  holds a bound on every coefficient of the result (f.total·max g or
+  g.total·max f, whichever is less; the smaller size for plain lines).
+  No coefficient reaches 2**slot, so none carries into the next, and the
+  product's slots are the convolution exactly.  Its slots > 0 are kept.
 * sort-and-count: otherwise.  The outer sum or product grid goes, in
   row blocks, through :func:`merge_blocks`, which sorts each block,
   merges equal values summing their weights, and merges the blocks.
@@ -37,7 +42,8 @@ own masked to its triangle, each cell weighing c_i·c_j.  After the merge
 one rule, for unit and weighted grids alike, takes c_i² off the count at
 each diagonal value, doubles every count and adds c_i² back; two
 diagonal cells can share a value, as x * x = (-x) * (-x).  The dense
-backend convolves whole lines either way.
+backend packs a self-pair's line once and squares the integer, which
+CPython multiplies faster than two distinct ones.
 
 The kernel sees values only.  Products taken on exponent keys (see
 ``energy.RepFunction``) reach it as sums of plain ints.
@@ -211,14 +217,27 @@ def _python_self(v, c, additive):
 def _dense(f, g, additive):
     total = f.total * g.total if f.counted else None
     step = math.gcd(f.step(), g.step()) or 1
-    lines = []
-    for w in (f, g):
-        line = np.zeros((w.hi - w.lo) // step + 1, dtype=np.int64)
+    # every coefficient of the product, and every input count, is at most this
+    bound = min(f.total * g.max_count(), g.total * f.max_count()) if f.counted else min(f.size, g.size)
+    slot = _slot_dtype(bound)
+    packed = []
+    for w in (f,) if f is g else (f, g):
+        line = np.zeros((w.hi - w.lo) // step + 1, dtype=slot)
         line[(w.vals - w.lo) // step] = 1 if w.cnts is None else w.cnts
-        lines.append(line)
-    conv = np.convolve(lines[0], lines[1])
+        packed.append(int.from_bytes(line.tobytes(), "little"))
+    prod = packed[0] * packed[-1]  # a self-pair squares one integer
+    n = (f.hi - f.lo + g.hi - g.lo) // step + 1
+    conv = np.frombuffer(prod.to_bytes(n * slot.itemsize, "little"), dtype=slot)
     idx = np.flatnonzero(conv)
-    return Weighted((f.lo + g.lo) + step * idx, conv[idx] if total is not None else None, total)
+    cnts = conv[idx].astype(np.int64) if total is not None else None
+    return Weighted((f.lo + g.lo) + step * idx, cnts, total, f.lo + g.lo, f.hi + g.hi)
+
+
+def _slot_dtype(bound):
+    """The narrowest of uint8/16/32/64, little-endian, holding 0..``bound``
+    (a positive int below 2**64)."""
+    nbytes = (bound.bit_length() + 7) // 8
+    return np.dtype(f"<u{1 << (nbytes - 1).bit_length()}")
 
 
 def _sort_count(f, g, additive):

@@ -1,5 +1,6 @@
 import importlib
 import random
+from math import comb
 from itertools import product
 
 import pytest
@@ -25,6 +26,14 @@ from energia.sets import IntSet, ap, gp, interval
 
 small_sets = st.sets(st.integers(-20, 20), min_size=1, max_size=6)
 positive_sets = st.sets(st.integers(1, 25), min_size=1, max_size=6)
+
+
+def interval_energy(n, s):
+    """E_s({1, ..., n}) in closed form: the 2s-tuples of [0, n) with
+    x_1 + ... + x_s + (n-1-y_1) + ... + (n-1-y_s) = s(n-1), by
+    inclusion-exclusion over the coordinates that pass n - 1."""
+    top = s * (n - 1)
+    return sum((-1) ** j * comb(2 * s, j) * comb(top - j * n + 2 * s - 1, 2 * s - 1) for j in range(top // n + 1))
 
 
 class TestRepFunction:
@@ -74,6 +83,21 @@ class TestKnownValues:
     def test_ap16(self):
         assert energy(interval(16), 2).count == 2736
         assert energy(interval(16), 4).count == 128912240
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_intervals_match_the_closed_form(self, s):
+        for n in range(1, 61):
+            want = interval_energy(n, s)
+            assert energy(interval(n), s).count == want, n
+            # the exponent keys of {3^i} are [0, n): this runs on the dense backend too
+            assert energy(gp(1, 3, n), s, MULTIPLICATIVE).count == want, n
+
+    @pytest.mark.parametrize("n", [500, 3000])
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_long_intervals_match_the_closed_form(self, n, s):
+        want = interval_energy(n, s)
+        assert energy(interval(n), s).count == want
+        assert energy(gp(1, 3, n), s, MULTIPLICATIVE).count == want
 
     def test_gp_mult_equals_ap_add(self):
         # q_s on a GP is r_s on the exponent AP

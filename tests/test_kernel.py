@@ -717,6 +717,92 @@ def test_chain_r_s_is_rep_function():
     assert bsg._chain(keyed, 4, MULTIPLICATIVE)[2].codec is not None
 
 
+# -- the dense backend's slots ------------------------------------------------
+#
+# The dense product packs each line into one int, a coefficient to a slot of
+# 8, 16, 32 or 64 bits.  A slot one bit too narrow carries into the next, so
+# each case sits just below or at 2^8, 2^16 or 2^32: at 2^k the bound, and
+# where marked the largest coefficient, is 2^k itself.
+
+
+def _counted(vals, cnts):
+    return _kernel.Weighted(np.array(vals, dtype=np.int64), np.array(cnts, dtype=np.int64), sum(cnts))
+
+
+def _twin(w):
+    """An operand equal to ``w`` that is not ``w``, so no self-pair rule applies."""
+    return _kernel.Weighted(w.vals.copy(), None if w.cnts is None else w.cnts.copy(), w.total)
+
+
+def _slot_cases(bits):
+    """(name, f, g, bound, attained) for counted pairs whose coefficient bound
+    is 2^bits - 1 or 2^bits."""
+    half = bits // 2
+    for bound in (2**bits - 1, 2**bits):
+        # one point against a counted g: its coefficients are g's counts
+        g = _counted([-4, 2, 11, 14], [1, bound, 2, 1])
+        yield "point", _counted([5], [1]), g, bound, True
+    # total * max = (2^half + 1)(2^half - 1); the diagonal cell holds max²
+    below = _counted([-3, 0, 6], [2**half - 1, 1, 1])
+    # four points of an AP, each 2^(half-1): total * max = 2^bits, the middle coefficient
+    at = _counted([-6, -3, 0, 3], [2 ** (half - 1)] * 4)
+    for f, bound, attained in ((below, 2**bits - 1, False), (at, 2**bits, True)):
+        yield "self", f, f, bound, attained
+        yield "twin", f, _twin(f), bound, attained
+
+
+def _same_as_python(f, g):
+    want, got = _kernel._python(f, g, True), _kernel._dense(f, g, True)
+    assert got.vals.dtype == want.vals.dtype and got.vals.tolist() == want.vals.tolist()
+    assert (got.total, got.lo, got.hi) == (want.total, want.lo, want.hi)
+    if want.cnts is None:
+        assert got.cnts is None
+    else:
+        assert got.cnts.dtype == want.cnts.dtype and got.cnts.tolist() == want.cnts.tolist()
+    return got
+
+
+@pytest.mark.parametrize("bits", [8, 16, 32])
+def test_dense_counted_slot_boundaries(bits):
+    for name, f, g, bound, attained in _slot_cases(bits):
+        width = bits if bound < 2**bits else 2 * bits
+        assert _kernel._slot_dtype(bound).itemsize * 8 == width, name
+        got = _same_as_python(f, g)
+        assert max(got.cnts.tolist()) <= bound
+        if attained:
+            assert max(got.cnts.tolist()) == bound, name
+
+
+@pytest.mark.parametrize("n", [2**8 - 1, 2**8])
+def test_dense_plain_slot_boundary_at_2_8(n):
+    # plain lines bound a coefficient by the smaller size, attained in the middle of [0, n) + [0, n)
+    f = _indicator(range(0, 3 * n, 3), counted=False)
+    for g in (f, _twin(f), _indicator(range(-5, 3 * n - 5, 3), counted=False)):
+        _same_as_python(f, g)
+    assert _kernel._slot_dtype(n).itemsize == (1 if n < 2**8 else 2)
+
+
+@pytest.mark.parametrize("n", [2**16 - 1, 2**16])
+def test_dense_plain_slot_boundary_at_2_16(n):
+    # the Python pass would take 2^32 pairs: an interval's sumset is known
+    f = _indicator(range(n), counted=False)
+    for g in (f, _twin(f)):
+        got = _kernel._dense(f, g, True)
+        assert got.cnts is None and got.vals.dtype == np.int64
+        assert np.array_equal(got.vals, np.arange(2 * n - 1))
+    assert _kernel._slot_dtype(n).itemsize == (2 if n < 2**16 else 4)
+
+
+def test_dense_slots_at_2_63():
+    # the widest count choose lets through: total * total just below 2^63
+    f = _counted([0, 1], [2**30, 2**30 + 1])
+    g = _counted([0, 5, 7], [2**31 - 2, 1, 2])
+    assert f.total * g.total < 2**63
+    assert _kernel._slot_dtype(min(f.total * g.max_count(), g.total * f.max_count())) == np.dtype("<u8")
+    _same_as_python(f, g)
+    _same_as_python(f, f)
+
+
 # -- the oracle stays independent ---------------------------------------------
 
 

@@ -128,6 +128,13 @@ def test_counting_oracle_is_found():
     assert COUNTING_NAMES & set(_names(scope)) == {"unique"}
 
 
+# One dense path: the kernel's exact big-integer product.  No module keeps
+# np.convolve beside it as a fallback.
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_names_convolve(path):
+    assert "convolve" not in set(_names(ast.parse(path.read_text()))), f"{path.name} names convolve"
+
+
 def test_kernel_names_no_key_form():
     names = set(_names(ast.parse((SRC / "_kernel.py").read_text())))
     key_form = {"_keys", "codec", "products", "_factors", "_keyset", "_vkeys", "_keyed_pair"}
