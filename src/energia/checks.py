@@ -34,8 +34,16 @@ class CheckReport:
     slack: object
     inputs_digest: str
 
-    def __bool__(self):
-        return self.holds
+    def as_dict(self) -> dict:
+        """The report's JSON form: lhs, rhs and a slack that is not None as strings."""
+        return {
+            "name": self.name,
+            "lhs": str(self.lhs),
+            "rhs": str(self.rhs),
+            "holds": self.holds,
+            "slack": str(self.slack) if self.slack is not None else None,
+            "inputs": self.inputs_digest,
+        }
 
 
 def digest(*parts) -> str:
@@ -167,6 +175,8 @@ def check_convex_growth(A: IntSet, k: int, K: Fraction) -> CheckReport:
     if len(A) < 4:
         raise BadParamsError("need |A| >= 4")
     K = precision.rational(K, "K")
+    if K <= 0:
+        raise BadParamsError(f"K must be positive, got {K}")
     m = 2 ** (k - 1)
     n = m - 1
     work = comb(len(A) + m - 1, m) * comb(len(A) + n - 1, n)

@@ -21,12 +21,11 @@ import json
 import random
 import sys
 import time
-from fractions import Fraction
 
 import numpy as np
 
 from . import __version__, precision
-from .bsg import CALIBRATED, SUBSET_BRANCH, kp_pipeline, kp_verify
+from .bsg import SUBSET_BRANCH, kp_pipeline, kp_verify
 from .checks import (
     check_csref,
     check_holder_mixed,
@@ -45,8 +44,9 @@ from .decomposer import (
     decompose,
     minimal_adversary,
 )
-from .energy import ADDITIVE, MULTIPLICATIVE, energy, energy_oracle, mixed_energy
+from .energy import ADDITIVE, MULTIPLICATIVE, energy, energy_oracle
 from .errors import BadParamsError, EnergiaError
+from .experiments import EXPERIMENTS
 from .sets import IntSet, generate, iterated_product_set, iterated_sumset
 
 _MODES = {"add": ADDITIVE, "additive": ADDITIVE, "mult": MULTIPLICATIVE, "multiplicative": MULTIPLICATIVE}
@@ -175,17 +175,6 @@ def _json_strings(num, den=None):
     return "[" + text.tobytes().decode("ascii") + "]"
 
 
-def _check_dict(r) -> dict:
-    return {
-        "name": r.name,
-        "lhs": str(r.lhs),
-        "rhs": str(r.rhs),
-        "holds": r.holds,
-        "slack": str(r.slack) if r.slack is not None else None,
-        "inputs": r.inputs_digest,
-    }
-
-
 def _write_csv(path, rows, header):
     try:
         with open(path, "w", newline="") as fh:
@@ -280,7 +269,7 @@ def cmd_check(args):
             "cases": args.cases,
             "total": len(all_reports),
             "failures": len(failures),
-            "reports": [_check_dict(r) for r in all_reports],
+            "reports": [r.as_dict() for r in all_reports],
         },
         seed=args.seed,
     )
@@ -296,14 +285,14 @@ def cmd_kp(args):
         "nu": precision.show(res.nu, 20),
         "delta": args.delta,
         "stage_stats": {k: str(v) for k, v in res.stage_stats.items()},
-        "checks": [_check_dict(c) for c in res.checks],
+        "checks": [c.as_dict() for c in res.checks],
     }
     if res.branch == SUBSET_BRANCH:
         results["A_prime"] = [str(v) for v in res.A_prime]
         results["anchor_sum"] = str(res.anchor_sum)
         if args.verify:
             pairs = [(1, 1), (2, 1), (2, 2)]
-            results["verify"] = [_check_dict(c) for c in kp_verify(res, A, pairs)]
+            results["verify"] = [c.as_dict() for c in kp_verify(res, A, pairs)]
     if args.csv:
         _write_csv(args.csv, res.trace, ("stage", "cardinality", "threshold"))
     _emit(args, results)
@@ -323,9 +312,9 @@ def cmd_decompose(args):
         "budget": d.budget,
         "failed": d.failed,
         "certificates": certs,
-        "stop_report": _check_dict(d.stop_report) if d.stop_report else None,
+        "stop_report": d.stop_report.as_dict() if d.stop_report is not None else None,
         "trace": [
-            {"D": [str(v) for v in (D or [])], "report": _check_dict(r), "threshold": str(t)}
+            {"D": [str(v) for v in (D or [])], "report": r.as_dict(), "threshold": str(t)}
             for D, r, t in d.trace
         ],
     }
@@ -374,44 +363,9 @@ def cmd_gen(args):
 
 
 def cmd_experiment(args):
-    name = args.name
-    if name == "warren-squares":
-        r = check_war2(2, 2, 20)
-        results = {"experiment": name, "report": _check_dict(r)}
-        ok = r.holds
-    elif name == "ap-gp-mix":
-        A = IntSet(list(range(1, 33)) + [3**i for i in range(16)])
-        cfg = DecomposeConfig(k=Fraction(6, 5), s=2, q=4, mode=CALIBRATED)
-        d = decompose(A, cfg)  # raises past the iteration budget
-        certs = certificates(A, d, cfg)
-        ok = certs["B"]["holds"] and certs["C"]["holds"]
-        results = {
-            "experiment": name,
-            "B_size": len(d.B),
-            "C_size": len(d.C),
-            "iterations_used": d.iterations_used,
-            "budget": d.budget,
-            "E2_B": certs["B"]["count"],
-            "M2_C": certs["C"]["count"],
-            "holds": ok,
-        }
-    elif name == "zero-obstruction":
-        A = IntSet(range(0, 11))
-        cross = mixed_energy([A, A, A, A], MULTIPLICATIVE).count
-        try:
-            check_holder_mixed([A, A, A, A], MULTIPLICATIVE)
-            guard_fired = False
-        except EnergiaError:
-            guard_fired = True
-        ok = cross >= 121 and guard_fired
-        results = {
-            "experiment": name,
-            "mixed_mult_energy": str(cross),
-            "guard_fired": guard_fired,
-            "holds": ok,
-        }
-    _emit(args, results)
-    return 0 if ok else 1
+    results, holds = EXPERIMENTS[args.name]()
+    _emit(args, {"experiment": args.name, **results})
+    return 0 if holds else 1
 
 
 # -- argument wiring ---------------------------------------------------------
@@ -499,7 +453,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_gen)
 
     sp = sub.add_parser("experiment")
-    sp.add_argument("name", choices=("warren-squares", "ap-gp-mix", "zero-obstruction"))
+    sp.add_argument("name", choices=tuple(EXPERIMENTS))
     sp.set_defaults(fn=cmd_experiment)
 
     return p

@@ -36,10 +36,6 @@ class RepFunction:
     """
 
     def __init__(self, counts: _kernel.Weighted, s: int, mode: str, codec=None):
-        if s < 1:
-            raise BadParamsError("arity s must be >= 1")
-        if mode not in (ADDITIVE, MULTIPLICATIVE):
-            raise BadParamsError(f"unknown mode {mode!r}")
         self.counts, self.s, self.mode, self.codec = counts, s, mode, codec
 
     @property

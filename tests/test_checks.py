@@ -150,6 +150,12 @@ class TestConvexGrowth:
         with pytest.raises(BadParamsError):
             check_convex_growth(powers(2, 8), 4, Fraction(2))
 
+    @pytest.mark.parametrize("K", [0, -2])
+    def test_K_must_be_positive(self, K):
+        # K = 0 would divide by zero; K < 0 is outside the bound (at k = 2 the target is negative)
+        with pytest.raises(BadParamsError, match="K must be positive"):
+            check_convex_growth(interval(10), 2, K)
+
 
 class TestWar2:
     def test_headline_instance(self):

@@ -5,10 +5,11 @@ import sys
 
 import pytest
 
-from energia import cli, errors
+from energia import cli, errors, experiments
 from energia.cli import build_parser, main
 from energia.decomposer import certificates
 from energia.energy import MULTIPLICATIVE, energy
+from energia.experiments import EXPERIMENTS
 from energia.sets import GENERATORS, IntSet, generate
 
 
@@ -334,6 +335,36 @@ class TestExperiments:
         assert code == 0
         assert int(doc["results"]["mixed_mult_energy"]) >= 121
         assert doc["results"]["guard_fired"]
+
+    def test_zero_obstruction_counts_only_the_zero_guard(self, capsys, monkeypatch):
+        # a defect in the Hölder check is an error, not the zero guard firing
+        def defect(sets, mode):
+            raise errors.InvariantError("defect")
+
+        monkeypatch.setattr(experiments, "check_holder_mixed", defect)
+        code, out, err = run(capsys, "experiment", "zero-obstruction")
+        assert (code, out, err) == (1, "", "error: defect\n")
+
+    def test_choices_are_the_table(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        names = next(a for a in sub.choices["experiment"]._actions if a.dest == "name").choices
+        assert names == tuple(EXPERIMENTS)
+
+    def test_unknown_name_is_refused(self, capsys):
+        code, out, err = run(capsys, "experiment", "nope")
+        assert (code, out) == (2, "")
+        assert err == (
+            "parse error: argument name: invalid choice: 'nope' "
+            "(choose from 'warren-squares', 'ap-gp-mix', 'zero-obstruction')\n"
+        )
+
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_function_is_the_report(self, capsys, name):
+        results, holds = EXPERIMENTS[name]()
+        assert type(results) is dict and type(holds) is bool
+        code, doc, _ = run_json(capsys, "experiment", name)
+        assert doc["results"] == {"experiment": name, **results}
+        assert code == (0 if holds else 1)
 
 
 @pytest.mark.parametrize(

@@ -226,6 +226,13 @@ def test_bsg_does_not_import_mpmath():
     assert "mpmath" not in names
 
 
+def test_experiments_import_nothing_from_the_cli():
+    # the CLI imports the experiments, so they cannot import it back
+    tree = ast.parse((SRC / "experiments.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports and "cli" not in {name for node in imports for name in _names(node)}
+
+
 # Whether an array holds int64 or Python ints is decided by one rule,
 # ``_kernel.exact_dtype``.  No other module may pass ``object`` to a
 # call, as a dtype or inside an expression that picks one.
