@@ -21,16 +21,17 @@ operands:
   product's slots are the convolution exactly.  Its slots > 0 are kept.
 * sort-and-count: otherwise.  The outer sum or product grid goes, in
   row blocks, through :func:`merge_blocks`, which sorts each block,
-  merges equal values summing their weights, and merges the blocks.
+  merges equal values reducing their weights, and merges the blocks.
   Each block is written straight from the operands as packed unsigned
   keys, (value - lo) above the weight's bits (none for unit and plain
   grids), lo the least cell: uint32 while offset and weight bits fit 32
   bits, else uint64.  Sorting the keys sorts the values and carries the
   weights along.  ``_CHUNK`` is the block budget in 8-byte cells, so a
-  block of 32-bit keys holds twice as many cells.  Only object arrays
-  and keys past 64 bits sort values by argsort, weights apart.  The BSG
-  stage's nested spans pass (sum, level) blocks to the same merge, which
-  packs them likewise and keeps the least weight of each value.
+  block of 32-bit keys holds twice as many cells.  Only keys past 64
+  bits and cells past int64 sort values by argsort, weights apart.  The
+  grid has two weight rules, each a combine and a ``reduce``: counts
+  (a pair multiplies, a value adds) and, for the BSG stage's nested
+  spans, :func:`least_levels` (a pair takes its max, a value its min).
 
 A self-pair (``f is g``: every squaring step of :func:`power`) visits
 each unordered pair once, since x + y = y + x and x * y = y * x: the
@@ -66,6 +67,7 @@ _PY_PAIRS = 256
 _DENSE_RATIO = 32
 _CHUNK = 1 << 19
 _GROUP = 128
+_UPPER = np.arange(_GROUP) >= np.arange(_GROUP)[:, None]  # its corner m x m: an m-row group's triangle
 
 
 def exact_dtype(bound):
@@ -243,14 +245,9 @@ def _slot_dtype(bound):
 def _sort_count(f, g, additive):
     total = f.total * g.total if f.counted else None
     weighted = f.counted and (f.total > f.size or g.total > g.size)  # unit grids count cells instead
-    lo, hi = grid_bounds(f.lo, f.hi, g.lo, g.hi, additive)
     wbits = (f.max_count() * g.max_count()).bit_length() if weighted else 0
-    dtype = key_dtype(hi - lo, wbits)
-    layout = (lo, wbits)
-    if dtype is None:  # past 64 bits: the cells' values, weights apart
-        dtype, lo, wbits, layout = np.int64, 0, 0, None
-    blocks = _row_blocks(f, g, additive, weighted, dtype, lo, wbits)
-    vals, cnts = merge_blocks(blocks, f.counted, np.add, layout)
+    blocks, layout = _grid(f, g, additive, np.multiply if weighted else None, wbits)
+    vals, cnts = merge_blocks(blocks, np.add if f.counted else None, layout)
     if f is g and f.counted:
         # an off-diagonal cell stands for two, a diagonal one for itself:
         # the squares come off before the doubling, so no count passes its final value
@@ -259,6 +256,29 @@ def _sort_count(f, g, additive):
         cnts *= 2
         np.add.at(cnts, at, squares)
     return Weighted(vals, cnts, total)
+
+
+def least_levels(values, levels, additive):
+    """The distinct x + y (or x * y) over the pairs i <= j of ``values``
+    (int64 or object, in any order), sorted, and the least level of each:
+    a pair's level is max(levels_i, levels_j), the int64 ``levels`` >= 0
+    riding as the self-pair grid's weights (combine max, reduce min)."""
+    f = Weighted(values, levels, None, int(values.min()), int(values.max()))
+    blocks, layout = _grid(f, f, additive, np.maximum, int(levels.max()).bit_length() or 1)
+    return merge_blocks(blocks, np.minimum, layout)
+
+
+def _grid(f, g, additive, combine, wbits):
+    """The blocks of the f x g grid (``_row_blocks``), weights ``combine``d
+    over ``wbits`` bits, and their layout for ``merge_blocks``: (lo, wbits)
+    for packed keys, or None past 64 bits or int64 cells, where a block
+    holds the cells, in ``exact_dtype`` of the grid's bound, weights apart."""
+    lo, hi = grid_bounds(f.lo, f.hi, g.lo, g.hi, additive)
+    cells = exact_dtype(max(-lo, hi))
+    dtype = key_dtype(hi - lo, wbits) if cells is np.int64 else None
+    if dtype is None:
+        return _row_blocks(f, g, additive, combine, cells, 0, 0), None
+    return _row_blocks(f, g, additive, combine, dtype, lo, wbits), (lo, wbits)
 
 
 def grid_bounds(flo, fhi, glo, ghi, additive):
@@ -285,19 +305,19 @@ def block_cells(dtype):
 
 
 def _key_operands(x, y, lo, wbits, dtype, additive):
-    """``x`` and ``y`` (int64) as ``dtype`` vectors, and a base, such that
+    """``x`` and ``y`` (int64 or object) as ``dtype`` vectors, and a base:
     each cell of ``np.add.outer`` (or ``np.multiply.outer``) of the two,
     less the base, is the key (cell - lo) << wbits.  The arithmetic wraps
     modulo the width of ``dtype``, which is exact for every key the
     width holds."""
     xk = _offset_keys(x, lo if additive else 0, wbits, np.empty(len(x), dtype=dtype))
     yk = _offset_keys(y, 0, wbits if additive else 0, np.empty(len(y), dtype=dtype))
-    return xk, yk, 0 if additive else _wrap(lo << wbits, dtype)
+    return xk, yk, 0 if additive or not lo else _wrap(lo << wbits, dtype)  # object (lo 0) has no wrap
 
 
 def _offset_keys(values, lo, wbits, out):
-    """(values - lo) << wbits for int64 ``values``, written into ``out``
-    modulo its width."""
+    """(values - lo) << wbits for int64 or object ``values``, written into
+    ``out`` modulo its width (exactly, for object)."""
     np.subtract(values, lo, out=out, casting="unsafe")
     out <<= wbits
     return out
@@ -308,25 +328,25 @@ def _wrap(n, dtype):
     return dtype(n % (1 << 8 * np.dtype(dtype).itemsize))
 
 
-def _row_blocks(f, g, additive, weighted, dtype, lo, wbits):
+def _row_blocks(f, g, additive, combine, dtype, lo, wbits):
     """The f x g grid as (keys, weights) blocks of whole rows, at most
     ``block_cells(dtype)`` cells (one row when a row is longer).  The keys
     are (cell - lo) << wbits, the cell x + y (or x * y), by
-    ``_key_operands``: the cells' values themselves for int64, lo 0 and
-    wbits 0.  The weights c_i·c_j are None unless ``weighted``, and go
-    into the keys' low ``wbits`` bits when there are any.
+    ``_key_operands``: the cells themselves, int64 or object, at lo 0 and
+    wbits 0.  The weights ``combine``(c_i, c_j), None without ``combine``,
+    go into the keys' low ``wbits`` bits when there are any, else apart.
 
     For a self-pair (``f is g``) row i holds the columns j >= i only: the
-    upper triangle with its diagonal (what each cell stands for is
-    ``_sort_count``'s rule).  A block takes its rows ``_GROUP`` at a
-    time: for rows [a, b), the columns from b on are one outer product
-    written straight into the block, and the group's own columns one
-    (b - a)² outer product masked to its upper triangle.
+    upper triangle with its diagonal (what each cell stands for is the
+    caller's rule).  A block takes its rows ``_GROUP`` at a time: for
+    rows [a, b), the columns from b on are one outer product written
+    straight into the block, and the group's own columns one (b - a)²
+    outer product masked to its upper triangle.
     """
     xk, yk, base = _key_operands(f.vals, g.vals, lo, wbits, dtype, additive)
     planes = [(np.add if additive else np.multiply, xk, yk)]  # each cell of a plane is op(x_i, y_j)
-    if weighted:
-        planes.append((np.multiply, f.cnts.astype(dtype), g.cnts.astype(dtype)))
+    if combine:  # apart, the weights are int64 beside int64 or object cells
+        planes.append((combine, *(w.cnts.astype(dtype if wbits else np.int64) for w in (f, g))))
     half = f is g
     lens = np.arange(g.size, 0, -1) if half else np.full(f.size, g.size)
     ends = np.cumsum(lens)  # cells in rows 0..i
@@ -336,9 +356,8 @@ def _row_blocks(f, g, additive, weighted, dtype, lo, wbits):
         start = int(ends[i] - lens[i])
         stop = max(i + 1, int(np.searchsorted(ends, start + budget, side="right")))
         if half:
-            out = [np.empty(int(ends[stop - 1]) - start, dtype=dtype) for _ in planes]
+            out = [np.empty(int(ends[stop - 1]) - start, dtype=x.dtype) for _, x, _ in planes]
             pos = 0
-            upper = np.arange(_GROUP) >= np.arange(_GROUP)[:, None]  # corner m x m: an m-row group's triangle
             for a in range(i, stop, _GROUP):
                 b = min(a + _GROUP, stop)
                 m = b - a
@@ -346,11 +365,11 @@ def _row_blocks(f, g, additive, weighted, dtype, lo, wbits):
                 end = mid + m * (m + 1) // 2
                 for j, (op, x, y) in enumerate(planes):  # a loop name would hold a buffer past the yield
                     op.outer(x[a:b], y[b:], out=out[j][pos:mid].reshape(m, -1))
-                    out[j][mid:end] = op.outer(x[a:b], y[a:b])[upper[:m, :m]]
+                    out[j][mid:end] = op.outer(x[a:b], y[a:b])[_UPPER[:m, :m]]
                 pos = end
         else:
             out = [op.outer(x[i:stop], y).ravel() for op, x, y in planes]
-        keys, weights = out[0], out[1] if weighted else None
+        keys, weights = out[0], out[1] if combine else None
         del out  # packed weights are freed before the block's merge
         if base:
             keys -= base
@@ -361,10 +380,10 @@ def _row_blocks(f, g, additive, weighted, dtype, lo, wbits):
         i = stop
 
 
-def merge_blocks(blocks, counted, reduce, layout=None):
+def merge_blocks(blocks, reduce, layout=None):
     """The distinct values of the cells of (keys, weights) ``blocks``,
-    sorted, with ``reduce`` (``np.add`` or ``np.minimum``) of the weights
-    of each value when ``counted``.
+    sorted, with ``reduce`` (``np.add`` or ``np.minimum``; None for a
+    plain set) of the weights of each value.
 
     With ``layout`` = (lo, wbits), a block's keys hold each cell as
     (value - lo) << wbits | weight, its weights None.  Without, they are
@@ -381,24 +400,24 @@ def merge_blocks(blocks, counted, reduce, layout=None):
     vals, cnts, size = [], [], 0  # sorted runs; the first merges every block before the others
     for keys, weights in blocks:
         if layout:
-            v, c = _merge_equal(keys, *layout, counted, reduce)
+            v, c = _merge_equal(keys, *layout, reduce)
         else:
-            v, c = _merge_cells([keys], [weights], counted, reduce)
+            v, c = _merge_cells([keys], [weights], reduce)
         del keys, weights  # no block outlives its merge
         vals.append(v)
         cnts.append(c)
         size += len(v)
         if size > 2 * len(vals[0]):
-            v, c = _merge_cells(vals, cnts, counted, reduce)
+            v, c = _merge_cells(vals, cnts, reduce)
             vals.append(v)
             cnts.append(c)
             size = len(v)
     if len(vals) > 1:
-        return _merge_cells(vals, cnts, counted, reduce)
+        return _merge_cells(vals, cnts, reduce)
     return vals[0], cnts[0]
 
 
-def _merge_cells(vals, cnts, counted, reduce):
+def _merge_cells(vals, cnts, reduce):
     """``_merge_equal`` of the cells of the value arrays ``vals``, weighing
     the arrays ``cnts`` (non-negative; None each to count cells).  Both
     lists are emptied as they are read, so that no part outlives the
@@ -418,18 +437,15 @@ def _merge_cells(vals, cnts, counted, reduce):
                     np.bitwise_or(part, c, out=part, dtype=dtype, casting="unsafe")
                 pos += len(v)
             del v, c
-            return _merge_equal(keys, lo, wbits, counted, reduce)
+            return _merge_equal(keys, lo, wbits, reduce)
     values = _take(vals)
     weights = None if cnts[0] is None else _take(cnts)
     cnts.clear()
-    if not counted:
-        values = np.sort(values)
-        return values[_starts(values)], None
     order = np.argsort(values)
     values = values[order]
     starts = _starts(values)
     if weights is None:
-        return values[starts], np.diff(np.append(starts, len(values)))
+        return values[starts], None if reduce is None else np.diff(np.append(starts, len(values)))
     return values[starts], reduce.reduceat(weights[order], starts)
 
 
@@ -440,10 +456,10 @@ def _take(arrays):
     return out
 
 
-def _merge_equal(keys, lo, wbits, counted, reduce):
+def _merge_equal(keys, lo, wbits, reduce):
     """Sort the packed ``keys`` (value - lo) << wbits | weight in place and
-    merge equal values: with ``counted``, ``reduce`` their weights, or
-    count them when ``wbits`` is 0.  Sorting the keys sorts each value's
+    merge equal values: ``reduce`` their weights (None for a plain set),
+    or count them when ``wbits`` is 0.  Sorting the keys sorts each value's
     weights too, least first."""
     keys.sort()
     offsets = keys >> wbits if wbits else keys
@@ -451,7 +467,7 @@ def _merge_equal(keys, lo, wbits, counted, reduce):
     values = offsets[starts].astype(np.int64)
     values += lo
     del offsets
-    if not counted:
+    if reduce is None:
         return values, None
     if not wbits:
         return values, np.diff(np.append(starts, len(keys)))

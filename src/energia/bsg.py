@@ -191,29 +191,13 @@ def _nested_spans(P, level, additive):
 
     ``level`` holds each element's first level, 0..k-1, every level
     taken.  Each pair of elements enters at the larger of its two levels,
-    and each distinct sum at the least level of the pairs forming it; the
-    spans are the running counts of sums by entry level, one
-    ``bincount``.  With the elements ordered by level, the pairs (a, b),
-    b <= a, visited row by row in blocks of about
-    ``block_cells(np.int64)`` = 2^19 cells, enter at the level of their row:
-    ``_kernel.merge_blocks`` takes the blocks of (sum, row level) cells
-    and keeps each sum's least level.
+    and each distinct sum at the least level of the pairs forming it
+    (``_kernel.least_levels``); the spans are the running counts of sums
+    by entry level, one ``bincount``.
     """
-    order = np.argsort(level, kind="stable")
-    level = level[order]
-    mag = _reach(P)
-    P = np.array(P, dtype=_kernel.exact_dtype(2 * mag if additive else mag * mag))[order]
-    outer = np.add.outer if additive else np.multiply.outer
-    rows = max(1, _kernel.block_cells(np.int64) // len(P))
-
-    def blocks():
-        for r0 in range(0, len(P), rows):
-            r1 = min(len(P), r0 + rows)
-            below = np.arange(r1) <= np.arange(r0, r1)[:, None]
-            yield outer(P[r0:r1], P[:r1])[below], np.repeat(level[r0:r1], np.arange(r0 + 1, r1 + 1))
-
-    _, entry = _kernel.merge_blocks(blocks(), True, np.minimum)
-    return np.cumsum(np.bincount(entry, minlength=int(level[-1]) + 1)).tolist()
+    P = np.array(P, dtype=_kernel.exact_dtype(_reach(P)))
+    _, entry = _kernel.least_levels(P, level, additive)
+    return np.cumsum(np.bincount(entry, minlength=int(level.max()) + 1)).tolist()
 
 
 def bsg_extract(U: IntSet, V: IntSet, G: PopularSumGraph, grid=None):
@@ -311,6 +295,7 @@ def kp_pipeline(
         raise BadParamsError("need even s >= 4")
     if delta <= 0:
         raise BadParamsError("need delta > 0")
+    d = precision.rational(delta, "delta")  # before the chain: a non-finite delta is refused at once
     if len(A) < 2:
         raise BadParamsError("need |A| >= 2")
     if mode not in (PAPER, CALIBRATED):
@@ -324,7 +309,6 @@ def kp_pipeline(
         nu = 2 * s - precision.log2(E_s) / precision.log2(nA)
 
     # E_{s/2}(A) > |A|^(s - nu + delta) = E_s |A|^(delta - s), as |A|^nu = |A|^(2s) / E_s
-    d = precision.rational(delta, "delta")
     energy_cond = precision.cmp_count_power(E_half, nA, d - s, factor=E_s) > 0
     energy_check = CheckReport("kp-energy-branch", E_half, "E_s |A|^(delta-s)", energy_cond, None, digest(A, s, delta))
 

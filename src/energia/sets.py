@@ -168,7 +168,7 @@ def _quotient_arrays(num, den):
     shift = 2 * max(-int(den[0]), int(den[-1])).bit_length()
     dtype = _kernel.exact_dtype(max(-int(num[0]), int(num[-1]), 1) << shift)
     keys = np.floor_divide.outer(np.left_shift(num.astype(dtype, copy=False), shift), den.astype(dtype, copy=False)).ravel()
-    _, cells = _kernel.merge_blocks([(keys, np.arange(len(keys)))], True, np.minimum)
+    _, cells = _kernel.merge_blocks([(keys, np.arange(len(keys)))], np.minimum)
     p, q = num[cells // len(den)], den[cells % len(den)]
     g = np.gcd(p, q)
     g[q < 0] *= -1  # dividing by -g moves the sign onto the numerator

@@ -403,6 +403,15 @@ class TestKpPipeline:
         with pytest.raises(BadParamsError):
             kp_pipeline(IntSet([1]), 4, 0.05)
 
+    @pytest.mark.parametrize("delta", (float("nan"), float("inf")))
+    def test_non_finite_delta_is_refused_before_the_chain(self, monkeypatch, delta):
+        calls = []
+        chain = bsg._chain
+        monkeypatch.setattr(bsg, "_chain", lambda *args: calls.append(args) or chain(*args))
+        with pytest.raises(BadParamsError, match="delta must be finite"):
+            kp_pipeline(interval(12), 4, delta)
+        assert calls == []
+
     def test_guard_runs_before_any_kernel_work(self, monkeypatch):
         # 235^4 passes the count guard and 235^8 does not: the pipeline
         # refuses s = 8 before building r_1, r_{s/2} or r_s

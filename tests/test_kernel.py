@@ -284,7 +284,7 @@ def test_triangle_blocks_stay_within_chunk(monkeypatch):
         lo, hi = _kernel.grid_bounds(f.lo, f.hi, f.lo, f.hi, additive)
         dtype = _kernel.key_dtype(hi - lo, wbits)
         assert dtype is np.uint32 and _kernel.block_cells(dtype) == 40
-        blocks = list(_kernel._row_blocks(f, f, additive, True, dtype, lo, wbits))
+        blocks = list(_kernel._row_blocks(f, f, additive, np.multiply, dtype, lo, wbits))
         assert [len(k) for k, _ in blocks] == [14 + 13 + 12, 11 + 10 + 9 + 8, 7 + 6 + 5 + 4 + 3 + 2 + 1]
         assert _block_rows(blocks, 14) == [3, 4, 7]
         assert all(k.dtype == dtype and w is None for k, w in blocks)
@@ -318,7 +318,7 @@ def test_grouped_triangle(monkeypatch, rows, chunk, kind, additive, width):
     layout = (lo, wbits)
     if dtype is None:
         dtype, lo, wbits, layout = np.int64, 0, 0, (None, 0)
-    blocks = list(_kernel._row_blocks(f, f, additive, weighted, dtype, lo, wbits))
+    blocks = list(_kernel._row_blocks(f, f, additive, np.multiply if weighted else None, dtype, lo, wbits))
     budget = _kernel.block_cells(dtype)
     assert all(len(k) <= budget or r == 1 for (k, _), r in zip(blocks, _block_rows(blocks, rows)))
     assert sum(_block_rows(blocks, rows)) == rows
@@ -408,7 +408,7 @@ def test_merge_equal_sums_weights(cells, reduce, unit):
         cells = [(v, 1) for v, _ in cells]
     keys, want = _merge_reference(cells, reduce)
     values, weights = (np.array(col, dtype=np.int64) for col in zip(*cells))
-    vals, cnts = _kernel._merge_cells([values], [None if unit else weights], True, reduce)
+    vals, cnts = _kernel._merge_cells([values], [None if unit else weights], reduce)
     assert vals.tolist() == keys
     assert cnts.tolist() == want
 
@@ -437,7 +437,7 @@ def test_merge_blocks_across_many_parts(monkeypatch, reduce, wide, blocks, unit)
         (np.array([v for v, _ in b], dtype=dtype), None if unit else np.array([w for _, w in b], dtype=np.int64))
         for b in blocks
     )
-    vals, cnts = _kernel.merge_blocks(arrays, True, reduce)
+    vals, cnts = _kernel.merge_blocks(arrays, reduce)
     assert vals.tolist() == keys and cnts.tolist() == want
     assert vals.dtype == dtype and cnts.dtype == np.int64
     assert max(seen) <= 2 * len(keys) + max(map(len, blocks))
@@ -456,6 +456,51 @@ def test_sort_count_merges_stay_near_the_result(monkeypatch, self_pair):
     out = _kernel._sort_count(f, g, True)
     assert _content(out) == _content(_kernel._python(f, _operand(g.vals.tolist(), "unit", None), True))
     assert len(seen) > 10 and max(seen) <= 2 * out.size + 14
+
+
+# -- least levels over a self-pair grid ----------------------------------------
+
+# (least, greatest) magnitude of the two extremes -a and b of each route's
+# values, and the bound on the others: packed keys; int64 cells whose
+# span and level bits pass 64 bits; cells past 2^63, Python ints.
+_LEVEL_ROUTES = {
+    (True, "packed"): (0, 1000),
+    (False, "packed"): (0, 1000),
+    (True, "unpacked"): (2**61, 2**62 - 1),
+    (False, "unpacked"): (2**31, math.isqrt(2**63 - 1)),
+    (True, "python"): (2**62, 2**70),
+    (False, "python"): (2**32, 2**70),
+}
+_ROUTE_DTYPES = {"packed": (np.uint32, np.uint64), "unpacked": (np.int64,), "python": (object,)}
+
+
+def _least_levels_reference(values, levels, op):
+    """{x op y: least max(level_i, level_j)} over the literal triangle i <= j."""
+    out = {}
+    for i in range(len(values)):
+        for j in range(i, len(values)):
+            v, level = op(values[i], values[j]), max(levels[i], levels[j])
+            out[v] = min(out.get(v, level), level)
+    return out
+
+
+@pytest.mark.parametrize("additive, route", sorted(_LEVEL_ROUTES))
+@prop(80)
+@given(data=st.data(), chunk=st.sampled_from([3, 1 << 19]))
+def test_least_levels_match_the_triangle(monkeypatch, additive, route, data, chunk):
+    monkeypatch.setattr(_kernel, "_CHUNK", chunk)
+    least, most = _LEVEL_ROUTES[additive, route]
+    ends = [-data.draw(st.integers(least, most)), data.draw(st.integers(least, most))]
+    values = data.draw(st.permutations(ends + data.draw(st.lists(st.integers(-most, most), max_size=14))))
+    k = data.draw(st.sampled_from([1, 2, 5, 200]))  # one level, ties, or mostly distinct ones
+    levels = data.draw(st.lists(st.integers(0, k - 1), min_size=len(values), max_size=len(values)))
+    seen, row_blocks = [], _kernel._row_blocks
+    monkeypatch.setattr(_kernel, "_row_blocks", lambda *args: seen.append(args[4]) or row_blocks(*args))
+    got = _kernel.least_levels(_array(values), np.array(levels, dtype=np.int64), additive)
+    want = _least_levels_reference(values, levels, (lambda a, b: a + b) if additive else (lambda a, b: a * b))
+    assert seen[0] in _ROUTE_DTYPES[route]
+    assert got[0].tolist() == sorted(want)
+    assert got[1].dtype == np.int64 and got[1].tolist() == [want[v] for v in sorted(want)]
 
 
 # -- the keyed quotient arrays ------------------------------------------------

@@ -13,8 +13,9 @@ they keep the kernel one (value, multiplicity) semiring, with exponent
 keys held by ``energy.RepFunction``; they keep every comparison of
 mpf values inside ``precision.py``, with ``bsg.py`` free of mpmath; they
 keep the choice between int64 and object arrays in ``_kernel.py``; they
-keep the sort that merges equal values of a grid, and the dedup of a
-sorted grid, in ``_kernel.py``; and
+keep the sort that merges equal values of a grid, the dedup of a sorted
+grid and, but for ``sets``' quotients, every grid handed to its merge in
+``_kernel.py``; and
 they keep every class in ``errors.py`` raised somewhere in the library,
 each declaring its own exit code, as README's exit-code table lists it.
 """
@@ -334,6 +335,27 @@ def test_run_finding_is_found():
         "starts = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))\n"
     )
     assert _finds_runs(ast.parse(src)) == [1, 2, 5]
+
+
+# Building and merging a grid is the kernel's job: ``_kernel.least_levels``
+# serves the BSG stage's nested spans, so only ``sets._quotient_arrays``,
+# whose keys are no sum or product, hands a grid to ``merge_blocks``, and
+# no module outside the kernel sizes a block with ``block_cells``.
+GRID_OWNERS = {"merge_blocks": {"_kernel.py", "sets.py"}, "block_cells": {"_kernel.py"}}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_kernel_builds_and_merges_grids(path):
+    names = {name for name, owners in GRID_OWNERS.items() if path.name not in owners}
+    found = names & set(_names(ast.parse(path.read_text())))
+    assert not found, f"{path.name} names {sorted(found)}; use a _kernel grid such as least_levels"
+
+
+def test_grid_helper_names_are_found():
+    named = "_, entry = _kernel.merge_blocks(blocks(), np.minimum)\nrows = max(1, block_cells(np.int64) // n)\n"
+    mentioned = "# merge_blocks keeps each sum's least level\ndoc = 'block_cells'\n"
+    assert set(GRID_OWNERS) <= set(_names(ast.parse(named)))
+    assert not set(GRID_OWNERS) & set(_names(ast.parse(mentioned)))
 
 
 # An error class that no module raises, and that is no base of one that
