@@ -107,20 +107,29 @@ _SPLICE = "\0"
 
 def _emit(args, results, seed=None, splice=None):
     text = json.dumps(_report(args, results, seed), sort_keys=True, default=str)
-    if splice is not None:
-        text = text.replace('"\\u0000"', splice, 1)
-    print(text)
+    if splice is None:
+        print(text)
+    else:  # head, list and tail written in turn: no second copy of the whole text
+        head, _, tail = text.partition('"\\u0000"')
+        print(head, splice, tail, sep="")
 
 
 @functools.cache
 def _tables():
-    """A row of the report's values is read four ASCII cells, one uint32
-    word, at a time: the digits of 0000-9999 as words, the masks that keep
-    the last k of four cells, and the powers 10^1-10^19 that count digits.
-    Built on first use, so that importing the CLI costs nothing more."""
+    """A value's digits are read four ASCII cells, one uint32 word, at a
+    time: the digits of 0000-9999 as words, the masks that keep the last k
+    of four cells, and the powers 10^1-10^19 that count digits.  Then the
+    least and the greatest value of each of the 38 (sign, digit count)
+    classes of int64: class 0 is -2^63..-10^18, class 18 is -9..-1, class
+    19 is 0..9 and class 37 is 10^18..2^63 - 1.  Built on first use, so
+    that importing the CLI costs nothing more."""
     digits = np.ascontiguousarray((np.indices((10,) * 4, dtype=np.uint8) + ord("0")).reshape(4, -1).T)
     last = np.arange(4) >= 4 - np.arange(5)[:, None]
-    return digits.view(np.uint32)[:, 0], last.view(np.uint32)[:, 0], 10 ** np.arange(1, 20, dtype=np.uint64)
+    pow10 = 10 ** np.arange(1, 20, dtype=np.uint64)
+    tens = pow10[:18].astype(np.int64)
+    high = np.concatenate([-tens[::-1], [-1], tens - 1, [2**63 - 1]])
+    low = np.concatenate([[-(2**63)], high[:-1] + 1])
+    return digits.view(np.uint32)[:, 0], last.view(np.uint32)[:, 0], pow10, low, high
 
 
 def _word(cells):
@@ -129,17 +138,96 @@ def _word(cells):
     return np.frombuffer(raw, dtype=np.uint8).view(np.uint32)[0]
 
 
-def _decimal(mag, shown):
-    """(characters, keep) words of the digits of the uint64 array ``mag``,
-    right-aligned, most significant word first; a value keeps its digits
-    (one for 0) where ``shown``, else none."""
-    digits, last, pow10 = _tables()
-    count = np.where(shown, np.searchsorted(pow10, mag, side="right") + 1, 0)
+def _magnitude(a):
+    """|a| of the int64 array ``a``: uint32 where every value fits, which
+    divides about three times faster, else uint64 (-2^63 included)."""
+    return np.abs(a).astype(np.uint32 if -(2**32) < a.min() and a.max() < 2**32 else np.uint64)
+
+
+def _words(mag, groups):
+    """The digits of the unsigned array ``mag``, below 10^(4 * groups),
+    as ``groups`` arrays of words, most significant first."""
+    digits = _tables()[0]
     words = []
-    for below in range(0, int(count.max()), 4):  # digits to the right of this word
-        mag, group = np.divmod(mag, 10000)
-        words.append((digits[group], last[np.clip(count - below, 0, 4)]))
+    for _ in range(groups - 1):
+        high = mag // 10000  # a floor division by a scalar runs faster than divmod
+        words.append(digits.take(mag - high * 10000))
+        mag = high
+    words.append(digits.take(mag))
     return words[::-1]
+
+
+def _decimal(mag, shown):
+    """(characters, keep) words of the digits of ``mag``, right-aligned,
+    most significant word first; a value keeps its digits (one for 0)
+    where ``shown``, else none."""
+    last, pow10 = _tables()[1:3]
+    count = np.where(shown, np.searchsorted(pow10, mag, side="right") + 1, 0)
+    words = _words(mag, -(-int(count.max()) // 4))
+    return [(w, last[np.clip(count - 4 * below, 0, 4)]) for below, w in zip(range(len(words) - 1, -1, -1), words)]
+
+
+def _integer_text(num):
+    """The ASCII of the JSON list of the decimal strings of the sorted
+    int64 array ``num``, as uint8; None where ``num`` is out of order.
+
+    In a sorted array the values of one (sign, digit count) class are one
+    run, whose edges bisection finds; a run found so must hold its class
+    alone, which also keeps each row in one run.  A run is one block of
+    fixed-width rows, filled a column at a time: quote and sign, the
+    digit cells of the values' words, closing quote and separator.
+    """
+    n = len(num)
+    low, high = _tables()[3:]
+    bounds = [0, *np.searchsorted(num, high[:-1], side="right").tolist(), n]
+    runs = [(a, b, k) for k, (a, b) in enumerate(zip(bounds, bounds[1:])) if a < b]
+    if not all(low[k] <= num[a:b].min() and num[a:b].max() <= high[k] for a, b, k in runs):
+        return None
+    runs = [(a, b, k < 19, 19 - k if k < 19 else k - 18) for a, b, k in runs]
+    words = _words(_magnitude(num), -(-max(count for *_, count in runs) // 4))
+    cells = [(w.view(np.uint8).reshape(n, 4), j) for w in words for j in range(4)]
+    text = np.empty(1 + sum((b - a) * (count + neg + 4) for a, b, neg, count in runs), dtype=np.uint8)
+    text[0], start = ord("["), 1
+    for a, b, neg, count in runs:
+        width = count + neg + 4
+        block = text[start : start + (b - a) * width].reshape(b - a, width)
+        start += (b - a) * width
+        for col, char in enumerate(b'"-'[: 1 + neg]):
+            block[:, col] = char
+        for col, (w, j) in enumerate(cells[-count:], 1 + neg):
+            block[:, col] = w[a:b, j]
+        for col, char in enumerate(b'", ', -3):
+            block[:, col] = char
+    text[-2] = ord("]")  # the last row's separator, and its space dropped
+    return text[:-1]
+
+
+def _word_rows(num, den):
+    """The ASCII of the JSON list of the decimal strings of the int64
+    array ``num``, or of the fractions num/den ("p" where the denominator
+    is 1, else "p/q"), as uint8.
+
+    Each value is one row of words: bracket, quote and sign, digits,
+    slash and denominator digits, closing quote, bracket and separator,
+    each word beside the mask of the cells it keeps.  The kept cells,
+    read row by row, are the text.
+    """
+    n = len(num)
+    sign = np.where(num < 0, _word([0, 0, 1, 1]), _word([0, 0, 1, 0]))
+    sign[0] |= _word([1, 0, 0, 0])
+    row = [(_word('[ "-'), sign)]
+    row += _decimal(_magnitude(num), True)
+    if den is not None:
+        frac = den != 1
+        row.append((_word("   /"), np.where(frac, _word([0, 0, 0, 1]), 0)))
+        row += _decimal(_magnitude(den), frac)
+    end = np.full(n, _word([1, 1, 0, 1]))
+    end[-1] = _word([1, 0, 1, 0])  # no separator after the last value
+    row.append((_word('",] '), end))
+    chars, keep = np.empty((2, n, len(row)), dtype=np.uint32)
+    for i, (c, k) in enumerate(row):
+        chars[:, i], keep[:, i] = c, k
+    return np.compress(keep.view(bool).ravel(), chars.view(np.uint8).ravel())
 
 
 def _json_strings(num, den=None):
@@ -147,32 +235,21 @@ def _json_strings(num, den=None):
     ``num``, or of the fractions num/den ("p" where the denominator is 1,
     else "p/q"), as ``json.dumps`` writes it.
 
-    Each value is one row of words: quote and sign, digits, slash and
-    denominator digits, closing quote and separator, each word beside the
-    mask of the cells it keeps.  The kept cells, read row by row, are the
-    text.  Object arrays take ``str`` per value.
+    A sorted integer list (every denominator 1 included), as every
+    ``IntSet`` fold and product set is, is written in run blocks
+    (``_integer_text``); a list with a denominator above 1, or out of
+    order, in word-and-mask rows (``_word_rows``).  Either is decoded
+    once.  Object arrays take ``str`` per value.
     """
-    n = len(num)
     if num.dtype == object or (den is not None and den.dtype == object):
-        pairs = zip(num.tolist(), den.tolist() if den is not None else [1] * n)
+        pairs = zip(num.tolist(), den.tolist() if den is not None else [1] * len(num))
         return json.dumps([str(p) if q == 1 else f"{p}/{q}" for p, q in pairs])
-    neg = num < 0
-    mag = num.astype(np.uint64)  # a negative v wraps to 2^64 - |v| ...
-    np.negative(mag, out=mag, where=neg)  # ... and back to |v|, -2^63 included
-    row = [(_word('  "-'), np.where(neg, _word([0, 0, 1, 1]), _word([0, 0, 1, 0])))]
-    row += _decimal(mag, True)
-    if den is not None:
-        frac = den != 1
-        row.append((_word("   /"), np.where(frac, _word([0, 0, 0, 1]), 0)))
-        row += _decimal(den.astype(np.uint64), frac)
-    end = np.full(n, _word([1, 1, 1, 0]))
-    end[-1] = _word([1, 0, 0, 0])  # no separator after the last value
-    row.append((_word('", _'), end))
-    chars, keep = np.empty((2, n, len(row)), dtype=np.uint32)
-    for i, (c, k) in enumerate(row):
-        chars[:, i], keep[:, i] = c, k
-    text = np.compress(keep.view(bool).ravel(), chars.view(np.uint8).ravel())
-    return "[" + text.tobytes().decode("ascii") + "]"
+    if den is not None and (den == 1).all():
+        den = None
+    text = None if den is not None else _integer_text(num)
+    if text is None:  # a denominator above 1, or a list out of order
+        text = _word_rows(num, den)
+    return str(text, "ascii")
 
 
 def _write_csv(path, rows, header):

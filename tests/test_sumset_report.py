@@ -128,3 +128,54 @@ def test_sumset_reports_of_random_sets(tmp_path_factory, values, m, n, mode):
     argv = ["--m", str(m), "--n", str(n), "--mode", mode]
     code, out, want = _stdout(tmp_path_factory.mktemp("sumset"), argv, values)
     assert code == 0 and out == want
+
+
+# run centres: every +-10^k edge, and both sides of 2^32, where magnitudes
+# leave uint32
+CENTRES = sorted(set(INT64_EDGES) | {s * (2**32 + d) for s in (1, -1) for d in (-1, 0, 1)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(runs=st.lists(st.tuples(st.sampled_from(CENTRES), st.integers(0, 60), st.integers(0, 60)), min_size=1, max_size=35))
+def test_sorted_runs_across_every_edge_encode_as_json_dumps_of_str(runs):
+    # a fold's values: sorted and distinct, long runs of one digit count
+    values = sorted({v for c, below, above in runs for v in range(max(c - below, INT64_MIN), min(c + above, INT64_MAX) + 1)})
+    assert cli._json_strings(np.array(values, dtype=np.int64)) == json.dumps([str(v) for v in values])
+
+
+@pytest.mark.parametrize(
+    "values, m", [([-6, -2, 1, 3, 5], 2), ([2, 3, 10**6 + 7], 3), ([-(10**9), -1, 7, 2**31], 2), ([-3, 5, 2**31 + 1], 2)]
+)
+def test_product_sets_with_unit_denominators_encode_as_integers(values, m):
+    out = iterated_product_set(IntSet(values), m, 0)
+    num, den = out.arrays
+    assert num.dtype == np.int64 and (den == 1).all()
+    assert cli._json_strings(num, den) == json.dumps([str(v) for v in out])
+
+
+def test_sorted_integer_lists_never_build_mask_rows(monkeypatch):
+    calls = []
+    decimal = cli._decimal
+    monkeypatch.setattr(cli, "_decimal", lambda mag, shown: calls.append(len(mag)) or decimal(mag, shown))
+    values = np.array(INT64_EDGES, dtype=np.int64)
+    cli._json_strings(values)
+    cli._json_strings(values, np.ones(len(values), dtype=np.int64))
+    num, den = iterated_product_set(IntSet([-6, -2, 1, 3, 5]), 2, 0).arrays
+    cli._json_strings(num, den)
+    cli._json_strings(iterated_sumset(IntSet([-(10**12), -7, 0, 3, 10**15]), 2, 1).arrays[0])
+    assert calls == []
+    quotients = iterated_product_set(IntSet([-6, -2, 1, 3, 5]), 1, 1)
+    num, den = quotients.arrays
+    assert (den > 1).any()
+    assert cli._json_strings(num, den) == json.dumps([str(f) for f in quotients])
+    assert calls == [len(num), len(num)]  # numerators, then denominators
+    # a list out of order is written in rows too
+    assert cli._json_strings(values[::-1].copy()) == json.dumps([str(v) for v in INT64_EDGES[::-1]])
+    assert calls[2:] == [len(values)]
+
+
+def test_sumset_report_of_55_random_points(tmp_path):
+    rng = np.random.default_rng(55)
+    values = sorted(rng.choice(10**6, size=55, replace=False).tolist())
+    code, out, want = _stdout(tmp_path, ["--m", "2", "--n", "1"], values)
+    assert code == 0 and out == want
