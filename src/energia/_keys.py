@@ -54,10 +54,10 @@ class Codec:
     per base element, and each key is the sum of a column's exponents
     times the places."""
 
-    __slots__ = ("base", "places", "radices", "arity", "keys", "hi")
+    __slots__ = ("base", "places", "radices", "keys", "hi")
 
-    def __init__(self, base, radices, arity, exponents, hi):
-        self.base, self.radices, self.arity, self.hi = base, radices, arity, hi
+    def __init__(self, base, radices, exponents, hi):
+        self.base, self.radices, self.hi = base, radices, hi
         self.places = [prod(radices[:i]) for i in range(len(base))]
         self.keys = np.array(self.places, dtype=np.int64) @ exponents
 
@@ -150,7 +150,7 @@ def encode(elements, arity):
     radices = (arity * exponents.max(axis=1) + 1).tolist()
     if prod(radices) >= _kernel._VALUE_LIMIT:
         return None
-    return Codec(base, radices, arity, exponents, elements[-1])
+    return Codec(base, radices, exponents, elements[-1])
 
 
 def _refine(base, x):

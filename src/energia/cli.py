@@ -117,19 +117,19 @@ def _emit(args, results, seed=None, splice=None):
 @functools.cache
 def _tables():
     """A value's digits are read four ASCII cells, one uint32 word, at a
-    time: the digits of 0000-9999 as words, the masks that keep the last k
-    of four cells, and the powers 10^1-10^19 that count digits.  Then the
-    least and the greatest value of each of the 38 (sign, digit count)
-    classes of int64: class 0 is -2^63..-10^18, class 18 is -9..-1, class
-    19 is 0..9 and class 37 is 10^18..2^63 - 1.  Built on first use, so
-    that importing the CLI costs nothing more."""
+    time: the digits of 0000-9999 as words, and, for the quotient rows,
+    the masks that keep the last k of four cells and the powers
+    10^1-10^19 that count digits.  Then the edges that split a sorted
+    list into the runs of the 38 (sign, digit count) classes of int64,
+    the greatest value of each class but the last: -10^18 ends class 0,
+    -1 class 18 and 9 class 19.  Built on first use, so that importing
+    the CLI costs nothing more."""
     digits = np.ascontiguousarray((np.indices((10,) * 4, dtype=np.uint8) + ord("0")).reshape(4, -1).T)
     last = np.arange(4) >= 4 - np.arange(5)[:, None]
     pow10 = 10 ** np.arange(1, 20, dtype=np.uint64)
     tens = pow10[:18].astype(np.int64)
-    high = np.concatenate([-tens[::-1], [-1], tens - 1, [2**63 - 1]])
-    low = np.concatenate([[-(2**63)], high[:-1] + 1])
-    return digits.view(np.uint32)[:, 0], last.view(np.uint32)[:, 0], pow10, low, high
+    edges = np.concatenate([-tens[::-1], [-1], tens - 1])
+    return digits.view(np.uint32)[:, 0], last.view(np.uint32)[:, 0], pow10, edges
 
 
 def _word(cells):
@@ -168,22 +168,18 @@ def _decimal(mag, shown):
 
 
 def _integer_text(num):
-    """The ASCII of the JSON list of the decimal strings of the sorted
-    int64 array ``num``, as uint8; None where ``num`` is out of order.
+    """The ASCII of the JSON list of the decimal strings of the sorted,
+    distinct int64 array ``num`` (a fold's values), as uint8.
 
     In a sorted array the values of one (sign, digit count) class are one
-    run, whose edges bisection finds; a run found so must hold its class
-    alone, which also keeps each row in one run.  A run is one block of
-    fixed-width rows, filled a column at a time: quote and sign, the
-    digit cells of the values' words, closing quote and separator.
+    run, and bisecting the array against the classes' edges finds it.  A
+    run is one block of fixed-width rows, filled a column at a time:
+    quote and sign, the digit cells of the values' words, closing quote
+    and separator.
     """
     n = len(num)
-    low, high = _tables()[3:]
-    bounds = [0, *np.searchsorted(num, high[:-1], side="right").tolist(), n]
-    runs = [(a, b, k) for k, (a, b) in enumerate(zip(bounds, bounds[1:])) if a < b]
-    if not all(low[k] <= num[a:b].min() and num[a:b].max() <= high[k] for a, b, k in runs):
-        return None
-    runs = [(a, b, k < 19, 19 - k if k < 19 else k - 18) for a, b, k in runs]
+    bounds = [0, *np.searchsorted(num, _tables()[3], side="right").tolist(), n]
+    runs = [(a, b, k < 19, 19 - k if k < 19 else k - 18) for k, (a, b) in enumerate(zip(bounds, bounds[1:])) if a < b]
     words = _words(_magnitude(num), -(-max(count for *_, count in runs) // 4))
     cells = [(w.view(np.uint8).reshape(n, 4), j) for w in words for j in range(4)]
     text = np.empty(1 + sum((b - a) * (count + neg + 4) for a, b, neg, count in runs), dtype=np.uint8)
@@ -203,9 +199,9 @@ def _integer_text(num):
 
 
 def _word_rows(num, den):
-    """The ASCII of the JSON list of the decimal strings of the int64
-    array ``num``, or of the fractions num/den ("p" where the denominator
-    is 1, else "p/q"), as uint8.
+    """The ASCII of the JSON list of the strings of the fractions num/den
+    of int64 arrays (a quotient set: "p" where the denominator is 1, else
+    "p/q"), as uint8.
 
     Each value is one row of words: bracket, quote and sign, digits,
     slash and denominator digits, closing quote, bracket and separator,
@@ -215,12 +211,10 @@ def _word_rows(num, den):
     n = len(num)
     sign = np.where(num < 0, _word([0, 0, 1, 1]), _word([0, 0, 1, 0]))
     sign[0] |= _word([1, 0, 0, 0])
-    row = [(_word('[ "-'), sign)]
-    row += _decimal(_magnitude(num), True)
-    if den is not None:
-        frac = den != 1
-        row.append((_word("   /"), np.where(frac, _word([0, 0, 0, 1]), 0)))
-        row += _decimal(_magnitude(den), frac)
+    frac = den != 1
+    row = [(_word('[ "-'), sign), *_decimal(_magnitude(num), True)]
+    row.append((_word("   /"), np.where(frac, _word([0, 0, 0, 1]), 0)))
+    row += _decimal(_magnitude(den), frac)
     end = np.full(n, _word([1, 1, 0, 1]))
     end[-1] = _word([1, 0, 1, 0])  # no separator after the last value
     row.append((_word('",] '), end))
@@ -231,25 +225,22 @@ def _word_rows(num, den):
 
 
 def _json_strings(num, den=None):
-    """The JSON text of the list of decimal strings of the integers
-    ``num``, or of the fractions num/den ("p" where the denominator is 1,
-    else "p/q"), as ``json.dumps`` writes it.
+    """The JSON text of the list of decimal strings of a fold's
+    ``arrays``: the integers ``num``, or the fractions num/den ("p" where
+    the denominator is 1, else "p/q"), as ``json.dumps`` writes it.
 
-    A sorted integer list (every denominator 1 included), as every
-    ``IntSet`` fold and product set is, is written in run blocks
-    (``_integer_text``); a list with a denominator above 1, or out of
-    order, in word-and-mask rows (``_word_rows``).  Either is decoded
-    once.  Object arrays take ``str`` per value.
+    The arrays are a fold's: sorted, distinct integers, or reduced
+    quotients sorted by value.  An integer list (every denominator 1
+    included, as in a product set) is written in run blocks
+    (``_integer_text``), a quotient list in word-and-mask rows
+    (``_word_rows``); either is decoded once.  Object arrays take ``str``
+    per value.
     """
     if num.dtype == object or (den is not None and den.dtype == object):
         pairs = zip(num.tolist(), den.tolist() if den is not None else [1] * len(num))
         return json.dumps([str(p) if q == 1 else f"{p}/{q}" for p, q in pairs])
-    if den is not None and (den == 1).all():
-        den = None
-    text = None if den is not None else _integer_text(num)
-    if text is None:  # a denominator above 1, or a list out of order
-        text = _word_rows(num, den)
-    return str(text, "ascii")
+    integers = den is None or (den == 1).all()
+    return str(_integer_text(num) if integers else _word_rows(num, den), "ascii")
 
 
 def _write_csv(path, rows, header):

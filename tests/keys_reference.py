@@ -51,14 +51,14 @@ def encode(elements, arity):
         vectors.append(vec)
         if prod(arity * e + 1 for e in top.values()) >= _kernel._VALUE_LIMIT:
             return None
-    return _codec(base, [arity * top[p] + 1 for p in base], arity, vectors, max(elements))
+    return _codec(base, [arity * top[p] + 1 for p in base], vectors, max(elements))
 
 
-def _codec(base, radices, arity, vectors, hi):
+def _codec(base, radices, vectors, hi):
     """The ``Codec`` of exponent vectors given as one {p: e} dict per
     element, its keys summed in Python ints."""
     codec = Codec.__new__(Codec)
-    codec.base, codec.radices, codec.arity, codec.hi = base, radices, arity, hi
+    codec.base, codec.radices, codec.hi = base, radices, hi
     codec.places = [prod(radices[:i]) for i in range(len(base))]
     codec.keys = np.array(
         [sum(v.get(p, 0) * w for p, w in zip(base, codec.places)) for v in vectors], dtype=np.int64

@@ -1,12 +1,15 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from energia import cli
 from energia.errors import (
     BadParamsError,
     DivisionByZeroElementError,
@@ -118,6 +121,47 @@ class TestFoldArrays:
 
     def test_sets_built_from_values_hold_no_arrays(self):
         assert IntSet([3, 1]).arrays is None and RatSet([Fraction(1, 2)]).arrays is None
+
+
+# small values, the int64 ends and values past int64 (object arrays)
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+contract_values = st.one_of(
+    st.integers(-50, 50),
+    st.integers(-(10**6), 10**6),
+    st.sampled_from([INT64_MIN, INT64_MIN + 1, -(2**32), 2**32, INT64_MAX - 1, INT64_MAX]),
+    st.integers(-(2**70), 2**70),
+)
+
+
+@st.composite
+def fold_args(draw):
+    """(A, m, n) with signs, 0 only where n = 0, and folds up to 3 deep."""
+    m, n = draw(st.sampled_from([(m, n) for m in range(3) for n in range(3) if 0 < m + n <= 3]))
+    values = draw(st.sets(contract_values.filter(lambda v: v or not n), min_size=1, max_size=5))
+    return IntSet(values), m, n
+
+
+class TestFoldContract:
+    """What ``cli._json_strings`` trusts of a fold's arrays: sorted,
+    distinct integers, or reduced quotients over positive denominators
+    sorted by value."""
+
+    @given(fold_args())
+    @settings(max_examples=150, deadline=None)
+    def test_sumset_values_strictly_increase(self, args):
+        (vals,) = iterated_sumset(*args).arrays
+        values = vals.tolist()
+        assert all(a < b for a, b in zip(values, values[1:]))
+        assert cli._json_strings(vals) == json.dumps([str(v) for v in values])
+
+    @given(fold_args())
+    @settings(max_examples=150, deadline=None)
+    def test_quotients_are_reduced_and_strictly_increase(self, args):
+        num, den = iterated_product_set(*args).arrays
+        pairs = list(zip(num.tolist(), den.tolist()))
+        assert all(q > 0 and gcd(p, q) == 1 for p, q in pairs)
+        assert all(p1 * q2 < p2 * q1 for (p1, q1), (p2, q2) in zip(pairs, pairs[1:]))
+        assert cli._json_strings(num, den) == json.dumps([str(Fraction(p, q)) for p, q in pairs])
 
 
 class TestSumsets:

@@ -15,7 +15,8 @@ mpf values inside ``precision.py``, with ``bsg.py`` free of mpmath; they
 keep the choice between int64 and object arrays in ``_kernel.py``; they
 keep the sort that merges equal values of a grid, the dedup of a sorted
 grid and, but for ``sets``' quotients, every grid handed to its merge in
-``_kernel.py``; and
+``_kernel.py``; they keep one caller of the sumset writer, on a fold's
+arrays; and
 they keep every class in ``errors.py`` raised somewhere in the library,
 each declaring its own exit code, as README's exit-code table lists it.
 """
@@ -356,6 +357,52 @@ def test_grid_helper_names_are_found():
     mentioned = "# merge_blocks keeps each sum's least level\ndoc = 'block_cells'\n"
     assert set(GRID_OWNERS) <= set(_names(ast.parse(named)))
     assert not set(GRID_OWNERS) & set(_names(ast.parse(mentioned)))
+
+
+# ``cli._json_strings`` trusts a fold's arrays (sorted, distinct integers,
+# or reduced quotients sorted by value) and checks none of it, so it has
+# one call site: ``cmd_sumset``'s, on a fold's ``arrays``.  A new caller
+# fails here, so that review can check it meets that contract.
+WRITER = "_json_strings"
+
+
+def _writer_uses(tree):
+    """(line, whether it is a call on ``*x.arrays``) of each use of
+    ``WRITER`` but its definition: names, attributes and imports."""
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    uses = []
+    for node in ast.walk(tree):
+        if (
+            (isinstance(node, ast.Name) and node.id == WRITER)
+            or (isinstance(node, ast.Attribute) and node.attr == WRITER)
+            or (isinstance(node, ast.alias) and WRITER in (node.name, node.asname))
+        ):
+            call = calls.get(id(node))
+            args = [] if call is None or call.keywords else call.args
+            spread = len(args) == 1 and isinstance(args[0], ast.Starred) and args[0].value
+            uses.append((node.lineno, isinstance(spread, ast.Attribute) and spread.attr == "arrays"))
+    return sorted(uses)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_call_site_for_the_sumset_writer(path):
+    uses = _writer_uses(ast.parse(path.read_text()))
+    want = [True] if path.name == "cli.py" else []
+    assert [on_arrays for _, on_arrays in uses] == want, f"{path.name} uses {WRITER} at {uses}"
+
+
+def test_sumset_writer_uses_are_found():
+    src = (
+        "def _json_strings(num, den=None):\n"
+        "    return ''\n"
+        "text = _json_strings(*out.arrays)\n"
+        "again = _json_strings(num, den)\n"
+        "alias = cli._json_strings\n"
+        "from .cli import _json_strings as w\n"
+        "spread = _json_strings(*pairs)\n"
+        "# _json_strings in a comment is no use\n"
+    )
+    assert _writer_uses(ast.parse(src)) == [(3, True), (4, False), (5, False), (6, False), (7, False)]
 
 
 # An error class that no module raises, and that is no base of one that
