@@ -46,6 +46,20 @@ diagonal cells can share a value, as x * x = (-x) * (-x).  The dense
 backend packs a self-pair's line once and squares the integer, which
 CPython multiplies faster than two distinct ones.
 
+An energy need not build r_s.  :func:`multisets` lists each unordered
+s-tuple of a plain set once (``Multisets``), its key the tuple's sum or
+product (values added, values multiplied, or exponent keys added) with
+its weight s!/∏m! packed in the low bits, and :func:`square_blocks`
+takes the sorted keys straight to the sum over values of (Σ w)²: the
+squared weights sum to the trivial count T_s(n) (:func:`trivial_count`),
+and only runs of equal values add cross terms.  One cost rule, from n, s
+and the span before anything is built, picks it over binary powering:
+its C(n + s - 1, s) cells against the cells of :func:`power`'s last
+step (``_power_cells``), more than ``_MULTISET_FLOOR`` cells (below,
+binary powering's small steps win; at s = 2 the grid is that step) and
+with the partials in one block.  Dense lines, cells past 2**62 and keys
+past 64 bits keep binary powering.
+
 The kernel sees values only.  Products taken on exponent keys (see
 ``energy.RepFunction``) reach it as sums of plain ints.
 
@@ -67,6 +81,9 @@ _PY_PAIRS = 256
 _DENSE_RATIO = 32
 _CHUNK = 1 << 19
 _GROUP = 128
+_MULTISET_FLOOR = 1 << 14  # cells; s = 2 grids cross binary powering near 2·10^4
+_RUN_BITS = 6  # a partial's run, at most s - 1 < 64, below its den in ``_partials``' codes
+_RUN_MASK = (1 << _RUN_BITS) - 1
 _UPPER = np.arange(_GROUP) >= np.arange(_GROUP)[:, None]  # its corner m x m: an m-row group's triangle
 
 
@@ -124,10 +141,16 @@ class Weighted:
 
     def sum_squares(self) -> int:
         """sum of squared multiplicities, exact."""
-        # every partial sum is at most max * total <= total**2, so the int64 dot cannot wrap
-        if self.total**2 < _INT64_LIMIT or self.max_count() * self.total < _INT64_LIMIT:
-            return int(np.dot(self.cnts, self.cnts))
-        return sum(c * c for c in self.cnts.tolist())
+        return square_sum(self.cnts, self.total)
+
+
+def square_sum(cnts, total) -> int:
+    """The sum of the squares of the non-negative ``cnts`` (int64 or
+    object), whose sum is at most ``total``, exactly."""
+    # every partial sum is at most max * total <= total**2, so the int64 dot cannot wrap
+    if total**2 < _INT64_LIMIT or int(cnts.max()) * total < _INT64_LIMIT:
+        return int(np.dot(cnts, cnts))
+    return sum(c * c for c in cnts.tolist())
 
 
 def inner(f: Weighted, g: Weighted) -> int:
@@ -380,6 +403,193 @@ def _row_blocks(f, g, additive, combine, dtype, lo, wbits):
         i = stop
 
 
+def multisets(base: Weighted, s: int, additive: bool):
+    """The ``Multisets`` of the values of ``base``, an indicator (each
+    value once), at arity ``s`` when they cost less than binary powering's
+    last step, else None.
+
+    They do while the grid's C(n + s - 1, s) cells are no more than that
+    step's cells (``_power_cells``), above ``_MULTISET_FLOOR`` cells, with
+    the (s - 1)-multisets in one block, every cell below 2**62 in absolute
+    value and every key within 64 bits."""
+    n = base.size
+    cells = math.comb(n + s - 1, s)
+    if cells <= _MULTISET_FLOOR or math.comb(n + s - 2, s - 1) > _CHUNK:
+        return None
+    lo, hi = fold_bounds(base.lo, base.hi, s, additive)
+    wbits = math.factorial(s).bit_length()
+    dtype = key_dtype(hi - lo, wbits)
+    if max(-lo, hi) >= _VALUE_LIMIT or dtype is None or cells > _power_cells(base, s, additive):
+        return None
+    return Multisets(base.vals, s, additive, lo, wbits, dtype)
+
+
+def fold_bounds(lo, hi, s, additive):
+    """The least and greatest sum (or product) of s values in [lo, hi]:
+    a product is multilinear, so its extremes are among lo**i * hi**(s - i)."""
+    if additive:
+        return s * lo, s * hi
+    corners = [lo**i * hi ** (s - i) for i in range(s + 1)]
+    return min(corners), max(corners)
+
+
+def _power_cells(base, s, additive):
+    """A bound, from n, s and the span alone, on the cells of binary
+    powering's last step for ``base``**s: a self-pair of base**(s/2) when
+    s is a power of two, else base**(s - top) by base**top, top the
+    highest power of two in s.  The support of base**t is at most the
+    C(n + t - 1, t) t-multisets and, for sums, t·w + 1 values, w the span
+    over the gcd of the differences.  0 when there is no step (s = 1) or
+    when it would be dense (``choose``)."""
+    if s < 2:
+        return 0
+    n, top = base.size, 1 << (s.bit_length() - 1)
+    halves = (s // 2, s // 2) if s == top else (s - top, top)
+    sizes = [math.comb(n + t - 1, t) for t in halves]
+    if additive:
+        width = (base.hi - base.lo) // base.step()
+        sizes = [min(m, t * width + 1) for m, t in zip(sizes, halves)]
+        if (halves[0] * width + 1) * (halves[1] * width + 1) <= _DENSE_RATIO * sizes[0] * sizes[1]:
+            return 0
+    m, k = sizes
+    return m * (m + 1) // 2 if s == top else m * k
+
+
+class Multisets:
+    """Every unordered s-tuple of the sorted, distinct int64 ``vals`` once,
+    as packed keys (cell - lo) << wbits | weight of ``dtype``: the cell is
+    the tuple's sum (or product) and the weight s!/∏m!, the ordered
+    s-tuples it stands for (m over the multiplicities of its values).
+
+    A tuple is a nondecreasing sequence of indices.  The (s - 1)-tuples,
+    the partials, are grouped by their greatest index (``_partials``), so
+    those whose greatest index is at most k are a prefix of them.  Row k
+    of the grid is that prefix, each partial plus (or times) value k: a
+    partial of greatest index below k gains a new value (weight s!/den,
+    den the partial's ∏m!), one of greatest index k repeats it (weight
+    s!/(den·(run + 1)), run its multiplicity).  For s = 2 the rows are the
+    self-pair triangle, weight 2 below the diagonal and 1 on it.
+
+    ``blocks`` writes the rows' first parts ``_GROUP`` rows at a time: the
+    partials every row of the group takes are one outer product, and the
+    rest of the group's rows (at most a sixteenth as wide, or ``_GROUP``
+    cells) one more, masked to each row's length.  The repeats, one per
+    partial, follow.
+    """
+
+    __slots__ = ("vals", "s", "additive", "lo", "wbits", "dtype")
+
+    def __init__(self, vals, s, additive, lo, wbits, dtype):
+        self.vals, self.s, self.additive, self.lo, self.wbits, self.dtype = vals, s, additive, lo, wbits, dtype
+
+    @property
+    def total(self) -> int:
+        return len(self.vals) ** self.s
+
+    def counts(self) -> Weighted:
+        """The multiplicity of each value, as binary powering gives it."""
+        vals, cnts = merge_blocks(((keys, None) for keys in self.blocks()), np.add, (self.lo, self.wbits))
+        return Weighted(vals, cnts, self.total)
+
+    def sum_squares(self) -> int:
+        """The sum of the squared multiplicities, from the sorted keys."""
+        n = len(self.vals)
+        return square_blocks(self.blocks(), (self.lo, self.wbits), self.total, trivial_count(n, self.s))
+
+    def blocks(self):
+        """The grid's keys in blocks of whole rows, at most
+        ``block_cells(dtype)`` cells (one row when a row is longer)."""
+        a, s, wbits, dtype = self.vals, self.s, self.wbits, self.dtype
+        if s == 1:
+            yield _offset_keys(a, self.lo, wbits, np.empty(len(a), dtype=dtype)) | dtype(1)
+            return
+        partials, code, ends = _partials(a, s - 1, self.additive)
+        fresh = math.factorial(s) // (code >> _RUN_BITS)
+        weights = (fresh.astype(dtype), (fresh // ((code & _RUN_MASK) + 1)).astype(dtype))
+        keys = np.empty(len(partials), dtype=dtype)
+        if self.additive:  # (partial - (s-1)·a_0) << wbits | weight, plus (a_k - a_0) << wbits
+            _offset_keys(partials, (s - 1) * int(a[0]), wbits, keys)
+            keys = (keys | weights[0], keys | weights[1])
+            step, weights, base = _offset_keys(a, int(a[0]), wbits, np.empty(len(a), dtype=dtype)), None, 0
+        else:  # (partial << wbits) * a_k - lo << wbits, modulo the width, with the weight or-ed in
+            _offset_keys(partials, 0, wbits, keys)
+            keys = (keys, keys)
+            step, base = _offset_keys(a, 0, 0, np.empty(len(a), dtype=dtype)), _wrap(self.lo << wbits, dtype)
+        op = np.add if self.additive else np.multiply
+        first = np.concatenate(([0], ends[:-1]))  # row k: its first part is partials[:first[k]]
+        rows = np.cumsum(ends)  # cells in rows 0..k
+        budget = block_cells(dtype)
+        i = 0
+        while i < len(a):
+            start = int(rows[i] - ends[i])
+            stop = max(i + 1, int(np.searchsorted(rows, start + budget, side="right")))
+            out = np.empty(int(rows[stop - 1]) - start, dtype=dtype)
+            pos = _first_parts(out, i, stop, first, step, keys[0], op, weights and weights[0])
+            # the repeats: row k's last ends[k] - first[k] cells, partials[first[k]:ends[k]] with value k
+            lo, hi = int(first[i]), int(ends[stop - 1])
+            op(keys[1][lo:hi], np.repeat(step[i:stop], ends[i:stop] - first[i:stop]), out=out[pos:])
+            if weights:
+                out[pos:] |= weights[1][lo:hi]
+            if base:
+                out -= base
+            yield out
+            i = stop
+
+
+def _first_parts(out, i, stop, first, step, keys, op, weights):
+    """Write ``op``(step[k], keys[:first[k]]) for the rows k in [i, stop)
+    into the front of ``out``, ``weights`` (None when packed in the keys)
+    or-ed into each cell; return the cells written.  A group of rows [a, b)
+    takes keys[:first[a]] whole, and the rest of each row, of at most
+    max(first[a] / 16, _GROUP) cells, from one outer product masked to it."""
+    pos, a = 0, i
+    while a < stop:
+        head = int(first[a])
+        b = int(np.searchsorted(first, head + max(head >> 4, _GROUP), side="right"))
+        b = max(a + 1, min(b, stop, a + _GROUP))
+        if head:
+            block = out[pos : pos + (b - a) * head].reshape(b - a, head)
+            op.outer(step[a:b], keys[:head], out=block)
+            if weights is not None:
+                block |= weights[:head]
+            pos += (b - a) * head
+        if b - a > 1:
+            lens = first[a + 1 : b] - head
+            width = int(lens[-1])
+            rest = op.outer(step[a + 1 : b], keys[head : head + width])
+            if weights is not None:
+                rest |= weights[head : head + width]
+            used = int(lens.sum())
+            np.compress((np.arange(width) < lens[:, None]).ravel(), rest.ravel(), out=out[pos : pos + used])
+            pos += used
+        a = b
+    return pos
+
+
+def _partials(a, t, additive):
+    """The t-multisets of the values ``a``, grouped by greatest index:
+    their sums (or products), int64; their codes den << _RUN_BITS | run,
+    den the product of m! over the multiplicities m and run the
+    multiplicity of the greatest index; and ``ends``, ends[k] the number
+    whose greatest index is at most k.
+
+    Level t + 1 is, for each k in turn, the level-t prefix of greatest
+    index at most k with value k added: one gather of the whole level."""
+    n = len(a)
+    part, code, ends = a, np.full(n, (1 << _RUN_BITS) | 1, dtype=np.int64), np.arange(1, n + 1)
+    op = np.add if additive else np.multiply
+    for _ in range(t - 1):
+        rows = np.cumsum(ends)
+        idx = np.arange(rows[-1]) - np.repeat(rows - ends, ends)  # row k is part[:ends[k]]
+        repeat = idx >= np.repeat(np.concatenate(([0], ends[:-1])), ends)  # its greatest index is k
+        run = code & _RUN_MASK
+        grown = ((code >> _RUN_BITS) * (run + 1)) << _RUN_BITS | (run + 1)
+        code = np.where(repeat, grown[idx], (code & ~_RUN_MASK)[idx] | 1)
+        part = op(part[idx], np.repeat(a, ends))
+        ends = rows
+    return part, code, ends
+
+
 def merge_blocks(blocks, reduce, layout=None):
     """The distinct values of the cells of (keys, weights) ``blocks``,
     sorted, with ``reduce`` (``np.add`` or ``np.minimum``; None for a
@@ -397,6 +607,15 @@ def merge_blocks(blocks, reduce, layout=None):
     and one block, and sorts fewer than two values for each value of the
     blocks it takes in.
     """
+    vals, cnts = _runs(blocks, reduce, layout)
+    if len(vals) > 1:
+        return _merge_cells(vals, cnts, reduce)
+    return vals[0], cnts[0]
+
+
+def _runs(blocks, reduce, layout):
+    """``merge_blocks`` up to its last merge: the lists of its sorted
+    value and weight arrays."""
     vals, cnts, size = [], [], 0  # sorted runs; the first merges every block before the others
     for keys, weights in blocks:
         if layout:
@@ -412,32 +631,89 @@ def merge_blocks(blocks, reduce, layout=None):
             vals.append(v)
             cnts.append(c)
             size = len(v)
-    if len(vals) > 1:
-        return _merge_cells(vals, cnts, reduce)
-    return vals[0], cnts[0]
+    return vals, cnts
+
+
+def square_blocks(blocks, layout, total, squares=None) -> int:
+    """The sum over values x of (sum of the weights of x)**2, over the
+    cells of packed key ``blocks`` ((value - lo) << wbits | weight, by
+    ``layout`` = (lo, wbits)) whose weights sum to ``total``, exactly.
+
+    A lone block is sorted and its runs squared (``_square_runs``).
+    Several are merged as ``merge_blocks`` merges them, and its last
+    merge is the one sort whose runs are squared.  ``squares``, when not
+    None, is the sum of the squared weights of the cells."""
+    blocks = iter(blocks)
+    held = [next(blocks)]
+    more = next(blocks, None)
+    if more is None:
+        keys = held.pop()
+        keys.sort()
+        return _square_runs(keys, layout[1], total, squares)
+    held.append(more)
+    del more
+
+    def each():
+        while held:
+            yield held.pop(0), None
+        for keys in blocks:
+            yield keys, None
+
+    vals, cnts = _runs(each(), np.add, layout)
+    if len(vals) == 1:
+        return square_sum(cnts[0], total)
+    packed = _pack(vals, cnts)
+    if packed is None:
+        return square_sum(_merge_cells(vals, cnts, np.add)[1], total)
+    keys, _, wbits = packed
+    keys.sort()
+    return _square_runs(keys, wbits, total)
+
+
+def _square_runs(keys, wbits, total, squares=None):
+    """The sum over values of (sum of weights)**2 over the sorted packed
+    ``keys`` (offset << wbits | weight, ``wbits`` > 0), weights summing to
+    ``total``: ``squares``, the sum of the squared weights (found here when
+    None), plus the cross terms of the runs of more than one cell, which
+    sparse grids rarely hold."""
+    mask = (1 << wbits) - 1
+    if squares is None:
+        squares = square_sum(np.bitwise_and(keys, mask, out=np.empty(len(keys), np.int64), casting="unsafe"), total)
+    joined = np.flatnonzero((keys[1:] ^ keys[:-1]) <= mask)  # cell i + 1 is in the run of cell i
+    if not len(joined):
+        return squares
+    heads = np.flatnonzero(np.concatenate(([True], joined[1:] != joined[:-1] + 1)))
+    lens = np.diff(np.append(heads, len(joined))) + 1  # cells in each run
+    ends = np.cumsum(lens)
+    cells = np.arange(ends[-1]) + np.repeat(joined[heads] - (ends - lens), lens)
+    weights = np.bitwise_and(keys[cells], mask, out=np.empty(len(cells), np.int64), casting="unsafe")
+    sums = np.cumsum(weights)[ends - 1]
+    sums[1:] -= sums[:-1].copy()
+    return squares + square_sum(sums, total) - square_sum(weights, total)
+
+
+def trivial_count(n: int, s: int) -> int:
+    """T_s(n) = (s!)**2 [z**s] (sum over m of z**m/(m!)**2)**n: the sum
+    over the s-multisets of n values of their squared weights (s!/∏m!)**2,
+    the pairs of s-tuples that are rearrangements of each other.  By
+    J. C. P. Miller's recurrence for a power of a series, with g_k = T_k(n):
+    k g_k = sum over j = 1..k of ((n + 1) j - k) C(k, j)**2 g_{k-j}."""
+    g = [1]
+    for k in range(1, s + 1):
+        g.append(sum(((n + 1) * j - k) * math.comb(k, j) ** 2 * g[k - j] for j in range(1, k + 1)) // k)
+    return g[s]
 
 
 def _merge_cells(vals, cnts, reduce):
     """``_merge_equal`` of the cells of the value arrays ``vals``, weighing
     the arrays ``cnts`` (non-negative; None each to count cells).  Both
     lists are emptied as they are read, so that no part outlives the
-    sort.  Where the values are int64 and their span and weight bits fit
-    64 bits, each part is packed straight into one array of keys; else the
-    parts are concatenated and an argsort orders them."""
-    if vals[0].dtype != object:
-        lo, hi = min(int(v.min()) for v in vals), max(int(v.max()) for v in vals)
-        wbits = 0 if cnts[0] is None else max(int(c.max()) for c in cnts).bit_length() or 1
-        dtype = key_dtype(hi - lo, wbits)
-        if dtype is not None:
-            keys, pos = np.empty(sum(map(len, vals)), dtype=dtype), 0
-            while vals:
-                v, c = vals.pop(), cnts.pop()
-                part = _offset_keys(v, lo, wbits, keys[pos : pos + len(v)])
-                if wbits:
-                    np.bitwise_or(part, c, out=part, dtype=dtype, casting="unsafe")
-                pos += len(v)
-            del v, c
-            return _merge_equal(keys, lo, wbits, reduce)
+    sort.  Where ``_pack`` packs them, into one array of keys, they are
+    merged as keys; else the parts are concatenated and an argsort orders
+    them."""
+    packed = _pack(vals, cnts)
+    if packed is not None:
+        return _merge_equal(*packed, reduce)
     values = _take(vals)
     weights = None if cnts[0] is None else _take(cnts)
     cnts.clear()
@@ -447,6 +723,30 @@ def _merge_cells(vals, cnts, reduce):
     if weights is None:
         return values[starts], None if reduce is None else np.diff(np.append(starts, len(values)))
     return values[starts], reduce.reduceat(weights[order], starts)
+
+
+def _pack(vals, cnts):
+    """(keys, lo, wbits): the parts ``vals`` and ``cnts`` (see
+    ``_merge_cells``) packed straight into one array of keys (value - lo)
+    << wbits | weight, emptying both lists, where the values are int64
+    and their span and weight bits fit 64 bits; else None, the lists
+    untouched."""
+    if vals[0].dtype == object:
+        return None
+    lo, hi = min(int(v.min()) for v in vals), max(int(v.max()) for v in vals)
+    wbits = 0 if cnts[0] is None else max(int(c.max()) for c in cnts).bit_length() or 1
+    dtype = key_dtype(hi - lo, wbits)
+    if dtype is None:
+        return None
+    keys, pos = np.empty(sum(map(len, vals)), dtype=dtype), 0
+    while vals:
+        v, c = vals.pop(), cnts.pop()
+        part = _offset_keys(v, lo, wbits, keys[pos : pos + len(v)])
+        if wbits:
+            np.bitwise_or(part, c, out=part, dtype=dtype, casting="unsafe")
+        pos += len(v)
+    del v, c
+    return keys, lo, wbits
 
 
 def _take(arrays):

@@ -450,6 +450,7 @@ def build_parser():
     p = _Parser(prog="energia", description=__doc__)
     p.add_argument("--timing", action="store_true", help="include wall time in the report")
     sub = p.add_subparsers(dest="cmd", required=True)
+    p.commands = sub.choices  # name -> subcommand parser, for ``main``
 
     def add_input(sp):
         sp.add_argument("input", nargs="?", default="-", help="file of integers or '-' for stdin")
@@ -539,7 +540,12 @@ def main(argv=None):
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # read and print exact integers of any length
     try:
-        args = _PARSER.parse_args(argv)
+        command = _PARSER.commands.get(argv[0]) if argv else None
+        if command is None:  # --timing, --help and unknown commands
+            args = _PARSER.parse_args(argv)
+        else:  # its parser alone, as the top-level one would call it, for half the cost
+            args = command.parse_args(argv[1:])
+            args.timing, args.cmd = False, argv[0]
         args._command_echo = " ".join(["energia"] + argv)
         args._t0 = time.monotonic()
         return args.fn(args)

@@ -2,7 +2,10 @@
 
 The fast path computes r_s as the s-fold convolution power of the
 indicator through the exact kernel in ``_kernel`` (binary powering;
-dense, sort-and-count or Python backends per step).  A multiplicative
+dense, sort-and-count or Python backends per step), or, on sparse sets
+where it costs less, from the grid of s-multisets with their
+multinomial weights (``_kernel.multisets``), which an energy squares
+without building r_s.  A multiplicative
 q_s of a positive set whose products could reach 2**62 is the additive
 power of the exponent keys of its elements (``_keys``).  An independent
 brute-force oracle enumerates all 2s-tuples literally, shares no code
@@ -30,13 +33,22 @@ class RepFunction:
 
     Holds the kernel's result over coordinates: the values themselves,
     or, with a ``codec`` (see ``_keys``), the int64 exponent keys of the
-    products, on which products of elements are sums of keys.  The
-    value-ordered arrays (``by_value``) and ``support``, the value ->
-    multiplicity dict, are built on first access, each key decoded once.
+    products, on which products of elements are sums of keys.  ``counts``
+    is a ``_kernel.Weighted``, or is built from a ``_kernel.Multisets`` on
+    first access; ``energy_count`` squares a multiset grid's sorted keys
+    without it.  The value-ordered arrays (``by_value``) and ``support``,
+    the value -> multiplicity dict, are built on first access, each key
+    decoded once.
     """
 
-    def __init__(self, counts: _kernel.Weighted, s: int, mode: str, codec=None):
-        self.counts, self.s, self.mode, self.codec = counts, s, mode, codec
+    def __init__(self, counts, s: int, mode: str, codec=None):
+        self.s, self.mode, self.codec, self._source = s, mode, codec, counts
+        if isinstance(counts, _kernel.Weighted):
+            self.counts = counts
+
+    @cached_property
+    def counts(self) -> _kernel.Weighted:
+        return self._source.counts()
 
     @property
     def adds(self) -> bool:
@@ -70,10 +82,10 @@ class RepFunction:
         return dict(zip(vals.tolist(), cnts.tolist()))
 
     def total(self) -> int:
-        return self.counts.total
+        return self._source.total
 
     def energy_count(self) -> int:
-        return self.counts.sum_squares()
+        return vars(self).get("counts", self._source).sum_squares()
 
     def sup(self) -> int:
         return self.counts.max_count()
@@ -116,7 +128,9 @@ def rep_function(A: IntSet, s: int, mode: str = ADDITIVE, products: int = 0) -> 
     codec = None if mode == ADDITIVE else _keys.codec_for(A.elements, max(s, products))
     coords = A.elements if codec is None else np.sort(codec.keys).tolist()
     indicator = _kernel.Weighted.indicator(coords, counted=True)
-    return RepFunction(_kernel.power(indicator, s, mode == ADDITIVE or codec is not None), s, mode, codec)
+    adds = mode == ADDITIVE or codec is not None
+    counts = _kernel.multisets(indicator, s, adds) or _kernel.power(indicator, s, adds)
+    return RepFunction(counts, s, mode, codec)
 
 
 def energy(A: IntSet, s: int, mode: str = ADDITIVE) -> EnergyValue:

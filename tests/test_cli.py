@@ -508,3 +508,51 @@ def test_each_error_class_exits_with_its_code(capsys, monkeypatch, abc_file, cls
     code, out, err = run(capsys, "energy", abc_file)
     label = {1: "error", 2: "parse error", 3: "guard violation"}[cls.code]
     assert (code, out) == (cls.code, "") and err == f"{label}: {cls('refused')}\n"
+
+
+MALFORMED = (
+    ("energy", "--s", "x"),
+    ("energy", "--mode", "sideways"),
+    ("energy", "--timing"),
+    ("energy", "--bogus", "1"),
+    ("energy", "a.txt", "b.txt"),
+    ("energy", "--s"),
+    ("sumset", "--m", "2", "--n"),
+    ("sumset", "--mode", "mul"),
+    ("kp", "--delta", "nan", "--delta"),
+    ("decompose", "--extractor"),
+    ("constants",),
+    ("constants", "pi"),
+    ("gen", "hexagon"),
+    ("gen", "ap", "--n", "1.5"),
+    ("experiment",),
+    ("experiment", "nope"),
+    ("check", "--cases", "many"),
+    ("energy", "-s", "2"),
+)
+
+
+@pytest.mark.parametrize("argv", MALFORMED)
+def test_subcommand_parser_refuses_as_the_full_parser(capsys, monkeypatch, argv):
+    # main parses a known subcommand with its own parser; with no command
+    # table every line goes through the full parser, whose refusals these must equal
+    fast = run(capsys, *argv)
+    full = build_parser()
+    full.commands = {}
+    monkeypatch.setattr(cli, "_PARSER", full)
+    assert fast == run(capsys, *argv)
+    assert fast[0] == 2 and fast[2].startswith("parse error: ")
+
+
+def test_subcommand_parser_gives_the_full_namespace(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_gen", lambda args: seen.append(vars(args)) or 0)
+    for table in (True, False):
+        parser = build_parser()
+        parser.commands["gen"].set_defaults(fn=cli.cmd_gen)
+        if not table:
+            parser.commands = {}
+        monkeypatch.setattr(cli, "_PARSER", parser)
+        assert main(["gen", "ap", "--n", "3"]) == 0
+    fast, full = ({k: v for k, v in ns.items() if k != "_t0"} for ns in seen)
+    assert fast == full and fast["timing"] is False and fast["cmd"] == "gen"
