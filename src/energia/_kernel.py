@@ -33,18 +33,22 @@ operands:
   (a pair multiplies, a value adds) and, for the BSG stage's nested
   spans, :func:`least_levels` (a pair takes its max, a value its min).
 
+One writer, :func:`_rows`, lays out every sort-and-count grid: row k of
+a plane (op, x, y, z) is op(x_k, y[:first[k]]) followed by
+op(x_k, z[first[k]:ends[k]]), cut into blocks of whole rows.  A
+rectangle f x g has first = ends = |g|.
+
 A self-pair (``f is g``: every squaring step of :func:`power`) visits
 each unordered pair once, since x + y = y + x and x * y = y * x: the
-Python and sort-and-count backends take the upper triangle of the grid
-with its diagonal, an off-diagonal cell standing for two and a diagonal
-cell for itself.  Sort-and-count writes its blocks ``_GROUP`` rows at a
-time: one outer product with the columns past the group, one with its
-own masked to its triangle, each cell weighing c_i·c_j.  After the merge
-one rule, for unit and weighted grids alike, takes c_i² off the count at
-each diagonal value, doubles every count and adds c_i² back; two
-diagonal cells can share a value, as x * x = (-x) * (-x).  The dense
-backend packs a self-pair's line once and squares the integer, which
-CPython multiplies faster than two distinct ones.
+Python backend takes the pairs i <= j and sort-and-count the lower
+triangle with its diagonal (first[k] = k, ends[k] = k + 1), an
+off-diagonal cell standing for two and a diagonal cell for itself, each
+cell weighing c_i·c_j.  After the merge one rule, for unit and weighted
+grids alike, takes c_i² off the count at each diagonal value, doubles
+every count and adds c_i² back; two diagonal cells can share a value, as
+x * x = (-x) * (-x).  The dense backend packs a self-pair's line once
+and squares the integer, which CPython multiplies faster than two
+distinct ones.
 
 An energy need not build r_s.  :func:`multisets` lists each unordered
 s-tuple of a plain set once (``Multisets``), its key the tuple's sum or
@@ -52,13 +56,16 @@ product (values added, values multiplied, or exponent keys added) with
 its weight s!/∏m! packed in the low bits, and :func:`square_blocks`
 takes the sorted keys straight to the sum over values of (Σ w)²: the
 squared weights sum to the trivial count T_s(n) (:func:`trivial_count`),
-and only runs of equal values add cross terms.  One cost rule, from n, s
-and the span before anything is built, picks it over binary powering:
-its C(n + s - 1, s) cells against the cells of :func:`power`'s last
-step (``_power_cells``), more than ``_MULTISET_FLOOR`` cells (below,
-binary powering's small steps win; at s = 2 the grid is that step) and
-with the partials in one block.  Dense lines, cells past 2**62 and keys
-past 64 bits keep binary powering.
+and only runs of equal values add cross terms.  Its rows are the same
+writer's: row k is the (s - 1)-multisets of greatest index below k, then
+those of greatest index k, each plus (or times) value k, so at s = 2 it
+is the self-pair triangle.  One cost rule, from n, s and the span before
+anything is built, picks it over binary powering: its C(n + s - 1, s)
+cells against the cells of :func:`power`'s last step (``_power_cells``),
+more than ``_MULTISET_FLOOR`` cells (below, binary powering's small
+steps win; at s = 2 the grid is that step) and with the partials in one
+block.  Dense lines, cells past 2**62 and keys past 64 bits keep binary
+powering.
 
 The kernel sees values only.  Products taken on exponent keys (see
 ``energy.RepFunction``) reach it as sums of plain ints.
@@ -71,6 +78,7 @@ a count, is below 2**63.  Every result is held as sorted arrays (see
 int64 or object.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -84,7 +92,6 @@ _GROUP = 128
 _MULTISET_FLOOR = 1 << 14  # cells; s = 2 grids cross binary powering near 2·10^4
 _RUN_BITS = 6  # a partial's run, at most s - 1 < 64, below its den in ``_partials``' codes
 _RUN_MASK = (1 << _RUN_BITS) - 1
-_UPPER = np.arange(_GROUP) >= np.arange(_GROUP)[:, None]  # its corner m x m: an m-row group's triangle
 
 
 def exact_dtype(bound):
@@ -352,55 +359,104 @@ def _wrap(n, dtype):
 
 
 def _row_blocks(f, g, additive, combine, dtype, lo, wbits):
-    """The f x g grid as (keys, weights) blocks of whole rows, at most
-    ``block_cells(dtype)`` cells (one row when a row is longer).  The keys
-    are (cell - lo) << wbits, the cell x + y (or x * y), by
-    ``_key_operands``: the cells themselves, int64 or object, at lo 0 and
-    wbits 0.  The weights ``combine``(c_i, c_j), None without ``combine``,
-    go into the keys' low ``wbits`` bits when there are any, else apart.
-
-    For a self-pair (``f is g``) row i holds the columns j >= i only: the
-    upper triangle with its diagonal (what each cell stands for is the
-    caller's rule).  A block takes its rows ``_GROUP`` at a time: for
-    rows [a, b), the columns from b on are one outer product written
-    straight into the block, and the group's own columns one (b - a)²
-    outer product masked to its upper triangle.
-    """
+    """The f x g grid by ``_rows``.  The keys are (cell - lo) << wbits,
+    the cell x + y (or x * y), by ``_key_operands``: the cells themselves,
+    int64 or object, at lo 0 and wbits 0.  The weights ``combine``(c_i,
+    c_j), None without ``combine``, go into the keys' low ``wbits`` bits
+    when there are any, else apart.  A self-pair (``f is g``) is the lower
+    triangle, its diagonal cell the z part of its row (what each cell
+    stands for is the caller's rule)."""
     xk, yk, base = _key_operands(f.vals, g.vals, lo, wbits, dtype, additive)
-    planes = [(np.add if additive else np.multiply, xk, yk)]  # each cell of a plane is op(x_i, y_j)
+    planes = [(np.add if additive else np.multiply, xk, yk, yk)]
     if combine:  # apart, the weights are int64 beside int64 or object cells
-        planes.append((combine, *(w.cnts.astype(dtype if wbits else np.int64) for w in (f, g))))
-    half = f is g
-    lens = np.arange(g.size, 0, -1) if half else np.full(f.size, g.size)
-    ends = np.cumsum(lens)  # cells in rows 0..i
-    budget = block_cells(dtype)
+        w = [c.cnts.astype(dtype if wbits else np.int64) for c in (f, g)]
+        planes.append((combine, w[0], w[1], w[1]))
+    if f is g:
+        first = np.arange(f.size)
+        return _rows(planes, first, first + 1, block_cells(dtype), base)
+    ends = np.full(f.size, g.size)
+    return _rows(planes, ends, ends, block_cells(dtype), base)
+
+
+def _rows(planes, first, ends, budget, base):
+    """The one grid writer: (keys, weights) blocks of whole rows, at most
+    ``budget`` cells (one row when a row is longer).  Row k of a plane
+    (op, x, y, z) is op(x_k, y[:first[k]]) followed by
+    op(x_k, z[first[k]:ends[k]]), with first[k + 1] = ends[k], both int
+    arrays; ``first`` is constant (a rectangle: no z parts) or strictly
+    increasing.  A plane (op, x, y, z, wy, wz) ors the column weights wy_j
+    and wz_j into its cells.  The keys are plane 0 less ``base``, modulo
+    their width; the weights plane 1 (None without), or-ed into the keys
+    when these are unsigned (packed)."""
+    cells = ends.cumsum()  # cells in rows 0..k
     i = 0
-    while i < f.size:
-        start = int(ends[i] - lens[i])
-        stop = max(i + 1, int(np.searchsorted(ends, start + budget, side="right")))
-        if half:
-            out = [np.empty(int(ends[stop - 1]) - start, dtype=x.dtype) for _, x, _ in planes]
-            pos = 0
-            for a in range(i, stop, _GROUP):
-                b = min(a + _GROUP, stop)
-                m = b - a
-                mid = pos + m * (f.size - b)  # [pos, mid) holds the columns past b, [mid, end) the triangle
-                end = mid + m * (m + 1) // 2
-                for j, (op, x, y) in enumerate(planes):  # a loop name would hold a buffer past the yield
-                    op.outer(x[a:b], y[b:], out=out[j][pos:mid].reshape(m, -1))
-                    out[j][mid:end] = op.outer(x[a:b], y[a:b])[_UPPER[:m, :m]]
-                pos = end
-        else:
-            out = [op.outer(x[i:stop], y).ravel() for op, x, y in planes]
-        keys, weights = out[0], out[1] if combine else None
-        del out  # packed weights are freed before the block's merge
+    while i < len(cells):
+        start = int(cells[i] - ends[i])
+        stop = max(i + 1, int(cells.searchsorted(start + budget, side="right")))
+        keys, weights = _block(planes, first, ends, i, stop, int(cells[stop - 1]) - start)
         if base:
             keys -= base
-        if wbits and weights is not None:
+        if weights is not None and keys.dtype.kind == "u":
             keys |= weights
-            weights = None
+            weights = None  # packed weights are freed before the block's merge
         yield keys, weights
+        del keys, weights  # nor does the block outlive it
         i = stop
+
+
+def _block(planes, first, ends, i, stop, size):
+    """Rows [i, stop) of ``_rows``, ``size`` cells a plane.  The y parts go
+    a group of rows [a, b) at a time: y[:first[a]] is one outer product,
+    and the rest of rows a + 1 .. b - 1 one more, masked to each row's
+    length (by ``_triangle`` when the lengths are 1..m).  A group holds at
+    most ``_GROUP`` rows and rests of at most max(first[a] / 16,
+    ``_GROUP``) cells, unless its rows are all as long: a rectangle's
+    block is one outer product.  The z parts follow, one op."""
+    out = [np.empty(size, dtype=x.dtype) for _, x, *_ in planes]
+    pos, a = 0, i
+    while a < stop:
+        head = int(first[a])
+        if first[stop - 1] == head:
+            b = stop
+        else:
+            b = int(first.searchsorted(head + max(head >> 4, _GROUP), side="right"))
+            b = max(a + 1, min(b, stop, a + _GROUP))
+        m, width = b - a - 1, int(first[b - 1]) - head  # the rest: rows a + 1 .. b - 1, at most width cells
+        rest = end = pos + (b - a) * head
+        if width == m:
+            mask, end = _triangle(m), rest + m * (m + 1) // 2
+        elif width:
+            lens = first[a + 1 : b] - head
+            mask, end = np.arange(width) < lens[:, None], rest + int(lens.sum())
+        for cells, (op, x, y, _, *marks) in zip(out, planes):
+            if head:
+                block = cells[pos:rest].reshape(b - a, head)
+                op.outer(x[a:b], y[:head], out=block)
+                if marks:
+                    block |= marks[0][:head]
+            if width:
+                part = op.outer(x[a + 1 : b], y[head : head + width])
+                if marks:
+                    part |= marks[0][head : head + width]
+                cells[rest:end] = part[mask]
+        pos, a = end, b
+    lo, hi = int(first[i]), int(ends[stop - 1])  # the z parts: z[lo:hi]
+    if hi > lo:
+        reps = None if hi - lo == stop - i else ends[i:stop] - first[i:stop]
+        for cells, (op, x, _, z, *marks) in zip(out, planes):
+            op(x[i:stop] if reps is None else np.repeat(x[i:stop], reps), z[lo:hi], out=cells[pos:])
+            if marks:
+                cells[pos:] |= marks[1][lo:hi]
+    return out[0], out[1] if len(out) > 1 else None
+
+
+@functools.cache
+def _triangle(m):
+    """The read-only m x m mask of rows of 1..m cells: contiguous, so it
+    indexes faster than a corner of a larger one."""
+    mask = np.tri(m, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def multisets(base: Weighted, s: int, additive: bool):
@@ -470,11 +526,9 @@ class Multisets:
     s!/(den·(run + 1)), run its multiplicity).  For s = 2 the rows are the
     self-pair triangle, weight 2 below the diagonal and 1 on it.
 
-    ``blocks`` writes the rows' first parts ``_GROUP`` rows at a time: the
-    partials every row of the group takes are one outer product, and the
-    rest of the group's rows (at most a sixteenth as wide, or ``_GROUP``
-    cells) one more, masked to each row's length.  The repeats, one per
-    partial, follow.
+    ``blocks`` hands these rows to ``_rows``, the partials of greatest
+    index below k as row k's y part and those of greatest index k as its
+    z part.
     """
 
     __slots__ = ("vals", "s", "additive", "lo", "wbits", "dtype")
@@ -488,82 +542,35 @@ class Multisets:
 
     def counts(self) -> Weighted:
         """The multiplicity of each value, as binary powering gives it."""
-        vals, cnts = merge_blocks(((keys, None) for keys in self.blocks()), np.add, (self.lo, self.wbits))
+        vals, cnts = merge_blocks(self.blocks(), np.add, (self.lo, self.wbits))
         return Weighted(vals, cnts, self.total)
 
     def sum_squares(self) -> int:
-        """The sum of the squared multiplicities, from the sorted keys."""
-        n = len(self.vals)
-        return square_blocks(self.blocks(), (self.lo, self.wbits), self.total, trivial_count(n, self.s))
+        """The sum of the squared multiplicities, from the sorted keys: a
+        lone block's runs squared, else ``square_blocks``."""
+        n, s = len(self.vals), self.s
+        if math.comb(n + s - 1, s) > block_cells(self.dtype):
+            return square_blocks(self.blocks(), (self.lo, self.wbits), self.total)
+        for keys, _ in self.blocks():
+            keys.sort()
+            return _square_runs(keys, self.wbits, self.total, trivial_count(n, s))
 
     def blocks(self):
-        """The grid's keys in blocks of whole rows, at most
+        """The grid's (keys, None) blocks of whole rows, at most
         ``block_cells(dtype)`` cells (one row when a row is longer)."""
         a, s, wbits, dtype = self.vals, self.s, self.wbits, self.dtype
         if s == 1:
-            yield _offset_keys(a, self.lo, wbits, np.empty(len(a), dtype=dtype)) | dtype(1)
+            yield _offset_keys(a, self.lo, wbits, np.empty(len(a), dtype=dtype)) | dtype(1), None
             return
         partials, code, ends = _partials(a, s - 1, self.additive)
         fresh = math.factorial(s) // (code >> _RUN_BITS)
-        weights = (fresh.astype(dtype), (fresh // ((code & _RUN_MASK) + 1)).astype(dtype))
-        keys = np.empty(len(partials), dtype=dtype)
-        if self.additive:  # (partial - (s-1)·a_0) << wbits | weight, plus (a_k - a_0) << wbits
-            _offset_keys(partials, (s - 1) * int(a[0]), wbits, keys)
-            keys = (keys | weights[0], keys | weights[1])
-            step, weights, base = _offset_keys(a, int(a[0]), wbits, np.empty(len(a), dtype=dtype)), None, 0
-        else:  # (partial << wbits) * a_k - lo << wbits, modulo the width, with the weight or-ed in
-            _offset_keys(partials, 0, wbits, keys)
-            keys = (keys, keys)
-            step, base = _offset_keys(a, 0, 0, np.empty(len(a), dtype=dtype)), _wrap(self.lo << wbits, dtype)
-        op = np.add if self.additive else np.multiply
-        first = np.concatenate(([0], ends[:-1]))  # row k: its first part is partials[:first[k]]
-        rows = np.cumsum(ends)  # cells in rows 0..k
-        budget = block_cells(dtype)
-        i = 0
-        while i < len(a):
-            start = int(rows[i] - ends[i])
-            stop = max(i + 1, int(np.searchsorted(rows, start + budget, side="right")))
-            out = np.empty(int(rows[stop - 1]) - start, dtype=dtype)
-            pos = _first_parts(out, i, stop, first, step, keys[0], op, weights and weights[0])
-            # the repeats: row k's last ends[k] - first[k] cells, partials[first[k]:ends[k]] with value k
-            lo, hi = int(first[i]), int(ends[stop - 1])
-            op(keys[1][lo:hi], np.repeat(step[i:stop], ends[i:stop] - first[i:stop]), out=out[pos:])
-            if weights:
-                out[pos:] |= weights[1][lo:hi]
-            if base:
-                out -= base
-            yield out
-            i = stop
-
-
-def _first_parts(out, i, stop, first, step, keys, op, weights):
-    """Write ``op``(step[k], keys[:first[k]]) for the rows k in [i, stop)
-    into the front of ``out``, ``weights`` (None when packed in the keys)
-    or-ed into each cell; return the cells written.  A group of rows [a, b)
-    takes keys[:first[a]] whole, and the rest of each row, of at most
-    max(first[a] / 16, _GROUP) cells, from one outer product masked to it."""
-    pos, a = 0, i
-    while a < stop:
-        head = int(first[a])
-        b = int(np.searchsorted(first, head + max(head >> 4, _GROUP), side="right"))
-        b = max(a + 1, min(b, stop, a + _GROUP))
-        if head:
-            block = out[pos : pos + (b - a) * head].reshape(b - a, head)
-            op.outer(step[a:b], keys[:head], out=block)
-            if weights is not None:
-                block |= weights[:head]
-            pos += (b - a) * head
-        if b - a > 1:
-            lens = first[a + 1 : b] - head
-            width = int(lens[-1])
-            rest = op.outer(step[a + 1 : b], keys[head : head + width])
-            if weights is not None:
-                rest |= weights[head : head + width]
-            used = int(lens.sum())
-            np.compress((np.arange(width) < lens[:, None]).ravel(), rest.ravel(), out=out[pos : pos + used])
-            pos += used
-        a = b
-    return pos
+        weights = fresh.astype(dtype), (fresh // ((code & _RUN_MASK) + 1)).astype(dtype)
+        x, y, base = _key_operands(a, partials, self.lo, wbits, dtype, self.additive)
+        if self.additive:  # the weights ride in the partials' low bits, which the sums keep
+            planes = [(np.add, x, y | weights[0], y | weights[1])]
+        else:
+            planes = [(np.multiply, x, y, y, *weights)]
+        yield from _rows(planes, np.concatenate(([0], ends[:-1])), ends, block_cells(dtype), base)
 
 
 def _partials(a, t, additive):
@@ -634,32 +641,14 @@ def _runs(blocks, reduce, layout):
     return vals, cnts
 
 
-def square_blocks(blocks, layout, total, squares=None) -> int:
+def square_blocks(blocks, layout, total) -> int:
     """The sum over values x of (sum of the weights of x)**2, over the
-    cells of packed key ``blocks`` ((value - lo) << wbits | weight, by
-    ``layout`` = (lo, wbits)) whose weights sum to ``total``, exactly.
+    cells of packed (key, None) ``blocks`` ((value - lo) << wbits | weight,
+    by ``layout`` = (lo, wbits)) whose weights sum to ``total``, exactly.
 
-    A lone block is sorted and its runs squared (``_square_runs``).
-    Several are merged as ``merge_blocks`` merges them, and its last
-    merge is the one sort whose runs are squared.  ``squares``, when not
-    None, is the sum of the squared weights of the cells."""
-    blocks = iter(blocks)
-    held = [next(blocks)]
-    more = next(blocks, None)
-    if more is None:
-        keys = held.pop()
-        keys.sort()
-        return _square_runs(keys, layout[1], total, squares)
-    held.append(more)
-    del more
-
-    def each():
-        while held:
-            yield held.pop(0), None
-        for keys in blocks:
-            yield keys, None
-
-    vals, cnts = _runs(each(), np.add, layout)
+    They are merged as ``merge_blocks`` merges them, and its last merge is
+    the one sort whose runs are squared (``_square_runs``)."""
+    vals, cnts = _runs(blocks, np.add, layout)
     if len(vals) == 1:
         return square_sum(cnts[0], total)
     packed = _pack(vals, cnts)

@@ -14,7 +14,7 @@ from typing import Optional
 import mpmath
 
 from . import precision
-from .errors import BadParamsError, InvariantError
+from .errors import BadParamsError
 
 
 def _ceil_log2(k: Fraction) -> int:
@@ -75,22 +75,11 @@ def _growth_budget(k: int) -> int:
     return 2 * (82 * k + 82 * (2**k - k - 1) + 240 * 2**k)
 
 
-def _growth_budget_redundant(k: int) -> int:
-    # term-by-term re-derivation; guards against transcription slips
-    doubling_terms = 2**k
-    t = 82 * k
-    t += 82 * (doubling_terms - k - 1)
-    t += 240 * doubling_terms
-    return t + t
-
-
 def rtp_constants(k: int) -> dict:
     """T_k (exact) and eta_k = log2(1 + 1/T_k) at >= 50 significant bits."""
     if k < 2:
         raise BadParamsError("need k >= 2")
     T = _growth_budget(k)
-    if T != _growth_budget_redundant(k):
-        raise InvariantError(f"T_{k} re-derivation mismatch")
     with precision.working():
         eta = mpmath.log(1 + mpmath.mpf(1) / T, 2)
     return {"T_k": T, "eta_k": eta}

@@ -14,7 +14,7 @@ import inspect
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -260,22 +260,25 @@ def _triangle(f, op):
     return Counter((op(v[i], v[j]), c[i] * c[j]) for i in range(f.size) for j in range(i, f.size))
 
 
-def _block_rows(blocks, n):
-    """The rows of each block of an n-row triangle, from the blocks' sizes."""
+def _block_rows(blocks):
+    """The rows of each block of a triangle whose row r holds r + 1 cells,
+    the diagonal last, from the blocks' sizes.  A block must end where a
+    row ends."""
     rows, r = [], 0
     for keys, _ in blocks:
         first, size = r, len(keys)
-        while size:
-            size -= n - r
+        while size > 0:
             r += 1
+            size -= r
+        assert size == 0, f"a block of {len(keys)} cells ends inside row {r - 1}"
         rows.append(r - first)
     return rows
 
 
 def test_triangle_blocks_stay_within_chunk(monkeypatch):
-    # rows of 14, 13, ..., 1 cells, diagonal included.  The keys are 32-bit,
+    # rows of 1, 2, ..., 14 cells, diagonal included.  The keys are 32-bit,
     # so a block takes whole rows up to 2 * _CHUNK = 40 cells, two at a time
-    # at _GROUP = 2: the blocks of 3 and 7 rows end mid-group.
+    # at _GROUP = 2: the blocks of 3 rows end mid-group.
     monkeypatch.setattr(_kernel, "_CHUNK", 20)
     monkeypatch.setattr(_kernel, "_GROUP", 2)
     f = _operand(range(-20, 22, 3), "weighted", [1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3, 4, 5])
@@ -285,8 +288,8 @@ def test_triangle_blocks_stay_within_chunk(monkeypatch):
         dtype = _kernel.key_dtype(hi - lo, wbits)
         assert dtype is np.uint32 and _kernel.block_cells(dtype) == 40
         blocks = list(_kernel._row_blocks(f, f, additive, np.multiply, dtype, lo, wbits))
-        assert [len(k) for k, _ in blocks] == [14 + 13 + 12, 11 + 10 + 9 + 8, 7 + 6 + 5 + 4 + 3 + 2 + 1]
-        assert _block_rows(blocks, 14) == [3, 4, 7]
+        assert [len(k) for k, _ in blocks] == [1 + 2 + 3 + 4 + 5 + 6 + 7 + 8, 9 + 10 + 11, 12 + 13 + 14]
+        assert _block_rows(blocks) == [8, 3, 3]
         assert all(k.dtype == dtype and w is None for k, w in blocks)
         assert _cells(blocks, lo, wbits) == _triangle(f, op)
 
@@ -303,9 +306,10 @@ _TRIANGLE_EXTREMES = {True: {32: 1000, 64: 2**40, 65: 2**60}, False: {32: 1000, 
 @pytest.mark.parametrize("additive", (True, False))
 @pytest.mark.parametrize("width", (32, 64, 65))
 def test_grouped_triangle(monkeypatch, rows, chunk, kind, additive, width):
-    # groups of 4 rows; at _CHUNK = 3 every triangle has a block that ends
-    # mid-group (of 2 or 3 rows), at 12 blocks of 5 and 6 rows hold a
-    # whole group and part of the next
+    # groups of 4 rows, row r of r + 1 cells; at _CHUNK = 3 every triangle's
+    # first block ends mid-group (of 2 or 3 rows) and its long rows are
+    # blocks of one row past the budget, at 12 a block of 6 rows (32-bit
+    # keys) holds a whole group and part of the next
     monkeypatch.setattr(_kernel, "_GROUP", 4)
     monkeypatch.setattr(_kernel, "_CHUNK", chunk)
     S = _TRIANGLE_EXTREMES[additive][width]
@@ -320,10 +324,104 @@ def test_grouped_triangle(monkeypatch, rows, chunk, kind, additive, width):
         dtype, lo, wbits, layout = np.int64, 0, 0, (None, 0)
     blocks = list(_kernel._row_blocks(f, f, additive, np.multiply if weighted else None, dtype, lo, wbits))
     budget = _kernel.block_cells(dtype)
-    assert all(len(k) <= budget or r == 1 for (k, _), r in zip(blocks, _block_rows(blocks, rows)))
-    assert sum(_block_rows(blocks, rows)) == rows
+    assert all(len(k) <= budget or r == 1 for (k, _), r in zip(blocks, _block_rows(blocks)))
+    assert sum(_block_rows(blocks)) == rows
     assert _cells(blocks, *layout) == _triangle(f, (lambda a, b: a + b) if additive else (lambda a, b: a * b))
     assert _content(_kernel._sort_count(f, f, additive)) == _content(_kernel._python(f, f, additive))
+
+
+def _shape(name, n):
+    """(first, ends) of ``_rows``' n-row shapes: a rectangle of 5 columns,
+    the self-pair triangle, or the multiset rows of arity s = 2..5 (row k
+    the (s - 1)-multisets of greatest index below k, then those of
+    greatest index k)."""
+    if name == "rectangle":
+        return np.full(n, 5), np.full(n, 5)
+    if name == "triangle":
+        return np.arange(n), np.arange(1, n + 1)
+    ends = _kernel._partials(np.arange(n), int(name[-1]) - 1, True)[2]
+    return np.concatenate(([0], ends[:-1])), ends
+
+
+def _literal_rows(planes, first, ends):
+    """The cells of row k = 0, 1, ... of the planes (op, x, y, z), each as
+    the tuple of its planes' values: op(x_k, y_j) for j < first[k], then
+    op(x_k, z_j) for first[k] <= j < ends[k], cell by cell.  A plane's
+    column weights (wy, wz), when it has them, are or-ed into its cells."""
+    cells = [[] for _ in planes]
+    for k in range(len(ends)):
+        for plane, (op, x, y, z, *marks) in zip(cells, planes):
+            wy, wz = marks or ([0] * len(y), [0] * len(z))
+            plane += [op(x[k], y[j]) | wy[j] for j in range(first[k])]
+            plane += [op(x[k], z[j]) | wz[j] for j in range(first[k], ends[k])]
+    return Counter(zip(*(map(int, c) for c in cells)))
+
+
+@pytest.mark.parametrize("group", (2, 3, 4))
+@pytest.mark.parametrize("budget", (1, 3, 8, 40))
+@pytest.mark.parametrize("shape", ("rectangle", "triangle", "multisets-2", "multisets-3", "multisets-4", "multisets-5"))
+def test_rows_write_the_literal_cells(monkeypatch, group, budget, shape):
+    # 9 rows; at a budget of 8 or 40 cells a block holds several groups of
+    # 2-4 rows, at 1 or 3 the long rows are blocks of one row each
+    monkeypatch.setattr(_kernel, "_GROUP", group)
+    first, ends = _shape(shape, 9)
+    width = ends[-1]
+    rng = np.random.default_rng(group * 100 + budget)
+    x, y, z = (np.int64(10**6) * rng.integers(1, 100, size) for size in (9, width, width))
+    x += np.arange(9)  # a cell's key names its row and column: x_k + y_j
+    y += np.arange(width) * 1000
+    z += np.arange(width) * 1000 + 500
+    planes = [(np.add, x, y, z), (np.multiply, *(rng.integers(1, 50, size) for size in (9, width, width)))]
+    blocks = list(_kernel._rows(planes, first, ends, budget, 0))
+    rows, r = [], 0  # the rows of each block, from its size
+    for keys, weights in blocks:
+        start, size = r, len(keys)
+        while size > 0:
+            size -= ends[r]
+            r += 1
+        assert size == 0 and len(weights) == len(keys)
+        assert len(keys) <= budget or r - start == 1
+        rows.append(r - start)
+    assert sum(rows) == 9
+    got = Counter(zip(*(np.concatenate(p).tolist() for p in zip(*blocks))))
+    assert got == _literal_rows(planes, first, ends)
+    # packed: unsigned keys less a base, and the weights of a second plane,
+    # or a plane's column weights, or-ed into their low bits
+    keys = [v.astype(np.uint64) << np.uint64(8) for v in (x, y, z)]
+    marks = [rng.integers(0, 256, width).astype(np.uint64) for _ in "yz"]
+    paired = (np.bitwise_or, *(v.astype(np.uint64) for v in planes[1][1:]))
+    for packed in ([(np.add, *keys), paired], [(np.add, *keys, *marks)]):
+        cells = _literal_rows(packed, first, ends).elements()
+        want = Counter((c[0] - (3 << 8)) | (c[1] if len(c) > 1 else 0) for c in cells)
+        packed_blocks = list(_kernel._rows(packed, first, ends, budget, np.uint64(3 << 8)))
+        assert [len(k) for k, w in packed_blocks if w is None] == [len(k) for k, _ in blocks]
+        assert Counter(np.concatenate([k for k, _ in packed_blocks]).tolist()) == want
+
+
+@pytest.mark.parametrize("group", (2, 3, 4))
+@pytest.mark.parametrize("chunk", (2, 16))
+@pytest.mark.parametrize("s", (2, 3, 4, 5))
+@pytest.mark.parametrize("additive", (True, False))
+def test_multiset_rows_are_the_literal_tuples(monkeypatch, group, chunk, s, additive):
+    # every unordered s-tuple of 8 values once, with weight s!/prod(m!), in
+    # blocks of at most 2 * _CHUNK 32-bit keys (or one row) and groups of
+    # at most _GROUP rows, several groups to a block at _CHUNK = 16
+    vals = [-7, -3, -2, 1, 4, 5, 9, 11]
+    base = _kernel.Weighted.indicator(vals, counted=True)
+    monkeypatch.setattr(_kernel, "_MULTISET_FLOOR", 0)
+    monkeypatch.setattr(_kernel, "_power_cells", lambda base, s, additive: math.inf)
+    grid = _kernel.multisets(base, s, additive)
+    monkeypatch.setattr(_kernel, "_GROUP", group)
+    monkeypatch.setattr(_kernel, "_CHUNK", chunk)
+    assert grid.dtype is np.uint32
+    blocks = [keys for keys, _ in grid.blocks()]
+    assert len(blocks) > 1 and all(k.dtype == np.uint32 for k in blocks)
+    want = Counter()
+    for t in combinations_with_replacement(vals, s):
+        cell = sum(t) if additive else math.prod(t)
+        want[cell, math.factorial(s) // math.prod(math.factorial(t.count(v)) for v in set(t))] += 1
+    assert _cells([(k, None) for k in blocks], grid.lo, grid.wbits) == want
+    assert grid.sum_squares() == _kernel.power(base, s, additive).sum_squares()
 
 
 class _NeverNegative(np.ndarray):
