@@ -16,7 +16,17 @@ and distinct products distinct keys (unique factorisation over a
 coprime base).  When the radix span, the product of the radices, is
 below 2**62, every key fits int64 and multiplicative work becomes the
 kernel's additive work on keys.  Values are rebuilt from keys only where
-a caller reads them, once per distinct key.
+a caller reads them, once per distinct key, by ``Codec.values``.
+
+``codec_for`` encodes A/g, g = gcd(A): a product of t elements of A is
+g**t times one of t elements of A/g, and keys of t-fold products meet
+only keys of other t-fold products (energies compare s-fold products;
+the pipeline tests sums of i- and j-fold keys against (i + j)-fold
+ones).  Since min_a v_p(a) = v_p(g), the radix at p becomes
+arity·(E_p - e_p) + 1, with E_p and e_p the largest and least exponent
+of p in an element of A; a prime of g that divides nothing more leaves
+the base, and M_s(λA) = M_s(A) holds on keys by construction.  A t-fold key's value is g**t times the product it
+spells over the base.
 
 ``encode`` builds the base with array passes: the remainders of the
 elements not yet factored sit in one array, the first remainder above 1
@@ -40,44 +50,59 @@ def codec_for(elements, arity):
     """The codec of the sorted, distinct ``elements`` for products of up
     to ``arity`` of them, or None when they stay on values: arity 1, a
     set that is not positive, products below 2**62, or a base too wide
-    (see ``encode``)."""
-    if arity > 1 and elements[0] > 0 and elements[-1] ** arity >= _kernel._VALUE_LIMIT:
-        return encode(elements, arity)
-    return None
+    (see ``encode``).  The keys are those of the elements divided by
+    their gcd g, taken pairwise until it reaches 1; the codec keeps g
+    for ``Codec.values``.
+    """
+    if not (arity > 1 and elements[0] > 0 and elements[-1] ** arity >= _kernel._VALUE_LIMIT):
+        return None
+    g = 0
+    for a in elements:
+        g = gcd(g, a)
+        if g == 1:
+            break
+    codec = encode([a // g for a in elements], arity)
+    if codec is not None:
+        codec.g, codec.hi = g, elements[-1]
+    return codec
 
 
 class Codec:
     """A coprime base with its mixed-radix layout, the keys of the
-    encoded elements (int64, in their order) and the largest of them.
+    encoded elements (int64, in their order), the largest element and
+    the common factor ``g`` divided out of them before encoding (1 from
+    ``encode``; see ``codec_for``).
 
     ``exponents`` is the int64 matrix of the elements' exponents, one row
     per base element, and each key is the sum of a column's exponents
     times the places."""
 
-    __slots__ = ("base", "places", "radices", "keys", "hi")
+    __slots__ = ("base", "places", "radices", "keys", "hi", "g")
 
     def __init__(self, base, radices, exponents, hi):
-        self.base, self.radices, self.hi = base, radices, hi
+        self.base, self.radices, self.hi, self.g = base, radices, hi, 1
         self.places = [prod(radices[:i]) for i in range(len(base))]
         self.keys = np.array(self.places, dtype=np.int64) @ exponents
 
-    def decode(self, keys, dtype):
-        """The value of each int64 key, as an array of ``dtype`` (int64 when
-        every value is known to be below 2**63, else object).
+    def values(self, keys, factors):
+        """The values of the int64 keys of products of ``factors``
+        elements: g**factors times the product of base powers each key
+        spells, in the dtype ``_kernel.exact_dtype`` gives the largest
+        such product, hi**factors (int64, or object for Python ints).
 
         Base powers are multiplied in int64 for as long as the largest
         possible partial product stays below 2**63, then folded into the
         result; a base element whose top power alone leaves int64 is
         raised per distinct digit in Python ints.
         """
-        out = np.ones(len(keys), dtype=dtype)
+        out = np.full(len(keys), self.g**factors, dtype=_kernel.exact_dtype(self.hi**factors))
         part, reach = np.ones(len(keys), dtype=np.int64), 1
         for p, place, radix in zip(self.base, self.places, self.radices):
             digits = keys // place % radix
             top = p ** (radix - 1)
             if top >= _kernel._INT64_LIMIT:
                 digits, inv = np.unique(digits, return_inverse=True)
-                out *= np.array([p**d for d in digits.tolist()], dtype=dtype)[inv]
+                out *= np.array([p**d for d in digits.tolist()], dtype=out.dtype)[inv]
                 continue
             if reach * top >= _kernel._INT64_LIMIT:
                 out *= part
@@ -86,11 +111,6 @@ class Codec:
             reach *= top
         out *= part
         return out
-
-    def values(self, keys, factors):
-        """The values of the keys of products of ``factors`` elements, in
-        the dtype ``_kernel.exact_dtype`` gives the largest such product."""
-        return self.decode(keys, _kernel.exact_dtype(self.hi**factors))
 
 
 def encode(elements, arity):
@@ -114,8 +134,8 @@ def encode(elements, arity):
     The remainders are taken in blocks, the first of ``_BLOCK`` elements
     and each later one seven times the elements before it, taken when no
     remainder above 1 is left and divided by every piece so far in the
-    order the pieces came; a retired piece, such as c·2^64 of a grid
-    {c·2^(64+i)·3^j}, takes most of each element in one division.  A
+    order the pieces came; a retired piece, such as c·2^64 of
+    {1} ∪ {c·2^(64+i)·3^j}, takes most of each element in one division.  A
     wide base thus stops the pass after work that grows with the
     elements read, not with the length of the set.
     """

@@ -52,8 +52,8 @@ _BLOCK = 1 << 12
 # Span of S below which a membership test indexes a bool table of S
 # (see ``_membership``).  It holds every kp table of the benchmark (S in
 # 4A, A spanning less than 5*10^5); decompose's exponent-key spans reach
-# 2^24 and beyond, and a 2^24 cap took certify-mix peak RSS from 45.6 to
-# 56.5 MB.
+# 6.9*10^6 on certify-mix, and a 2^24 cap, on keys then spanning up to
+# 1.4*10^8, took its peak RSS from 45.6 to 56.5 MB.
 _TABLE = 1 << 21
 
 
@@ -132,7 +132,7 @@ def _membership(X, Y, S, additive):
     difference, taken modulo 2**64 and read unsigned, exceeds the span
     exactly when the cell lies outside [min S, max S], and such cells
     are sent to a False slot past the end.  The cap bounds the table at
-    2 MB: decompose's exponent-key spans run far wider, and tables of up
+    2 MB: decompose's exponent-key spans run wider, and tables of up
     to 2**24 bytes raised certify-mix peak RSS.  Only object grids and
     wider spans take the searchsorted path: the columns in sorted order
     of Y, so that a row of sums is sorted, which ``searchsorted`` runs

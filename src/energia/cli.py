@@ -45,7 +45,7 @@ from .decomposer import (
     minimal_adversary,
 )
 from .energy import ADDITIVE, MULTIPLICATIVE, energy, energy_oracle
-from .errors import BadParamsError, EnergiaError
+from .errors import BadParamsError, DivisionByZeroElementError, EnergiaError
 from .experiments import EXPERIMENTS
 from .sets import IntSet, generate, iterated_product_set, iterated_sumset
 
@@ -359,6 +359,8 @@ def cmd_kp(args):
         results["A_prime"] = [str(v) for v in res.A_prime]
         results["anchor_sum"] = str(res.anchor_sum)
         if args.verify:
+            if res.energy_mode == MULTIPLICATIVE and 0 in res.A_prime.elements:
+                raise DivisionByZeroElementError("--verify: A' holds 0, and its quotient sets A'^(m)/A'^(n) divide by it")
             pairs = [(1, 1), (2, 1), (2, 2)]
             results["verify"] = [c.as_dict() for c in kp_verify(res, A, pairs)]
     if args.csv:

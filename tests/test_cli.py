@@ -175,6 +175,17 @@ class TestKpCmd:
         assert lines[0] == "stage,cardinality,threshold"
         assert len(lines) > 5
 
+    def test_verify_refuses_a_zero_in_A_prime(self, capsys, tmp_path):
+        # the pipeline keeps 0 in A'; the product verify folds quotients of A'
+        p = tmp_path / "zero.txt"
+        p.write_text("0 1 2 3 5 8\n")
+        argv = ["kp", "--s", "4", "--delta", "0.05", "--energy-mode", "mult"]
+        code, doc, _ = run_json(capsys, *argv, str(p))
+        assert code == 0 and "0" in doc["results"]["A_prime"]
+        code, out, err = run(capsys, *argv, "--verify", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: --verify: A' holds 0") and err.count("\n") == 1
+
 
 @pytest.mark.parametrize("cmd", ("kp", "decompose"))
 def test_unwritable_csv_is_a_parse_error(capsys, tmp_path, cmd):

@@ -20,7 +20,7 @@ from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from energia import _kernel, _keys, bsg
 from energia.decomposer import DecomposeConfig, decompose
@@ -73,19 +73,19 @@ def test_base_is_coprime_and_keys_decode(vals, arity):
     assert all(p > 1 for p in codec.base)
     assert all(math.gcd(p, q) == 1 for i, p in enumerate(codec.base) for q in codec.base[i + 1 :])
     assert prod(codec.radices) < 2**62
-    assert codec.decode(codec.keys, object).tolist() == vals
+    assert codec.values(codec.keys, 1).tolist() == vals
     keys = dict(zip(vals, codec.keys.tolist()))
     for r in range(2, arity + 1):  # every product of up to ``arity`` elements
         for tup in list(combinations_with_replacement(vals, r))[:50]:
             key = np.array([sum(keys[x] for x in tup)], dtype=np.int64)
-            assert codec.decode(key, object)[0] == prod(tup)
+            assert codec.values(key, r)[0] == prod(tup)
 
 
 def test_refinement_splits_a_shared_factor():
     vals = sorted({6 * 2**i * 3**j for i in range(5) for j in range(5)} | {6 * v for v in range(1, 17)})
     codec = _keys.encode(vals, 4)
     assert sorted(codec.base) == [2, 3, 5, 7, 11, 13]
-    assert codec.decode(codec.keys, object).tolist() == vals
+    assert codec.values(codec.keys, 1).tolist() == vals
     assert _keys.encode([1], 3).keys.tolist() == [0]
 
 
@@ -212,6 +212,45 @@ def test_M_s_matches_the_oracle_past_2_62(vals, s):
     if len(A) ** (2 * s) > 20000:
         return
     assert energy(A, s, MULTIPLICATIVE).count == energy_oracle(A, s, MULTIPLICATIVE).count
+
+
+# -- dilations ------------------------------------------------------------------
+
+# 2^31 + 11 is prime, and 3037000493 < 2^31.5 < 3037000507 are the primes
+# on either side of sqrt(2^63): over {1}, their squares sit just below
+# and just above 2^63
+NEAR_2_63 = (3037000493, 3037000507)
+dilations = st.one_of(
+    st.sampled_from((2, 3, 5, 7, 11)),
+    st.sampled_from((2**31 + 11,) + NEAR_2_63),
+    st.integers(1, 10**6).map(lambda c: c << 64),
+)
+
+
+@prop(200)
+@given(vals=st.sets(st.integers(1, 60), min_size=1, max_size=6).map(sorted), lam=dilations, s=st.integers(1, 4))
+@example(vals=[1], lam=NEAR_2_63[0], s=2)
+@example(vals=[1], lam=NEAR_2_63[1], s=2)
+@example(vals=[1, 2], lam=2**31 + 11, s=2)
+def test_dilations_share_keys_and_energies(vals, lam, s):
+    # M_s(lam A) = M_s(A); A stays on values, and lam A moves to keys once
+    # its s-fold products could reach 2^62
+    dilated = [lam * v for v in vals]
+    keyed = s > 1 and dilated[-1] ** s >= 2**62
+    codec, g = _keys.codec_for(dilated, s), math.gcd(*vals)
+    assert (codec is not None) == keyed
+    if keyed:
+        want = _keys.encode([v // g for v in vals], s)
+        assert (codec.base, codec.radices, codec.keys.tolist()) == (want.base, want.radices, want.keys.tolist())
+        assert (codec.g, codec.hi) == (lam * g, dilated[-1])
+    A, lamA = IntSet(vals), IntSet(dilated)
+    assert energy(lamA, s, MULTIPLICATIVE).count == energy(A, s, MULTIPLICATIVE).count
+    # q_s(lam A) is q_s(A) at lam^s times the values, in int64 while they fit
+    got, want = rep_function(lamA, s, MULTIPLICATIVE), rep_function(A, s, MULTIPLICATIVE)
+    assert (got.codec is not None) == keyed and want.codec is None
+    (gv, gc, _), (wv, wc, _) = got.by_value, want.by_value
+    assert gv.tolist() == [lam**s * v for v in wv.tolist()] and gc.tolist() == wc.tolist()
+    assert gv.dtype == (np.int64 if dilated[-1] ** s < 2**63 else object)
 
 
 # -- the pipeline grids -------------------------------------------------------

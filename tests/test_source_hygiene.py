@@ -10,7 +10,8 @@ not name the convolution kernel or the exponent-key module they
 cross-check, and the three oracle functions may not sort or count by
 value; and
 they keep the kernel one (value, multiplicity) semiring, with exponent
-keys held by ``energy.RepFunction``; they keep every comparison of
+keys held by ``energy.RepFunction`` and decoded only in ``_keys``;
+they keep every comparison of
 mpf values inside ``precision.py``, with ``bsg.py`` free of mpmath; they
 keep the choice between int64 and object arrays in ``_kernel.py``; they
 keep the sort that merges equal values of a grid, the dedup of a sorted
@@ -141,6 +142,33 @@ def test_kernel_names_no_key_form():
     names = set(_names(ast.parse((SRC / "_kernel.py").read_text())))
     key_form = {"_keys", "codec", "products", "_factors", "_keyset", "_vkeys", "_keyed_pair"}
     assert not key_form & names, f"_kernel.py names {sorted(key_form & names)}"
+
+
+# Exponent keys are decoded in one place, ``_keys.Codec.values``, which
+# multiplies back g**t, the t-th power of the gcd ``codec_for`` divides
+# out.  A decoder outside ``_keys`` would drop it, so no library module
+# or test calls a ``.decode``.
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+
+
+def _decode_calls(tree):
+    """Line numbers of the calls of a ``.decode`` attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "decode"
+    )
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES + TESTS if p.name != "_keys.py"], ids=lambda p: p.name)
+def test_keys_are_decoded_only_in_keys(path):
+    lines = _decode_calls(ast.parse(path.read_text()))
+    assert not lines, f"{path.name} calls .decode at lines {lines}; read values with Codec.values"
+
+
+def test_decode_calls_are_found():
+    src = "a = codec.decode(S, object)\nb = codec.values(S, s)\nc = self.codec.decode(k, t)[0]\n# x.decode(\n"
+    assert _decode_calls(ast.parse(src)) == [1, 3]
 
 
 # Outside precision.py no comparison operator may touch an mpf: a raw

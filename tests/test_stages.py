@@ -54,7 +54,7 @@ def _new(A, s, delta, mode, energy_mode, shifts, r_s, half):
     def spy_fiber(coords, h, S, *rest):
         a, R_x, Y, thr_Y, z, Y1 = fiber_stages(coords, h, S, *rest)
         vals = lambda idx: [H[i] for i in idx.tolist()]
-        S = S if codec is None else sorted(codec.decode(S, object))
+        S = S if codec is None else sorted(codec.values(S, s).tolist())
         seen.update(S=list(S), anchor=H[a], R_x=vals(R_x), Y=vals(Y), z=H[z], Y1=vals(Y1))
         return a, R_x, Y, thr_Y, z, Y1
 
