@@ -20,7 +20,8 @@ always extracts a subset, since on a real input no stage can empty.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -43,11 +44,11 @@ CALIBRATED = "calibrated"
 ENERGY_BRANCH = "EnergyBranch"
 SUBSET_BRANCH = "SubsetBranch"
 
-# Cells per row block of the stage grids.  A block's temporaries (grid,
-# search positions, gathered values, sorted copies) cost 25-50 bytes a
-# cell with int64 values, more with Python ints.  With blocks of 2^14 to
-# 2^19 cells a run of decompose jobs ended 1-3 MB higher in peak RSS, for
-# a few percent of speed; 2^12 cells keep each block near 100 KB.
+# Cells per row block of ``_membership``'s grids.  A block's temporaries
+# (grid, search positions, gathered values, sorted copies) cost 25-50
+# bytes a cell with int64 values, more with Python ints.  With blocks of
+# 2^14 to 2^19 cells a run of decompose jobs ended 1-3 MB higher in peak
+# RSS, for a few percent of speed; 2^12 cells keep each block near 100 KB.
 _BLOCK = 1 << 12
 # Span of S below which a membership test indexes a bool table of S
 # (see ``_membership``).  It holds every kp table of the benchmark (S in
@@ -59,16 +60,32 @@ _TABLE = 1 << 21
 
 @dataclass(frozen=True)
 class PopularSumGraph:
-    """Bipartite popular-sum graph: edge (u,v) iff u+v is an admissible sum."""
+    """Bipartite popular-sum graph: edge (u,v) iff u+v (u*v in
+    multiplicative ``mode``) is an admissible sum.
+
+    ``sums`` holds the admissible sums: any set of values, or, with
+    ``values_of``, their coordinates as an array that ``values_of`` maps
+    to the values.  ``kp_pipeline`` passes the sorted coordinates of its
+    popular sums (values, or exponent keys) and ``r_uv.values_of``, so
+    ``bound_n`` reads their count and the values are decoded only when
+    ``sum_filter`` is read."""
 
     left: IntSet
     right: IntSet
-    sum_filter: frozenset
+    sums: object
     alpha: Fraction
     mode: str = ADDITIVE
+    values_of: Optional[Callable] = None
+
+    @cached_property
+    def sum_filter(self) -> frozenset:
+        """The admissible sums, as a frozenset of values."""
+        if self.values_of is None:
+            return frozenset(self.sums)
+        return frozenset(self.values_of(self.sums).tolist())
 
     def bound_n(self) -> int:
-        return max(len(self.left), len(self.right), len(self.sum_filter))
+        return max(len(self.left), len(self.right), len(self.sums))
 
 
 @dataclass
@@ -90,15 +107,20 @@ def _top(pos, mass, k, values=None):
     """The ``k`` positions of ``pos`` (sorted) of largest int64 ``mass``,
     ties going to the least value, as a sorted index array.  Positions
     are in value order, or ``values(idx)`` gives the values at positions
-    idx; only the ties at the cut are looked up."""
+    idx; they are looked up only for the ties at the cut, and only when
+    the cut splits them.  The cut, the k-th largest mass, comes from one
+    ``np.partition``, and the positions kept from one mask over ``pos``,
+    so nothing is sorted but the ties' values."""
     if k >= len(pos):
         return pos
     m = mass[pos]
-    cut = np.sort(m)[len(m) - k]  # the k-th largest mass
-    above, tied = m > cut, pos[m == cut]
-    if values is not None:
-        tied = tied[np.argsort(values(tied), kind="stable")]
-    return np.sort(np.concatenate((pos[above], tied[: k - np.count_nonzero(above)])))
+    cut = np.partition(m, len(m) - k)[len(m) - k]
+    keep, tied = m > cut, np.flatnonzero(m == cut)
+    room = k - np.count_nonzero(keep)
+    if values is not None and room < len(tied):
+        tied = tied[np.argsort(values(pos[tied]), kind="stable")]
+    keep[tied[:room]] = True
+    return pos[keep]
 
 
 def _top_mass(mass, values=None):
@@ -128,10 +150,14 @@ def _membership(X, Y, S, additive):
     the bool matrix is |X|*|Y| sized.
 
     On an int64 grid with max S - min S below ``_TABLE`` (2**21), a cell
-    is looked up in one bool table of S indexed by value - min S: the
-    difference, taken modulo 2**64 and read unsigned, exceeds the span
-    exactly when the cell lies outside [min S, max S], and such cells
-    are sent to a False slot past the end.  The cap bounds the table at
+    is looked up in one bool table of S at t = value - min S + 1, with
+    a False slot at each end (``_table``), by one ``np.take`` that clips
+    an index outside the table to its end slot and writes straight into
+    the matrix.  t is taken modulo 2**64 and read signed, and it is
+    exact from -2**63 to 2**63 - 1, which covers every cell in
+    [min S, max S].  A cell above max S has t > span + 1, or wraps below
+    0; a cell below min S has t <= 0, or, where it wraps, t >= 2**63 + 2
+    - min S > span + 1, as max S < 2**63.  The cap bounds the table at
     2 MB: decompose's exponent-key spans run wider, and tables of up
     to 2**24 bytes raised certify-mix peak RSS.  Only object grids and
     wider spans take the searchsorted path: the columns in sorted order
@@ -154,10 +180,8 @@ def _membership(X, Y, S, additive):
         table = _table(S)
         for i in range(0, len(X), rows):
             grid = outer(X[i : i + rows], Y)
-            grid -= lo  # may wrap; read unsigned, it is the distance above lo mod 2**64
-            pos = grid.view(np.uint64)
-            np.minimum(pos, len(table) - 1, out=pos)
-            out[i : i + rows] = table[pos]
+            grid -= lo - 1  # may wrap, landing outside the table's S slots
+            np.take(table, grid, mode="clip", out=out[i : i + rows])
         return out
     cols = np.argsort(Y, kind="stable")
     Y = Y[cols]
@@ -170,20 +194,30 @@ def _membership(X, Y, S, additive):
 
 
 def _table(S):
-    """[v in S] at v - min S for v from min S to max S + 1 (False), for
-    a sorted int64 array S."""
+    """[v in S] at v - min S + 1 for v from min S - 1 to max S + 1 (False
+    at both ends), for a sorted int64 array S."""
     lo = int(S[0])
-    table = np.zeros(int(S[-1]) - lo + 2, dtype=bool)
-    table[S - lo] = True
+    table = np.zeros(int(S[-1]) - lo + 3, dtype=bool)
+    table[S - (lo - 1)] = True
     return table
 
 
 def _matvec(M, v):
-    """M @ v for a bool matrix M and an int64 vector v, in row blocks so
-    that no int64 copy of the whole of M is made.  Exact while sum(v)
-    stays below 2**63."""
-    rows = max(1, _BLOCK // M.shape[1])
-    return np.concatenate([M[i : i + rows] @ v for i in range(0, len(M), rows)])
+    """M @ v as int64, for a bool matrix M, any view, and a bool or int64
+    vector v.  ``einsum`` casts M through its small buffers, so no int64
+    copy of M, whole or blocked, is made, and it sums in int64: exact
+    while sum(v) stays below 2**63."""
+    return np.einsum("ij,j->i", M, v, dtype=np.int64)
+
+
+def _levels(c):
+    """(taus, counts, level) for an int64 array ``c`` of positive values:
+    its distinct values ascending, how often each occurs, and each entry's
+    level, the number of distinct values above it; from one ``bincount``
+    (the values are codegrees, at most the number of vertices)."""
+    counts = np.bincount(c)
+    taus = np.flatnonzero(counts)
+    return taus, counts[taus], len(taus) - np.cumsum(counts > 0)[c]
 
 
 def _nested_spans(P, level, additive):
@@ -238,10 +272,10 @@ def bsg_extract(U: IntSet, V: IntSet, G: PopularSumGraph, grid=None):
     seeds = by_degree[deg[by_degree] > 0][:4]
     candidates = []  # (size, span, codegrees, tau): the members are codegrees >= tau
     for seed in seeds.tolist():
-        codeg = adj[:, adj[seed]].sum(axis=1)
+        codeg = _matvec(adj, adj[seed])
         inside = np.flatnonzero(codeg)
-        taus, at, counts = np.unique(codeg[inside], return_inverse=True, return_counts=True)
-        spans = _nested_spans(X[inside], len(taus) - 1 - at, add)
+        taus, counts, level = _levels(codeg[inside])
+        spans = _nested_spans(X[inside], level, add)
         sizes = np.cumsum(counts[::-1]).tolist()
         candidates.extend((size, span, codeg, tau) for size, span, tau in zip(sizes, spans, taus[::-1].tolist()))
 
@@ -380,9 +414,11 @@ def _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_ch
     # multiplying the values.  H and the shifts are read in value order,
     # so each first maximum still goes to the least value; r_s and r_uv
     # are read in coordinate order, and their values are decoded only for
-    # the ties at a cut and for the graph's sums.
+    # the ties that a cut splits; the graph holds its sums' coordinates.
     # nA = |A|, E_s = E_s(A) and d = delta as a Fraction come from kp_pipeline.
     add, codec = half.adds, half.codec
+    # a cut's ties are ranked by value; on values, coordinate order is value order
+    ranked = lambda rep: None if codec is None else rep.values_at
     trace = []
     checks = [energy_check]
 
@@ -396,7 +432,7 @@ def _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_ch
         S_idx = np.flatnonzero(s_cnts >= math.ceil(thr_S))
     else:
         thr_S = "top-half energy mass"
-        S_idx = _top_mass(s_cnts, r_s.values_at)  # ranking by r_s(n) ranks r_s(n)^2 the same
+        S_idx = _top_mass(s_cnts, ranked(r_s))  # ranking by r_s(n) ranks r_s(n)^2 the same
     if not len(S_idx):
         raise StageCollapseError("S")
     G_size = int(s_cnts[S_idx].sum())
@@ -446,24 +482,23 @@ def _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_ch
         counts = np.unique(uv_cnts).tolist()
         passing = [c for c in counts if precision.cmp_count_power(c * E_s << 35, nA, 2 * s - 20 * d) >= 0]
         # keep at most M sums, the most represented first (ties: least value)
-        Sp_idx = _top(np.flatnonzero(np.isin(uv_cnts, passing)), uv_cnts, int(M), r_uv.values_at)
+        Sp_idx = _top(np.flatnonzero(np.isin(uv_cnts, passing)), uv_cnts, int(M), ranked(r_uv))
         thr_repr = "2^-35 |A|^(nu-20delta)"
     else:
-        Sp_idx = _top_mass(uv_cnts, r_uv.values_at)
+        Sp_idx = _top_mass(uv_cnts, ranked(r_uv))
         thr_repr = "top-half pair mass"
     if not len(Sp_idx):
         raise StageCollapseError("Sprime")
     edge_total = int(uv_cnts[Sp_idx].sum())
     bound_n = max(len(U), len(V), len(Sp_idx))
-    graph = PopularSumGraph(
-        U, V, frozenset(r_uv.values_at(Sp_idx).tolist()), Fraction(edge_total, bound_n**2), energy_mode
-    )
+    Sp_coords = uv_coords[Sp_idx]
+    graph = PopularSumGraph(U, V, Sp_coords, Fraction(edge_total, bound_n**2), energy_mode, r_uv.values_of)
     trace.append(("U", len(U), ""))
     trace.append(("V", len(V), ""))
     trace.append(("Sprime", len(Sp_idx), thr_repr))
 
     # --- BSG extraction on the stage coordinates -------------------------
-    U_prime, balbsg_report = bsg_extract(U, V, graph, (H_coords[Y2], H_coords[R_x], uv_coords[Sp_idx], add))
+    U_prime, balbsg_report = bsg_extract(U, V, graph, (H_coords[Y2], H_coords[R_x], Sp_coords, add))
     checks.append(balbsg_report)
     trace.append(("Uprime", len(U_prime), "balbsg"))
 

@@ -70,11 +70,14 @@ class RepFunction:
             order = np.argsort(vals)
         return vals[order], cnts[order], coords[order]
 
+    def values_of(self, coords):
+        """The values at the coordinates ``coords``, an array."""
+        return coords if self.codec is None else self.codec.values(coords, self.s)
+
     def values_at(self, idx):
         """The values at the positions ``idx`` of the sorted coordinates,
         ``counts.vals``."""
-        coords = self.counts.vals[idx]
-        return coords if self.codec is None else self.codec.values(coords, self.s)
+        return self.values_of(self.counts.vals[idx])
 
     @cached_property
     def support(self) -> dict:

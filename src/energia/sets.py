@@ -125,11 +125,14 @@ def iterated_sumset(A: IntSet, m: int, n: int) -> IntSet:
     """mA - nA, the m-fold sumset minus the n-fold sumset of A, over the
     kernel's sorted values."""
     _check_fold(A, m, n, "iterated_sumset")
-    # mA - nA = mA + n(-A)
+    # mA - nA = mA + n(-A); at n = m, n(-A) = -(mA) is the reflection of mA
     out = _kernel.power(_kernel.Weighted.indicator(A.elements, counted=False), m, additive=True) if m else None
     if n:
-        neg = _kernel.Weighted.indicator([-a for a in reversed(A.elements)], counted=False)
-        minus = _kernel.power(neg, n, additive=True)
+        if n == m:
+            minus = _kernel.Weighted(-out.vals[::-1], None, None, -out.hi, -out.lo)
+        else:
+            neg = _kernel.Weighted.indicator([-a for a in reversed(A.elements)], counted=False)
+            minus = _kernel.power(neg, n, additive=True)
         out = minus if out is None else _kernel.pair(out, minus, additive=True)
     return IntSet._of_arrays(out.vals)
 

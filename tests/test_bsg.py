@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from energia import _kernel, bsg
+from energia import _kernel, _keys, bsg
 from energia.bsg import (
     CALIBRATED,
     ENERGY_BRANCH,
@@ -281,6 +282,19 @@ class TestDirectIndexedPaths:
         members = set(S)
         assert got.tolist() == [[_OPS[add](x, y) in members for y in Y] for x in X]
 
+    @pytest.mark.parametrize("add", [True, False])
+    @pytest.mark.parametrize("place, S", [("top", [-EDGE, -EDGE + 3]), ("bottom", [EDGE - 3, EDGE])])
+    def test_membership_table_wraps_to_its_end_slots(self, monkeypatch, add, place, S):
+        # cells at one end of int64 against an S at the other: cell - min S + 1
+        # wraps, past the end (cells below S) or below 0 (cells above S)
+        built = []
+        make = bsg._table
+        monkeypatch.setattr(bsg, "_table", lambda S: built.append(make(S)) or built[-1])
+        X, Y = _grid_operands(add, place, [-3, 0, 5], [-6, 1, 6])
+        got = bsg._membership(X, Y, S, add)
+        assert [len(t) for t in built] == [S[1] - S[0] + 3]
+        assert got.tolist() == [[_OPS[add](x, y) in S for y in Y] for x in X]
+
     @pytest.mark.parametrize("span, table", [(2**21 - 1, True), (2**21, False)])
     def test_membership_table_below_the_cap_only(self, monkeypatch, span, table):
         built = []
@@ -289,7 +303,7 @@ class TestDirectIndexedPaths:
         S = [-5, -5 + span]
         got = bsg._membership([-9, -5, 0], [0, span, span + 1], S, True)
         assert got.tolist() == [[False, False, False], [True, True, False], [False, False, False]]
-        assert [len(t) for t in built] == ([span + 2] if table else [])
+        assert [len(t) for t in built] == ([span + 3] if table else [])
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -529,3 +543,147 @@ class TestFiberOracle:
         for stage, card in expected.items():
             assert res.stage_stats[stage] == card
         assert res.A_prime == A_prime
+
+
+def _blocked_matvec(M, v, block=1 << 12):
+    """M @ v by an int64 matmul over row blocks of about ``block`` cells."""
+    rows = max(1, block // M.shape[1])
+    return np.concatenate([M[i : i + rows] @ v for i in range(0, len(M), rows)])
+
+
+class TestExactReductions:
+    """``_matvec`` (degrees, scores, overlaps, z sizes and codegrees) sums
+    the bool grid in int64 through ``einsum``, with no int64 copy of it."""
+
+    @given(st.integers(1, 40), st.integers(1, 40), st.floats(0, 1), st.integers(0, 2**32), st.integers(0, 2**31))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_blocked_matmul(self, rows, cols, density, top, seed):
+        rng = np.random.default_rng(seed)
+        M = rng.random((rows, cols)) < density
+        v = rng.integers(0, top + 1, cols)
+        got = bsg._matvec(M, v)
+        assert got.dtype == np.int64 and got.tolist() == _blocked_matvec(M, v, 16).tolist()
+        # a bool vector counts, as a codegree does
+        assert bsg._matvec(M, M[0]).tolist() == _blocked_matvec(M, M[0].astype(np.int64)).tolist()
+
+    @given(st.integers(2, 60), st.integers(0, 2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_views_match_blocked_matmul(self, n, seed):
+        rng = np.random.default_rng(seed)
+        M = rng.random((n, n)) < 0.4
+        h = rng.integers(1, 10**6, n)
+        R_x = np.flatnonzero(M[0]) if M[0].any() else np.arange(1)
+        Y = np.sort(rng.choice(n, rng.integers(1, n + 1), replace=False))
+        for grid, v in ((M[:, R_x], h[R_x]), (M[np.ix_(R_x, Y)], h[Y]), (M[::2, ::3], h[::3]), (M.T, h)):
+            assert bsg._matvec(grid, v).tolist() == _blocked_matvec(grid, v).tolist()
+
+    def test_row_summing_to_the_int64_limit(self):
+        M = np.zeros((3, 5), dtype=bool)
+        M[0] = True
+        M[1, :2] = True
+        v = np.array([2**62, 2**62 - 2, 1, 0, 0], dtype=np.int64)
+        assert int(v.sum()) == 2**63 - 1
+        want = [2**63 - 1, 2**63 - 2, 0]
+        assert bsg._matvec(M, v).tolist() == _blocked_matvec(M, v).tolist() == want
+
+    def test_no_int64_copy_of_the_grid(self):
+        rng = np.random.default_rng(7)
+        M = rng.random((2000, 2000)) < 0.3  # 4 MB of bool; an int64 copy is 32 MB
+        h = rng.integers(1, 1000, 2000)
+        tracemalloc.start()
+        try:
+            deg = bsg._matvec(M, h)
+            codeg = bsg._matvec(M, M[3])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert deg.tolist() == (M.astype(np.int64) @ h).tolist()
+        assert codeg.tolist() == M[:, M[3]].sum(axis=1).tolist()
+
+
+def _sorted_top(pos, mass, k, values=None):
+    """``_top`` by a full sort: the k positions of largest mass, ties to
+    the least value (the position itself when ``values`` is None)."""
+    key = (lambda p: p) if values is None else (lambda p: values(np.array([p]))[0])
+    return sorted(sorted(pos.tolist(), key=lambda p: (-int(mass[p]), key(p)))[:k])
+
+
+class TestCutsAndLevels:
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=40), st.integers(1, 45), st.data())
+    @settings(max_examples=150, deadline=None)
+    @example([2, 2, 2, 1, 0], 2, None)  # the cut splits three ties
+    @example([3, 3, 1, 1], 2, None)  # all ties at the cut are taken
+    def test_top_matches_a_sort(self, masses, k, data):
+        mass = np.array(masses, dtype=np.int64)
+        pos = np.flatnonzero(mass >= 0)
+        assert bsg._top(pos, mass, k).tolist() == _sorted_top(pos, mass, k)
+        # values in another order than positions, as exponent keys decode
+        perm = np.array(data.draw(st.permutations(range(len(mass)))) if data is not None else range(len(mass)))
+        values = lambda idx: perm[idx]
+        assert bsg._top(pos, mass, k, values).tolist() == _sorted_top(pos, mass, k, values)
+        if k < len(pos):
+            assert bsg._top_mass(mass, values).tolist() == _sorted_top(
+                np.flatnonzero(mass > 0), mass, (np.count_nonzero(mass) + 1) // 2, values
+            )
+
+    def test_values_are_looked_up_only_when_the_cut_splits_ties(self):
+        mass = np.array([5, 3, 3, 1], dtype=np.int64)
+        calls = []
+        values = lambda idx: calls.append(idx.tolist()) or -idx
+        assert bsg._top(np.arange(4), mass, 3, values).tolist() == [0, 1, 2]
+        assert calls == []
+        assert bsg._top(np.arange(4), mass, 2, values).tolist() == [0, 2]
+        assert calls == [[1, 2]]
+
+    @given(st.lists(st.integers(1, 30), min_size=1, max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_levels_match_unique(self, codeg):
+        c = np.array(codeg, dtype=np.int64)
+        taus, counts, level = bsg._levels(c)
+        want_taus, at, want_counts = np.unique(c, return_inverse=True, return_counts=True)
+        assert taus.tolist() == want_taus.tolist() and counts.tolist() == want_counts.tolist()
+        assert level.tolist() == (len(want_taus) - 1 - at).tolist()
+
+
+class TestGraphSums:
+    """A pipeline graph holds the sums' coordinates and decodes them only
+    when ``sum_filter`` is read."""
+
+    def test_keyed_sums_are_decoded_on_read(self, monkeypatch):
+        decoded, graphs, values, extract = [], [], _keys.Codec.values, bsg.bsg_extract
+
+        def spy_values(codec, keys, factors):
+            decoded.append(np.array(keys))
+            return values(codec, keys, factors)
+
+        def spy_extract(U, V, G, grid=None):
+            graphs.append((G, grid))
+            return extract(U, V, G, grid)
+
+        monkeypatch.setattr(_keys.Codec, "values", spy_values)
+        monkeypatch.setattr(bsg, "bsg_extract", spy_extract)
+        A = gp(7**25, 3, 12)  # products past 2^62: exponent keys
+        res = kp_pipeline(A, 4, 0.05, energy_mode=MULTIPLICATIVE)
+        [(G, (_, _, S, add))] = graphs
+        assert add and G.values_of is not None and G.bound_n() == max(len(G.left), len(G.right), len(S))
+        assert not any(np.array_equal(keys, S) for keys in decoded)
+        before = len(decoded)
+        sums = sorted(G.sum_filter)
+        assert len(decoded) == before + 1 and np.array_equal(decoded[-1], S)
+        G.sum_filter
+        assert len(decoded) == before + 1  # decoded once
+        assert all(type(x) is int for x in sums)
+        # the value form's graph holds the same sums
+        monkeypatch.setattr(_keys, "encode", lambda elements, arity: None)
+        assert kp_pipeline(A, 4, 0.05, energy_mode=MULTIPLICATIVE).A_prime == res.A_prime
+        (G_vals, (_, _, S_vals, add)), = graphs[1:]
+        assert not add and G_vals.values_of(S_vals) is S_vals
+        assert sorted(G_vals.sum_filter) == S_vals.tolist() == sums
+
+    @pytest.mark.parametrize("sums", [frozenset({3, 4, 5}), {3, 4, 5}])
+    def test_hand_built_graphs(self, sums):
+        U = IntSet([1, 2])
+        G = PopularSumGraph(U, U, sums, Fraction(1, 2))
+        assert G.sum_filter == frozenset({3, 4, 5}) and G.bound_n() == 3
+        assert bsg_extract(U, U, G)[0] == U

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from energia import cli
+from energia import _kernel, cli
 from energia.errors import (
     BadParamsError,
     DivisionByZeroElementError,
@@ -162,6 +162,37 @@ class TestFoldContract:
         assert all(q > 0 and gcd(p, q) == 1 for p, q in pairs)
         assert all(p1 * q2 < p2 * q1 for (p1, q1), (p2, q2) in zip(pairs, pairs[1:]))
         assert cli._json_strings(num, den) == json.dumps([str(Fraction(p, q)) for p, q in pairs])
+
+
+def _two_powers(A, m, n):
+    """mA - nA as mA + n(-A), each fold its own ``power``."""
+    plus = _kernel.power(_kernel.Weighted.indicator(A.elements, counted=False), m, additive=True)
+    neg = _kernel.Weighted.indicator([-a for a in reversed(A.elements)], counted=False)
+    return _kernel.pair(plus, _kernel.power(neg, n, additive=True), additive=True).vals
+
+
+class TestReflectedSumsets:
+    """At n = m, -nA is the reflection of mA, and mA is built once."""
+
+    @given(
+        st.sets(st.one_of(st.integers(-50, 50), contract_values), min_size=1, max_size=5),
+        st.integers(1, 3),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_two_powers(self, values, m, n):
+        A = IntSet(values | {0})
+        (got,) = iterated_sumset(A, m, n).arrays
+        want = _two_powers(A, m, n)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_one_power_at_equal_arity(self, monkeypatch, m):
+        calls, power = [], _kernel.power
+        monkeypatch.setattr(_kernel, "power", lambda *args, **kw: calls.append(args[1]) or power(*args, **kw))
+        A = IntSet([-7, 0, 2, 9, 40])
+        assert set(iterated_sumset(A, m, m)) == brute_sumset(list(A), m, m)
+        assert calls == [m]
 
 
 class TestSumsets:
