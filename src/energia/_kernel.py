@@ -461,8 +461,8 @@ def _triangle(m):
 
 def multisets(base: Weighted, s: int, additive: bool):
     """The ``Multisets`` of the values of ``base``, an indicator (each
-    value once), at arity ``s`` when they cost less than binary powering's
-    last step, else None.
+    value once), at arity ``s`` >= 2 when they cost less than binary
+    powering's last step, else None.
 
     They do while the grid's C(n + s - 1, s) cells are no more than that
     step's cells (``_power_cells``), above ``_MULTISET_FLOOR`` cells, with
@@ -470,7 +470,7 @@ def multisets(base: Weighted, s: int, additive: bool):
     value and every key within 64 bits."""
     n = base.size
     cells = math.comb(n + s - 1, s)
-    if cells <= _MULTISET_FLOOR or math.comb(n + s - 2, s - 1) > _CHUNK:
+    if s < 2 or cells <= _MULTISET_FLOOR or math.comb(n + s - 2, s - 1) > _CHUNK:
         return None
     lo, hi = fold_bounds(base.lo, base.hi, s, additive)
     wbits = math.factorial(s).bit_length()
@@ -495,10 +495,8 @@ def _power_cells(base, s, additive):
     s is a power of two, else base**(s - top) by base**top, top the
     highest power of two in s.  The support of base**t is at most the
     C(n + t - 1, t) t-multisets and, for sums, t·w + 1 values, w the span
-    over the gcd of the differences.  0 when there is no step (s = 1) or
-    when it would be dense (``choose``)."""
-    if s < 2:
-        return 0
+    over the gcd of the differences.  0 when that step would be dense
+    (``choose``).  ``multisets`` asks only at s >= 2."""
     n, top = base.size, 1 << (s.bit_length() - 1)
     halves = (s // 2, s // 2) if s == top else (s - top, top)
     sizes = [math.comb(n + t - 1, t) for t in halves]
@@ -512,10 +510,11 @@ def _power_cells(base, s, additive):
 
 
 class Multisets:
-    """Every unordered s-tuple of the sorted, distinct int64 ``vals`` once,
-    as packed keys (cell - lo) << wbits | weight of ``dtype``: the cell is
-    the tuple's sum (or product) and the weight s!/∏m!, the ordered
-    s-tuples it stands for (m over the multiplicities of its values).
+    """Every unordered s-tuple (s >= 2) of the sorted, distinct int64
+    ``vals`` once, as packed keys (cell - lo) << wbits | weight of
+    ``dtype``: the cell is the tuple's sum (or product) and the weight
+    s!/∏m!, the ordered s-tuples it stands for (m over the multiplicities
+    of its values).
 
     A tuple is a nondecreasing sequence of indices.  The (s - 1)-tuples,
     the partials, are grouped by their greatest index (``_partials``), so
@@ -559,9 +558,6 @@ class Multisets:
         """The grid's (keys, None) blocks of whole rows, at most
         ``block_cells(dtype)`` cells (one row when a row is longer)."""
         a, s, wbits, dtype = self.vals, self.s, self.wbits, self.dtype
-        if s == 1:
-            yield _offset_keys(a, self.lo, wbits, np.empty(len(a), dtype=dtype)) | dtype(1), None
-            return
         partials, code, ends = _partials(a, s - 1, self.additive)
         fresh = math.factorial(s) // (code >> _RUN_BITS)
         weights = fresh.astype(dtype), (fresh // ((code & _RUN_MASK) + 1)).astype(dtype)

@@ -454,9 +454,8 @@ def _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_ch
     # --- anchor, Y (large overlap against the anchor), z and Y1 ------------
     # stage sets are sorted index arrays into H, fiber i weighing h[i]
     H_vals, h, H_coords = half.by_value
-    H = H_vals.tolist()
     a, R_x, Y, thr_Y, z, Y1 = _fiber_stages(H_coords, h, s_coords[S_idx], add, mode, nA, s, d)
-    anchor, z_val = H[a], H[z]
+    anchor, z_val = H_vals[[a, z]].tolist()
     size_Y, size_Y1 = int(h[Y].sum()), int(h[Y1].sum())
     trace.append(("anchor", int(h[R_x].sum()), str(anchor)))
     trace.append(("Y", size_Y, str(thr_Y)))
@@ -471,8 +470,7 @@ def _run_stages(A, s, delta, mode, energy_mode, shifts, half, r_s, nu, energy_ch
         raise InvariantError("pruning grew a stage: |Y2| <= |Y1| <= |Y| fails")
 
     # --- popular-sum graph on U = sums(Y2), V = sums(R_G(x)) --------------
-    U = IntSet._trusted([H[i] for i in Y2.tolist()])
-    V = IntSet._trusted([H[i] for i in R_x.tolist()])
+    U, V = (IntSet._trusted(H_vals[idx].tolist()) for idx in (Y2, R_x))
     U_w, V_w = (_kernel.Weighted.indicator(np.sort(H_coords[idx]).tolist(), True) for idx in (Y2, R_x))
     r_uv = RepFunction(_kernel.pair(U_w, V_w, add), s, energy_mode, codec)
     uv_coords, uv_cnts = r_uv.counts.vals, r_uv.counts.cnts

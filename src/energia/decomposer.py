@@ -112,22 +112,15 @@ def com2_budget(n: int, c, Cc) -> int:
 
 def min_deletion(size: int, c, Cc) -> int:
     """ceil(Cc size^(1-c)), exactly, for rational c and Cc: the least d
-    that ``precision.cmp_count_power`` finds at least Cc size^(1-c)."""
+    that ``precision.cmp_count_power`` finds at least Cc size^(1-c), by
+    bisection on [0, ceil(Cc size)]."""
     c, Cc = _com2_params(c, Cc)
     if size < 1:
         return 0
     e, lo, hi = 1 - c, 0, math.ceil(Cc * size)  # d = 0 falls short; hi >= Cc size >= Cc size^(1-c)
-
-    def enough(d):
-        return precision.cmp_count_power(d, size, e, factor=Cc) >= 0
-
-    if max(size, hi) < 2**53:  # a float estimate is nearly always right: check it on both sides
-        d = math.ceil(float(Cc) * size ** float(e))
-        if enough(d) and not enough(d - 1):
-            return d
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if enough(mid) else (mid, hi)
+        lo, hi = (lo, mid) if precision.cmp_count_power(mid, size, e, factor=Cc) >= 0 else (mid, hi)
     return hi
 
 

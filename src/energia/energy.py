@@ -13,7 +13,7 @@ with the kernel, and must agree with the fast path on every input.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
 
 import numpy as np
@@ -179,11 +179,12 @@ ORACLE_GUARD = 10**8
 def energy_oracle(A: IntSet, s: int, mode: str = ADDITIVE, guard: int = ORACLE_GUARD) -> EnergyValue:
     """Energy by literal enumeration of all 2s-tuples.
 
-    While every s-fold sum or product fits int64 (``_fits_int64``), the
-    (s-tuple, s-tuple) pairs are compared in numpy batches, whatever the
-    size of A; past int64, in nested Python loops over Python ints.  Both
-    visit each 2s-tuple individually: no sort, count by value or
-    convolution is shared with the fast path.
+    Each of the |A|^s s-fold sums (or products) is formed once, and every
+    (s-tuple, s-tuple) pair of them is compared: in numpy batches while
+    every sum fits int64 (``_fits_int64``), whatever the size of A; past
+    int64, as Python ints in a list.  Both visit each 2s-tuple
+    individually: no sort, count by value or convolution is shared with
+    the fast path.
     """
     _check_args("energy_oracle", A, s, mode)
     n_tuples = len(A) ** (2 * s)
@@ -202,18 +203,9 @@ def _fits_int64(A: IntSet, s: int, mode: str) -> bool:
 
 
 def _python_oracle(A: IntSet, s: int, mode: str) -> int:
-    op = _OPS[mode]
-    count = 0
-    for tup in product(A.elements, repeat=2 * s):
-        lhs = tup[0]
-        for x in tup[1:s]:
-            lhs = op(lhs, x)
-        rhs = tup[s]
-        for x in tup[s + 1 :]:
-            rhs = op(rhs, x)
-        if lhs == rhs:
-            count += 1
-    return count
+    sums = [reduce(_OPS[mode], t) for t in product(A.elements, repeat=s)]
+    # every (s-tuple, s-tuple) pair compared individually
+    return sum(x == y for x in sums for y in sums)
 
 
 def _numpy_oracle(A: IntSet, s: int, mode: str) -> int:

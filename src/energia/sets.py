@@ -123,16 +123,14 @@ def _check_fold(A, m, n, name):
 
 def iterated_sumset(A: IntSet, m: int, n: int) -> IntSet:
     """mA - nA, the m-fold sumset minus the n-fold sumset of A, over the
-    kernel's sorted values."""
+    kernel's sorted values: mA plus the reflection of nA, which at n = m
+    is mA itself."""
     _check_fold(A, m, n, "iterated_sumset")
-    # mA - nA = mA + n(-A); at n = m, n(-A) = -(mA) is the reflection of mA
-    out = _kernel.power(_kernel.Weighted.indicator(A.elements, counted=False), m, additive=True) if m else None
+    base = _kernel.Weighted.indicator(A.elements, counted=False)
+    out = _kernel.power(base, m, additive=True) if m else None
     if n:
-        if n == m:
-            minus = _kernel.Weighted(-out.vals[::-1], None, None, -out.hi, -out.lo)
-        else:
-            neg = _kernel.Weighted.indicator([-a for a in reversed(A.elements)], counted=False)
-            minus = _kernel.power(neg, n, additive=True)
+        nA = out if n == m else _kernel.power(base, n, additive=True)
+        minus = _kernel.Weighted(-nA.vals[::-1], None, None, -nA.hi, -nA.lo)
         out = minus if out is None else _kernel.pair(out, minus, additive=True)
     return IntSet._of_arrays(out.vals)
 
@@ -146,7 +144,7 @@ def iterated_product_set(A: IntSet, m: int, n: int) -> RatSet:
     base = _kernel.Weighted.indicator(A.elements, counted=False)
     one = np.ones(1, dtype=np.int64)
     num = _kernel.power(base, m, additive=False).vals if m else one
-    den = _kernel.power(base, n, additive=False).vals if n else one
+    den = num if n == m else _kernel.power(base, n, additive=False).vals if n else one
     return RatSet._of_arrays(*_quotient_arrays(num, den))
 
 

@@ -150,6 +150,10 @@ class TestBta:
         target = gemn_params(5, 50)["log2_s"]
         assert bta_eta(target)["k"] == 5
 
+    def test_doubles_the_bracket_past_8(self):
+        # k = 8 fits, so the bracket [4, 8] doubles once to [8, 16]
+        assert bta_eta(gemn_params(8, 80)["log2_s"])["k"] == 8
+
     def test_too_small(self):
         with pytest.raises(BadParamsError):
             bta_eta(10)

@@ -123,7 +123,7 @@ class TestCom2:
         assert [min_deletion(size, c, Cc) for size in range(1, 2001)] == [self._scan(size, c, Cc) for size in range(1, 2001)]
 
     def test_min_deletion_past_float_estimates(self):
-        # sizes past 2^53 skip the float estimate and bisect
+        # sizes past 2^53, which no float holds exactly
         assert min_deletion(2**100, Fraction(1, 2), 1) == 2**50
         assert min_deletion(2**100 + 1, Fraction(1, 2), 1) == 2**50 + 1
         assert min_deletion(2**60, Fraction(1, 3), 3) == 3 * 2**40

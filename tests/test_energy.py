@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from energia import _kernel
 from energia.energy import (
     ADDITIVE,
     MULTIPLICATIVE,
@@ -268,3 +269,43 @@ def test_dilation_invariance():
         assert (
             energy(A, 2, MULTIPLICATIVE).count == energy(B, 2, MULTIPLICATIVE).count
         )
+
+
+# Item 17's floor: rearranging an s-tuple keeps its sum and its product, so
+# every n-set has at least T_s(n) solutions in either mode.
+floor_sets = st.one_of(
+    st.sets(st.integers(-30, 30), min_size=1, max_size=9),  # signed
+    st.sets(st.integers(-30, 30), min_size=0, max_size=8).map(lambda v: v | {0}),  # with 0
+    st.tuples(st.sampled_from([2**62, -(2**62) - 5, 3**45]), st.sets(st.integers(-40, 40), min_size=1, max_size=8)).map(
+        lambda t: {t[0] + x for x in t[1]}
+    ),  # past 2^62
+    st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=9).map(
+        lambda e: {7**20 * 2**i * 3**j for i, j in e}
+    ),  # a grid of prime powers, whose products take exponent keys
+)
+
+
+@given(floor_sets, st.integers(1, 4), st.sampled_from([ADDITIVE, MULTIPLICATIVE]))
+@settings(max_examples=120, deadline=None)
+def test_every_energy_meets_the_trivial_floor(vals, s, mode):
+    A = IntSet(vals)
+    floor = _kernel.trivial_count(len(A), s)
+    assert energy(A, s, mode).count >= floor
+    if len(A) ** (2 * s) <= 10**5:
+        assert energy_oracle(A, s, mode).count >= floor
+
+
+# Past int64 the oracle compares Python ints; offsets from one large value
+# (sums) and multiples of one (products) share many s-fold sums.
+past_int64 = st.tuples(
+    st.sampled_from([2**62, -(2**63) - 1, 7**25, 3**60]),
+    st.sets(st.integers(-12, 12), min_size=6, max_size=12),
+)
+
+
+@given(past_int64, st.integers(2, 3), st.sampled_from([ADDITIVE, MULTIPLICATIVE]))
+@settings(max_examples=25, deadline=None)
+def test_oracle_matches_the_kernel_past_int64(big, s, mode):
+    c, small = big
+    A = IntSet(c + x for x in small) if mode == ADDITIVE else IntSet(c * x for x in small)
+    assert energy(A, s, mode).count == energy_oracle(A, s, mode).count

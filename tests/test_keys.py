@@ -89,6 +89,14 @@ def test_refinement_splits_a_shared_factor():
     assert _keys.encode([1], 3).keys.tolist() == [0]
 
 
+def test_radix_product_refuses_after_the_pass():
+    # ten primes keep (arity + 1)^|base| = 9^10 below 2^62 through the pass,
+    # but p^40 sets every radix to 8 * 40 + 1, and 321^10 >= 2^62
+    P = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert 9 ** len(P) < _kernel._VALUE_LIMIT <= 321 ** len(P)
+    assert _keys.encode(sorted(set(P) | {p**40 for p in P}), 8) is None
+
+
 def test_wide_base_falls_back_within_linear_gcds(monkeypatch):
     calls = []
 
