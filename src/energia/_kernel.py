@@ -121,9 +121,11 @@ class Weighted:
 
     @classmethod
     def indicator(cls, elements, counted):
-        """Each of the sorted, distinct ``elements`` (Python ints) once."""
-        n, lo, hi = len(elements), elements[0], elements[-1]
-        vals = np.array(elements, dtype=exact_dtype(max(-lo, hi)))
+        """Each of the sorted, distinct ``elements`` (Python ints, or an
+        int64 or object array, which is not copied where it is already of
+        the values' dtype) once."""
+        n, lo, hi = len(elements), int(elements[0]), int(elements[-1])
+        vals = np.asarray(elements, dtype=exact_dtype(max(-lo, hi)))
         if not counted:
             return cls(vals, None, None, lo, hi)
         cnts = np.empty(n, dtype=np.int64)
@@ -760,6 +762,14 @@ def _merge_equal(keys, lo, wbits, reduce):
     if reduce is np.minimum:
         return values, keys[starts].astype(np.int64)
     return values, np.add.reduceat(keys, starts, dtype=np.int64)
+
+
+def distinct(values):
+    """The sorted, distinct values of the int64 array ``values``: one sort
+    and one compare of neighbours, and no copy where none repeats."""
+    values = np.sort(values)
+    starts = _starts(values)  # [0] for an empty array
+    return values if len(starts) >= len(values) else values[starts]
 
 
 def _starts(values):

@@ -47,15 +47,17 @@ _BLOCK = 64  # remainders in the first block of ``encode``
 
 
 def codec_for(elements, arity):
-    """The codec of the sorted, distinct ``elements`` for products of up
-    to ``arity`` of them, or None when they stay on values: arity 1, a
-    set that is not positive, products below 2**62, or a base too wide
-    (see ``encode``).  The keys are those of the elements divided by
-    their gcd g, taken pairwise until it reaches 1; the codec keeps g
-    for ``Codec.values``.
+    """The codec of the sorted, distinct ``elements`` (Python ints, or an
+    array of them) for products of up to ``arity`` of them, or None when
+    they stay on values: arity 1, a set that is not positive, products
+    below 2**62, or a base too wide (see ``encode``).  The keys are those
+    of the elements divided by their gcd g, taken pairwise until it
+    reaches 1; the codec keeps g for ``Codec.values``.
     """
-    if not (arity > 1 and elements[0] > 0 and elements[-1] ** arity >= _kernel._VALUE_LIMIT):
+    if not (arity > 1 and elements[0] > 0 and int(elements[-1]) ** arity >= _kernel._VALUE_LIMIT):
         return None
+    if isinstance(elements, np.ndarray):
+        elements = elements.tolist()
     g = 0
     for a in elements:
         g = gcd(g, a)

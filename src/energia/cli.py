@@ -52,7 +52,37 @@ from .sets import IntSet, generate, iterated_product_set, iterated_sumset
 _MODES = {"add": ADDITIVE, "additive": ADDITIVE, "mult": MULTIPLICATIVE, "multiplicative": MULTIPLICATIVE}
 
 
-def _read_input(path) -> IntSet:
+# Whitespace input of at least this many tokens is read as one int64
+# array; below it, ``int`` per token costs less than the array's fixed
+# calls, and a set of Python ints less than an array-backed one downstream.
+_ARRAY_TOKENS = 64
+_INT64_ENDS = (-(2**63), 2**63 - 1)
+# An int64 value v is spelled with 1 + #{k in 1..18 : |v| >= 10^k} digits,
+# after a sign where v < 0, so the decimals of n sorted values take
+# 19n + searchsorted(values, _EDGES) @ _WEIGHTS characters in all.
+_TENS = 10 ** np.arange(1, 19, dtype=np.int64)
+_EDGES, _WEIGHTS = np.concatenate((1 - _TENS, [0], _TENS)), np.repeat([1, -1], (19, 18))
+
+# byte -> its class on the array path: "0" a digit, " " an ASCII space
+# (those ``np.fromstring`` skips), "-" itself, "x" anything else
+_BYTE_CLASS = bytes(
+    ord("0") if chr(b) in "0123456789" else ord(" ") if chr(b) in " \t\n\v\f\r" else b if chr(b) == "-" else ord("x")
+    for b in range(256)
+)
+
+
+def _read_input(path):
+    """The input set and its digest.
+
+    The input is a JSON array of integers or whitespace-separated ASCII
+    tokens -?[0-9]+.  Whitespace input of at least ``_ARRAY_TOKENS``
+    tokens, of digits, signs and the six ASCII spaces only, is read as
+    one int64 array (``_int64_tokens``), from which the ``IntSet`` is
+    built.  Shorter input, other bytes, values at or past an int64 end
+    and JSON input are read ``int`` per token or as JSON, which refuse
+    what they cannot read with a parse error.  Either way the set, the
+    digest and every message are the same.
+    """
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -69,7 +99,14 @@ def _read_input(path) -> IntSet:
             # without "+", "_" and non-ASCII text, int() takes a token only if it is -?[0-9]+
             if not text.isascii() or "+" in text or "_" in text:
                 raise BadParamsError("integers must be ASCII tokens -?[0-9]+")
-            return IntSet(map(int, text.split()))
+            tokens = text.split(maxsplit=_ARRAY_TOKENS - 1)  # all of them, when fewer
+            if len(tokens) == _ARRAY_TOKENS:
+                read = _int64_tokens(text)
+                if read is not None:
+                    return read
+                tokens = text.split()
+            A = IntSet(map(int, tokens))
+            return A, _digest(A)
         vals = json.loads(text)
     except ValueError as exc:
         raise BadParamsError(f"cannot parse input: {exc}")
@@ -78,11 +115,52 @@ def _read_input(path) -> IntSet:
     bad = [v for v in vals if type(v) is not int]  # strings, floats, booleans, null, ...
     if bad:
         raise BadParamsError(f"JSON input must hold integers, got {json.dumps(bad[0])}")
-    return IntSet(vals)
+    A = IntSet(vals)
+    return A, _digest(A)
+
+
+def _int64_tokens(text):
+    """(set, digest) of the stripped whitespace-form ``text`` read as one
+    int64 array, or None when it is not taken: a byte ``int`` might not
+    read the same way, a "-" that does not start a token or is not
+    followed by a digit (``np.fromstring`` reads "5 - 3" as [5, -3] and
+    "7 -" as [7, 0]), or a value at an int64 end.  Past those checks the
+    text is tokens -?[0-9]+ between ASCII spaces, and ``np.fromstring``
+    reads each as ``int`` does.
+
+    The digest is hashed from the text itself when it already spells
+    ``repr(list(A))`` but for brackets and commas: single spaces and
+    strictly increasing values, each token as wide as its value's
+    decimal (no "007", no "-0").
+    """
+    raw = text.encode()
+    shape = raw.translate(_BYTE_CLASS)
+    if b"x" in shape:
+        return None
+    if b"-" in shape:
+        c = np.frombuffer(shape, dtype=np.uint8)
+        at = np.flatnonzero(c == ord("-"))
+        if at[-1] == len(c) - 1 or (c[at + 1] != ord("0")).any() or (c[at[at > 0] - 1] != ord(" ")).any():
+            return None
+    a = np.fromstring(raw, dtype=np.int64, sep=" ")
+    if a.min() == _INT64_ENDS[0] or a.max() == _INT64_ENDS[1]:
+        return None
+    n = len(a)
+    A = IntSet(a)
+    if raw.count(b" ") == n - 1 and np.array_equal(A.arrays[0], a):  # single spaces, values in order
+        if len(raw) == 19 * n + int(np.searchsorted(a, _EDGES) @ _WEIGHTS) + n - 1:
+            return A, _hash(b"[" + raw.replace(b" ", b", ") + b"]")
+    return A, _digest(A)
+
+
+def _hash(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def _digest(A: IntSet) -> str:
-    return hashlib.sha256(repr(list(A)).encode()).hexdigest()[:16]
+    """The input digest: the first 16 hex digits of the SHA-256 of
+    ``repr(list(A))``."""
+    return _hash(repr(list(A)).encode())
 
 
 def _report(args, results, seed=None) -> dict:
@@ -255,7 +333,7 @@ def _write_csv(path, rows, header):
 
 
 def cmd_energy(args):
-    A = _read_input(args.input)
+    A, digest = _read_input(args.input)
     mode = _MODES[args.mode]
     e = energy(A, args.s, mode)
     exponent = None  # log_|A| of the count
@@ -263,7 +341,7 @@ def cmd_energy(args):
         with precision.working():
             exponent = precision.show(precision.log2(e.count) / precision.log2(len(A)), 20)
     results = {
-        "input_digest": _digest(A),
+        "input_digest": digest,
         "count": str(e.count),
         "s": args.s,
         "mode": mode,
@@ -281,10 +359,10 @@ def cmd_energy(args):
 
 
 def cmd_sumset(args):
-    A = _read_input(args.input)
+    A, digest = _read_input(args.input)
     fold = iterated_sumset if _MODES[args.mode] == ADDITIVE else iterated_product_set
     out = fold(A, args.m, args.n)
-    results = {"input_digest": _digest(A), "m": args.m, "n": args.n, "size": len(out), "values": _SPLICE}
+    results = {"input_digest": digest, "m": args.m, "n": args.n, "size": len(out), "values": _SPLICE}
     _emit(args, results, splice=_json_strings(*out.arrays))
     return 0
 
@@ -345,10 +423,10 @@ def cmd_check(args):
 
 
 def cmd_kp(args):
-    A = _read_input(args.input)
+    A, digest = _read_input(args.input)
     res = kp_pipeline(A, args.s, args.delta, mode=args.mode, energy_mode=_MODES[args.energy_mode])
     results = {
-        "input_digest": _digest(A),
+        "input_digest": digest,
         "branch": res.branch,
         "nu": precision.show(res.nu, 20),
         "delta": args.delta,
@@ -370,12 +448,12 @@ def cmd_kp(args):
 
 
 def cmd_decompose(args):
-    A = _read_input(args.input)
+    A, digest = _read_input(args.input)
     cfg = DecomposeConfig(k=args.k, s=args.s, q=args.q, mode=args.mode, extractor=args.extractor)
     d = decompose(A, cfg)
     certs = certificates(A, d, cfg)
     results = {
-        "input_digest": _digest(A),
+        "input_digest": digest,
         "B": [str(v) for v in d.B],
         "C": [str(v) for v in d.C],
         "iterations_used": d.iterations_used,

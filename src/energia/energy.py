@@ -128,8 +128,9 @@ def rep_function(A: IntSet, s: int, mode: str = ADDITIVE, products: int = 0) -> 
     """
     _check_args("rep_function", A, s, mode)
     guard_counts(len(A), s)
-    codec = None if mode == ADDITIVE else _keys.codec_for(A.elements, max(s, products))
-    coords = A.elements if codec is None else np.sort(codec.keys).tolist()
+    line = A.sorted_values
+    codec = None if mode == ADDITIVE else _keys.codec_for(line, max(s, products))
+    coords = line if codec is None else np.sort(codec.keys)
     indicator = _kernel.Weighted.indicator(coords, counted=True)
     adds = mode == ADDITIVE or codec is not None
     counts = _kernel.multisets(indicator, s, adds) or _kernel.power(indicator, s, adds)

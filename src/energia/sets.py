@@ -34,9 +34,10 @@ from .errors import (
 class _SortedSet:
     """Immutable strictly-increasing sequence of exact values.
 
-    A set a fold made holds the fold's sorted, distinct ``arrays`` (one
-    or two, see the subclasses) and builds ``elements`` from them on first
-    use; any other set holds its elements and ``arrays`` is None.
+    A set a fold made, or an ``IntSet`` built from an int64 array, holds
+    sorted, distinct ``arrays`` (one or two, see the subclasses) and
+    builds ``elements`` from them on first use; any other set holds its
+    elements and ``arrays`` is None.
     """
 
     __slots__ = ("_elements", "arrays")
@@ -85,9 +86,21 @@ class _SortedSet:
 
 
 class IntSet(_SortedSet):
-    """Finite set of arbitrary-precision integers; ``arrays`` is (values,)."""
+    """Finite set of arbitrary-precision integers; ``arrays`` is (values,).
+
+    Built from an int64 array, in any order and with repeats, the set
+    holds the array sorted and de-duplicated (one sort, one compare of
+    neighbours), read-only, and builds ``elements`` from it on first use,
+    as a fold's set does.  Built from anything else, it takes Python ints
+    only and holds no arrays.
+    """
 
     def __init__(self, values):
+        if isinstance(values, np.ndarray) and values.dtype == np.int64:
+            vals = _kernel.distinct(values)
+            vals.flags.writeable = False
+            self._elements, self.arrays = None, (vals,)
+            return
         values = list(values)
         if set(map(type, values)) - {int}:  # one pass; the loop below names the offender
             for v in values:
@@ -98,6 +111,12 @@ class IntSet(_SortedSet):
     @staticmethod
     def _from_arrays(vals):
         return tuple(vals.tolist())
+
+    @property
+    def sorted_values(self):
+        """The values as a kernel indicator reads them: the set's array
+        when it holds one, else ``elements``."""
+        return self.elements if self.arrays is None else self.arrays[0]
 
 
 class RatSet(_SortedSet):
@@ -126,7 +145,7 @@ def iterated_sumset(A: IntSet, m: int, n: int) -> IntSet:
     kernel's sorted values: mA plus the reflection of nA, which at n = m
     is mA itself."""
     _check_fold(A, m, n, "iterated_sumset")
-    base = _kernel.Weighted.indicator(A.elements, counted=False)
+    base = _kernel.Weighted.indicator(A.sorted_values, counted=False)
     out = _kernel.power(base, m, additive=True) if m else None
     if n:
         nA = out if n == m else _kernel.power(base, n, additive=True)
@@ -139,9 +158,9 @@ def iterated_product_set(A: IntSet, m: int, n: int) -> RatSet:
     """A^(m) / A^(n) over the sorted (numerator, denominator) arrays of its
     reduced quotients; n = 0 gives the plain product set over 1."""
     _check_fold(A, m, n, "iterated_product_set")
-    if n >= 1 and 0 in A.elements:
+    if n >= 1 and 0 in A.sorted_values:
         raise DivisionByZeroElementError("0 in A with n >= 1")
-    base = _kernel.Weighted.indicator(A.elements, counted=False)
+    base = _kernel.Weighted.indicator(A.sorted_values, counted=False)
     one = np.ones(1, dtype=np.int64)
     num = _kernel.power(base, m, additive=False).vals if m else one
     den = num if n == m else _kernel.power(base, n, additive=False).vals if n else one

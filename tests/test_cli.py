@@ -56,17 +56,23 @@ class TestEnergyCmd:
         )
         assert code == 3 and "guard" in err
 
-    @pytest.mark.parametrize("text", ["3 1 2 3\n", "[3, 1, 2, 3]"])
+    @pytest.mark.parametrize(
+        "text",
+        ["3 1 2 3\n", "[3, 1, 2, 3]", pytest.param(" ".join(map(str, [3, *range(1, 99)])), id="above-the-crossover")],
+    )
     def test_input_goes_through_the_intset_constructor(self, monkeypatch, tmp_path, text):
-        # the benchmark's traced kp-extract run needs the span of IntSet.__init__,
-        # which on that workload only the input set makes
+        # the benchmark's traced runs need the span of IntSet.__init__, which
+        # on kp-extract only the input set makes; the long input takes the
+        # int64 array path
         built = []
         init = IntSet.__init__
         monkeypatch.setattr(IntSet, "__init__", lambda self, values: built.append(self) or init(self, values))
         p = tmp_path / "in.txt"
         p.write_text(text)
-        A = cli._read_input(str(p))
-        assert len(built) == 1 and built[0] is A and list(A) == [1, 2, 3]
+        A, _ = cli._read_input(str(p))
+        values = json.loads(text) if text.startswith("[") else list(map(int, text.split()))
+        assert len(built) == 1 and built[0] is A and list(A) == sorted(set(values))
+        assert (A.arrays is not None) == (len(values) >= cli._ARRAY_TOKENS)
 
     def test_json_array_input(self, capsys, tmp_path):
         p = tmp_path / "arr.json"

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from energia import _kernel, cli
+from energia.energy import ADDITIVE, MULTIPLICATIVE, rep_function
 from energia.errors import (
     BadParamsError,
     DivisionByZeroElementError,
@@ -162,6 +163,55 @@ class TestFoldContract:
         assert all(q > 0 and gcd(p, q) == 1 for p, q in pairs)
         assert all(p1 * q2 < p2 * q1 for (p1, q1), (p2, q2) in zip(pairs, pairs[1:]))
         assert cli._json_strings(num, den) == json.dumps([str(Fraction(p, q)) for p, q in pairs])
+
+
+int64_values = st.one_of(
+    st.integers(-50, 50),
+    st.integers(-(10**6), 10**6),
+    st.sampled_from([INT64_MIN, INT64_MIN + 1, -(2**32), 2**32, INT64_MAX - 1, INT64_MAX]),
+)
+
+
+class TestArrayBackedIntSet:
+    """An IntSet built from an int64 array holds it sorted and distinct and
+    is the set built from the same values as Python ints."""
+
+    @given(st.lists(int64_values, min_size=1, max_size=8), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_the_tuple_form(self, values, rnd):
+        rnd.shuffle(values)
+        A, B = IntSet(np.array(values, dtype=np.int64)), IntSet(values)
+        assert B.arrays is None and A._elements is None and not A.arrays[0].flags.writeable
+        assert len(A) == len(B) == len(set(values)) and A.arrays[0].tolist() == sorted(set(values))
+        assert A.elements == B.elements and all(type(x) is int for x in A.elements)
+        assert A == B and hash(A) == hash(B)
+        for x in values + [v + 1 for v in values if v < INT64_MAX] + [2**70]:
+            assert (x in A) == (x in B)
+
+    @given(st.lists(int64_values, min_size=1, max_size=5), st.sampled_from([(1, 0), (2, 0), (1, 1), (2, 1), (0, 2)]))
+    @settings(max_examples=150, deadline=None)
+    def test_folds_give_the_same_arrays(self, values, arity):
+        A, B = IntSet(np.array(values, dtype=np.int64)), IntSet(values)
+        for got, want in zip(iterated_sumset(A, *arity).arrays, iterated_sumset(B, *arity).arrays):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        if arity[1] and 0 in values:
+            with pytest.raises(DivisionByZeroElementError):
+                iterated_product_set(A, *arity)
+            return
+        for got, want in zip(iterated_product_set(A, *arity).arrays, iterated_product_set(B, *arity).arrays):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    @given(st.lists(int64_values, min_size=1, max_size=5), st.sampled_from([ADDITIVE, MULTIPLICATIVE]))
+    @settings(max_examples=100, deadline=None)
+    def test_rep_functions_agree(self, values, mode):
+        # positive sets with products past 2^62 take the exponent keys
+        A, B = IntSet(np.array(values, dtype=np.int64)), IntSet(values)
+        got, want = rep_function(A, 2, mode), rep_function(B, 2, mode)
+        assert got.support == want.support and got.energy_count() == want.energy_count()
+
+    def test_empty_array(self):
+        A = IntSet(np.array([], dtype=np.int64))
+        assert len(A) == 0 and A.elements == () and A == IntSet([])
 
 
 def _two_powers(A, m, n):
